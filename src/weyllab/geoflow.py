@@ -489,11 +489,13 @@ def classify_tori(profile: ProfileCurve, grid: Iterable[float],
     A torus is aperiodic when |d Theta0 / d s_plus| clears the floor with a
     derivative sign stable across the five nearest grid points; otherwise
     periodic when Theta0/2pi admits a convergent p/q with q <= q_max within
-    rational_tol; otherwise uncertain.
+    rational_tol; otherwise uncertain.  The derivative comes from the exact
+    identity: a finite difference of Theta0 carries quadrature noise of a
+    few 1e-6, enough to clear the default floor on tori that are periodic.
     """
     grid = np.asarray(sorted(grid), dtype=float)
     thetas = np.array([rotation_number(s, profile).Theta0 for s in grid])
-    derivs = np.array([d_rotation_number(s, profile, "finite_difference")
+    derivs = np.array([d_rotation_number(s, profile, "formula")
                        for s in grid])
     out = []
     n = len(grid)

@@ -4,9 +4,23 @@ Surfaces of revolution separate into radial problems per angular mode m:
 
     -(alpha u')'/alpha + (m^2/alpha^2) u = lambda^2 u,
 
-with boundedness at the poles.  Eigenvalues are located by a generalized
-Pruefer angle whose winding count is an exact eigenvalue counter, so
-completeness below the cutoff is certified by integer arithmetic.
+with boundedness at the poles.  A generalized Pruefer angle, integrated by
+RK4 from both poles to the profile maximum in one stacked loop, gives the
+matching angle F(lambda^2), which increases with lambda^2 and passes n pi
+exactly at the eigenvalues of mode m.  The solver works in two steps:
+
+* a winding table: F for every mode at about ceil(lambda_max) + 1 nodes
+  uniform in lambda, in one batched pass.  The integer winding of each row
+  counts the mode's eigenvalues below the top node, so completeness below
+  the cutoff is certified by integer arithmetic, and the table interval
+  holding each crossing is that eigenvalue's bracket;
+* Illinois iteration (regula falsi with halving of a retained end), run on
+  all brackets at once until each is narrower than the requested lambda^2
+  tolerance, then a secant step through the true end values.
+
+The cutoff keeps an eigenvalue whose refined lambda^2 lies within the
+relative slack ``_CUTOFF_RTOL`` of lambda_max^2, so a cutoff that is itself
+an eigenvalue keeps its whole multiplet.
 """
 
 from __future__ import annotations
@@ -23,9 +37,23 @@ from .errors import DomainError, IncompleteInput, SolverFailure
 from .manifolds import (HALF_PI, ModelManifold, ProfileCurve, manifold_volume,
                         sphere_volume)
 
-SOLVER_VERSION = "1"
+SOLVER_VERSION = "2"
 
 _GROUP_TOL = 1e-8          # relative clustering of merged frequencies
+# Relative lambda^2 slack of the radial solver's cutoff: far above its
+# discretisation error (~3e-9 relative) and far below the relative level
+# spacing (~2 / lambda_max, 3e-2 at lambda_max 60).
+_CUTOFF_RTOL = 1e-6
+# Rounding noise allowed in a winding-table row before it counts as a
+# decrease of F (radians).
+_MONOTONE_SLACK = 1e-9
+# Illinois steps before the radial solver gives up; a converging run takes
+# about ten.
+_ILLINOIS_MAX_STEPS = 100
+# Batch size times steps per chunk of precomputed Pruefer coefficients:
+# each coefficient array of a chunk then takes about 256 kB, which keeps
+# the transient small without adding measurable per-chunk overhead.
+_CHUNK_ELEMS = 1 << 14
 _CHEB_N = 2048
 
 
@@ -101,7 +129,7 @@ def sphere_spectrum(n: int, lambda_max: float) -> Spectrum:
     k = 0
     while True:
         lam2 = k * (k + n - 1)
-        if lam2 > lambda_max ** 2:
+        if lam2 > lambda_max ** 2 * (1 + 1e-14):
             break
         if n == 1:
             mult = 1 if k == 0 else 2
@@ -198,9 +226,20 @@ class ModeEigenfunction:
 
     def band_weight(self, s0: float, s1: float) -> float:
         """2 pi int_{s0}^{s1} u^2 alpha ds (the localized mass)."""
-        ends = np.polynomial.chebyshev.chebval(
-            np.array([s0, s1]) / HALF_PI, self.weight_coeffs)
-        return float(ends[1] - ends[0])
+        return float(band_weights([self], s0, s1)[0])
+
+
+def band_weights(modes, s0: float, s1: float) -> np.ndarray:
+    """``band_weight(s0, s1)`` of every mode in ``modes``, in one product.
+
+    The stacked antiderivative coefficients meet one Chebyshev Vandermonde
+    matrix at the two band edges.
+    """
+    coeffs = np.stack([mode.weight_coeffs for mode in modes])
+    vander = np.polynomial.chebyshev.chebvander(
+        np.array([s0, s1]) / HALF_PI, coeffs.shape[1] - 1)
+    ends = coeffs @ vander.T
+    return ends[:, 1] - ends[:, 0]
 
 
 class SurfaceEigenbasis:
@@ -263,32 +302,84 @@ class _RadialGrid:
         self.delta = delta
 
 
-def _theta_rhs(theta, a, da, m2, lam2):
+class _PairGrid:
+    """The left and right half-grids stacked for one fused RK4 loop.
+
+    Arrays have shape (steps or nodes, 2, 1): side 0 is the left grid,
+    side 1 the right grid of the reflected profile.  The shorter side is
+    padded with h = 0 steps (profile values repeated), which leave theta
+    unchanged.
+    """
+
+    def __init__(self, grid_L: _RadialGrid, grid_R: _RadialGrid):
+        n = max(len(grid_L.h), len(grid_R.h))
+
+        def stack(parts, length, fill=None):
+            return np.stack([np.concatenate(
+                [v, np.full(length - len(v), v[-1] if fill is None else fill)])
+                for v in parts], axis=1)[:, :, None]
+
+        sides = (grid_L, grid_R)
+        self.h = stack([g.h for g in sides], n, 0.0)
+        self.a = stack([np.append(g.a0, g.a1[-1]) for g in sides], n + 1)
+        self.da = stack([np.append(g.da0, g.da1[-1]) for g in sides], n + 1)
+        self.am = stack([g.am for g in sides], n)
+        self.dam = stack([g.dam for g in sides], n)
+        self.delta = grid_L.delta
+
+
+def _prufer_coeffs(a, da, m2, lam2):
+    """theta' = p + q cos(2 theta) + r sin(2 theta) at profile values a, da.
+
+    The Pruefer angle of u and alpha u' / kappa, kappa^2 = m^2 + lam^2 alpha^2,
+    turns at kappa/alpha cos^2 + (lam^2 alpha - m^2/alpha)/kappa sin^2
+    + lam^2 alpha alpha' / kappa^2 sin cos, written here in double angles.
+    """
     kap2 = m2 + lam2 * a * a
     kap = np.sqrt(kap2)
-    st, ct = np.sin(theta), np.cos(theta)
-    return (lam2 * a * da / kap2 * st * ct
-            + kap / a * ct * ct
-            + (lam2 * a - m2 / a) / kap * st * st)
+    cos2 = kap / a
+    sin2 = (lam2 * a - m2 / a) / kap
+    return 0.5 * (cos2 + sin2), 0.5 * (cos2 - sin2), 0.5 * lam2 * a * da / kap2
 
 
-def _integrate_theta(grid: _RadialGrid, m: np.ndarray,
-                     lam2: np.ndarray) -> np.ndarray:
-    """Pruefer angle at the grid end for each (m, lam2) pair (RK4)."""
+def _matching_angle(grid: _PairGrid, m: np.ndarray,
+                    lam2: np.ndarray) -> np.ndarray:
+    """F(lambda^2) = theta_left + theta_right at the profile maximum.
+
+    One RK4 loop integrates the Pruefer angle from both poles for every
+    (m, lam2) pair; F is increasing in lam2 and crosses n pi exactly at the
+    n-th eigenvalue of mode m above the floor winding.  The right-hand
+    side's coefficients do not depend on theta, so they are computed for a
+    chunk of steps at once, leaving a few operations per RK stage.
+    """
     m = np.asarray(m, dtype=float)
     m2 = m * m
+    lam2 = np.asarray(lam2, dtype=float)
     x = np.sqrt(lam2) * grid.delta
-    r0 = float(grid.a0[0]) * np.sqrt(lam2) * _bessel_logderiv(m, x)
-    kap0 = np.sqrt(m2 + lam2 * grid.a0[0] ** 2)
+    r0 = grid.a[0] * np.sqrt(lam2) * _bessel_logderiv(m, x)
+    kap0 = np.sqrt(m2 + lam2 * grid.a[0] ** 2)
     theta = np.arctan2(kap0, r0)
-    for i in range(len(grid.h)):
-        h = grid.h[i]
-        k1 = _theta_rhs(theta, grid.a0[i], grid.da0[i], m2, lam2)
-        k2 = _theta_rhs(theta + 0.5 * h * k1, grid.am[i], grid.dam[i], m2, lam2)
-        k3 = _theta_rhs(theta + 0.5 * h * k2, grid.am[i], grid.dam[i], m2, lam2)
-        k4 = _theta_rhs(theta + h * k3, grid.a1[i], grid.da1[i], m2, lam2)
-        theta = theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return theta
+    n = len(grid.h)
+    chunk = max(16, _CHUNK_ELEMS // max(1, lam2.size))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        pn, qn, rn = _prufer_coeffs(grid.a[start:stop + 1],
+                                    grid.da[start:stop + 1], m2, lam2)
+        pm, qm, rm = _prufer_coeffs(grid.am[start:stop],
+                                    grid.dam[start:stop], m2, lam2)
+        for i in range(stop - start):
+            h = grid.h[start + i]
+            # RK4 stage points in doubled angle: 2 (theta + h k / 2) = th2 + h k
+            th2 = 2.0 * theta
+            k1 = pn[i] + qn[i] * np.cos(th2) + rn[i] * np.sin(th2)
+            t = th2 + h * k1
+            k2 = pm[i] + qm[i] * np.cos(t) + rm[i] * np.sin(t)
+            t = th2 + h * k2
+            k3 = pm[i] + qm[i] * np.cos(t) + rm[i] * np.sin(t)
+            t = th2 + (2.0 * h) * k3
+            k4 = pn[i + 1] + qn[i + 1] * np.cos(t) + rn[i + 1] * np.sin(t)
+            theta = theta + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return theta[0] + theta[1]
 
 
 def _integrate_uw(grid: _RadialGrid, m: np.ndarray, lam2: np.ndarray):
@@ -329,16 +420,90 @@ def _integrate_uw(grid: _RadialGrid, m: np.ndarray, lam2: np.ndarray):
     return U, LS, u, w, logs
 
 
+def _winding_brackets(table: np.ndarray, nodes: np.ndarray, modes: list):
+    """Targets and their brackets from a winding table.
+
+    ``table[i, j]`` is F(nodes[j]) for mode ``modes[i]``.  Mode i owns the
+    targets n pi for n from floor(F(nodes[0]) / pi) + 1 to
+    floor(F(nodes[-1]) / pi); each gets the table interval that holds its
+    crossing.  Returns (m, goal, lo, hi, f_lo, f_hi) per target, with f the
+    table value minus the goal.
+    """
+    if np.any(np.diff(table, axis=1) < -_MONOTONE_SLACK):
+        i = int(np.argmin(np.min(np.diff(table, axis=1), axis=1)))
+        raise SolverFailure("winding table row is not monotone",
+                            mode=modes[i], bracket=(nodes[0], nodes[-1]))
+    n_lo = np.floor(table[:, 0] / math.pi + 1e-9).astype(int)
+    n_hi = np.floor(table[:, -1] / math.pi).astype(int)
+    rows = np.repeat(np.arange(len(modes)), np.maximum(n_hi - n_lo, 0))
+    n = np.concatenate([np.arange(a + 1, b + 1) for a, b in zip(n_lo, n_hi)])
+    goal = n * math.pi
+    # first node at or past the goal; the straddle check catches clipping
+    j = np.clip(np.sum(table[rows] < goal[:, None], axis=1), 1, len(nodes) - 1)
+    return (np.asarray(modes, dtype=float)[rows], goal, nodes[j - 1],
+            nodes[j], table[rows, j - 1] - goal, table[rows, j] - goal)
+
+
+def _illinois(F, m, goal, lo, hi, f_lo, f_hi, tol: float) -> np.ndarray:
+    """Roots of F(m, x) = goal in [lo, hi] by vectorized Illinois iteration.
+
+    Regula falsi on every bracket at once; when one end is kept twice in a
+    row its working value is halved (the Illinois rule), so both ends close
+    in.  Each row iterates until its bracket is narrower than ``tol``, then
+    the root is the secant point through the true (never halved) values at
+    its two ends.
+    """
+    if np.any(f_lo >= 0) or np.any(f_hi < 0):
+        bad = int(np.argmax((f_lo >= 0) | (f_hi < 0)))
+        raise SolverFailure("bracket does not straddle its target",
+                            mode=int(m[bad]), bracket=(lo[bad], hi[bad]))
+    lo, hi, f_lo, f_hi = (np.array(v, dtype=float)
+                          for v in (lo, hi, f_lo, f_hi))
+    g_lo, g_hi = f_lo.copy(), f_hi.copy()
+    kept = np.zeros(len(lo), dtype=int)      # +1: lo kept last step, -1: hi
+    for _ in range(_ILLINOIS_MAX_STEPS):
+        act = np.flatnonzero(hi - lo > tol)
+        if act.size == 0:
+            break
+        a, b, ga, gb = lo[act], hi[act], g_lo[act], g_hi[act]
+        x = a - ga * (b - a) / (gb - ga)
+        # a quarter tolerance off each end, so every step shrinks the bracket
+        x = np.clip(x, a + 0.25 * tol, b - 0.25 * tol)
+        fx = F(m[act], x) - goal[act]
+        up = fx >= 0                          # x becomes the new hi
+        g_lo[act] = np.where(up & (kept[act] == 1), 0.5 * ga, ga)
+        g_hi[act] = np.where(~up & (kept[act] == -1), 0.5 * gb, gb)
+        hi[act] = np.where(up, x, b)
+        f_hi[act] = np.where(up, fx, f_hi[act])
+        g_hi[act] = np.where(up, fx, g_hi[act])
+        lo[act] = np.where(up, a, x)
+        f_lo[act] = np.where(up, f_lo[act], fx)
+        g_lo[act] = np.where(up, g_lo[act], fx)
+        kept[act] = np.where(up, 1, -1)
+    else:
+        raise SolverFailure(f"Illinois iteration did not converge in "
+                            f"{_ILLINOIS_MAX_STEPS} steps")
+    return lo - f_lo * (hi - lo) / (f_hi - f_lo)
+
+
 def surface_spectrum(profile: ProfileCurve, lambda_max: float,
                      m_max: Optional[int] = None,
                      with_eigenfunctions: bool = True,
                      bisect_tol: float = 1e-10) -> Spectrum:
     """Spectrum of the Laplacian on the surface of revolution of ``profile``.
 
-    Eigenvalues are counted and bracketed through the monotone matching
-    angle F(lambda^2) = theta_left + theta_right at the profile maximum;
-    the integer winding at the cutoff certifies that no eigenvalue below
-    ``lambda_max`` is missed.
+    Eigenvalues of mode m are the crossings of the monotone matching angle
+    F(lambda^2) = theta_left + theta_right at the profile maximum through
+    n pi.  One batched pass tabulates F for every mode on a coarse node set
+    that ends just past ``lambda_max**2 * (1 + _CUTOFF_RTOL)``; the integer
+    winding of each row enumerates its eigenvalues (so none below the top
+    node is missed) and gives each its own bracket.  Vectorized Illinois
+    iteration then narrows every bracket below ``bisect_tol`` in lambda^2.
+
+    An eigenvalue belongs to the spectrum when its refined lambda^2 is at
+    most ``lambda_max**2 * (1 + _CUTOFF_RTOL)``: a cutoff that is itself an
+    eigenvalue keeps its whole multiplet, whichever side of it the
+    discretisation error puts each mode.
     """
     a_max = profile.alpha_max
     m_needed = int(math.ceil(lambda_max * a_max)) + 2
@@ -351,52 +516,30 @@ def surface_spectrum(profile: ProfileCurve, lambda_max: float,
     refl = profile.reflected()
     grid_L = _RadialGrid(profile, lambda_max, m_max, hi=mid)
     grid_R = _RadialGrid(refl, lambda_max, m_max, hi=-mid)
+    pair = _PairGrid(grid_L, grid_R)
 
     def F(m_arr, lam2_arr):
-        return (_integrate_theta(grid_L, m_arr, lam2_arr)
-                + _integrate_theta(grid_R, m_arr, lam2_arr))
+        return _matching_angle(pair, m_arr, lam2_arr)
 
-    lam2_hi = lambda_max ** 2
-    lam2_lo = min(1e-6, lam2_hi * 1e-9)
+    lam2_cut = lambda_max ** 2 * (1.0 + _CUTOFF_RTOL)
+    lam2_lo = min(1e-6, lambda_max ** 2 * 1e-9)
 
-    # ----- enumerate targets per mode via the winding count
+    # ----- one winding table: every mode on nodes uniform in lambda
     modes = [m for m in range(0, m_max + 1)
-             if m * m <= lam2_hi * a_max * a_max + 1e-9]
-    m_arr = np.array(modes, dtype=float)
-    F_hi = F(m_arr, np.full(len(modes), lam2_hi))
-    F_lo = F(m_arr, np.full(len(modes), lam2_lo))
-    targets_m, targets_n = [], []
-    counts = {}
-    for i, m in enumerate(modes):
-        n_lo = int(math.floor(F_lo[i] / math.pi + 1e-9))
-        n_hi = int(math.floor(F_hi[i] / math.pi + 1e-9))
-        counts[m] = n_hi - n_lo
-        for n in range(n_lo + 1, n_hi + 1):
-            targets_m.append(m)
-            targets_n.append(n)
-    targets_m = np.array(targets_m, dtype=float)
-    targets_goal = np.array(targets_n, dtype=float) * math.pi
+             if m * m <= lam2_cut * a_max * a_max + 1e-9]
+    n_nodes = int(math.ceil(lambda_max)) + 1
+    lam_top = math.sqrt(lam2_cut * (1.0 + _CUTOFF_RTOL))
+    nodes = np.concatenate(
+        [[lam2_lo], (lam_top * np.arange(1, n_nodes) / (n_nodes - 1)) ** 2])
+    table = F(np.repeat(np.array(modes, dtype=float), n_nodes),
+              np.tile(nodes, len(modes))).reshape(len(modes), n_nodes)
+    targets_m, goal, lo, hi, f_lo, f_hi = _winding_brackets(table, nodes,
+                                                            modes)
 
-    # ----- vectorized bisection over all targets at once
-    lo = np.full(len(targets_m), lam2_lo)
-    hi = np.full(len(targets_m), lam2_hi)
-    f_lo = F(targets_m, lo) - targets_goal
-    f_hi = F(targets_m, hi) - targets_goal
-    if np.any(f_lo > 0) or np.any(f_hi < -1e-9):
-        raise SolverFailure("bracket endpoints do not straddle a target",
-                            bracket=(lam2_lo, lam2_hi))
-    n_iter = max(1, int(math.ceil(math.log2((lam2_hi - lam2_lo) / bisect_tol))))
-    for _ in range(n_iter):
-        mid_l2 = 0.5 * (lo + hi)
-        f_mid = F(targets_m, mid_l2) - targets_goal
-        take_hi = f_mid >= 0
-        hi = np.where(take_hi, mid_l2, hi)
-        f_hi = np.where(take_hi, f_mid, f_hi)
-        lo = np.where(take_hi, lo, mid_l2)
-        f_lo = np.where(take_hi, f_mid, f_lo)
-    # final secant polish inside the converged bracket
-    denom = np.where(np.abs(f_hi - f_lo) > 0, f_hi - f_lo, 1.0)
-    lam2_star = lo - f_lo * (hi - lo) / denom
+    # ----- Illinois iteration inside every bracket at once
+    lam2_star = _illinois(F, targets_m, goal, lo, hi, f_lo, f_hi, bisect_tol)
+    keep = lam2_star <= lam2_cut
+    targets_m, lam2_star = targets_m[keep], lam2_star[keep]
     lam_star = np.sqrt(np.maximum(lam2_star, 0.0))
 
     # ----- assemble entries
@@ -425,11 +568,8 @@ def surface_spectrum(profile: ProfileCurve, lambda_max: float,
                               entry_of_target, basis)
 
     lam_arr, mult_arr, tag_arr = _group(np.array(lams), np.array(mults), tags)
-    spec = Spectrum(lam_arr, mult_arr, lambda_max, 2, vol,
+    return Spectrum(lam_arr, mult_arr, lambda_max, 2, vol,
                     profile.label, mode_tags=tag_arr, basis=basis)
-    spec.mode_counts = counts
-    spec.mode_counts[0] = counts.get(0, 0) + 1   # constant mode
-    return spec
 
 
 def _constant_mode(profile: ProfileCurve, vol: float) -> ModeEigenfunction:

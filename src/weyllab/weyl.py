@@ -20,7 +20,7 @@ from scipy.special import eval_legendre, jv
 from .errors import DomainError, IncompleteSpectrum, WindowTooSmall
 from .manifolds import ModelManifold
 from .quadrature import gauss_legendre
-from .spectra import Spectrum
+from .spectra import Spectrum, band_weights
 
 
 def ball_volume(n: int) -> float:
@@ -90,13 +90,11 @@ def localized_counting(spec: Spectrum, band: tuple[float, float],
     if lambdas.size and lambdas.max() > spec.lambda_max + 1e-12:
         raise IncompleteSpectrum("grid exceeds the spectrum cutoff")
     s0, s1 = band
-    weights = np.zeros(len(spec.lambdas))
-    for i, tags in enumerate(spec.mode_tags):
-        w = 0.0
-        for (m, k) in tags:
-            mode = spec.basis[(m, k)]
-            w += (1 if m == 0 else 2) * mode.band_weight(s0, s1)
-        weights[i] = w
+    rows = [i for i, tags in enumerate(spec.mode_tags) for _ in tags]
+    modes = [spec.basis[mk] for tags in spec.mode_tags for mk in tags]
+    copies = np.array([1 if mode.m == 0 else 2 for mode in modes])
+    weights = np.bincount(rows, copies * band_weights(modes, s0, s1),
+                          minlength=len(spec.lambdas))
     csum = np.concatenate([[0.0], np.cumsum(weights)])
     idx = np.searchsorted(spec.lambdas, lambdas, side="right")
     NW = csum[idx]

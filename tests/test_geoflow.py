@@ -239,6 +239,15 @@ def test_classify_perturbed_bands():
             assert c.status == "aperiodic"
 
 
+@pytest.mark.parametrize("s_plus", [0.1170, 0.1328])
+def test_classify_strip_ignores_quadrature_noise(s_plus):
+    # a finite-difference slope here is quadrature noise of ~3e-6, above
+    # the default floor; the exact identity gives ~1e-12
+    (c,) = classify_tori(PERT, [s_plus])
+    assert abs(c.dTheta0) < 1e-9
+    assert c.status == "periodic" and (c.p, c.q) == (1, 1)
+
+
 def test_classify_synthetic_golden_table(monkeypatch):
     # a synthetic profile whose rotation number is the golden angle should
     # never read as periodic at q_max = 50

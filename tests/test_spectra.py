@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import lpmv
 
-from weyllab.errors import DomainError, IncompleteInput
+from weyllab.errors import DomainError, IncompleteInput, SolverFailure
 from weyllab.manifolds import (
     PerturbationSpec,
     make_perturbed_sphere,
@@ -12,6 +12,9 @@ from weyllab.manifolds import (
 )
 from weyllab.spectra import (
     Spectrum,
+    _illinois,
+    _winding_brackets,
+    band_weights,
     load_spectrum,
     product_spectrum,
     profile_hash,
@@ -180,6 +183,69 @@ def test_perturbed_eigenvalues_near_round(sphere_radial):
         dist = max(np.min(np.abs(cf.lambdas - lam)) for lam in sp.lambdas)
         consts.append(dist / eps)
     assert abs(consts[0] - consts[1]) < 0.25 * max(consts)
+
+
+def test_radial_every_mode_is_legendre_at_12():
+    spec = surface_spectrum(make_round_sphere(), 12.0,
+                            with_eigenfunctions=False)
+    assert spec.total == 144
+    for lam, tags in zip(spec.lambdas[1:], spec.mode_tags[1:]):
+        for m, k in tags:
+            l2 = (m + k) * (m + k + 1)
+            assert abs(lam ** 2 - l2) <= 1e-8 * l2
+
+
+@pytest.mark.parametrize("l", [5, 8, 11])
+def test_cutoff_at_an_eigenvalue_keeps_the_multiplet(l):
+    lam = math.sqrt(l * (l + 1))
+    assert sphere_spectrum(2, lam).total == (l + 1) ** 2
+    radial = surface_spectrum(make_round_sphere(), lam,
+                              with_eigenfunctions=False)
+    assert radial.total == (l + 1) ** 2
+
+
+def test_illinois_finds_roots_of_a_monotone_function():
+    F = lambda m, x: x ** 3 + m * x
+    m = np.array([0.0, 1.0, 4.0])
+    goal = np.array([8.0, 30.0, 80.0])
+    lo, hi = np.zeros(3), np.full(3, 5.0)
+    root = _illinois(F, m, goal, lo, hi, F(m, lo) - goal, F(m, hi) - goal,
+                     tol=1e-12)
+    assert np.allclose(root, [2.0, 3.0, 4.0], rtol=1e-12, atol=0)
+
+
+def test_illinois_rejects_a_bracket_that_misses_its_target():
+    F = lambda m, x: x
+    m, goal = np.array([0.0, 0.0]), np.array([1.5, 5.0])
+    lo, hi = np.array([1.0, 6.0]), np.array([2.0, 7.0])
+    with pytest.raises(SolverFailure):
+        _illinois(F, m, goal, lo, hi, lo - goal, hi - goal, tol=1e-10)
+
+
+def test_winding_table_rejects_a_decreasing_row():
+    nodes = np.array([0.0, 1.0, 2.0, 3.0])
+    table = np.array([[0.5, 4.0, 7.0, 10.0],
+                      [0.5, 4.0, 3.0, 10.0]])
+    with pytest.raises(SolverFailure):
+        _winding_brackets(table, nodes, [0, 1])
+
+
+def test_winding_table_brackets_each_target():
+    nodes = np.array([0.0, 1.0, 2.0, 3.0])
+    table = np.array([[0.5, 4.0, 7.0, 10.0]])
+    m, goal, lo, hi, f_lo, f_hi = _winding_brackets(table, nodes, [3])
+    assert np.allclose(goal, np.pi * np.array([1, 2, 3]))
+    assert lo.tolist() == [0.0, 1.0, 2.0] and hi.tolist() == [1.0, 2.0, 3.0]
+    assert np.all(f_lo < 0) and np.all(f_hi >= 0) and np.all(m == 3)
+
+
+def test_batched_band_weights_match_clenshaw(sphere_radial):
+    modes = list(sphere_radial.basis.modes.values())
+    got = band_weights(modes, -0.3, 0.7)
+    ref = [np.diff(np.polynomial.chebyshev.chebval(
+        np.array([-0.3, 0.7]) / (math.pi / 2), mode.weight_coeffs))[0]
+        for mode in modes]
+    assert np.allclose(got, ref, rtol=0, atol=1e-13)
 
 
 def test_mode_floor_certificate(sphere_radial):
