@@ -9,7 +9,11 @@ All measure estimators work with the fixed background phase metric of
 :mod:`weyllab.flows` and classify a sample by its certified closest
 approach; the criterion radius is twice the nominal scale R (the
 ball-to-ball contact distance), with integration slack folded in and
-reported.
+reported.  The classification is one call to the flow's ``return_hits``
+or ``target_hits`` (``target_min`` for the bad/good splitting), so the
+estimators never ask which flow they have: the flow picks its exact or
+scan-then-refine algorithm and returns the inflation, 0 for the closed
+forms and the refinement slack plus integration budget otherwise.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import AuditFailure, CoverFailure, DomainError
-from .flows import (MERIDIAN_C_FLOOR, RevolutionFlow, RoundSphereFlow,
-                    TorusFlow, wrap_angle)
+from .flows import RevolutionFlow, RoundSphereFlow, TorusFlow, wrap_angle
 from .manifolds import HALF_PI, ModelManifold, make_round_sphere
 from .quadrature import tanh_sinh
 
@@ -221,17 +224,25 @@ class CosphereSet:
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         m = self.manifold
-        if m.kind == "flat_torus":
-            if self.kind != "full":
-                raise DomainError("torus sets other than the full cosphere "
-                                  "are not needed by the estimators")
+        if m.kind == "flat_torus" and self.kind not in ("full", "fiber"):
+            raise DomainError("torus sets other than the full cosphere and "
+                              "a fiber are not needed by the estimators")
+        if m.kind == "flat_torus" and self.kind == "full":
             u = qmc.Halton(d=3, scramble=True, seed=seed).random(n)
             x = u[:, :2] * np.asarray(m.periods)
             phi = 2.0 * math.pi * u[:, 2]
             return np.column_stack([x, np.cos(phi), np.sin(phi)])
 
-        prof = m.profile if m.kind == "surface_of_revolution" \
-            else make_round_sphere()
+        if self.kind == "fiber":
+            # on a torus the columns are (x, y, cos psi, sin psi): a = 1
+            s0, th0 = self.x
+            u = qmc.Halton(d=1, scramble=True, seed=seed).random(n)[:, 0]
+            psi = 2.0 * math.pi * u
+            a = 1.0 if m.kind == "flat_torus" \
+                else float(_profile_of(m).alpha(s0))
+            return np.column_stack([np.full(n, s0), np.full(n, th0),
+                                    np.cos(psi), a * np.sin(psi)])
+        prof = _profile_of(m)
         if self.kind in ("full", "band"):
             lo = self.s0 if self.kind == "band" else (-HALF_PI + 1e-6)
             hi = self.s1 if self.kind == "band" else (HALF_PI - 1e-6)
@@ -247,13 +258,6 @@ class CosphereSet:
             a = prof.alpha(s)
             return np.column_stack([s, theta, np.cos(psi),
                                     a * np.sin(psi)])
-        if self.kind == "fiber":
-            s0, th0 = self.x
-            u = qmc.Halton(d=1, scramble=True, seed=seed).random(n)[:, 0]
-            psi = 2.0 * math.pi * u
-            a = float(prof.alpha(s0))
-            return np.column_stack([np.full(n, s0), np.full(n, th0),
-                                    np.cos(psi), a * np.sin(psi)])
         if self.kind == "conormal":
             s0 = self.s_circle
             u = qmc.Halton(d=2, scramble=True, seed=seed).random(n)
@@ -262,6 +266,12 @@ class CosphereSet:
             return np.column_stack([np.full(n, s0), theta, sign,
                                     np.zeros(n)])
         raise DomainError(f"unknown set kind {self.kind!r}")
+
+
+def _profile_of(manifold: ModelManifold):
+    """Profile curve of a revolution surface; the round one otherwise."""
+    return manifold.profile if manifold.kind == "surface_of_revolution" \
+        else make_round_sphere()
 
 
 # ---------------------------------------------------------------------------
@@ -279,52 +289,17 @@ class MeasureEstimate:
     brute_force: Optional[float] = None
 
     @staticmethod
-    def hoeffding(frac: float, n: int, total: float) -> float:
+    def hoeffding(n: int, total: float) -> float:
         return math.sqrt(math.log(2.0 / 0.01) / (2.0 * n)) * total
 
-
-def _mirror(states: np.ndarray) -> np.ndarray:
-    out = states.copy()
-    out[:, 2] *= -1.0
-    out[:, 3] *= -1.0
-    return out
-
-
-def _torus_near_periodic_fraction_exact(flow: TorusFlow, t0: float, T: float,
-                                        thresh: float) -> float:
-    """Exact angular fraction of directions with a near return (2-d torus).
-
-    Per lattice point the admissible direction set is an angular interval
-    found by monotone bisection; the union is merged exactly.
-    """
-    if flow.d != 2:
-        raise DomainError("exact oracle implemented for 2-d tori")
-    lat = flow._lattice(T + 1.0)
-    lat = lat[np.any(lat != 0.0, axis=1)]
-    intervals = []
-    for k in lat:
-        nk = math.hypot(*k)
-        phi_k = math.atan2(k[1], k[0])
-
-        def m_of(beta):
-            om = np.array([[math.cos(phi_k + beta), math.sin(phi_k + beta)]])
-            return float(flow._window_min(om, k[None, None, :], t0, T)[0, 0])
-
-        if m_of(0.0) >= thresh:
-            continue
-        lo, hi = 0.0, math.pi / 2
-        if m_of(hi) < thresh:
-            beta_star = hi
-        else:
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if m_of(mid) < thresh:
-                    lo = mid
-                else:
-                    hi = mid
-            beta_star = 0.5 * (lo + hi)
-        intervals.append((phi_k - beta_star, phi_k + beta_star))
-    return _merge_circle_intervals(intervals)
+    @classmethod
+    def from_hits(cls, hits, total: float, criterion_radius: float,
+                  inflation: float = 0.0,
+                  brute_force: Optional[float] = None):
+        """Hit fraction times the total, with the Hoeffding half-width."""
+        n = len(hits)
+        return cls(float(np.mean(hits)) * total, cls.hoeffding(n, total), n,
+                   total, criterion_radius, inflation, brute_force)
 
 
 def near_periodic_measure(U: CosphereSet, t0: float, T: float, R: float,
@@ -333,171 +308,28 @@ def near_periodic_measure(U: CosphereSet, t0: float, T: float, R: float,
     """mu(B(P^R_U(t0, T), R)) estimated by certified closest approach.
 
     A sample counts when its orbit returns within 2R of the start in the
-    window t0 <= |t| <= T (the contact distance of two R-balls); on flat
-    tori the exact lattice value fills ``brute_force``.
+    window t0 <= |t| <= T (the contact distance of two R-balls), as decided
+    by the flow's ``return_hits``; on flat tori the exact lattice value
+    fills ``brute_force``.
     """
     if samples < 1000:
         raise DomainError("use at least 1e3 samples")
-    if t0 > T:
-        total = U.total_measure()
-        return MeasureEstimate(0.0, 0.0, samples, total, 2.0 * R,
-                               brute_force=0.0 if
-                               U.manifold.kind == "flat_torus" else None)
-    flow = flow_for(U.manifold)
-    states = U.sample(samples, seed)
-    total = U.total_measure()
+    torus = U.manifold.kind == "flat_torus"
     thresh = 2.0 * R
-    inflation = 0.0
-
-    if isinstance(flow, TorusFlow):
-        mins = flow.self_return_min(states, t0, T)
-        frac = float(np.mean(mins < thresh))
-        brute = _torus_near_periodic_fraction_exact(flow, t0, T, thresh)
-        hw = MeasureEstimate.hoeffding(frac, samples, total)
-        return MeasureEstimate(frac * total, hw, samples, total, thresh,
-                               brute_force=brute * total)
-
-    if isinstance(flow, RoundSphereFlow):
-        mins = flow.self_return_min(states, t0, T)
-        frac = float(np.mean(mins < thresh))
-        hw = MeasureEstimate.hoeffding(frac, samples, total)
-        return MeasureEstimate(frac * total, hw, samples, total, thresh)
-
-    # generic revolution surface: two-sided via the mirror conjugation,
-    # near-meridian data through the pole-safe closed form
-    metric = flow.metric
-    hits = np.zeros(samples)
-    merid = np.abs(states[:, 3]) < MERIDIAN_C_FLOOR
-    if np.any(merid):
-        res = thresh / 4.0
-        best = _meridian_scan(states[merid], t0, T, res,
-                              lambda y, ref: metric.distance(y, ref),
-                              self_reference=True)
-        hits[merid] = (best < thresh).astype(float)
-        inflation = max(inflation, 0.5 * res + MERIDIAN_C_FLOOR)
-    reg = np.nonzero(~merid)[0]
-    if len(reg):
-        sub = states[reg]
-        doubled = np.vstack([sub, _mirror(sub)])
-        ref = doubled.copy()
-
-        # base-distance scan certifies non-return at unit Lipschitz rate
-        # (the full phase distance dominates the base distance); only
-        # samples whose base orbit nearly returns need the full-metric
-        # refinement
-        def base_to_start(y):
-            return metric.base_distance_to_state(y, ref)
-
-        coarse, _, slack = flow.scan_min(doubled, t0, T, base_to_start,
-                                         lipschitz=1.0)
-        n = len(sub)
-        mins = np.minimum(coarse[:n], coarse[n:])
-        slack2 = np.maximum(slack[:n], slack[n:])
-        candidates = mins - slack2 <= thresh
-        for j in np.nonzero(candidates)[0]:
-            i = reg[j]
-            spd = float(flow.phase_speed_bound(states[i:i + 1])[0])
-            res = thresh / (4.0 * spd)
-            m_fwd = flow.refine_min(states[i], t0, T,
-                                    lambda y: metric.distance(
-                                        y, np.broadcast_to(states[i],
-                                                           y.shape)), res)
-            m_bwd = flow.refine_min(_mirror(states[i:i + 1])[0], t0, T,
-                                    lambda y: metric.distance(
-                                        y, np.broadcast_to(
-                                            _mirror(states[i:i + 1])[0],
-                                            y.shape)), res)
-            hits[i] = 1.0 if min(m_fwd, m_bwd) < thresh else 0.0
-            inflation = max(inflation, spd * res + flow.ode_budget)
-    frac = float(np.mean(hits))
-    hw = MeasureEstimate.hoeffding(frac, samples, total)
-    return MeasureEstimate(frac * total, hw, samples, total, thresh,
-                           inflation=inflation)
-
-
-def _meridian_scan(states, t0, T, resolution, dist_fn,
-                   self_reference=False, target=None, metric=None):
-    """Grid scan of (near-)meridian orbits through the closed form.
-
-    Both time directions; the grid slack (unit Lipschitz rate) and the
-    O(MERIDIAN_C_FLOOR) position error of the meridian approximation are
-    the caller's reported inflation.
-    """
-    from .flows import meridian_states
-    states = np.asarray(states, dtype=float).reshape(-1, 4)
-    best = np.full(len(states), np.inf)
-    t_grid = np.arange(t0, T + resolution, resolution)
-    for sign in (1.0, -1.0):
-        for t in t_grid:
-            moved = meridian_states(states, sign * t)
-            if self_reference:
-                d = dist_fn(moved, states)
-            else:
-                d = dist_fn(moved)
-            best = np.minimum(best, d)
-    return best
-
-
-def _merge_circle_intervals(intervals) -> float:
-    """Total measure of a union of angular intervals (fraction of 2 pi)."""
-    if not intervals:
-        return 0.0
-    pts = sorted((a % (2 * math.pi), b - a) for a, b in intervals)
-    merged = []
-    for start, length in pts:
-        end = start + length
-        if merged and start <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], end)
-        else:
-            merged.append([start, end])
-    total = sum(e - s for s, e in merged)
-    if merged and merged[-1][1] > 2 * math.pi and merged[0][0] >= 0:
-        overlap = min(merged[-1][1] - 2 * math.pi,
-                      merged[0][1]) - merged[0][0]
-        if overlap > 0:
-            total -= overlap
-    return min(total / (2 * math.pi), 1.0)
-
-
-def _torus_looping_fraction_exact(flow: TorusFlow, delta: np.ndarray,
-                                  t0: float, T: float,
-                                  thresh: float) -> float:
-    """Exact angular fraction of directions passing near x + delta.
-
-    The backward window toward a displacement v equals the forward window
-    toward -v, so both time directions are covered by the two target
-    families +-delta + lattice, each with a monotone one-sided profile.
-    """
-    lat = flow._lattice(T + 1.0 + float(np.max(np.abs(delta))))
-    targets = np.vstack([delta[None, :] + lat, -delta[None, :] + lat])
-    intervals = []
-    for v in targets:
-        nv = math.hypot(*v)
-        if nv < 1e-14:
-            if t0 <= 0:
-                return 1.0
-            continue
-        phi_v = math.atan2(v[1], v[0])
-
-        def m_of(beta):
-            om = np.array([[math.cos(phi_v + beta), math.sin(phi_v + beta)]])
-            return float(flow._window_min(om, v[None, None, :], t0, T)[0, 0])
-
-        if m_of(0.0) >= thresh:
-            continue
-        lo, hi = 0.0, math.pi
-        if m_of(hi) < thresh:
-            beta_star = hi
-        else:
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if m_of(mid) < thresh:
-                    lo = mid
-                else:
-                    hi = mid
-            beta_star = 0.5 * (lo + hi)
-        intervals.append((phi_v - beta_star, phi_v + beta_star))
-    return _merge_circle_intervals(intervals)
+    if t0 > T:
+        return MeasureEstimate(0.0, 0.0, samples, U.total_measure(), thresh,
+                               brute_force=0.0 if torus else None)
+    flow = flow_for(U.manifold)
+    hits, inflation = flow.return_hits(U.sample(samples, seed), t0, T,
+                                       thresh)
+    total = U.total_measure()
+    brute = None
+    if torus:
+        # a near return is t omega close to a lattice vector k; k = 0
+        # counts only when t = 0 lies in the window
+        brute = total * flow.direction_fraction(
+            flow.lattice(T + 1.0), t0, T, thresh, math.pi / 2)
+    return MeasureEstimate.from_hits(hits, total, thresh, inflation, brute)
 
 
 def looping_pair_measure(manifold: ModelManifold, x, y, t0: float, T: float,
@@ -505,83 +337,32 @@ def looping_pair_measure(manifold: ModelManifold, x, y, t0: float, T: float,
     """Both one-sided looping measures of the pair (x, y) plus the product.
 
     Targets are points (fiber spheres); a sample in S*_xM counts when its
-    orbit passes within 2R of y in the window.  Returns (est_xy, est_yx,
-    product_with_T2) where the product realizes the pair quantity
-    mu_x mu_y T^2.
+    orbit passes within 2R of y in the window, as decided by the flow's
+    ``target_hits``.  Returns (est_xy, est_yx, product_with_T2) where the
+    product realizes the pair quantity mu_x mu_y T^2.
     """
+    flow = flow_for(manifold)
+    thresh = 2.0 * R
     ests = []
     for src, dst, sd in ((x, y, seed), (y, x, seed + 1)):
-        flow = flow_for(manifold)
         U = CosphereSet(manifold, kind="fiber", x=src)
+        dst = np.asarray(dst, dtype=float)
+        hits, inflation = flow.target_hits(U.sample(samples, sd), dst, t0, T,
+                                           thresh)
         total = U.total_measure()
-        thresh = 2.0 * R
+        brute = None
         if manifold.kind == "flat_torus":
-            states = _torus_fiber_sample(manifold, src, samples, sd)
-            mins = flow.target_min(states, np.asarray(dst, dtype=float),
-                                   t0, T)
-            frac = float(np.mean(mins < thresh))
-            delta = np.asarray(dst, dtype=float) - np.asarray(src, dtype=float)
-            brute = _torus_looping_fraction_exact(flow, delta, t0, T, thresh)
-            hw = MeasureEstimate.hoeffding(frac, samples, total)
-            ests.append(MeasureEstimate(frac * total, hw, samples, total,
-                                        thresh, brute_force=brute * total))
-            continue
-        states = U.sample(samples, sd)
-        if isinstance(flow, RoundSphereFlow):
-            mins = flow.target_min(states, dst, t0, T)
-            frac = float(np.mean(mins < thresh))
-            hw = MeasureEstimate.hoeffding(frac, samples, total)
-            ests.append(MeasureEstimate(frac * total, hw, samples, total,
-                                        thresh))
-            continue
-        metric = flow.metric
-        inflation = 0.0
-        hits = np.zeros(samples)
-
-        def dist_to_target(ystates):
-            return metric.base_distance_to_point(ystates, dst)
-
-        merid = np.abs(states[:, 3]) < MERIDIAN_C_FLOOR
-        if np.any(merid):
-            res = thresh / 4.0
-            best = _meridian_scan(states[merid], t0, T, res, dist_to_target)
-            hits[merid] = (best < thresh).astype(float)
-            inflation = max(inflation, 0.5 * res + MERIDIAN_C_FLOOR)
-        reg = np.nonzero(~merid)[0]
-        if len(reg):
-            sub = states[reg]
-            doubled = np.vstack([sub, _mirror(sub)])
-            # base-distance criterion: the Lipschitz rate is the unit speed
-            coarse, _, slack = flow.scan_min(doubled, t0, T, dist_to_target,
-                                             lipschitz=1.0)
-            n = len(sub)
-            mins = np.minimum(coarse[:n], coarse[n:])
-            slack2 = np.maximum(slack[:n], slack[n:])
-            hits[reg] = (mins + slack2 < thresh).astype(float)
-            ambiguous = np.nonzero((mins - slack2 <= thresh)
-                                   & (mins + slack2 >= thresh))[0]
-            for j in ambiguous:
-                i = reg[j]
-                res = thresh / 4.0
-                m1 = flow.refine_min(states[i], t0, T, dist_to_target, res)
-                m2 = flow.refine_min(_mirror(states[i:i + 1])[0], t0, T,
-                                     dist_to_target, res)
-                hits[i] = 1.0 if min(m1, m2) < thresh else 0.0
-                inflation = max(inflation, res + flow.ode_budget)
-        frac = float(np.mean(hits))
-        hw = MeasureEstimate.hoeffding(frac, samples, total)
-        ests.append(MeasureEstimate(frac * total, hw, samples, total, thresh,
-                                    inflation=inflation))
+            # the backward window toward v equals the forward window
+            # toward -v, so the targets are +-(y - x) plus the lattice
+            delta = dst - np.asarray(src, dtype=float)
+            lat = flow.lattice(T + 1.0 + float(np.max(np.abs(delta))))
+            brute = total * flow.direction_fraction(
+                np.vstack([delta[None, :] + lat, -delta[None, :] + lat]),
+                t0, T, thresh, math.pi)
+        ests.append(MeasureEstimate.from_hits(hits, total, thresh, inflation,
+                                              brute))
     product = ests[0].value * ests[1].value * T * T
     return ests[0], ests[1], product
-
-
-def _torus_fiber_sample(manifold, x, n, seed):
-    u = qmc.Halton(d=1, scramble=True, seed=seed).random(n)[:, 0]
-    phi = 2.0 * math.pi * u
-    x = np.asarray(x, dtype=float)
-    return np.column_stack([np.full(n, x[0]), np.full(n, x[1]),
-                            np.cos(phi), np.sin(phi)])
 
 
 # ---------------------------------------------------------------------------
@@ -653,30 +434,23 @@ def recurrence_measure(manifold: ModelManifold, x, R0: float,
 def _recurrence_mass(flow, manifold, x, psi0, a_k, thresh, t_lo, t_hi,
                      sign, samples, seed):
     """Estimated mass of B(R^{rR}_{A, sign}, rR) on the fiber circle."""
+    u = qmc.Halton(d=1, scramble=True, seed=seed).random(samples)[:, 0]
+    psi = 2.0 * math.pi * u
+    fiber_gap = np.maximum(wrap_angle(psi - psi0) - a_k, 0.0)
+    near_A = fiber_gap < thresh
     if isinstance(flow, TorusFlow):
         # fiber distance is flow-invariant: the condition splits exactly
-        u = qmc.Halton(d=1, scramble=True, seed=seed).random(samples)[:, 0]
-        psi = 2.0 * math.pi * u
-        fiber_gap = np.maximum(wrap_angle(psi - psi0) - a_k, 0.0)
-        near_A = fiber_gap < thresh
         om = np.column_stack([np.cos(psi), np.sin(psi)])
-        lat = flow._lattice(t_hi + 1.0)
+        lat = flow.lattice(t_hi + 1.0)
         targets = np.broadcast_to(lat[None, :, :],
                                   (samples,) + lat.shape)
         base_min = flow._window_min(sign * om, targets, t_lo, t_hi).min(axis=1)
-        hits = near_A & (base_min < thresh)
-        return float(np.mean(hits)) * 2.0 * math.pi
-
-    if isinstance(flow, RoundSphereFlow):
-        u = qmc.Halton(d=1, scramble=True, seed=seed).random(samples)[:, 0]
-        psi = 2.0 * math.pi * u
-        prof = flow.profile
-        a = float(prof.alpha(x[0]))
+        hits = base_min < thresh
+    elif isinstance(flow, RoundSphereFlow):
+        a = float(flow.profile.alpha(x[0]))
         states = np.column_stack([np.full(samples, x[0]),
                                   np.full(samples, x[1]),
                                   np.cos(psi), a * np.sin(psi)])
-        fiber_gap = np.maximum(wrap_angle(psi - psi0) - a_k, 0.0)
-        near_A = fiber_gap < thresh
         # candidate return times: closures at 2 pi k inside the window
         hits = np.zeros(samples, dtype=bool)
         for k in range(0, int(t_hi / (2 * math.pi)) + 2):
@@ -686,11 +460,10 @@ def _recurrence_mass(flow, manifold, x, psi0, a_k, thresh, t_lo, t_hi,
             fib = np.maximum(wrap_angle(flow.metric.fiber_angle(moved)
                                         - psi0) - a_k, 0.0)
             hits |= (np.maximum(base, fib) < thresh)
-        hits &= near_A
-        return float(np.mean(hits)) * 2.0 * math.pi
-
-    raise DomainError("recurrence estimator supports flat tori and the "
-                      "round sphere")
+    else:
+        raise DomainError("recurrence estimator supports flat tori and the "
+                          "round sphere")
+    return float(np.mean(hits & near_A)) * 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +490,6 @@ class CircleTarget:
     def circumference(self) -> float:
         if self.kind == "fiber":
             return 2.0 * math.pi
-        prof = self.manifold.profile
         # background round-chart length of the latitude circle
         return 2.0 * math.pi * math.cos(self.s_circle)
 
@@ -726,11 +498,9 @@ class CircleTarget:
         return wrap_angle(np.asarray(u1) - np.asarray(u2)) * scale
 
     def state(self, u):
-        prof = self.manifold.profile if self.manifold.kind \
-            == "surface_of_revolution" else make_round_sphere()
         if self.kind == "fiber":
             s0, th0 = self.x
-            a = float(prof.alpha(s0))
+            a = float(_profile_of(self.manifold).alpha(s0))
             u = np.asarray(u, dtype=float)
             return np.column_stack([np.full_like(u, s0),
                                     np.full_like(u, th0),
@@ -848,8 +618,7 @@ def build_good_cover(target: CircleTarget, tau: float, r: float,
         params = np.sort(np.mod(np.array(chosen), 2.0 * math.pi))
         gaps = np.diff(np.concatenate([params,
                                        [params[0] + 2.0 * math.pi]]))
-        scale_g = target.circumference() / (2.0 * math.pi)
-        wide = np.nonzero(gaps * scale_g >= 2.0 * r)[0]
+        wide = np.nonzero(gaps * scale >= 2.0 * r)[0]
         if len(wide) == 0:
             break
         for i in wide:
@@ -914,21 +683,8 @@ def _tube_samples(cover: GoodCover, indices, per_tube: int, seed: int):
             rng.uniform(-(tube.half_time + tube.radius),
                         tube.half_time + tube.radius, per_tube)])
         for j in range(len(psi)):
-            out.append((i, flow_state(flow, base_states[j], times[j])))
+            out.append((i, flow.flow(base_states[j][None, :], times[j])[0]))
     return out
-
-
-def flow_state(flow, state, t):
-    if isinstance(flow, TorusFlow):
-        return flow.flow(state[None, :], t)[0]
-    if isinstance(flow, RoundSphereFlow):
-        return flow.flow(state[None, :], t)[0]
-    y = state[None, :].copy()
-    n_steps = max(1, int(abs(t) / 0.01))
-    h = t / n_steps
-    for _ in range(n_steps):
-        y = flow._step(y, h)
-    return y[0]
 
 
 def nonselflooping_test(cover: GoodCover, indices, t0: float, T0: float,
@@ -944,8 +700,7 @@ def nonselflooping_test(cover: GoodCover, indices, t0: float, T0: float,
         return {"verdict": "nonlooping", "signs": [+1, -1],
                 "witness": None, "vacuous": True}
     target = cover.target
-    manifold = target.manifold
-    flow = flow_for(manifold)
+    flow = flow_for(target.manifold)
     tubes = [cover.tubes[i] for i in indices]
     samples = _tube_samples(cover, indices, sample_density, seed)
 
@@ -978,9 +733,8 @@ def nonselflooping_test(cover: GoodCover, indices, t0: float, T0: float,
         for sign in (+1, -1):
             for i, state in samples:
                 for t in scan_ts:
-                    moved = flow_state(flow, state, sign * t)
-                    if _in_tube_union(flow, cover, tubes, moved,
-                                      slack=0.05):
+                    moved = flow.flow(state[None, :], sign * t)[0]
+                    if _in_tube_union(flow, tubes, moved, slack=0.05):
                         if witnesses[sign] is None:
                             witnesses[sign] = LoopingWitness(state,
                                                              sign * t, -1)
@@ -996,7 +750,7 @@ def nonselflooping_test(cover: GoodCover, indices, t0: float, T0: float,
             "witness": witnesses[+1] or witnesses[-1], "vacuous": False}
 
 
-def _in_tube_union(flow, cover: GoodCover, tubes, state, slack: float):
+def _in_tube_union(flow, tubes, state, slack: float):
     metric = flow.metric
     centers = np.stack([t.center_state for t in tubes])
     d = metric.distance(np.broadcast_to(state, centers.shape), centers)
@@ -1031,20 +785,8 @@ def split_bad_good(cover1: GoodCover, cover2: GoodCover, t0: float, T: float,
     manifold = cover1.target.manifold
     flow = flow_for(manifold)
     target2 = cover2.target
+    y_point = np.asarray(target2.x, dtype=float)
     rng = np.random.default_rng(seed)
-
-    def loop_min(states):
-        if isinstance(flow, TorusFlow):
-            return flow.target_min(states, np.asarray(target2.x), t0, T)
-        if isinstance(flow, RoundSphereFlow):
-            return flow.target_min(states, target2.x, t0, T)
-        doubled = np.vstack([states, _mirror(states)])
-        coarse, _, slack = flow.scan_min(
-            doubled, t0, T,
-            lambda y: flow.metric.base_distance_to_point(y, target2.x),
-            lipschitz=1.0)
-        n = len(states)
-        return np.minimum(coarse[:n], coarse[n:]) - np.max(slack)
 
     bad, good = [], []
     for tube in cover1.tubes:
@@ -1053,8 +795,7 @@ def split_bad_good(cover1: GoodCover, cover2: GoodCover, t0: float, T: float,
                                               sample_density)
         psi = np.concatenate([[tube.center_param], psi])
         states = cover1.target.state(psi)
-        mins = loop_min(states)
-        if np.any(mins < S):
+        if np.any(flow.target_min(states, y_point, t0, T) < S):
             bad.append(tube.index)
         else:
             good.append(tube.index)
@@ -1065,25 +806,12 @@ def split_bad_good(cover1: GoodCover, cover2: GoodCover, t0: float, T: float,
     pad = 2.0 * (cover1.tau + cover1.r)
     lo, hi = t0 + pad, T - pad
     if hi > lo:
-        def loop_min_window(states):
-            if isinstance(flow, TorusFlow):
-                return flow.target_min(states, np.asarray(target2.x), lo, hi)
-            if isinstance(flow, RoundSphereFlow):
-                return flow.target_min(states, target2.x, lo, hi)
-            doubled = np.vstack([states, _mirror(states)])
-            coarse, _, slack = flow.scan_min(
-                doubled, lo, hi,
-                lambda y: flow.metric.base_distance_to_point(y, target2.x),
-                lipschitz=1.0)
-            n = len(states)
-            return np.minimum(coarse[:n], coarse[n:]) - np.max(slack)
-
         for idx in good:
             tube = cover1.tubes[idx]
             psi = tube.center_param + rng.uniform(-tube.radius, tube.radius,
                                                   sample_density)
             states = cover1.target.state(psi)
-            if np.any(loop_min_window(states) < cover2.r):
+            if np.any(flow.target_min(states, y_point, lo, hi) < cover2.r):
                 raise AuditFailure(
                     f"good tube {idx} failed its flow audit; raise "
                     f"sample_density")

@@ -6,10 +6,25 @@ surfaces of revolution, flat quotient for tori) and the fiber angle gap.
 Both factors are metrics, so the max is one; all radii in the tube and
 measure machinery refer to it.
 
-Closest-approach scans return certified minima: exact for the closed-form
-flows, and for integrated flows a coarse scan whose grid slack (phase
-speed times half step) plus integration budget is folded into the reported
-inflation.
+Every flow offers the same four methods, so the estimators never ask which
+flow they have:
+
+* ``flow(states, t)`` moves rows of unit covectors by time t;
+* ``target_min(states, y, t0, T)`` is a certified lower bound on the base
+  distance from each orbit to the point y over t0 <= |t| <= T;
+* ``return_hits(states, t0, T, thresh)`` and
+  ``target_hits(states, y, t0, T, thresh)`` classify each sample by whether
+  its orbit comes within ``thresh`` of its start (phase distance) or of y
+  (base distance) in that window, and return ``(hits, inflation)``.
+
+The closed-form flows (flat torus, round sphere) compute the minima exactly,
+so their inflation is 0.  :class:`RevolutionFlow` integrates: a coarse RK4
+scan over both time directions certifies the samples that stay clear, and
+each remaining candidate is refined by dense adaptive integration.  The
+inflation it reports is the refinement grid slack (phase speed times the
+refinement step) plus the integration budget, and for near-meridian
+samples, which use the pole-safe closed form instead, the half step of that
+grid plus the meridian position error.
 """
 
 from __future__ import annotations
@@ -20,8 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .errors import DomainError
 from .geoflow import _hamilton_rhs
-from .manifolds import HALF_PI, ProfileCurve
+from .manifolds import HALF_PI, ProfileCurve, lattice_box
 
 
 def wrap_angle(d):
@@ -53,6 +69,35 @@ def meridian_states(states, t: float) -> np.ndarray:
                             np.zeros_like(s)])
 
 
+def _mirror(states: np.ndarray) -> np.ndarray:
+    """Covectors reversed: the mirror orbit runs the original backwards."""
+    out = states.copy()
+    out[:, 2] *= -1.0
+    out[:, 3] *= -1.0
+    return out
+
+
+def _merge_circle_intervals(intervals) -> float:
+    """Total measure of a union of angular intervals (fraction of 2 pi)."""
+    if not intervals:
+        return 0.0
+    pts = sorted((a % (2 * math.pi), b - a) for a, b in intervals)
+    merged = []
+    for start, length in pts:
+        end = start + length
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    total = sum(e - s for s, e in merged)
+    if merged and merged[-1][1] > 2 * math.pi and merged[0][0] >= 0:
+        overlap = min(merged[-1][1] - 2 * math.pi,
+                      merged[0][1]) - merged[0][0]
+        if overlap > 0:
+            total -= overlap
+    return min(total / (2 * math.pi), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Phase metrics
 
@@ -77,19 +122,13 @@ class RevolutionMetric:
     def distance(self, state_a, state_b):
         state_a = np.asarray(state_a, dtype=float)
         state_b = np.asarray(state_b, dtype=float)
-        pa = self.embed(state_a[..., 0], state_a[..., 1])
-        pb = self.embed(state_b[..., 0], state_b[..., 1])
-        dot = np.clip(np.sum(pa * pb, axis=-1), -1.0, 1.0)
-        base = np.arccos(dot)
+        base = self.base_distance_to_state(state_a, state_b)
         fiber = wrap_angle(self.fiber_angle(state_a)
                            - self.fiber_angle(state_b))
         return np.maximum(base, fiber)
 
     def base_distance_to_point(self, state, x_point):
-        p = self.embed(np.asarray(state)[..., 0], np.asarray(state)[..., 1])
-        q = self.embed(np.array(x_point[0]), np.array(x_point[1]))
-        dot = np.clip(np.sum(p * q, axis=-1), -1.0, 1.0)
-        return np.arccos(dot)
+        return self.base_distance_to_state(state, np.asarray(x_point))
 
     def base_distance_to_state(self, state_a, state_b):
         state_a = np.asarray(state_a, dtype=float)
@@ -133,8 +172,18 @@ def product_max_distance(metric_l, metric_r, pair_a, pair_b):
 # Flat torus flow (exact)
 
 
+class ExactHits:
+    """Hit tests of a flow whose window minima are exact: no inflation."""
+
+    def return_hits(self, states, t0, T, thresh):
+        return self.self_return_min(states, t0, T) < thresh, 0.0
+
+    def target_hits(self, states, y_point, t0, T, thresh):
+        return self.target_min(states, y_point, t0, T) < thresh, 0.0
+
+
 @dataclass
-class TorusFlow:
+class TorusFlow(ExactHits):
     """Free unit-speed flow on a flat torus; all scans are exact."""
 
     periods: tuple
@@ -152,11 +201,11 @@ class TorusFlow:
             np.asarray(self.periods))
         return out
 
-    def _lattice(self, radius):
-        axes = [np.arange(-int(radius / L) - 1, int(radius / L) + 2) * L
-                for L in self.periods]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+    def lattice(self, radius):
+        """Period-lattice points, a box covering the ball of the radius."""
+        grids = lattice_box([radius / L for L in self.periods])
+        return np.stack([g.ravel() * L for g, L in zip(grids, self.periods)],
+                        axis=-1)
 
     def _window_min(self, omega, targets, t0, T):
         """min over t in [t0, T] of |t omega - v| for each target row v.
@@ -173,7 +222,7 @@ class TorusFlow:
         """Exact min over t0<=|t|<=T of d(phi_t rho, rho); fiber gap is 0."""
         states = np.asarray(states, dtype=float)
         omega = states[..., self.d:].reshape(-1, self.d)
-        lat = self._lattice(T + 1.0)
+        lat = self.lattice(T + 1.0)
         targets = np.broadcast_to(lat[None, :, :],
                                   (omega.shape[0],) + lat.shape)
         d_fwd = self._window_min(omega, targets, t0, T).min(axis=1)
@@ -191,13 +240,55 @@ class TorusFlow:
         x = states[..., :self.d].reshape(-1, self.d)
         omega = states[..., self.d:].reshape(-1, self.d)
         span = float(np.linalg.norm(self.periods))
-        lat = self._lattice(T + 1.0 + span
+        lat = self.lattice(T + 1.0 + span
                             + float(np.max(np.abs(y_point))))
         v = (np.asarray(y_point)[None, None, :] - x[:, None, :]
              + lat[None, :, :])
         fwd = self._window_min(omega, v, t0, T).min(axis=1)
         bwd = self._window_min(-omega, v, t0, T).min(axis=1)
         return np.minimum(fwd, bwd)
+
+    def direction_fraction(self, targets, t0, T, thresh, beta_max):
+        """Exact fraction of directions passing within thresh of a target.
+
+        A direction counts when t omega comes within thresh of some target
+        displacement v for t in [t0, T] (2-d torus).  Per target the
+        admissible directions form an interval of half-width at most
+        beta_max around the direction of v, found by monotone bisection;
+        the union is merged exactly.  A zero target counts every direction
+        when t = 0 lies in the window.
+        """
+        if self.d != 2:
+            raise DomainError("exact oracle implemented for 2-d tori")
+        intervals = []
+        for v in targets:
+            if math.hypot(*v) < 1e-14:
+                if t0 <= 0:
+                    return 1.0
+                continue
+            phi_v = math.atan2(v[1], v[0])
+
+            def m_of(beta):
+                om = np.array([[math.cos(phi_v + beta),
+                                math.sin(phi_v + beta)]])
+                return float(self._window_min(om, v[None, None, :],
+                                              t0, T)[0, 0])
+
+            if m_of(0.0) >= thresh:
+                continue
+            lo, hi = 0.0, beta_max
+            if m_of(hi) < thresh:
+                beta_star = hi
+            else:
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    if m_of(mid) < thresh:
+                        lo = mid
+                    else:
+                        hi = mid
+                beta_star = 0.5 * (lo + hi)
+            intervals.append((phi_v - beta_star, phi_v + beta_star))
+        return _merge_circle_intervals(intervals)
 
     def tube_entry_windows(self, state, center_psi, tau, r, t0, T0):
         """Exact re-entry test of one orbit into a directional tube.
@@ -210,7 +301,7 @@ class TorusFlow:
         psi = math.atan2(omega[1], omega[0])
         if wrap_angle(psi - center_psi) >= r:
             return None
-        lat = self._lattice(T0 + tau + 2.0
+        lat = self.lattice(T0 + tau + 2.0
                             + float(np.linalg.norm(self.periods)))
         v = -x[None, :] + lat          # displacement to tube base x0 = 0
         # decompose v + t omega = e + q omega with e orthogonal to omega
@@ -235,7 +326,7 @@ class TorusFlow:
 # Round sphere flow (closed form)
 
 
-class RoundSphereFlow:
+class RoundSphereFlow(ExactHits):
     """Great-circle flow on the round 2-sphere, in the (s, theta) chart."""
 
     def __init__(self, profile: ProfileCurve):
@@ -327,7 +418,13 @@ class RoundSphereFlow:
 
 
 class RevolutionFlow:
-    """Batched fixed-step RK4 flow with certified closest-approach scans."""
+    """Batched fixed-step RK4 flow with certified closest-approach scans.
+
+    Scans run over both time directions at once: the mirror state (both
+    covector components negated) flows forward along the original orbit
+    backwards.  Near-meridian samples (|xi_theta| below MERIDIAN_C_FLOOR)
+    go through the pole-safe closed form instead of the chart ODE.
+    """
 
     def __init__(self, profile: ProfileCurve, ode_budget: float = 1e-6):
         self.profile = profile
@@ -350,6 +447,15 @@ class RevolutionFlow:
         k3 = self._rhs(y + 0.5 * h * k2)
         k4 = self._rhs(y + h * k3)
         return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    def flow(self, states, t):
+        """RK4 from time 0 in steps of t / max(1, floor(|t| / 0.01))."""
+        y = np.array(states, dtype=float).reshape(-1, 4)
+        n_steps = max(1, int(abs(t) / 0.01))
+        h = t / n_steps
+        for _ in range(n_steps):
+            y = self._step(y, h)
+        return y.reshape(np.shape(states))
 
     def phase_speed_bound(self, states, cap: float = 64.0) -> np.ndarray:
         """Per-sample bound on the phase-space speed in the background metric.
@@ -408,4 +514,96 @@ class RevolutionFlow:
         for start in range(0, len(t), chunk):
             vals = distance_fn(sol.sol(t[start:start + chunk]).T)
             best = min(best, float(np.min(vals)))
+        return best
+
+    def target_min(self, states, y_point, t0, T):
+        """Coarse two-sided scan of the base distance to y, minus its slack."""
+        mins, slack = self._scan_both(
+            states, t0, T,
+            lambda y, _: self.metric.base_distance_to_point(y, y_point))
+        return mins - slack
+
+    def return_hits(self, states, t0, T, thresh):
+        """Samples returning within thresh of their start (phase metric).
+
+        The base-distance scan certifies non-return at unit Lipschitz rate
+        (the phase distance dominates the base distance); every sample it
+        cannot clear is refined in the full metric at a step scaled by its
+        phase-speed bound.
+        """
+        return self._hits(
+            states, t0, T, thresh,
+            lambda y, ref: self.metric.distance(
+                y, np.broadcast_to(ref, y.shape)),
+            self.metric.base_distance_to_state, exact=False)
+
+    def target_hits(self, states, y_point, t0, T, thresh):
+        """Samples whose orbit passes within thresh of y (base distance).
+
+        The scan decides every sample whose minimum lies farther than its
+        slack from thresh; only the ambiguous ones are refined.
+        """
+        def dist(y, _):
+            return self.metric.base_distance_to_point(y, y_point)
+        return self._hits(states, t0, T, thresh, dist, dist, exact=True)
+
+    def _hits(self, states, t0, T, thresh, dist, scan_dist, exact):
+        """Meridian closed form, two-sided scan, then per-sample refinement.
+
+        ``dist(y, start)`` is the criterion and ``scan_dist`` its unit-rate
+        lower bound; with ``exact`` they coincide, so the scan decides the
+        clear cases both ways and refinement runs at unit phase speed.
+        """
+        states = np.asarray(states, dtype=float).reshape(-1, 4)
+        hits = np.zeros(len(states), dtype=bool)
+        inflation = 0.0
+        merid = np.abs(states[:, 3]) < MERIDIAN_C_FLOOR
+        if np.any(merid):
+            res = thresh / 4.0
+            hits[merid] = self._meridian_min(states[merid], t0, T, res,
+                                             dist) < thresh
+            inflation = 0.5 * res + MERIDIAN_C_FLOOR
+        reg = np.nonzero(~merid)[0]
+        if len(reg):
+            mins, slack = self._scan_both(states[reg], t0, T, scan_dist)
+            sure = mins + slack < thresh if exact \
+                else np.zeros(len(reg), dtype=bool)
+            hits[reg] = sure
+            for i in reg[(mins - slack <= thresh) & ~sure]:
+                spd = 1.0 if exact \
+                    else float(self.phase_speed_bound(states[i:i + 1])[0])
+                res = thresh / (4.0 * spd)
+                # refine forward, then along the mirrored state
+                best = min(self.refine_min(st, t0, T, lambda y: dist(y, st),
+                                           res)
+                           for st in (states[i], _mirror(states[i:i + 1])[0]))
+                hits[i] = best < thresh
+                inflation = max(inflation, spd * res + self.ode_budget)
+        return hits, inflation
+
+    def _scan_both(self, states, t0, T, dist):
+        """scan_min over both time directions: (minima, slacks) per sample."""
+        states = np.asarray(states, dtype=float).reshape(-1, 4)
+        doubled = np.vstack([states, _mirror(states)])
+        coarse, _, slack = self.scan_min(doubled, t0, T,
+                                         lambda y: dist(y, doubled),
+                                         lipschitz=1.0)
+        n = len(states)
+        return (np.minimum(coarse[:n], coarse[n:]),
+                np.maximum(slack[:n], slack[n:]))
+
+    @staticmethod
+    def _meridian_min(states, t0, T, resolution, dist):
+        """Grid scan of (near-)meridian orbits through the closed form.
+
+        Both time directions; the grid slack (unit Lipschitz rate) and the
+        O(MERIDIAN_C_FLOOR) position error of the meridian approximation
+        enter the caller's inflation.
+        """
+        best = np.full(len(states), np.inf)
+        t_grid = np.arange(t0, T + resolution, resolution)
+        for sign in (1.0, -1.0):
+            for t in t_grid:
+                best = np.minimum(best, dist(meridian_states(states, sign * t),
+                                             states))
         return best

@@ -601,10 +601,3 @@ def expansion_rate(manifold: ModelManifold, sample_count: int = 24,
                                  model="polynomial")
     return ExpansionEstimate(slope_late, t_grid, growth,
                              tail_slope=slope_late, model="exponential")
-
-
-def ehrenfest_time(lambda_max_rate: float, h: float) -> float:
-    """log(1/h) / (2 Lambda_max); infinite when the rate vanishes."""
-    if lambda_max_rate <= 0:
-        return math.inf
-    return math.log(1.0 / h) / (2.0 * lambda_max_rate)

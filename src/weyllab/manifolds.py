@@ -7,7 +7,6 @@ exactly when alpha vanishes at the endpoints with unit slope.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -360,6 +359,16 @@ def product(m1: ModelManifold, m2: ModelManifold) -> ModelManifold:
     return ModelManifold(kind="product", dim=m1.dim + m2.dim, factors=(m1, m2))
 
 
+def lattice_box(extents) -> list:
+    """Integer index grids ("ij" order) of the box |k_i| <= int(e_i) + 1.
+
+    One entry per extent e_i; callers scale the indices by their periods
+    (positions) or by 2 pi / period (dual-lattice frequencies).
+    """
+    axes = [np.arange(-int(e) - 1, int(e) + 2) for e in extents]
+    return np.meshgrid(*axes, indexing="ij")
+
+
 def sphere_volume(n: int) -> float:
     """Volume of the round unit n-sphere."""
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
@@ -430,8 +439,3 @@ def manifold_to_config(m: ModelManifold) -> dict:
             return {"kind": "pendulum", "E": e_val}
         return {"kind": "surface_of_revolution"}
     raise ConfigError(f"cannot serialize manifold kind {m.kind!r}")
-
-
-def load_manifold(path: str) -> ModelManifold:
-    with open(path) as fh:
-        return manifold_from_config(json.load(fh))

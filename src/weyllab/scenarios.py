@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .covers import (CosphereSet, near_periodic_measure,
-                     _torus_near_periodic_fraction_exact)
+from .covers import CosphereSet, MeasureEstimate, near_periodic_measure
 from .flows import TorusFlow
 from .geoflow import (classify_tori, d_rotation_number,
                       d_rotation_number_in_epsilon, integrate_geodesic,
@@ -312,7 +311,8 @@ def measure_oracle(cfg: dict) -> list:
     U = CosphereSet(torus, kind="full")
     flow = TorusFlow(torus.periods)
     thresh = 2 * 0.01
-    exact_frac = _torus_near_periodic_fraction_exact(flow, 1.0, 10.0, thresh)
+    exact_frac = flow.direction_fraction(flow.lattice(11.0), 1.0, 10.0,
+                                         thresh, math.pi / 2)
     total = U.total_measure()
     exact = exact_frac * total
     good = 0
@@ -321,7 +321,7 @@ def measure_oracle(cfg: dict) -> list:
         states = U.sample(samples, seed=1000 + rep)
         mins = flow.self_return_min(states, 1.0, 10.0)
         value = float(np.mean(mins < thresh)) * total
-        hw = math.sqrt(math.log(2 / 0.01) / (2 * samples)) * total
+        hw = MeasureEstimate.hoeffding(samples, total)
         dev = abs(value - exact) / hw
         worst_dev = max(worst_dev, dev)
         if dev <= 3.0:

@@ -34,8 +34,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, IncompleteInput, SolverFailure
-from .manifolds import (HALF_PI, ModelManifold, ProfileCurve, manifold_volume,
-                        sphere_volume)
+from .manifolds import (HALF_PI, ModelManifold, ProfileCurve, lattice_box,
+                        manifold_volume, sphere_volume)
 
 SOLVER_VERSION = "2"
 
@@ -148,10 +148,7 @@ def torus_spectrum(periods, lambda_max: float) -> Spectrum:
     periods = tuple(float(p) for p in periods)
     if any(p <= 0 for p in periods):
         raise DomainError("periods must be positive")
-    axes = [np.arange(-int(lambda_max * L / (2 * math.pi)) - 1,
-                      int(lambda_max * L / (2 * math.pi)) + 2)
-            for L in periods]
-    grids = np.meshgrid(*axes, indexing="ij")
+    grids = lattice_box([lambda_max * L / (2 * math.pi) for L in periods])
     lam2 = np.zeros_like(grids[0], dtype=float)
     for g, L in zip(grids, periods):
         lam2 += (2 * math.pi * g / L) ** 2

@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from scipy.special import eval_legendre, jv
 
 from .errors import DomainError, IncompleteSpectrum, WindowTooSmall
-from .manifolds import ModelManifold
+from .manifolds import ModelManifold, lattice_box
 from .quadrature import gauss_legendre
 from .spectra import Spectrum, band_weights
 
@@ -167,9 +167,7 @@ def projector_kernel(manifold: ModelManifold, x, y, lam: float,
         r = _torus_distance(periods, x, y)
         if r >= min(periods) / 2.0:
             raise DomainError("pair beyond the torus injectivity radius")
-        axes = [np.arange(-int(lam * L / (2 * math.pi)) - 1,
-                          int(lam * L / (2 * math.pi)) + 2) for L in periods]
-        grids = np.meshgrid(*axes, indexing="ij")
+        grids = lattice_box([lam * L / (2 * math.pi) for L in periods])
         lam2 = np.zeros_like(grids[0], dtype=float)
         phase = np.zeros_like(grids[0], dtype=float)
         for g, L, xi, yi in zip(grids, periods, x, y):
@@ -280,9 +278,6 @@ class SmoothingKernel:
         """Unscaled rho(u); even."""
         u = np.abs(np.asarray(u, dtype=float))
         return np.interp(u, self.s_table, self.rho_table, right=0.0)
-
-    def rho_scaled(self, u):
-        return self.sigma * self.rho(self.sigma * np.asarray(u, dtype=float))
 
     def P(self, x):
         """Antiderivative int_{-inf}^x rho; P(-x) = 1 - P(x).
@@ -472,6 +467,7 @@ class KuznecovSeries:
     smoothed: np.ndarray
     E_t0: np.ndarray
     t0: float
+    trunc_bound: float
 
 
 def circle_integral_quadrature(mode, s0: float, profile,
@@ -543,11 +539,10 @@ def kuznecov(spec: Spectrum, H1, H2, lambdas, t0: float = 1.0,
                       spec.lambda_max, spec.dim, spec.volume, "kuznecov")
     smoothed = smoothed_series(helper, lambdas, kernel, weights=prod_arr,
                                tail_tol=tail_tol)
-    out = KuznecovSeries(tuple(H1), tuple(H2), lambdas, values, smoothed,
-                         values - smoothed, t0)
-    out.trunc_bound = truncation_bound(helper, float(lambdas.max()), kernel,
-                                       weights=np.abs(prod_arr))
-    return out
+    return KuznecovSeries(tuple(H1), tuple(H2), lambdas, values, smoothed,
+                          values - smoothed, t0,
+                          truncation_bound(helper, float(lambdas.max()),
+                                           kernel, weights=np.abs(prod_arr)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ from weyllab.covers import (
 )
 from weyllab.errors import DomainError
 from weyllab.flows import (
+    RevolutionFlow,
     RevolutionMetric,
+    RoundSphereFlow,
     TorusFlow,
     TorusMetric,
     product_max_distance,
@@ -38,6 +40,8 @@ from weyllab.manifolds import (
 TWO_PI = 2 * math.pi
 TORUS = flat_torus((TWO_PI, TWO_PI))
 SPHERE = round_sphere(2)
+PERTURBED = surface_of_revolution(make_perturbed_sphere(
+    PerturbationSpec(epsilon=0.01, a=0.5, b=1.0)))
 
 
 # --- resolution functions ----------------------------------------------------
@@ -155,6 +159,23 @@ def test_near_periodic_monotone_in_T_and_R():
     assert base.value <= more_R.value
 
 
+def test_torus_near_periodic_pinned_values():
+    # reference literals for the estimator and the lattice oracle
+    U = CosphereSet(TORUS, kind="full")
+    est = near_periodic_measure(U, 1.0, 10.0, 0.01, samples=20_000, seed=42)
+    assert est.value == 1.7115464727525498
+    assert est.brute_force == 1.716173217126787
+    assert est.inflation == 0.0
+
+
+def test_near_periodic_oracle_counts_time_zero():
+    # with t = 0 in the window every orbit returns, and so says the oracle
+    U = CosphereSet(TORUS, kind="full")
+    est = near_periodic_measure(U, 0.0, 5.0, 0.01, samples=2000, seed=1)
+    assert est.value == est.total
+    assert est.brute_force == est.total
+
+
 def test_near_periodic_requires_samples():
     with pytest.raises(DomainError):
         near_periodic_measure(CosphereSet(TORUS), 1.0, 5.0, 0.01, samples=10)
@@ -168,7 +189,35 @@ def test_perturbed_band_short_window_is_empty():
     assert est.value == 0.0
 
 
+def test_perturbed_band_refines_candidates():
+    # candidates of the coarse scan go through refine_min, whose grid
+    # slack R / 2 plus the 1e-6 integration budget is the inflation
+    U = CosphereSet(PERTURBED, kind="band", s0=1.05, s1=1.45)
+    est = near_periodic_measure(U, 1.0, 0.05 ** (-1.0 / 3.0), 0.05,
+                                samples=1000, seed=37)
+    assert est.value == 0.0
+    assert est.inflation == 0.025001000000000002
+
+
+def test_perturbed_conormals_return_through_the_meridian_form():
+    # conormals of a latitude are meridian data: closed form, closing
+    # within the window T = 7 > 2 pi
+    U = CosphereSet(PERTURBED, kind="conormal", s_circle=0.4)
+    est = near_periodic_measure(U, 1.0, 7.0, 0.05, samples=1000, seed=2)
+    assert est.value == est.total == 11.574393809070305
+    assert est.inflation == 0.0145
+
+
 # --- looping pairs -----------------------------------------------------------
+
+def test_torus_looping_pinned_values():
+    e1, e2, prod = looping_pair_measure(TORUS, (0.3, 0.4), (1.0, 2.0),
+                                        1.0, 10.0, 0.01, samples=5000,
+                                        seed=5)
+    assert (e1.value, e2.value) == (0.12063715789784804, 0.12315043202071989)
+    assert e1.brute_force == e2.brute_force == 0.1265272955741511
+    assert prod == 1.4856518112871786
+
 
 def test_torus_looping_matches_lattice_oracle():
     e1, e2, prod = looping_pair_measure(TORUS, (0.3, 0.4), (0.3, 0.4),
@@ -195,6 +244,40 @@ def test_pole_pair_looping_scales_linearly():
         vals[R] = e1.value
     # estimate <= C R with a stable constant under halving
     assert vals[0.02] / 0.02 <= 2.0 * (vals[0.04] / 0.04) + 1.0
+
+
+def test_perturbed_offpole_looping_refines_ambiguous_samples():
+    # inflation thresh / 4 + 1e-6 shows the ambiguous samples were refined
+    e1, e2, prod = looping_pair_measure(PERTURBED, (0.3, 0.0), (-0.2, 1.0),
+                                        1.0, 3.0, 0.05, samples=1000, seed=4)
+    assert (e1.value, e2.value) == (0.4649557127312894, 0.4398229715025711)
+    assert e1.inflation == e2.inflation == 0.025001000000000002
+    assert prod == 1.8404838287151435
+
+
+# --- the flow interface ------------------------------------------------------
+
+def test_closed_form_hits_are_exact_minima():
+    flow = RoundSphereFlow(make_round_sphere())
+    states = CosphereSet(SPHERE, kind="fiber", x=(0.3, 0.2)).sample(500, 1)
+    hits, inflation = flow.target_hits(states, (-0.5, 1.0), 1.0, 7.0, 0.1)
+    mins = flow.target_min(states, (-0.5, 1.0), 1.0, 7.0)
+    assert inflation == 0.0
+    assert np.array_equal(hits, mins < 0.1)
+
+
+def test_revolution_flow_matches_great_circles():
+    rng = np.random.default_rng(3)
+    s = rng.uniform(-1.0, 1.0, 20)
+    psi = rng.uniform(0.0, TWO_PI, 20)
+    states = np.column_stack([s, rng.uniform(0.0, TWO_PI, 20), np.cos(psi),
+                              np.cos(s) * np.sin(psi)])
+    exact = RoundSphereFlow(make_round_sphere())
+    rk4 = RevolutionFlow(make_round_sphere())
+    for t in (0.0, 0.013, -0.7, 1.9):
+        d = exact.metric.distance(rk4.flow(states, t), exact.flow(states, t))
+        # RK4 at h = 0.01 in the (s, theta) chart, away from the poles
+        assert np.max(d) < 1e-6
 
 
 # --- recurrence --------------------------------------------------------------
@@ -346,6 +429,35 @@ def test_split_round_sphere_all_bad_past_2pi():
     s = split_bad_good(cover, cover, 1.0, 7.0, S=0.16, sample_density=4,
                        seed=1)
     assert len(s.bad) == len(cover.tubes)
+
+
+def test_split_perturbed_sphere_pinned():
+    cover = build_good_cover(CircleTarget(PERTURBED, kind="fiber",
+                                          x=(0.3, 0.0)), tau=0.1, r=0.15)
+    split = split_bad_good(cover, cover, 1.0, 4.0, S=0.6, sample_density=2,
+                           seed=1)
+    assert split.bad == [0]
+    assert split.good == list(range(1, 37))
+
+
+def test_perturbed_tube_nonlooping_over_a_short_window():
+    # the samples leave the tube union (radius r + tau + 0.05) before 0.2
+    cover = build_good_cover(CircleTarget(PERTURBED, kind="fiber",
+                                          x=(0.3, 0.0)), tau=0.03, r=0.03)
+    res = nonselflooping_test(cover, [0], 0.2, 0.21, sample_density=1,
+                              seed=2)
+    assert res["verdict"] == "nonlooping"
+    assert res["signs"] == [1, -1]
+
+
+def test_perturbed_tube_loops_inside_its_own_extent():
+    cover = build_good_cover(CircleTarget(PERTURBED, kind="fiber",
+                                          x=(0.3, 0.0)), tau=0.05, r=0.05)
+    res = nonselflooping_test(cover, [0], 0.05, 0.1, sample_density=1,
+                              seed=2)
+    assert res["verdict"] == "looping"
+    assert res["witness"].time == 0.05
+    assert np.array_equal(res["witness"].point, [0.3, 0.0, 1.0, 0.0])
 
 
 def test_split_requires_S_geq_4r():
