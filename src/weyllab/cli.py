@@ -352,8 +352,11 @@ def cmd_scenario(args) -> int:
         return 0
     cfg = {}
     if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read experiment config: {exc}")
         cfg = ExperimentConfig.from_dict(raw).scenario_overrides()
     names = list_scenarios() if args.name == "all" else [args.name]
     worst = 0
@@ -377,9 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="weyllab", description=__doc__)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface stability; evaluation "
-                        "order is deterministic regardless")
     p.add_argument("--ci", action="store_true",
                    help="CI mode: a seed becomes mandatory")
     sub = p.add_subparsers(dest="command", required=True)

@@ -234,14 +234,8 @@ class CosphereSet:
             return np.column_stack([x, np.cos(phi), np.sin(phi)])
 
         if self.kind == "fiber":
-            # on a torus the columns are (x, y, cos psi, sin psi): a = 1
-            s0, th0 = self.x
             u = qmc.Halton(d=1, scramble=True, seed=seed).random(n)[:, 0]
-            psi = 2.0 * math.pi * u
-            a = 1.0 if m.kind == "flat_torus" \
-                else float(_profile_of(m).alpha(s0))
-            return np.column_stack([np.full(n, s0), np.full(n, th0),
-                                    np.cos(psi), a * np.sin(psi)])
+            return _fiber_states(m, self.x, 2.0 * math.pi * u)
         prof = _profile_of(m)
         if self.kind in ("full", "band"):
             lo = self.s0 if self.kind == "band" else (-HALF_PI + 1e-6)
@@ -272,6 +266,19 @@ def _profile_of(manifold: ModelManifold):
     """Profile curve of a revolution surface; the round one otherwise."""
     return manifold.profile if manifold.kind == "surface_of_revolution" \
         else make_round_sphere()
+
+
+def _fiber_states(manifold: ModelManifold, x, psi) -> np.ndarray:
+    """Unit covectors at the point x with fiber angles psi.
+
+    On a torus the columns are (x, y, cos psi, sin psi), so the scale a of
+    the second covector component is 1; on a surface it is alpha(s).
+    """
+    s0, th0 = x
+    a = 1.0 if manifold.kind == "flat_torus" \
+        else float(_profile_of(manifold).alpha(s0))
+    return np.column_stack([np.full_like(psi, s0), np.full_like(psi, th0),
+                            np.cos(psi), a * np.sin(psi)])
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +505,9 @@ class CircleTarget:
         return wrap_angle(np.asarray(u1) - np.asarray(u2)) * scale
 
     def state(self, u):
-        if self.kind == "fiber":
-            s0, th0 = self.x
-            a = float(_profile_of(self.manifold).alpha(s0))
-            u = np.asarray(u, dtype=float)
-            return np.column_stack([np.full_like(u, s0),
-                                    np.full_like(u, th0),
-                                    np.cos(u), a * np.sin(u)])
         u = np.asarray(u, dtype=float)
+        if self.kind == "fiber":
+            return _fiber_states(self.manifold, self.x, u)
         return np.column_stack([np.full_like(u, self.s_circle), u,
                                 float(self.component) * np.ones_like(u),
                                 np.zeros_like(u)])

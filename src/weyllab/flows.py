@@ -20,11 +20,15 @@ flow they have:
 The closed-form flows (flat torus, round sphere) compute the minima exactly,
 so their inflation is 0.  :class:`RevolutionFlow` integrates: a coarse RK4
 scan over both time directions certifies the samples that stay clear, and
-each remaining candidate is refined by dense adaptive integration.  The
-inflation it reports is the refinement grid slack (phase speed times the
-refinement step) plus the integration budget, and for near-meridian
-samples, which use the pole-safe closed form instead, the half step of that
-grid plus the meridian position error.
+the remaining candidates, forward and mirrored, are refined together in one
+row-batched DOP853 pass (:func:`_dop853_rows`).  Every row keeps its own
+step size and error norm, so each is held to the same rtol/atol as a scalar
+solve; a row whose step falls below 10 ulps of its time raises
+:class:`StepFailure` instead of being extrapolated.  The inflation it
+reports is the refinement grid slack (phase speed times the refinement
+step) plus the integration budget, and for near-meridian samples, which use
+the pole-safe closed form instead, the half step of that grid plus the
+meridian position error.
 """
 
 from __future__ import annotations
@@ -33,10 +37,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 
-from .errors import DomainError
-from .geoflow import _hamilton_rhs
+from .errors import DomainError, StepFailure
 from .manifolds import HALF_PI, ProfileCurve, lattice_box
 
 
@@ -47,10 +50,14 @@ def wrap_angle(d):
 
 
 MERIDIAN_C_FLOOR = 2e-3
+_MERIDIAN_CHUNK = 2 ** 16     # (row, time) pairs per closed-form evaluation
+_REFINE_CHUNK = 2 ** 15       # dense-output times per row and evaluation
 
 
-def meridian_states(states, t: float) -> np.ndarray:
+def meridian_states(states, t) -> np.ndarray:
     """Closed-form flow of (near-)meridian data: position error O(|xi_theta|).
+
+    ``t`` is one time for every row or an array of one time per row.
 
     Meridians traverse the profile curve at unit speed with theta jumping
     by pi at each pole; valid on every surface of revolution (the chart
@@ -96,6 +103,130 @@ def _merge_circle_intervals(intervals) -> float:
         if overlap > 0:
             total -= overlap
     return min(total / (2 * math.pi), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Row-batched DOP853 (Hairer, Norsett and Wanner, Solving ODEs I, II.4-5)
+
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+
+
+def _rms(x):
+    return np.sqrt(np.mean(x * x, axis=1))
+
+
+def _combine(coef, K):
+    """Stage sums coef[..., j] K[j] over the leading axis of K."""
+    return (coef @ K.reshape(len(K), -1)).reshape(coef.shape[:-1]
+                                                  + K.shape[1:])
+
+
+def _initial_step(rhs, y0, f0, T, rtol, atol):
+    """Hairer's starting step for every row (order 7 error estimator)."""
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, T)
+        d2 = _rms((rhs(y0 + h0[:, None] * f0) - f0) / scale) / h0
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                      np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.maximum(d1, d2)) ** (1.0 / 8.0))
+    return np.minimum(np.minimum(100.0 * h0, h1), T)
+
+
+class _RowDense:
+    """Dense output of :func:`_dop853_rows`: the accepted steps per row."""
+
+    def __init__(self, rows, t_old, h, y_old, F, k):
+        order = np.argsort(rows, kind="stable")     # each row in time order
+        self.start = np.searchsorted(rows[order], np.arange(k + 1))
+        self.t_old, self.h = t_old[order], h[order]
+        self.y_old, self.F = y_old[order], F[order]
+
+    def __call__(self, row, t):
+        """The row's solution at the times t, shape (len(t), n)."""
+        lo, hi = self.start[row], self.start[row + 1]
+        seg = lo + np.clip(np.searchsorted(self.t_old[lo:hi], t) - 1,
+                           0, hi - lo - 1)
+        x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
+        y = np.zeros((len(t), self.F.shape[2]))
+        for i in range(self.F.shape[1] - 1, -1, -1):
+            y += self.F[seg, i]
+            y *= x if i % 2 == 0 else 1.0 - x
+        return y + self.y_old[seg]
+
+
+def _dop853_rows(rhs, y0, T, rtol, atol):
+    """Integrate the rows of y0 from t = 0 to T in lockstep by DOP853.
+
+    ``rhs(y)`` maps an (m, n) array of states to their derivatives; the
+    system is autonomous, so the stage times (DOP853.C) are not needed.  Each
+    row has its own step size, rejection state and err5/err3 error norm
+    over its n components, with scipy's DOP853 tableau and step-size
+    factors, so each row is held to rtol/atol as in a scalar solve.  Rows
+    retire when they reach T.  Returns the dense output of every accepted
+    step; raises StepFailure when a row's step falls below 10 ulps of t or
+    is not a number, so no row can hold the loop forever.
+    """
+    A, B, A_EXTRA = DOP853.A, DOP853.B, DOP853.A_EXTRA
+    E3, E5, D = DOP853.E3, DOP853.E5, DOP853.D
+    n_stages = len(B)
+    y0 = np.asarray(y0, dtype=float)
+    k, n = y0.shape
+    t, y = np.zeros(k), y0.copy()
+    f = rhs(y)
+    h_abs = _initial_step(rhs, y, f, T, rtol, atol)
+    rejected = np.zeros(k, dtype=bool)
+    active = np.arange(k)
+    steps = []
+    while len(active):
+        ta, ya, fa = t[active], y[active], f[active]
+        min_step = 10.0 * np.abs(np.nextafter(ta, np.inf) - ta)
+        ha = np.where(rejected[active], h_abs[active],
+                      np.maximum(h_abs[active], min_step))
+        small = ~(ha >= min_step)          # a NaN step fails too
+        if np.any(small):
+            raise StepFailure(
+                f"DOP853 step fell below 10 ulps of t at t = "
+                f"{float(np.min(ta[small])):.17g}")
+        t_new = np.minimum(ta + ha, T)
+        h = t_new - ta
+        K = np.empty((D.shape[1], len(active), n))
+        K[0] = fa
+        for s in range(1, n_stages):
+            K[s] = rhs(ya + h[:, None] * _combine(A[s, :s], K[:s]))
+        y_new = ya + h[:, None] * _combine(B, K[:n_stages])
+        K[n_stages] = rhs(y_new)
+        scale = atol + np.maximum(np.abs(ya), np.abs(y_new)) * rtol
+        e5 = np.sum((_combine(E5, K[:n_stages + 1]) / scale) ** 2, 1)
+        e3 = np.sum((_combine(E3, K[:n_stages + 1]) / scale) ** 2, 1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            err = np.where((e5 == 0) & (e3 == 0), 0.0,
+                           np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * n))
+            factor = np.where(err == 0, _MAX_FACTOR,
+                              _SAFETY * err ** (-1.0 / 8.0))
+        ok = err < 1
+        grow = np.minimum(_MAX_FACTOR, factor)
+        grow = np.where(rejected[active], np.minimum(1.0, grow), grow)
+        h_abs[active] = h * np.where(ok, grow, np.fmax(_MIN_FACTOR, factor))
+        rejected[active] = ~ok
+        # the 7-term interpolant of every accepted step
+        acc = np.nonzero(ok)[0]
+        Ka, ha_acc = K[:, acc], h[acc, None]
+        for s, a in enumerate(A_EXTRA, start=n_stages + 1):
+            Ka[s] = rhs(ya[acc] + ha_acc * _combine(a[:s], Ka[:s]))
+        dy = y_new[acc] - ya[acc]
+        F = np.empty((len(acc), 7, n))
+        F[:, 0] = dy
+        F[:, 1] = ha_acc * Ka[0] - dy
+        F[:, 2] = 2.0 * dy - ha_acc * (Ka[n_stages] + Ka[0])
+        F[:, 3:] = (ha_acc * _combine(D, Ka)).transpose(1, 0, 2)
+        rows = active[acc]
+        steps.append((rows, ta[acc], h[acc], ya[acc], F))
+        t[rows], y[rows], f[rows] = t_new[acc], y_new[acc], Ka[n_stages]
+        active = active[t[active] < T]
+    return _RowDense(*(np.concatenate(col) for col in zip(*steps)), k)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +553,10 @@ class RevolutionFlow:
 
     Scans run over both time directions at once: the mirror state (both
     covector components negated) flows forward along the original orbit
-    backwards.  Near-meridian samples (|xi_theta| below MERIDIAN_C_FLOOR)
-    go through the pole-safe closed form instead of the chart ODE.
+    backwards.  The candidates a scan cannot decide are refined in one
+    row-batched DOP853 pass per estimate, with per-row error control.
+    Near-meridian samples (|xi_theta| below MERIDIAN_C_FLOOR) go through
+    the pole-safe closed form instead of the chart ODE.
     """
 
     def __init__(self, profile: ProfileCurve, ode_budget: float = 1e-6):
@@ -503,17 +636,23 @@ class RevolutionFlow:
         slack = np.asarray(lipschitz) * 0.5 * h + self.ode_budget
         return best, best_t, np.broadcast_to(slack, (len(states),))
 
-    def refine_min(self, state, t0, T, distance_fn, resolution,
-                   chunk: int = 200_000):
-        """Per-sample dense refinement via adaptive integration."""
-        sol = solve_ivp(_hamilton_rhs(self.profile), (0.0, T), state,
-                        method="DOP853", dense_output=True,
-                        rtol=1e-10, atol=1e-10)
-        t = np.arange(max(t0, resolution), T, resolution)
-        best = math.inf
-        for start in range(0, len(t), chunk):
-            vals = distance_fn(sol.sol(t[start:start + chunk]).T)
-            best = min(best, float(np.min(vals)))
+    def refine_min(self, states, t0, T, distance_fn, resolution):
+        """Dense refinement of k rows in one batched DOP853 pass.
+
+        Row i is integrated to T under per-row error control (rtol = atol
+        = 1e-10) and its minimum of ``distance_fn(y, start_rows)`` is taken
+        over the grid arange(max(t0, res_i), T, res_i), in chunks of at
+        most 2^15 times.  Raises StepFailure when a row's step collapses.
+        """
+        states = np.asarray(states, dtype=float).reshape(-1, 4)
+        dense = _dop853_rows(self._rhs, states, T, rtol=1e-10, atol=1e-10)
+        best = np.full(len(states), np.inf)
+        for i, res in enumerate(resolution):
+            t = np.arange(max(t0, res), T, res)
+            for start in range(0, len(t), _REFINE_CHUNK):
+                y = dense(i, t[start:start + _REFINE_CHUNK])
+                vals = distance_fn(y, np.broadcast_to(states[i], y.shape))
+                best[i] = min(best[i], np.min(vals))
         return best
 
     def target_min(self, states, y_point, t0, T):
@@ -548,7 +687,7 @@ class RevolutionFlow:
         return self._hits(states, t0, T, thresh, dist, dist, exact=True)
 
     def _hits(self, states, t0, T, thresh, dist, scan_dist, exact):
-        """Meridian closed form, two-sided scan, then per-sample refinement.
+        """Meridian closed form, two-sided scan, then batched refinement.
 
         ``dist(y, start)`` is the criterion and ``scan_dist`` its unit-rate
         lower bound; with ``exact`` they coincide, so the scan decides the
@@ -569,16 +708,19 @@ class RevolutionFlow:
             sure = mins + slack < thresh if exact \
                 else np.zeros(len(reg), dtype=bool)
             hits[reg] = sure
-            for i in reg[(mins - slack <= thresh) & ~sure]:
-                spd = 1.0 if exact \
-                    else float(self.phase_speed_bound(states[i:i + 1])[0])
+            cand = reg[(mins - slack <= thresh) & ~sure]
+            if len(cand):
+                spd = np.ones(len(cand)) if exact \
+                    else self.phase_speed_bound(states[cand])
                 res = thresh / (4.0 * spd)
-                # refine forward, then along the mirrored state
-                best = min(self.refine_min(st, t0, T, lambda y: dist(y, st),
-                                           res)
-                           for st in (states[i], _mirror(states[i:i + 1])[0]))
-                hits[i] = best < thresh
-                inflation = max(inflation, spd * res + self.ode_budget)
+                # every candidate forward, then mirrored, in one pass
+                best = self.refine_min(
+                    np.vstack([states[cand], _mirror(states[cand])]), t0, T,
+                    dist, np.concatenate([res, res]))
+                n = len(cand)
+                hits[cand] = np.minimum(best[:n], best[n:]) < thresh
+                inflation = max(inflation,
+                                float(np.max(spd * res)) + self.ode_budget)
         return hits, inflation
 
     def _scan_both(self, states, t0, T, dist):
@@ -600,10 +742,15 @@ class RevolutionFlow:
         O(MERIDIAN_C_FLOOR) position error of the meridian approximation
         enter the caller's inflation.
         """
-        best = np.full(len(states), np.inf)
+        n = len(states)
         t_grid = np.arange(t0, T + resolution, resolution)
-        for sign in (1.0, -1.0):
-            for t in t_grid:
-                best = np.minimum(best, dist(meridian_states(states, sign * t),
-                                             states))
+        times = np.concatenate([t_grid, -t_grid])
+        best = np.full(n, np.inf)
+        step = max(1, _MERIDIAN_CHUNK // max(n, 1))
+        for start in range(0, len(times), step):
+            # (row, time) pairs, time-major: pair j * n + i is row i at t_j
+            t = times[start:start + step]
+            rows = np.tile(states, (len(t), 1))
+            d = dist(meridian_states(rows, np.repeat(t, n)), rows)
+            best = np.minimum(best, d.reshape(len(t), n).min(axis=0))
         return best

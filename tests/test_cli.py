@@ -156,3 +156,24 @@ def test_smooth_compare_subcommand(configs):
     assert lines[2] == "lambda,table,direct,difference"
     for row in lines[3:]:
         assert float(row.split(",")[3]) < 1e-3
+
+
+def test_scenario_config_malformed_json_exit_code(tmp_path, configs):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{"task": {"lambda_max": ')
+    rc = main(["--out-dir", configs["dir"], "scenario", "sphere-sharpness",
+               "--config", str(cfg)])
+    assert rc == 3
+
+
+def test_scenario_config_missing_file_exit_code(tmp_path, configs):
+    rc = main(["--out-dir", configs["dir"], "scenario", "sphere-sharpness",
+               "--config", str(tmp_path / "missing.json")])
+    assert rc == 3
+
+
+def test_threads_flag_is_rejected(configs):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "--out-dir", configs["dir"], "scenario",
+              "list"])
+    assert exc.value.code == 2

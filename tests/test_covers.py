@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from weyllab.covers import (
     CircleTarget,
@@ -19,15 +20,20 @@ from weyllab.covers import (
     sublog_inequalities,
     wrap_angle,
 )
-from weyllab.errors import DomainError
+from weyllab.errors import DomainError, StepFailure
 from weyllab.flows import (
+    MERIDIAN_C_FLOOR,
     RevolutionFlow,
     RevolutionMetric,
     RoundSphereFlow,
     TorusFlow,
     TorusMetric,
+    _dop853_rows,
+    _mirror,
+    meridian_states,
     product_max_distance,
 )
+from weyllab.geoflow import _hamilton_rhs
 from weyllab.manifolds import (
     PerturbationSpec,
     flat_torus,
@@ -280,6 +286,70 @@ def test_revolution_flow_matches_great_circles():
         assert np.max(d) < 1e-6
 
 
+def _return_distance(metric):
+    return lambda y, ref: metric.distance(y, np.broadcast_to(ref, y.shape))
+
+
+def test_batched_refinement_matches_a_tight_dop853_reference():
+    # Clairaut constants from near-meridian to well inside the band; each
+    # row, forward and mirrored, in one call, against scalar DOP853 at
+    # rtol = atol = 1e-13 over the same grid
+    profile = PERTURBED.profile
+    flow = RevolutionFlow(profile)
+    dist = _return_distance(flow.metric)
+    c = np.array([2e-3, 5e-3, 1e-2, 3e-2, 0.1])
+    s0 = 1.2
+    a0 = float(profile.alpha(s0))
+    fwd = np.column_stack([np.full_like(c, s0), np.full_like(c, 0.5),
+                           np.sqrt(1.0 - (c / a0) ** 2), c])
+    rows = np.vstack([fwd, _mirror(fwd)])
+    t0, T, res = 1.0, 5.85, 2e-3
+    got = flow.refine_min(rows, t0, T, dist, np.full(len(rows), res))
+    t = np.arange(max(t0, res), T, res)
+    for row, value in zip(rows, got):
+        sol = solve_ivp(_hamilton_rhs(profile), (0.0, T), row,
+                        method="DOP853", dense_output=True,
+                        rtol=1e-13, atol=1e-13)
+        ref = float(np.min(dist(sol.sol(t).T, row)))
+        assert abs(value - ref) <= flow.ode_budget
+
+
+def test_batched_dop853_raises_on_blow_up():
+    # y' = y^2, y(0) = 1 blows up at t = 1: the step collapses before T
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepFailure, match=r"t = 1\.0000000000"):
+            _dop853_rows(lambda y: y * y, np.ones((2, 1)), 2.0,
+                         rtol=1e-10, atol=1e-10)
+        # a state the right-hand side cannot evaluate fails, never spins
+        with pytest.raises(StepFailure):
+            _dop853_rows(lambda y: y * np.nan, np.ones((1, 1)), 1.0,
+                         rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("samples, thresh", [(1000, 0.01), (20_000, 0.01)])
+def test_meridian_min_equals_the_per_time_loop(samples, thresh):
+    flow = RevolutionFlow(PERTURBED.profile)
+    dist = _return_distance(flow.metric)
+    states = CosphereSet(PERTURBED, kind="band", s0=1.05,
+                         s1=1.45).sample(samples, 37)
+    states = states[np.abs(states[:, 3]) < MERIDIAN_C_FLOOR]
+    assert len(states)
+    t0, T, res = 1.0, 5.85, thresh / 4.0
+    ref = np.full(len(states), np.inf)
+    t_grid = np.arange(t0, T + res, res)
+    for sign in (1.0, -1.0):
+        for t in t_grid:
+            ref = np.minimum(ref, dist(meridian_states(states, sign * t),
+                                       states))
+    if samples > 1000:
+        # the pairs span several chunks, the last one partial
+        per_chunk = 2 ** 16 // len(states)
+        assert 2 * len(t_grid) > per_chunk
+        assert (2 * len(t_grid)) % per_chunk
+    assert np.array_equal(
+        RevolutionFlow._meridian_min(states, t0, T, res, dist), ref)
+
+
 # --- recurrence --------------------------------------------------------------
 
 T_OF_EPS = ResolutionFunction(
@@ -404,6 +474,26 @@ def test_split_torus_against_lattice_criterion():
         m = flow.target_min(st, np.array([0.0, 0.0]), 1.0, 10.0)[0]
         if m < 0.16:
             assert tube.index in split.bad
+
+
+def test_torus_fiber_target_states_are_unit_off_the_origin():
+    target = CircleTarget(TORUS, kind="fiber", x=(1.2, 0.4))
+    st = target.state(np.linspace(0.0, TWO_PI, 13))
+    assert np.allclose(np.hypot(st[:, 2], st[:, 3]), 1.0, atol=1e-15)
+    assert np.allclose(st[:, :2], [1.2, 0.4])
+
+
+def test_split_torus_fiber_is_homogeneous():
+    # the flat torus is homogeneous: the split cannot depend on the point
+    splits = []
+    for x in ((0.0, 0.0), (1.2, 0.4)):
+        cover = build_good_cover(CircleTarget(TORUS, kind="fiber", x=x),
+                                 tau=0.3, r=0.04)
+        split = split_bad_good(cover, cover, 1.0, 10.0, S=0.16,
+                               sample_density=5, seed=7)
+        splits.append((sorted(split.bad), sorted(split.good)))
+    assert splits[0] == splits[1]
+    assert splits[0][0] and splits[0][1]
 
 
 def test_split_monotone_in_T():
