@@ -728,21 +728,24 @@ def nonselflooping_test(cover: GoodCover, indices, t0: float, T0: float,
                 if witnesses[sign] is not None:
                     break
     else:
-        # candidate-time membership scan through the closed-form or
-        # integrated flow: distance of the flowed sample to the tube
-        # centers in the section chart
+        # candidate-time membership scan, all samples advanced together
+        # from one scan time to the next; the witness is the first sample
+        # that hits, at its first hitting time
         scan_ts = np.linspace(t0, T0, max(64, int((T0 - t0) / 0.05)))
+        start = np.stack([state for _, state in samples])
         for sign in (+1, -1):
-            for i, state in samples:
-                for t in scan_ts:
-                    moved = flow.flow(state[None, :], sign * t)[0]
-                    if _in_tube_union(flow, tubes, moved, slack=0.05):
-                        if witnesses[sign] is None:
-                            witnesses[sign] = LoopingWitness(state,
-                                                             sign * t, -1)
-                        break
-                if witnesses[sign] is not None:
-                    break
+            moved, t_prev = start, 0.0
+            first = np.full(len(start), -1)
+            for j, t in enumerate(scan_ts):
+                moved = flow.flow(moved, sign * (t - t_prev))
+                t_prev = t
+                hit = _in_tube_union(flow, tubes, moved, slack=0.05)
+                first[(first < 0) & hit] = j
+            hitters = np.nonzero(first >= 0)[0]
+            if len(hitters):
+                i = hitters[0]
+                witnesses[sign] = LoopingWitness(start[i],
+                                                 sign * scan_ts[first[i]], -1)
 
     clean = [s for s in (+1, -1) if witnesses[s] is None]
     if clean:
@@ -752,14 +755,14 @@ def nonselflooping_test(cover: GoodCover, indices, t0: float, T0: float,
             "witness": witnesses[+1] or witnesses[-1], "vacuous": False}
 
 
-def _in_tube_union(flow, tubes, state, slack: float):
-    metric = flow.metric
+def _in_tube_union(flow, tubes, states, slack: float):
+    """Per row of states: whether it lies in the union of the tubes."""
     centers = np.stack([t.center_state for t in tubes])
-    d = metric.distance(np.broadcast_to(state, centers.shape), centers)
+    d = flow.metric.distance(states[:, None, :], centers[None, :, :])
     radii = np.array([t.radius + t.half_time + slack for t in tubes])
     # a point within the tube lies within half_time + r flow-distance of
     # the center, hence within that phase distance (unit speed)
-    return bool(np.any(d < radii))
+    return np.any(d < radii, axis=1)
 
 
 @dataclass

@@ -18,17 +18,18 @@ flow they have:
   (base distance) in that window, and return ``(hits, inflation)``.
 
 The closed-form flows (flat torus, round sphere) compute the minima exactly,
-so their inflation is 0.  :class:`RevolutionFlow` integrates: a coarse RK4
-scan over both time directions certifies the samples that stay clear, and
-the remaining candidates, forward and mirrored, are refined together in one
-row-batched DOP853 pass (:func:`_dop853_rows`).  Every row keeps its own
-step size and error norm, so each is held to the same rtol/atol as a scalar
-solve; a row whose step falls below 10 ulps of its time raises
-:class:`StepFailure` instead of being extrapolated.  The inflation it
-reports is the refinement grid slack (phase speed times the refinement
-step) plus the integration budget, and for near-meridian samples, which use
-the pole-safe closed form instead, the half step of that grid plus the
-meridian position error.
+so their inflation is 0.  :class:`RevolutionFlow` integrates by one
+row-batched DOP853 (:func:`_dop853_rows`), which :mod:`weyllab.geoflow`
+shares; only its coarse scan takes fixed RK4 steps.  The scan covers both
+time directions and certifies the samples that stay clear, and the
+remaining candidates, forward and mirrored, are refined together in one
+DOP853 pass.  Every row keeps its own step size and error norm, so each is
+held to the same rtol/atol as a scalar solve; a row whose step falls below
+10 ulps of its time raises :class:`StepFailure` instead of being
+extrapolated.  The inflation it reports is the refinement grid slack (phase
+speed times the refinement step) plus the integration budget, and for
+near-meridian samples, which use the pole-safe closed form instead, the
+half step of that grid plus the meridian position error.
 """
 
 from __future__ import annotations
@@ -149,6 +150,15 @@ class _RowDense:
         lo, hi = self.start[row], self.start[row + 1]
         seg = lo + np.clip(np.searchsorted(self.t_old[lo:hi], t) - 1,
                            0, hi - lo - 1)
+        return self._interpolate(seg, t)
+
+    def at_end(self, T):
+        """Every row at its end time T, where its last step ends: (k, n)."""
+        seg = self.start[1:] - 1
+        return self._interpolate(seg, np.full(len(seg), T))
+
+    def _interpolate(self, seg, t):
+        """The interpolant of step seg[j] at the time t[j], for every j."""
         x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
         y = np.zeros((len(t), self.F.shape[2]))
         for i in range(self.F.shape[1] - 1, -1, -1):
@@ -549,14 +559,15 @@ class RoundSphereFlow(ExactHits):
 
 
 class RevolutionFlow:
-    """Batched fixed-step RK4 flow with certified closest-approach scans.
+    """Geodesic flow of a surface of revolution in the (s, theta) chart.
 
-    Scans run over both time directions at once: the mirror state (both
-    covector components negated) flows forward along the original orbit
-    backwards.  The candidates a scan cannot decide are refined in one
-    row-batched DOP853 pass per estimate, with per-row error control.
-    Near-meridian samples (|xi_theta| below MERIDIAN_C_FLOOR) go through
-    the pole-safe closed form instead of the chart ODE.
+    ``flow`` integrates every row by the row-batched DOP853
+    (:func:`_dop853_rows`).  Scans run over both time directions at once:
+    the mirror state (both covector components negated) flows forward along
+    the original orbit backwards.  The coarse scan takes fixed RK4 steps;
+    the candidates it cannot decide are refined in one DOP853 pass per
+    estimate.  Near-meridian samples (|xi_theta| below MERIDIAN_C_FLOOR) go
+    through the pole-safe closed form instead of the chart ODE.
     """
 
     def __init__(self, profile: ProfileCurve, ode_budget: float = 1e-6):
@@ -582,12 +593,18 @@ class RevolutionFlow:
         return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     def flow(self, states, t):
-        """RK4 from time 0 in steps of t / max(1, floor(|t| / 0.01))."""
+        """The rows moved by time t: DOP853 at rtol = atol = 1e-10.
+
+        A negative time flows the mirrored rows forward and mirrors them
+        back; t = 0 returns the rows unchanged.
+        """
         y = np.array(states, dtype=float).reshape(-1, 4)
-        n_steps = max(1, int(abs(t) / 0.01))
-        h = t / n_steps
-        for _ in range(n_steps):
-            y = self._step(y, h)
+        if t != 0:
+            start = y if t > 0 else _mirror(y)
+            y = _dop853_rows(self._rhs, start, abs(t), rtol=1e-10,
+                             atol=1e-10).at_end(abs(t))
+            if t < 0:
+                y = _mirror(y)
         return y.reshape(np.shape(states))
 
     def phase_speed_bound(self, states, cap: float = 64.0) -> np.ndarray:

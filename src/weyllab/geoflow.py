@@ -20,6 +20,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import DegenerateInput, DomainError, StepFailure
+from .flows import RevolutionFlow, _dop853_rows, meridian_states
 from .manifolds import HALF_PI, ModelManifold, ProfileCurve
 from .quadrature import tanh_sinh
 
@@ -329,16 +330,21 @@ def d_rotation_number_in_epsilon(spec, s_plus: float) -> float:
 
 
 class Trajectory:
-    """Dense-output geodesic trajectory in the (s, theta) chart."""
+    """Dense-output geodesic trajectory in the (s, theta) chart.
 
-    def __init__(self, eval_fn: Callable, t_span: tuple[float, float],
+    ``rows_fn`` maps a flat array of times to the states there, one row
+    per time; calling the trajectory at t gives shape (4,) + shape(t).
+    """
+
+    def __init__(self, rows_fn: Callable, t_span: tuple[float, float],
                  profile: ProfileCurve):
-        self._eval = eval_fn
+        self._rows = rows_fn
         self.t_span = t_span
         self.profile = profile
 
     def __call__(self, t):
-        return self._eval(np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
+        return self._rows(t.ravel()).T.reshape((4,) + t.shape)
 
     def conservation_report(self, n_check: int = 200) -> dict:
         t = np.linspace(self.t_span[0], self.t_span[1], n_check)
@@ -351,58 +357,22 @@ class Trajectory:
         }
 
 
-def _hamilton_rhs(profile: ProfileCurve):
-    def rhs(t, y):
-        s, theta, xi_s, xi_t = y
-        a = float(profile.alpha(s))
-        da = float(profile.d_alpha(s))
-        return [xi_s, xi_t / (a * a), xi_t * xi_t * da / a ** 3, 0.0]
-
-    return rhs
-
-
-def _meridian_trajectory(p0: PhasePoint, T: float,
-                         profile: ProfileCurve) -> Trajectory:
-    """Closed-form meridian geodesic (passes through both poles).
-
-    Unit speed along the profile curve; position unfolds on the meridian
-    great circle of length 2 pi with theta jumping by pi at each pole.
-    """
-    if p0.xi_s >= 0:
-        phi0, theta_front = p0.s, p0.theta
-    else:
-        phi0, theta_front = math.pi - p0.s, p0.theta + math.pi
-
-    def eval_fn(t):
-        t = np.atleast_1d(t)
-        phi = np.mod(phi0 + t + HALF_PI, 2.0 * math.pi) - HALF_PI
-        front = phi <= HALF_PI
-        s = np.where(front, phi, math.pi - phi)
-        theta = np.where(front, theta_front, theta_front + math.pi)
-        xi_s = np.where(front, 1.0, -1.0)
-        out = np.vstack([s, np.mod(theta, 2.0 * math.pi), xi_s,
-                         np.zeros_like(s)])
-        return out if out.shape[1] > 1 else out[:, 0]
-
-    return Trajectory(eval_fn, (0.0, T), profile)
-
-
 def integrate_geodesic(p0: PhasePoint, T: float, profile: ProfileCurve,
                        rtol: float = 1e-10, atol: float = 1e-10) -> Trajectory:
     """Adaptive high-order integration of the unit cosphere geodesic flow.
 
-    Meridian data (xi_theta = 0) is dispatched to the pole-safe closed form;
-    the chart equations degenerate there.
+    One row of :func:`weyllab.flows._dop853_rows` with its dense output.
+    Meridian data (xi_theta = 0) is dispatched to the pole-safe closed form
+    :func:`weyllab.flows.meridian_states`; the chart equations degenerate
+    there.
     """
     if p0.unit_defect(profile) > 1e-6:
         raise DomainError("initial data must lie on the unit cosphere bundle")
+    y0 = p0.as_array()[None, :]
     if abs(p0.xi_theta) < 1e-12:
-        return _meridian_trajectory(p0, T, profile)
-    sol = solve_ivp(_hamilton_rhs(profile), (0.0, T), p0.as_array(),
-                    method="DOP853", dense_output=True, rtol=rtol, atol=atol)
-    if not sol.success:
-        raise StepFailure(f"integration failed: {sol.message}")
-    return Trajectory(lambda t: sol.sol(t), (0.0, T), profile)
+        return Trajectory(lambda t: meridian_states(y0, t), (0.0, T), profile)
+    dense = _dop853_rows(RevolutionFlow(profile)._rhs, y0, T, rtol, atol)
+    return Trajectory(lambda t: dense(0, t), (0.0, T), profile)
 
 
 def rotation_number_ode(s_plus: float, profile: ProfileCurve,
@@ -415,7 +385,10 @@ def rotation_number_ode(s_plus: float, profile: ProfileCurve,
     """
     c = float(profile.alpha(s_plus))
     y0 = [s_plus, 0.0, 0.0, c]
-    rhs = _hamilton_rhs(profile)
+    flow = RevolutionFlow(profile)
+
+    def rhs(t, y):
+        return flow._rhs(y[None, :])[0]
 
     # burn in past the start (xi_s = 0 there, which would trigger the
     # event immediately), then stop at the first falling crossing: the
@@ -522,24 +495,23 @@ def classify_tori(profile: ProfileCurve, grid: Iterable[float],
 
 
 def _variational_rhs(profile: ProfileCurve):
-    def rhs(t, y):
-        s, theta, xi_s, xi_t = y[:4]
-        a = float(profile.alpha(s))
-        da = float(profile.d_alpha(s))
-        dda = float(profile.dd_alpha(s))
-        J = np.zeros((4, 4))
-        J[0, 2] = 1.0
-        J[1, 0] = -2.0 * xi_t * da / a ** 3
-        J[1, 3] = 1.0 / (a * a)
-        J[2, 0] = xi_t * xi_t * (dda * a - 3.0 * da * da) / a ** 4
-        J[2, 3] = 2.0 * xi_t * da / a ** 3
-        M = y[4:].reshape(4, 4)
-        dy = np.empty(20)
-        dy[0] = xi_s
-        dy[1] = xi_t / (a * a)
-        dy[2] = xi_t * xi_t * da / a ** 3
-        dy[3] = 0.0
-        dy[4:] = (J @ M).ravel()
+    """Rows of (state, tangent map): the flow and its linearization J M."""
+    flow = RevolutionFlow(profile)
+
+    def rhs(y):
+        s, xi_t = y[:, 0], y[:, 3]
+        a = profile.alpha(s)
+        da = profile.d_alpha(s)
+        dda = profile.dd_alpha(s)
+        J = np.zeros((len(y), 4, 4))
+        J[:, 0, 2] = 1.0
+        J[:, 1, 0] = -2.0 * xi_t * da / a ** 3
+        J[:, 1, 3] = 1.0 / (a * a)
+        J[:, 2, 0] = xi_t * xi_t * (dda * a - 3.0 * da * da) / a ** 4
+        J[:, 2, 3] = 2.0 * xi_t * da / a ** 3
+        dy = np.empty_like(y)
+        dy[:, :4] = flow._rhs(y[:, :4])
+        dy[:, 4:] = (J @ y[:, 4:].reshape(-1, 4, 4)).reshape(-1, 16)
         return dy
 
     return rhs
@@ -569,21 +541,19 @@ def expansion_rate(manifold: ModelManifold, sample_count: int = 24,
 
     profile = manifold.profile
     rng = np.random.default_rng(seed)
-    best = np.full_like(t_grid, -np.inf)
-    for _ in range(sample_count):
+    y0 = np.empty((sample_count, 20))
+    for i in range(sample_count):
         s0 = rng.uniform(-1.2, 1.2)
         psi = rng.uniform(0.15, math.pi - 0.15)
         a0 = float(profile.alpha(s0))
-        y0 = np.concatenate(([s0, 0.0, math.cos(psi), a0 * math.sin(psi)],
-                             np.eye(4).ravel()))
-        sol = solve_ivp(_variational_rhs(profile), (0.0, T), y0,
-                        method="DOP853", rtol=1e-9, atol=1e-9,
-                        t_eval=t_grid)
-        if not sol.success:
-            raise StepFailure(f"variational integration failed: {sol.message}")
-        norms = np.array([np.linalg.norm(sol.y[4:, i].reshape(4, 4), 2)
-                          for i in range(len(t_grid))])
-        best = np.maximum(best, np.log(norms))
+        y0[i] = np.concatenate(([s0, 0.0, math.cos(psi), a0 * math.sin(psi)],
+                                np.eye(4).ravel()))
+    dense = _dop853_rows(_variational_rhs(profile), y0, T, rtol=1e-9,
+                         atol=1e-9)
+    best = np.full_like(t_grid, -np.inf)
+    for i in range(sample_count):
+        M = dense(i, t_grid)[:, 4:].reshape(-1, 4, 4)
+        best = np.maximum(best, np.log(np.linalg.norm(M, 2, axis=(1, 2))))
     growth = np.maximum.accumulate(best)
 
     def window_slope(lo, hi):

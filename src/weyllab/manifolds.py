@@ -137,6 +137,28 @@ def make_round_sphere() -> ProfileCurve:
     )
 
 
+def _bump_evaluator(a: float, b: float, weight: Callable = None) -> Callable:
+    """x -> bump(x) weight(x) on (a, b), 0 outside; the bump is evaluated once.
+
+    Only the points inside the support are gathered, and the exponent is
+    taken there alone; ``weight`` (default 1) sees those points only.
+    """
+    peak = math.exp(-4.0 / (b - a))  # value at the midpoint
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape)
+        inside = (x > a) & (x < b)
+        if inside.any():
+            xi = x[inside]
+            with np.errstate(over="ignore", under="ignore"):
+                val = np.exp(-1.0 / (xi - a) - 1.0 / (b - xi)) / peak
+            out[inside] = val if weight is None else val * weight(xi)
+        return out
+
+    return f
+
+
 def bump_function(a: float, b: float) -> Callable:
     """Smooth bump on (a, b), scaled to maximum 1, identically 0 outside.
 
@@ -144,42 +166,23 @@ def bump_function(a: float, b: float) -> Callable:
     the endpoints, which keeps perturbed-profile derivatives well
     conditioned near the support boundary.
     """
-    peak = math.exp(-4.0 / (b - a))  # value at the midpoint
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        inside = (x > a) & (x < b)
-        xi = x[inside]
-        with np.errstate(over="ignore", under="ignore"):
-            out[inside] = np.exp(-1.0 / (xi - a) - 1.0 / (b - xi)) / peak
-        return out
-
-    return f
+    return _bump_evaluator(a, b)
 
 
 def _bump_derivatives(a: float, b: float):
-    f = bump_function(a, b)
+    """First and second derivatives of bump_function(a, b).
 
-    def g1(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        inside = (x > a) & (x < b)
-        xi = x[inside]
-        out[inside] = f(xi) * (1.0 / (xi - a) ** 2 - 1.0 / (b - xi) ** 2)
-        return out
+    With g = -1/(x-a) - 1/(b-x) the exponent, they are bump g' and
+    bump (g'' + g'^2).
+    """
+    def gp(xi):
+        return 1.0 / (xi - a) ** 2 - 1.0 / (b - xi) ** 2
 
-    def g2(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        inside = (x > a) & (x < b)
-        xi = x[inside]
-        gp = 1.0 / (xi - a) ** 2 - 1.0 / (b - xi) ** 2
+    def gp2_plus_gpp(xi):
         gpp = -2.0 / (xi - a) ** 3 - 2.0 / (b - xi) ** 3
-        out[inside] = f(xi) * (gpp + gp ** 2)
-        return out
+        return gpp + gp(xi) ** 2
 
-    return g1, g2
+    return _bump_evaluator(a, b, gp), _bump_evaluator(a, b, gp2_plus_gpp)
 
 
 @dataclass(frozen=True)

@@ -35,20 +35,18 @@ from .weyl import (build_smoothing_kernel, circle_integral_quadrature,
 
 @dataclass
 class ExperimentConfig:
-    """Serializable description of one experiment run.
+    """Description of one experiment run, read from a JSON object.
 
     ``task`` carries the scenario parameter overrides; reruns of an
     identical config reproduce identical outputs (evaluation order does
     not depend on worker count).
     """
 
-    manifold: dict = None
     task: dict = field(default_factory=dict)
     seeds: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
 
-    _FIELDS = ("manifold", "task", "seeds", "tolerances", "output")
+    _FIELDS = ("task", "seeds", "tolerances")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -59,11 +57,6 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         return cls(**{k: raw[k] for k in raw})
-
-    def to_dict(self) -> dict:
-        return {"manifold": self.manifold, "task": self.task,
-                "seeds": self.seeds, "tolerances": self.tolerances,
-                "output": self.output}
 
     def scenario_overrides(self) -> dict:
         merged = dict(self.task)

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, IncompleteInput, SolverFailure
+from .errors import ConfigError, DomainError, IncompleteInput, SolverFailure
 from .manifolds import (HALF_PI, ModelManifold, ProfileCurve, lattice_box,
                         manifold_volume, sphere_volume)
 
@@ -671,7 +671,13 @@ def save_spectrum(spec: Spectrum, path: str) -> None:
 
 
 def load_spectrum(path: str) -> Spectrum:
+    """Read a cache written by save_spectrum with the current solver."""
     data = np.load(path, allow_pickle=False)
     meta = json.loads(str(data["meta"]))
+    stored = meta.get("solver_version")
+    if stored != SOLVER_VERSION:
+        raise ConfigError(f"spectrum cache {path} was written by solver "
+                          f"version {stored!r}, this is version "
+                          f"{SOLVER_VERSION!r}")
     return Spectrum(data["lambdas"], data["mults"], meta["lambda_max"],
                     meta["dim"], meta["volume"], meta["label"])

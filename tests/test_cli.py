@@ -146,6 +146,16 @@ def test_experiment_config_rejects_unknown_fields(tmp_path, configs):
     assert rc == 3
 
 
+@pytest.mark.parametrize("block", ["manifold", "output"])
+def test_experiment_config_rejects_unread_blocks(tmp_path, configs, block):
+    # nothing reads these blocks, so a run must not pass with them ignored
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({block: {"kind": "flat_torus"}}))
+    rc = main(["--out-dir", configs["dir"], "scenario", "sphere-sharpness",
+               "--config", str(cfg)])
+    assert rc == 3
+
+
 def test_smooth_compare_subcommand(configs):
     rc = main(["--out-dir", configs["dir"], "--seed", "2", "smooth-compare",
                "--manifold", configs["torus"], "--lambda-max", "460",

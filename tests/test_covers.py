@@ -11,6 +11,7 @@ from weyllab.covers import (
     build_good_cover,
     check_sublogarithmic,
     family_budget,
+    flow_for,
     looping_pair_measure,
     near_periodic_measure,
     nonselflooping_test,
@@ -19,6 +20,7 @@ from weyllab.covers import (
     split_bad_good,
     sublog_inequalities,
     wrap_angle,
+    _tube_samples,
 )
 from weyllab.errors import DomainError, StepFailure
 from weyllab.flows import (
@@ -33,7 +35,6 @@ from weyllab.flows import (
     meridian_states,
     product_max_distance,
 )
-from weyllab.geoflow import _hamilton_rhs
 from weyllab.manifolds import (
     PerturbationSpec,
     flat_torus,
@@ -279,11 +280,32 @@ def test_revolution_flow_matches_great_circles():
     states = np.column_stack([s, rng.uniform(0.0, TWO_PI, 20), np.cos(psi),
                               np.cos(s) * np.sin(psi)])
     exact = RoundSphereFlow(make_round_sphere())
-    rk4 = RevolutionFlow(make_round_sphere())
+    dop853 = RevolutionFlow(make_round_sphere())
     for t in (0.0, 0.013, -0.7, 1.9):
-        d = exact.metric.distance(rk4.flow(states, t), exact.flow(states, t))
-        # RK4 at h = 0.01 in the (s, theta) chart, away from the poles
-        assert np.max(d) < 1e-6
+        d = exact.metric.distance(dop853.flow(states, t),
+                                  exact.flow(states, t))
+        # DOP853 at rtol = atol = 1e-10 in the (s, theta) chart, away from
+        # the poles; the arccos in the metric floors d near 2e-8
+        assert np.max(d) < 1e-7
+
+
+@pytest.mark.parametrize("t", [3.0, -3.0])
+def test_revolution_flow_matches_a_tight_dop853_reference(t):
+    # from the equator; the c = 1e-5 row passes within 1e-5 of a pole,
+    # where theta turns by nearly pi in a few 1e-5 time units
+    profile = PERTURBED.profile
+    flow = RevolutionFlow(profile)
+    c = np.array([1e-5, 2e-3, 0.05, 0.5])
+    a0 = float(profile.alpha(0.0))
+    states = np.column_stack([np.zeros_like(c), np.full_like(c, 0.5),
+                              np.sqrt(1.0 - (c / a0) ** 2), c])
+    got = flow.flow(states, t)
+    for row, y in zip(states, got):
+        ref = solve_ivp(lambda _, y: flow._rhs(y[None, :])[0], (0.0, t), row,
+                        method="DOP853", rtol=1e-13, atol=1e-13).y[:, -1]
+        err = np.abs(y - ref)
+        err[1] = wrap_angle(y[1] - ref[1])
+        assert np.max(err) < 1e-8
 
 
 def _return_distance(metric):
@@ -307,7 +329,7 @@ def test_batched_refinement_matches_a_tight_dop853_reference():
     got = flow.refine_min(rows, t0, T, dist, np.full(len(rows), res))
     t = np.arange(max(t0, res), T, res)
     for row, value in zip(rows, got):
-        sol = solve_ivp(_hamilton_rhs(profile), (0.0, T), row,
+        sol = solve_ivp(lambda _, y: flow._rhs(y[None, :])[0], (0.0, T), row,
                         method="DOP853", dense_output=True,
                         rtol=1e-13, atol=1e-13)
         ref = float(np.min(dist(sol.sol(t).T, row)))
@@ -538,6 +560,53 @@ def test_perturbed_tube_nonlooping_over_a_short_window():
                               seed=2)
     assert res["verdict"] == "nonlooping"
     assert res["signs"] == [1, -1]
+
+
+def _nonselflooping_per_time(cover, indices, t0, T0, sample_density,
+                             seed):
+    """(verdict, signs, witness): each sample and scan time flowed from 0."""
+    flow = flow_for(cover.target.manifold)
+    tubes = [cover.tubes[i] for i in indices]
+    centers = np.stack([t.center_state for t in tubes])
+    radii = np.array([t.radius + t.half_time + 0.05 for t in tubes])
+    samples = _tube_samples(cover, indices, sample_density, seed)
+    scan_ts = np.linspace(t0, T0, max(64, int((T0 - t0) / 0.05)))
+    witnesses = {+1: None, -1: None}
+    for sign in (+1, -1):
+        for _, state in samples:
+            for t in scan_ts:
+                moved = flow.flow(state[None, :], sign * t)[0]
+                d = flow.metric.distance(
+                    np.broadcast_to(moved, centers.shape), centers)
+                if np.any(d < radii):
+                    witnesses[sign] = (state, sign * t)
+                    break
+            if witnesses[sign] is not None:
+                break
+    clean = [s for s in (+1, -1) if witnesses[s] is None]
+    if clean:
+        return "nonlooping", clean, None
+    return "looping", [], witnesses[+1]
+
+
+@pytest.mark.parametrize("tau, r, indices, t0, T0, density, seed", [
+    (0.03, 0.03, [0], 0.2, 0.21, 1, 2),       # leaves the union
+    (0.2, 0.1, [0, 3], 0.4, 0.6, 3, 1),       # third sample loops first
+])
+def test_perturbed_nonselflooping_equals_the_per_time_loop(
+        tau, r, indices, t0, T0, density, seed):
+    cover = build_good_cover(CircleTarget(PERTURBED, kind="fiber",
+                                          x=(0.3, 0.0)), tau=tau, r=r)
+    verdict, signs, witness = _nonselflooping_per_time(
+        cover, indices, t0, T0, density, seed)
+    res = nonselflooping_test(cover, indices, t0, T0,
+                              sample_density=density, seed=seed)
+    assert (res["verdict"], res["signs"]) == (verdict, signs)
+    if witness is None:
+        assert res["witness"] is None
+    else:
+        assert np.array_equal(res["witness"].point, witness[0])
+        assert res["witness"].time == witness[1]
 
 
 def test_perturbed_tube_loops_inside_its_own_extent():

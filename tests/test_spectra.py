@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.special import lpmv
 
-from weyllab.errors import DomainError, IncompleteInput, SolverFailure
+from weyllab.errors import (ConfigError, DomainError, IncompleteInput,
+                            SolverFailure)
 from weyllab.manifolds import (
     PerturbationSpec,
     make_perturbed_sphere,
@@ -274,6 +276,23 @@ def test_save_load_round_trip(tmp_path):
     assert np.allclose(back.lambdas, s.lambdas)
     assert np.array_equal(back.mults, s.mults)
     assert back.volume == s.volume
+
+
+def test_load_refuses_another_solver_version(tmp_path):
+    s = sphere_spectrum(2, 10.0)
+    path = str(tmp_path / "spec.npz")
+    save_spectrum(s, path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(str(arrays["meta"]))
+    meta["solver_version"] = "1"
+    np.savez(path, **{**arrays, "meta": json.dumps(meta)})
+    with pytest.raises(ConfigError, match="'1'.*'2'"):
+        load_spectrum(path)
+    del meta["solver_version"]
+    np.savez(path, **{**arrays, "meta": json.dumps(meta)})
+    with pytest.raises(ConfigError, match="None"):
+        load_spectrum(path)
 
 
 def test_profile_hash_distinguishes():
