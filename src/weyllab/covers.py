@@ -11,9 +11,12 @@ approach; the criterion radius is twice the nominal scale R (the
 ball-to-ball contact distance), with integration slack folded in and
 reported.  The classification is one call to the flow's ``return_hits``
 or ``target_hits`` (``target_min`` for the bad/good splitting), so the
-estimators never ask which flow they have: the flow picks its exact or
-scan-then-refine algorithm and returns the inflation, 0 for the closed
-forms and the refinement slack plus integration budget otherwise.
+estimators never ask which flow they have.  The closed-form flows compute
+exact minima and report no inflation.  On other surfaces of revolution
+``return_hits`` decides each sample by the first of these that can: the
+radial certificate (Clairaut's integral, no integration), the meridian
+closed form, the coarse scan, and the batched refinement; the inflation is
+the largest slack of the steps that ran (see :mod:`weyllab.flows`).
 """
 
 from __future__ import annotations

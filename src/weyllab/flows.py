@@ -18,18 +18,30 @@ flow they have:
   (base distance) in that window, and return ``(hits, inflation)``.
 
 The closed-form flows (flat torus, round sphere) compute the minima exactly,
-so their inflation is 0.  :class:`RevolutionFlow` integrates by one
-row-batched DOP853 (:func:`_dop853_rows`), which :mod:`weyllab.geoflow`
-shares; only its coarse scan takes fixed RK4 steps.  The scan covers both
-time directions and certifies the samples that stay clear, and the
-remaining candidates, forward and mirrored, are refined together in one
-DOP853 pass.  Every row keeps its own step size and error norm, so each is
-held to the same rtol/atol as a scalar solve; a row whose step falls below
-10 ulps of its time raises :class:`StepFailure` instead of being
-extrapolated.  The inflation it reports is the refinement grid slack (phase
-speed times the refinement step) plus the integration budget, and for
-near-meridian samples, which use the pole-safe closed form instead, the
-half step of that grid plus the meridian position error.
+so their inflation is 0; the torus tries only the lattice vectors within
+reach of the window.  :class:`RevolutionFlow` decides ``return_hits`` in
+this order:
+
+1. the radial certificate (:meth:`RevolutionFlow.radial_clears`) clears,
+   without integrating, every regular sample that Clairaut's integral keeps
+   away from its start: before its first radial return an orbit's phase
+   distance from its start is at least its latitude change or its fiber
+   gap, and both follow from the radial motion alone;
+2. near-meridian samples take the pole-safe closed form, on a grid;
+3. the rest go through a coarse two-sided scan with fixed RK4 steps, which
+   certifies the samples that stay clear;
+4. the scan's remaining candidates, forward and mirrored, are refined
+   together in one pass of the row-batched DOP853 (:func:`_dop853_rows`),
+   which :mod:`weyllab.geoflow` shares.
+
+``target_hits`` runs steps 2 to 4.  Every DOP853 row keeps its own step
+size and error norm, so each is held to the same rtol/atol as a scalar
+solve; a row whose step falls below 10 ulps of its time raises
+:class:`StepFailure` instead of being extrapolated.  The inflation is the
+largest over the steps that ran: the refinement grid slack (phase speed
+times the refinement step) plus the integration budget, and the meridian
+grid's half step plus the meridian position error.  Cleared samples add
+none; their margin already holds the quadrature error.
 """
 
 from __future__ import annotations
@@ -42,6 +54,7 @@ from scipy.integrate import DOP853
 
 from .errors import DomainError, StepFailure
 from .manifolds import HALF_PI, ProfileCurve, lattice_box
+from .quadrature import tanh_sinh_rows
 
 
 def wrap_angle(d):
@@ -75,6 +88,28 @@ def meridian_states(states, t) -> np.ndarray:
     xi_s = np.where(front, 1.0, -1.0)
     return np.column_stack([s, np.mod(th, 2.0 * math.pi), xi_s,
                             np.zeros_like(s)])
+
+
+def _alpha_sq_gap(profile: ProfileCurve, w, c, s_turn, dw):
+    """alpha(w)^2 - c^2, cancellation-guarded near the turning point.
+
+    ``dw = w - s_turn`` is supplied in exact arithmetic by the quadrature
+    rule.  Within 1e-5 of the turning point the difference alpha(w) - c is
+    replaced by its two-term Taylor expansion (exact derivative
+    evaluators), which keeps the relative error of the gap near machine
+    precision instead of eps/distance.  ``c`` and ``s_turn`` are scalars or
+    arrays that broadcast against ``w``, one per row of a batched rule.
+    """
+    a = profile.alpha(w)
+    gap = (a - c) * (a + c)
+    dw = np.asarray(dw, dtype=float)
+    near = np.abs(dw) < 1e-5
+    if np.any(near):
+        da = profile.d_alpha(s_turn)
+        dda = profile.dd_alpha(s_turn)
+        diff = da * dw + 0.5 * dda * dw * dw
+        gap = np.where(near, diff * (a + c), gap)
+    return np.where(gap > 1e-300, gap, np.inf)
 
 
 def _mirror(states: np.ndarray) -> np.ndarray:
@@ -359,11 +394,28 @@ class TorusFlow(ExactHits):
         diff = t_star[..., None] * omega[:, None, :] - targets
         return np.sqrt(np.sum(diff ** 2, axis=-1))
 
-    def self_return_min(self, states, t0, T):
-        """Exact min over t0<=|t|<=T of d(phi_t rho, rho); fiber gap is 0."""
+    def return_hits(self, states, t0, T, thresh):
+        """Exact hits against the lattice vectors shorter than T + thresh.
+
+        |t omega - v| >= |v| - T, so no longer vector comes within thresh.
+        """
+        return self.self_return_min(states, t0, T, reach=T + thresh) \
+            < thresh, 0.0
+
+    def self_return_min(self, states, t0, T, reach=None):
+        """Exact min over t0<=|t|<=T of d(phi_t rho, rho); fiber gap is 0.
+
+        With ``reach`` only lattice vectors shorter than it are tried: a
+        minimum below reach - T is still exact, a larger one is reported
+        as some value of at least reach - T.
+        """
         states = np.asarray(states, dtype=float)
         omega = states[..., self.d:].reshape(-1, self.d)
-        lat = self.lattice(T + 1.0)
+        if reach is None:
+            lat = self.lattice(T + 1.0)
+        else:
+            lat = self.lattice(reach)
+            lat = lat[np.linalg.norm(lat, axis=1) < reach]
         targets = np.broadcast_to(lat[None, :, :],
                                   (omega.shape[0],) + lat.shape)
         d_fwd = self._window_min(omega, targets, t0, T).min(axis=1)
@@ -562,12 +614,15 @@ class RevolutionFlow:
     """Geodesic flow of a surface of revolution in the (s, theta) chart.
 
     ``flow`` integrates every row by the row-batched DOP853
-    (:func:`_dop853_rows`).  Scans run over both time directions at once:
-    the mirror state (both covector components negated) flows forward along
-    the original orbit backwards.  The coarse scan takes fixed RK4 steps;
-    the candidates it cannot decide are refined in one DOP853 pass per
-    estimate.  Near-meridian samples (|xi_theta| below MERIDIAN_C_FLOOR) go
-    through the pole-safe closed form instead of the chart ODE.
+    (:func:`_dop853_rows`); exact meridian rows take the closed form.
+    ``return_hits`` first lets the radial certificate clear the samples
+    that cannot return before their first radial period, with no
+    integration; then near-meridian samples (|xi_theta| below
+    MERIDIAN_C_FLOOR) go through the pole-safe closed form, and the others
+    through the coarse scan with fixed RK4 steps, whose undecided
+    candidates are refined in one DOP853 pass per estimate.  Scans run over
+    both time directions at once: the mirror state (both covector
+    components negated) flows forward along the original orbit backwards.
     """
 
     def __init__(self, profile: ProfileCurve, ode_budget: float = 1e-6):
@@ -595,16 +650,21 @@ class RevolutionFlow:
     def flow(self, states, t):
         """The rows moved by time t: DOP853 at rtol = atol = 1e-10.
 
-        A negative time flows the mirrored rows forward and mirrors them
-        back; t = 0 returns the rows unchanged.
+        Exact meridian rows (xi_theta = 0) take the closed form, which
+        turns them at the poles; the chart equations would not.  A negative
+        time flows the mirrored rows forward and mirrors them back; t = 0
+        returns the rows unchanged.
         """
         y = np.array(states, dtype=float).reshape(-1, 4)
         if t != 0:
-            start = y if t > 0 else _mirror(y)
-            y = _dop853_rows(self._rhs, start, abs(t), rtol=1e-10,
-                             atol=1e-10).at_end(abs(t))
-            if t < 0:
-                y = _mirror(y)
+            merid = y[:, 3] == 0.0
+            y[merid] = meridian_states(y[merid], t)
+            chart = np.nonzero(~merid)[0]
+            if len(chart):
+                start = y[chart] if t > 0 else _mirror(y[chart])
+                moved = _dop853_rows(self._rhs, start, abs(t), rtol=1e-10,
+                                     atol=1e-10).at_end(abs(t))
+                y[chart] = moved if t > 0 else _mirror(moved)
         return y.reshape(np.shape(states))
 
     def phase_speed_bound(self, states, cap: float = 64.0) -> np.ndarray:
@@ -682,16 +742,127 @@ class RevolutionFlow:
     def return_hits(self, states, t0, T, thresh):
         """Samples returning within thresh of their start (phase metric).
 
-        The base-distance scan certifies non-return at unit Lipschitz rate
-        (the phase distance dominates the base distance); every sample it
-        cannot clear is refined in the full metric at a step scaled by its
+        :meth:`radial_clears` decides the samples whose radial motion alone
+        keeps them away, without integrating them.  Of the rest, the
+        base-distance scan certifies non-return at unit Lipschitz rate (the
+        phase distance dominates the base distance); every sample it cannot
+        clear is refined in the full metric at a step scaled by its
         phase-speed bound.
         """
-        return self._hits(
-            states, t0, T, thresh,
+        states = np.asarray(states, dtype=float).reshape(-1, 4)
+        hits = np.zeros(len(states), dtype=bool)
+        rest = np.nonzero(~self.radial_clears(states, t0, T, thresh))[0]
+        hits[rest], inflation = self._hits(
+            states[rest], t0, T, thresh,
             lambda y, ref: self.metric.distance(
                 y, np.broadcast_to(ref, y.shape)),
             self.metric.base_distance_to_state, exact=False)
+        return hits, inflation
+
+    def radial_clears(self, states, t0, T, thresh):
+        """Rows certified to stay thresh away from their start, unintegrated.
+
+        A regular row (c = |xi_theta| >= MERIDIAN_C_FLOOR) starting at
+        (s0, xi_s0) with fiber angle psi0 has phase distance from its start
+        at least L = max(|s - s0|, gap(psi, psi0)): the round-chart base
+        distance is at least the latitude difference, and psi depends only
+        on (s, sign xi_s), as sin psi = xi_theta / alpha(s).  L has the
+        radial period tau(c), and L < thresh needs s in the slab
+        S = [s0 - thresh, s0 + thresh].  With the turning points s_-, s_+
+        (alpha = c):
+
+        * S strictly inside (s_-, s_+): the radial speed on S is at least
+          v_min = sqrt(1 - c^2 / min_S alpha^2), so the orbit leaves S
+          within t_exit = thresh / v_min, and on the opposite leg the fiber
+          gap is at least pi - beta_max - beta0, beta = arcsin(c / alpha);
+        * S holds one turning point: t_exit = t(s0 -> s_turn) + t(far edge
+          -> s_turn), two Clairaut time integrals;
+        * S holds both: undecided.
+
+        The orbit is back in S no earlier than tau - t_exit, in either time
+        direction.  A row is cleared when t_exit + err <= t0, the opposite
+        leg stays thresh away, and T + t_exit + err + 10 tau_err < tau,
+        with err ten times the quadrature error of t_exit.  tau and the
+        exit integrals come from batched tanh-sinh rules at rel_tol 1e-4; a
+        row whose quadrature does not converge stays undecided.
+        """
+        states = np.asarray(states, dtype=float).reshape(-1, 4)
+        clear = np.zeros(len(states), dtype=bool)
+        rows = np.nonzero(np.abs(states[:, 3]) >= MERIDIAN_C_FLOOR)[0]
+        if not len(rows):
+            return clear
+        alpha = self.profile.alpha
+        c = np.abs(states[rows, 3])
+        s_lo, s_hi = self._turning_points(c)
+        s0 = np.clip(states[rows, 0], s_lo, s_hi)
+        d = float(thresh)
+        lo_in, hi_in = s0 - d <= s_lo, s0 + d >= s_hi
+        inner, one = ~lo_in & ~hi_in, lo_in ^ hi_in
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = np.where(inner, c / np.minimum(alpha(s0 - d),
+                                                   alpha(s0 + d)), 1.0)
+            t_exit = d / np.sqrt(1.0 - ratio ** 2)
+            opposite = math.pi - np.arcsin(ratio) \
+                - np.arcsin(np.minimum(c / alpha(s0), 1.0)) > d
+        cand = np.nonzero((inner & (t_exit <= t0) & opposite) | one)[0]
+        c, s_lo, s_hi, s0, t_exit = (x[cand] for x in (c, s_lo, s_hi, s0,
+                                                       t_exit))
+        # tau in two halves, split at s_max
+        s_max = np.full(len(cand), self.profile.s_max)
+        halves, errs = self._clairaut_times(
+            np.tile(c, 2), np.concatenate([s_lo, s_max]),
+            np.concatenate([s_max, s_hi]), np.concatenate([s_lo, s_hi]))
+        tau = 2.0 * halves.reshape(2, -1).sum(axis=0)
+        tau_err = 2.0 * errs.reshape(2, -1).sum(axis=0)
+        # a slab holding one turning point: from s0 and from its far edge
+        two = one[cand]
+        up = hi_in[cand][two]
+        turn = np.where(up, s_hi[two], s_lo[two])
+        ends = np.concatenate([s0[two], np.where(up, s0[two] - d,
+                                                 s0[two] + d)])
+        legs, errs = self._clairaut_times(
+            np.tile(c[two], 2), np.minimum(ends, np.tile(turn, 2)),
+            np.maximum(ends, np.tile(turn, 2)), np.tile(turn, 2))
+        t_exit[two] = legs.reshape(2, -1).sum(axis=0)
+        exit_err = np.zeros(len(cand))
+        exit_err[two] = 10.0 * errs.reshape(2, -1).sum(axis=0)
+        clear[rows[cand]] = ((t_exit + exit_err <= t0)
+                             & (T + t_exit + exit_err + 10.0 * tau_err < tau))
+        return clear
+
+    def _clairaut_times(self, c, lo, hi, turn):
+        """int_lo^hi alpha / sqrt(alpha^2 - c^2) ds per row: (values, errs).
+
+        The time an orbit with Clairaut constant c[i] takes from lo[i] to
+        hi[i]; ``turn[i]`` is the end that is a turning point, where the
+        integrand is singular.  One batched tanh-sinh rule at rel_tol 1e-4.
+        """
+        at_hi = turn == hi
+
+        def time_density(i, w, d_lo, d_hi):
+            dw = np.where(at_hi[i, None], -d_hi, d_lo)
+            gap = _alpha_sq_gap(self.profile, w, c[i, None], turn[i, None],
+                                dw)
+            return self.profile.alpha(w) / np.sqrt(gap)
+
+        return tanh_sinh_rows(time_density, lo, hi, rel_tol=1e-4)
+
+    def _turning_points(self, c):
+        """(s_-, s_+) per row: alpha = c on each monotone side of s_max.
+
+        Bisection down to adjacent floats; each root is the end of its
+        bracket where alpha <= c, so alpha > c strictly between the two.
+        """
+        k = len(c)
+        inside = np.full(2 * k, self.profile.s_max)            # alpha > c
+        outside = np.repeat([-HALF_PI, HALF_PI], k)            # alpha <= c
+        cc = np.concatenate([c, c])
+        for _ in range(64):
+            mid = 0.5 * (inside + outside)
+            up = self.profile.alpha(mid) > cc
+            inside = np.where(up, mid, inside)
+            outside = np.where(up, outside, mid)
+        return outside[:k], outside[k:]
 
     def target_hits(self, states, y_point, t0, T, thresh):
         """Samples whose orbit passes within thresh of y (base distance).

@@ -20,7 +20,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import DegenerateInput, DomainError, StepFailure
-from .flows import RevolutionFlow, _dop853_rows, meridian_states
+from .flows import (RevolutionFlow, _alpha_sq_gap, _dop853_rows,
+                    meridian_states)
 from .manifolds import HALF_PI, ModelManifold, ProfileCurve
 from .quadrature import tanh_sinh
 
@@ -113,28 +114,6 @@ def s_minus_of(s_plus: float, profile: ProfileCurve) -> float:
     """Left turning point paired with s_plus (same Clairaut constant)."""
     c = float(profile.alpha(s_plus))
     return turning_points(c, profile)[0]
-
-
-def _alpha_sq_gap(profile: ProfileCurve, w, c: float, s_turn: float,
-                  dw):
-    """alpha(w)^2 - c^2, cancellation-guarded near the turning point.
-
-    ``dw = w - s_turn`` is supplied in exact arithmetic by the quadrature
-    rule.  Within 1e-5 of the turning point the difference alpha(w) - c is
-    replaced by its two-term Taylor expansion (exact derivative
-    evaluators), which keeps the relative error of the gap near machine
-    precision instead of eps/distance.
-    """
-    a = profile.alpha(w)
-    gap = (a - c) * (a + c)
-    dw = np.asarray(dw, dtype=float)
-    near = np.abs(dw) < 1e-5
-    if np.any(near):
-        da = float(profile.d_alpha(s_turn))
-        dda = float(profile.dd_alpha(s_turn))
-        diff = da * dw + 0.5 * dda * dw * dw
-        gap = np.where(near, diff * (a + c), gap)
-    return np.where(gap > 1e-300, gap, np.inf)
 
 
 def _singular_segment(numer, profile: ProfileCurve, c: float, lo: float,

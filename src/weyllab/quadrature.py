@@ -92,6 +92,53 @@ def tanh_sinh(f, a: float, b: float, rel_tol: float = 1e-10,
         f"{last_err:.3e} (target rel {rel_tol:.1e})", achieved=last_err)
 
 
+_ROWS_CHUNK = 2 ** 16      # (row, node) pairs per integrand evaluation
+
+
+def tanh_sinh_rows(f, a, b, rel_tol: float = 1e-10, max_level: int = 11):
+    """Integrate k rows at once, row i over (a[i], b[i]), by one tanh-sinh rule.
+
+    ``f(rows, w, d_lo, d_hi)`` evaluates the integrands of the rows with
+    indices ``rows`` at the nodes ``w``, one row of nodes per index, with
+    the exact endpoint distances of ``tanh_sinh(..., endpoint_distances=
+    True)``.  Every row refines its level until two successive levels agree
+    to ``rel_tol`` relative to its value, and then retires.
+
+    Returns ``(values, errs)`` with the last level difference as the error
+    estimate.  It never raises: a row that has not converged at
+    ``max_level``, or whose interval is reversed, gets ``err = inf`` for the
+    caller to leave undecided; an empty interval integrates to 0 exactly.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    half = 0.5 * (b - a)
+    values = np.where(b > a, np.nan, 0.0)
+    errs = np.where(b >= a, 0.0, np.inf)
+    active = np.nonzero(b > a)[0]
+    for level in range(2, max_level + 1):
+        if not len(active):
+            break
+        x, u, w, h = _nodes(level)
+        pos = x >= 0
+        step = max(1, _ROWS_CHUNK // len(x))
+        total = np.empty(len(active))
+        for start in range(0, len(active), step):
+            rows = active[start:start + step]
+            hr = half[rows, None]
+            d_hi = np.where(pos, hr * u, hr * (2.0 - u))
+            d_lo = np.where(pos, hr * (2.0 - u), hr * u)
+            xw = np.where(pos, b[rows, None] - d_hi, a[rows, None] + d_lo)
+            total[start:start + step] = half[rows] * np.sum(
+                f(rows, xw, d_lo, d_hi) * w, axis=1)
+        diff = np.abs(total - values[active])
+        done = diff <= rel_tol * np.maximum(np.abs(total), 1e-300)
+        values[active] = total
+        errs[active[done]] = diff[done]
+        active = active[~done]
+    errs[active] = np.inf
+    return values, errs
+
+
 def gauss_legendre(f, a: float, b: float, n: int = 128):
     """Fixed-order Gauss-Legendre rule; for smooth compact integrands."""
     x, w = np.polynomial.legendre.leggauss(n)

@@ -312,8 +312,8 @@ def measure_oracle(cfg: dict) -> list:
     worst_dev = 0.0
     for rep in range(reps):
         states = U.sample(samples, seed=1000 + rep)
-        mins = flow.self_return_min(states, 1.0, 10.0)
-        value = float(np.mean(mins < thresh)) * total
+        hits, _ = flow.return_hits(states, 1.0, 10.0, thresh)
+        value = float(np.mean(hits)) * total
         hw = MeasureEstimate.hoeffding(samples, total)
         dev = abs(value - exact) / hw
         worst_dev = max(worst_dev, dev)

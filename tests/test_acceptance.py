@@ -16,7 +16,7 @@ CRITERIA = [
     ("pendulum-rotation", 60),
     ("radial-solver-oracle", 30),
     ("measure-oracle", 120),
-    ("nonperiodic-trend", 600),
+    ("nonperiodic-trend", 60),
     ("localized-weyl-contrast", 900),
     ("kuznecov-structure", 120),
     ("smoothing-consistency", 30),

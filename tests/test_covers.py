@@ -35,8 +35,10 @@ from weyllab.flows import (
     meridian_states,
     product_max_distance,
 )
+from weyllab.geoflow import rotation_number
 from weyllab.manifolds import (
     PerturbationSpec,
+    ProfileCurve,
     flat_torus,
     make_perturbed_sphere,
     make_round_sphere,
@@ -183,6 +185,21 @@ def test_near_periodic_oracle_counts_time_zero():
     assert est.brute_force == est.total
 
 
+def test_torus_return_hits_skip_lattice_vectors_out_of_reach():
+    # at T = 10, thresh 0.02 only the 9 vectors shorter than T + thresh
+    # of the 25 in the box can come within thresh; the hits are those of
+    # the exact minimum over the whole box
+    flow = TorusFlow(TORUS.periods)
+    lat = flow.lattice(10.02)
+    assert (len(lat), int(np.sum(np.linalg.norm(lat, axis=1) < 10.02))) \
+        == (25, 9)
+    states = CosphereSet(TORUS, kind="full").sample(100_000, 1000)
+    hits, inflation = flow.return_hits(states, 1.0, 10.0, 0.02)
+    assert inflation == 0.0
+    assert np.array_equal(hits, flow.self_return_min(states, 1.0, 10.0)
+                          < 0.02)
+
+
 def test_near_periodic_requires_samples():
     with pytest.raises(DomainError):
         near_periodic_measure(CosphereSet(TORUS), 1.0, 5.0, 0.01, samples=10)
@@ -196,13 +213,39 @@ def test_perturbed_band_short_window_is_empty():
     assert est.value == 0.0
 
 
-def test_perturbed_band_refines_candidates():
-    # candidates of the coarse scan go through refine_min, whose grid
-    # slack R / 2 plus the 1e-6 integration budget is the inflation
+def test_perturbed_band_is_decided_before_integration():
+    # every horizon R^(-1/3) of the band is shorter than one radial period:
+    # the radial certificate clears 991 of the 997 regular rows, the scan
+    # clears the other 6, so nothing reaches refine_min, and the inflation
+    # is the meridian closed form's half step plus its position error
     U = CosphereSet(PERTURBED, kind="band", s0=1.05, s1=1.45)
+    states = U.sample(1000, 37)
+    cleared = RevolutionFlow(PERTURBED.profile).radial_clears(
+        states, 1.0, 0.05 ** (-1.0 / 3.0), 0.1)
+    regular = np.abs(states[:, 3]) >= MERIDIAN_C_FLOOR
+    assert (cleared.sum(), regular.sum()) == (991, 997)
     est = near_periodic_measure(U, 1.0, 0.05 ** (-1.0 / 3.0), 0.05,
                                 samples=1000, seed=37)
     assert est.value == 0.0
+    assert est.inflation == 0.0145 == 0.5 * 0.1 / 4.0 + MERIDIAN_C_FLOOR
+
+
+def test_perturbed_band_refines_candidates(monkeypatch):
+    # from t0 = 0.1 no slab is left in time, so the certificate decides
+    # nothing; candidates of the coarse scan go through refine_min, whose
+    # grid slack R / 2 plus the 1e-6 integration budget is the inflation
+    refined = []
+    refine_min = RevolutionFlow.refine_min
+
+    def spy(self, states, *args):
+        refined.append(len(states))
+        return refine_min(self, states, *args)
+
+    monkeypatch.setattr(RevolutionFlow, "refine_min", spy)
+    U = CosphereSet(PERTURBED, kind="band", s0=1.05, s1=1.45)
+    est = near_periodic_measure(U, 0.1, 2.71, 0.05, samples=1000, seed=37)
+    assert refined == [22]
+    assert est.value == 0.02967745009039986
     assert est.inflation == 0.025001000000000002
 
 
@@ -346,6 +389,152 @@ def test_batched_dop853_raises_on_blow_up():
         with pytest.raises(StepFailure):
             _dop853_rows(lambda y: y * np.nan, np.ones((1, 1)), 1.0,
                          rtol=1e-10, atol=1e-10)
+
+
+def test_exact_meridian_rows_turn_at_the_pole():
+    # s runs from 1.4 through the north pole at t = pi/2 - 1.4 and comes
+    # down the opposite meridian: theta jumps by pi, xi_s flips
+    flow = RevolutionFlow(PERTURBED.profile)
+    start = np.array([[1.4, 0.0, 1.0, 0.0], [0.3, 1.0, 0.6, 0.5]])
+    for t in (0.5, -2.5):
+        got = flow.flow(start, t)
+        ref = meridian_states(start[:1], t)
+        assert ref[0, 1] == pytest.approx(math.pi if t > 0 else 0.0)
+        assert flow.metric.distance(got[:1], ref)[0] < 1e-9
+        # the chart row beside it is integrated as before
+        assert np.array_equal(got[1:], flow.flow(start[1:], t))
+    assert np.allclose(meridian_states(start[:1], 0.5),
+                       [[math.pi - 1.9, math.pi, -1.0, 0.0]])
+
+
+# --- radial certificate -------------------------------------------------------
+
+def _flat_equator_profile(a=-0.30343):
+    """alpha = cos s + a cos^3 s: unimodal, much flatter at the equator.
+
+    Near-equatorial orbits advance theta by about 4 pi per half radial
+    period, so they come back to their start on the opposite leg, with
+    a small fiber gap; on the spheres that leg stays far away.
+    """
+    def alpha(s):
+        cs = np.cos(s)
+        return cs + a * cs ** 3
+
+    def d_alpha(s):
+        return -np.sin(s) * (1.0 + 3.0 * a * np.cos(s) ** 2)
+
+    def dd_alpha(s):
+        cs, ss = np.cos(s), np.sin(s)
+        return -cs - 3.0 * a * (cs ** 3 - 2.0 * cs * ss ** 2)
+
+    return ProfileCurve(alpha, d_alpha, dd_alpha, "flat equator",
+                        s_max=0.0, alpha_max=1.0 + a)
+
+
+def _rows_of_constant(flow, c):
+    """Rows with Clairaut constant c across [s_-, s_+], crowding both turning
+    points, heading either way: (rows, tau(c))."""
+    s_lo, s_hi = (float(x[0]) for x in flow._turning_points(np.array([c])))
+    near = np.geomspace(1e-6, 0.3, 4) * (s_hi - s_lo)
+    s0 = np.concatenate([np.linspace(s_lo, s_hi, 11), s_hi - near,
+                         s_lo + near])
+    xi_s = np.sqrt(np.maximum(1.0 - (c / flow.profile.alpha(s0)) ** 2, 0.0))
+    rows = np.vstack([np.column_stack([s0, np.zeros_like(s0), sign * xi_s,
+                                       np.full_like(s0, c)])
+                      for sign in (1.0, -1.0)])
+    return rows, rotation_number(s_hi, flow.profile).return_time
+
+
+def _window_minima(flow, rows, windows, h=2e-4):
+    """Grid minima of the phase distance over each row's windows.
+
+    ``windows[i]`` lists (t0, T) pairs of row i; both time directions, by
+    DOP853 at rtol = atol = 1e-13 on a grid of step h.
+    """
+    both = np.vstack([rows, _mirror(rows)])
+    T_max = max(T for w in windows for _, T in w)
+    dense = _dop853_rows(flow._rhs, both, T_max, rtol=1e-13, atol=1e-13)
+    n = len(rows)
+    out = [[math.inf] * len(w) for w in windows]
+    for i in range(2 * n):
+        w = windows[i % n]
+        t = np.arange(min(t0 for t0, _ in w), max(T for _, T in w) + h, h)
+        d = flow.metric.distance(dense(i, t), np.broadcast_to(both[i],
+                                                              (len(t), 4)))
+        for j, (t0, T) in enumerate(w):
+            inside = (t >= t0) & (t <= T)
+            out[i % n][j] = min(out[i % n][j], float(np.min(d[inside])))
+    return out
+
+
+@pytest.mark.parametrize("profile, constants, thresholds, windows", [
+    # the band's constants; windows end 3, 1.5 and 0.5 thresholds short of
+    # tau(c), starting 1.5 and 3 thresholds in
+    (PERTURBED.profile, (2e-3, 5e-3, 1e-2, 3e-2, 0.1, 0.3),
+     (2e-3, 0.02, 0.2),
+     lambda tau, th: [(1.5 * th, tau - 3.0 * th),
+                      (3.0 * th, tau - 1.5 * th),
+                      (3.0 * th, tau - 0.5 * th)]),
+    # near-equatorial orbits, where the opposite leg returns (s_+ = 0.025
+    # and 0.06); windows past the opposite crossing, tau ~ 17
+    (_flat_equator_profile(), (0.025, 0.06), (0.02, 0.05),
+     lambda tau, th: [(1.0, 0.75 * tau), (4.5, 0.75 * tau)]),
+], ids=["perturbed-sphere", "flat-equator"])
+def test_radial_certificate_is_sound(profile, constants, thresholds,
+                                     windows):
+    flow = RevolutionFlow(profile)
+    if profile.label == "flat equator":
+        # the constants are given by their right turning points
+        constants = [float(profile.alpha(s)) for s in constants]
+    rows, cases, cleared = [], [], []
+    for c in constants:
+        r, tau = _rows_of_constant(flow, c)
+        case = [(th, w) for th in thresholds for w in windows(tau, th)]
+        rows.append(r)
+        cases += [case] * len(r)
+        cleared.append(np.column_stack([
+            flow.radial_clears(r, w[0], w[1], th) for th, w in case]))
+    rows, cleared = np.vstack(rows), np.vstack(cleared)
+    assert 0 < cleared.sum() < cleared.size
+    keep = np.nonzero(cleared.any(axis=1))[0]
+    mins = _window_minima(flow, rows[keep], [[w for _, w in cases[i]]
+                                             for i in keep])
+    for i, row_mins in zip(keep, mins):
+        for (th, w), ok, m in zip(cases[i], cleared[i], row_mins):
+            assert not ok or m >= th, (rows[i], th, w, m)
+
+
+def test_radial_certificate_clears_nothing_past_one_period():
+    flow = RevolutionFlow(PERTURBED.profile)
+    for c in (2e-3, 0.1, 0.3):
+        rows, tau = _rows_of_constant(flow, c)
+        for thresh in (2e-3, 0.2):
+            assert flow.radial_clears(rows, 1.0, 6.0, thresh).any()
+            assert not flow.radial_clears(rows, 1.0, tau, thresh).any()
+    # every band orbit has tau(c) < 6.3; and from t0 = 0 every orbit is
+    # still at its start
+    states = CosphereSet(PERTURBED, kind="band", s0=1.05,
+                         s1=1.45).sample(1000, 37)
+    assert not flow.radial_clears(states, 1.0, 6.3, 0.002).any()
+    assert not flow.radial_clears(states, 0.0, 2.0, 0.01).any()
+
+
+@pytest.mark.parametrize("c", [2e-3, 3e-2, 0.3, 0.9])
+def test_radial_certificate_period_is_the_clairaut_return_time(c):
+    profile = PERTURBED.profile
+    flow = RevolutionFlow(profile)
+    s_lo, s_hi = (float(x[0]) for x in flow._turning_points(np.array([c])))
+    # each root is the bracket end with alpha <= c, the next float inward
+    # has alpha > c
+    assert profile.alpha(s_lo) <= c < profile.alpha(np.nextafter(s_lo, 1))
+    assert profile.alpha(s_hi) <= c < profile.alpha(np.nextafter(s_hi, 0))
+    ref = rotation_number(s_hi, profile)
+    assert abs(ref.s_minus - s_lo) <= 1e-11
+    halves, errs = flow._clairaut_times(
+        np.array([c, c]), np.array([s_lo, profile.s_max]),
+        np.array([profile.s_max, s_hi]), np.array([s_lo, s_hi]))
+    tau, tau_err = 2.0 * halves.sum(), 2.0 * errs.sum()
+    assert abs(tau - ref.return_time) <= tau_err <= 1e-4
 
 
 @pytest.mark.parametrize("samples, thresh", [(1000, 0.01), (20_000, 0.01)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from weyllab.errors import QuadratureFailure
-from weyllab.quadrature import gauss_legendre, tanh_sinh
+from weyllab.quadrature import gauss_legendre, tanh_sinh, tanh_sinh_rows
 
 
 def test_smooth_integrand():
@@ -46,3 +46,34 @@ def test_stall_reports_achieved_error():
 
 def test_gauss_legendre():
     assert abs(gauss_legendre(np.cos, 0.0, 1.0, n=32) - math.sin(1.0)) < 1e-14
+
+
+def test_rows_match_the_scalar_rule():
+    # rows of int_a^b x^p / sqrt(b - x) with their own endpoints and powers,
+    # one empty interval and one reversed interval
+    a = np.array([0.0, 0.3, -1.0, 2.0, 1.0])
+    b = np.array([1.0, 0.9, 0.5, 2.0, 0.5])
+    p = np.array([0.0, 1.0, 2.0, 1.0, 1.0])
+
+    def f(rows, w, d_lo, d_hi):
+        return w ** p[rows, None] / np.sqrt(d_hi)
+
+    values, errs = tanh_sinh_rows(f, a, b, rel_tol=1e-12)
+    for i in range(3):
+        ref, _ = tanh_sinh(lambda w, d_lo, d_hi: w ** p[i] / np.sqrt(d_hi),
+                           a[i], b[i], rel_tol=1e-12,
+                           endpoint_distances=True)
+        assert abs(values[i] - ref) <= 1e-12
+        assert errs[i] <= 1e-12 * abs(values[i])
+    assert (values[3], errs[3]) == (0.0, 0.0)
+    assert errs[4] == np.inf
+
+
+def test_rows_that_do_not_converge_are_left_undecided():
+    # a non-integrable row stalls; it never raises and leaves the others
+    values, errs = tanh_sinh_rows(
+        lambda rows, w, d_lo, d_hi: np.where(rows[:, None] == 0, 1.0 / d_hi,
+                                             1.0),
+        np.zeros(2), np.ones(2), rel_tol=1e-10)
+    assert errs[0] == np.inf
+    assert abs(values[1] - 1.0) < 1e-14 and errs[1] <= 1e-10
