@@ -394,28 +394,17 @@ class TorusFlow(ExactHits):
         diff = t_star[..., None] * omega[:, None, :] - targets
         return np.sqrt(np.sum(diff ** 2, axis=-1))
 
-    def return_hits(self, states, t0, T, thresh):
-        """Exact hits against the lattice vectors shorter than T + thresh.
-
-        |t omega - v| >= |v| - T, so no longer vector comes within thresh.
-        """
-        return self.self_return_min(states, t0, T, reach=T + thresh) \
-            < thresh, 0.0
-
-    def self_return_min(self, states, t0, T, reach=None):
+    def self_return_min(self, states, t0, T):
         """Exact min over t0<=|t|<=T of d(phi_t rho, rho); fiber gap is 0.
 
-        With ``reach`` only lattice vectors shorter than it are tried: a
-        minimum below reach - T is still exact, a larger one is reported
-        as some value of at least reach - T.
+        |t omega - v| >= |v| - T, so only the lattice vectors shorter than
+        T + 1 are tried: a minimum below 1 is exact, a larger one is
+        reported as some value of at least 1.
         """
         states = np.asarray(states, dtype=float)
         omega = states[..., self.d:].reshape(-1, self.d)
-        if reach is None:
-            lat = self.lattice(T + 1.0)
-        else:
-            lat = self.lattice(reach)
-            lat = lat[np.linalg.norm(lat, axis=1) < reach]
+        lat = self.lattice(T + 1.0)
+        lat = lat[np.linalg.norm(lat, axis=1) < T + 1.0]
         targets = np.broadcast_to(lat[None, :, :],
                                   (omega.shape[0],) + lat.shape)
         d_fwd = self._window_min(omega, targets, t0, T).min(axis=1)
@@ -783,19 +772,21 @@ class RevolutionFlow:
         direction.  A row is cleared when t_exit + err <= t0, the opposite
         leg stays thresh away, and T + t_exit + err + 10 tau_err < tau,
         with err ten times the quadrature error of t_exit.  tau and the
-        exit integrals come from batched tanh-sinh rules at rel_tol 1e-4; a
-        row whose quadrature does not converge stays undecided.
+        exit integrals come from batched tanh-sinh rules at rel_tol 1e-4,
+        tau only for the rows that leave S by t0; a row whose quadrature
+        does not converge stays undecided.
         """
         states = np.asarray(states, dtype=float).reshape(-1, 4)
         clear = np.zeros(len(states), dtype=bool)
         rows = np.nonzero(np.abs(states[:, 3]) >= MERIDIAN_C_FLOOR)[0]
-        if not len(rows):
+        d = float(thresh)
+        if not len(rows) or d > t0:
+            # the radial speed is at most 1: leaving S takes at least d
             return clear
         alpha = self.profile.alpha
         c = np.abs(states[rows, 3])
         s_lo, s_hi = self._turning_points(c)
         s0 = np.clip(states[rows, 0], s_lo, s_hi)
-        d = float(thresh)
         lo_in, hi_in = s0 - d <= s_lo, s0 + d >= s_hi
         inner, one = ~lo_in & ~hi_in, lo_in ^ hi_in
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -807,13 +798,6 @@ class RevolutionFlow:
         cand = np.nonzero((inner & (t_exit <= t0) & opposite) | one)[0]
         c, s_lo, s_hi, s0, t_exit = (x[cand] for x in (c, s_lo, s_hi, s0,
                                                        t_exit))
-        # tau in two halves, split at s_max
-        s_max = np.full(len(cand), self.profile.s_max)
-        halves, errs = self._clairaut_times(
-            np.tile(c, 2), np.concatenate([s_lo, s_max]),
-            np.concatenate([s_max, s_hi]), np.concatenate([s_lo, s_hi]))
-        tau = 2.0 * halves.reshape(2, -1).sum(axis=0)
-        tau_err = 2.0 * errs.reshape(2, -1).sum(axis=0)
         # a slab holding one turning point: from s0 and from its far edge
         two = one[cand]
         up = hi_in[cand][two]
@@ -826,8 +810,17 @@ class RevolutionFlow:
         t_exit[two] = legs.reshape(2, -1).sum(axis=0)
         exit_err = np.zeros(len(cand))
         exit_err[two] = 10.0 * errs.reshape(2, -1).sum(axis=0)
-        clear[rows[cand]] = ((t_exit + exit_err <= t0)
-                             & (T + t_exit + exit_err + 10.0 * tau_err < tau))
+        left = t_exit + exit_err <= t0
+        cand, c, s_lo, s_hi, t_exit, exit_err = (
+            x[left] for x in (cand, c, s_lo, s_hi, t_exit, exit_err))
+        # tau in two halves, split at s_max
+        s_max = np.full(len(cand), self.profile.s_max)
+        halves, errs = self._clairaut_times(
+            np.tile(c, 2), np.concatenate([s_lo, s_max]),
+            np.concatenate([s_max, s_hi]), np.concatenate([s_lo, s_hi]))
+        tau = 2.0 * halves.reshape(2, -1).sum(axis=0)
+        tau_err = 2.0 * errs.reshape(2, -1).sum(axis=0)
+        clear[rows[cand]] = T + t_exit + exit_err + 10.0 * tau_err < tau
         return clear
 
     def _clairaut_times(self, c, lo, hi, turn):

@@ -37,6 +37,7 @@ from weyllab.flows import (
 )
 from weyllab.geoflow import rotation_number
 from weyllab.manifolds import (
+    HALF_PI,
     PerturbationSpec,
     ProfileCurve,
     flat_torus,
@@ -186,18 +187,19 @@ def test_near_periodic_oracle_counts_time_zero():
 
 
 def test_torus_return_hits_skip_lattice_vectors_out_of_reach():
-    # at T = 10, thresh 0.02 only the 9 vectors shorter than T + thresh
-    # of the 25 in the box can come within thresh; the hits are those of
-    # the exact minimum over the whole box
+    # at T = 10 only the 9 vectors shorter than T + 1 of the 25 in the box
+    # are tried; the hits are those of the minimum over the whole box
     flow = TorusFlow(TORUS.periods)
-    lat = flow.lattice(10.02)
-    assert (len(lat), int(np.sum(np.linalg.norm(lat, axis=1) < 10.02))) \
+    lat = flow.lattice(11.0)
+    assert (len(lat), int(np.sum(np.linalg.norm(lat, axis=1) < 11.0))) \
         == (25, 9)
     states = CosphereSet(TORUS, kind="full").sample(100_000, 1000)
     hits, inflation = flow.return_hits(states, 1.0, 10.0, 0.02)
+    omega = states[:, 2:]
+    box = np.broadcast_to(lat[None], (len(omega),) + lat.shape)
+    box_min = flow._window_min(omega, box, 1.0, 10.0).min(axis=1)
     assert inflation == 0.0
-    assert np.array_equal(hits, flow.self_return_min(states, 1.0, 10.0)
-                          < 0.02)
+    assert np.array_equal(hits, box_min < 0.02)
 
 
 def test_near_periodic_requires_samples():
@@ -445,25 +447,62 @@ def _rows_of_constant(flow, c):
     return rows, rotation_number(s_hi, flow.profile).return_time
 
 
-def _window_minima(flow, rows, windows, h=2e-4):
-    """Grid minima of the phase distance over each row's windows.
+def _speed_bound(flow, rows):
+    """Rate bound of t -> d(phi_t rho, rho) in the phase metric, per row.
 
-    ``windows[i]`` lists (t0, T) pairs of row i; both time directions, by
-    DOP853 at rtol = atol = 1e-13 on a grid of step h.
+    The round-chart base speed is at most max(1, cos s / alpha(s)); the
+    fiber angle turns at c |alpha'| / alpha^2 <= max|alpha'| / c.
+    """
+    s = np.linspace(-HALF_PI, HALF_PI, 4097)[1:-1]
+    base = max(1.0, float(np.max(np.cos(s) / flow.profile.alpha(s))))
+    return np.maximum(base, flow.phase_speed_bound(rows, cap=np.inf))
+
+
+def _stays_away(flow, rows, cases, h=2e-4):
+    """Whether each row's phase distance from its start stays >= thresh.
+
+    ``cases[i]`` lists (thresh, (t0, T)) of row i.  Both time directions,
+    by DOP853 at rtol = atol = 1e-13, sampled on a grid of step h that
+    holds every window end.  Between samples a, b the distance is at least
+    (d_a + d_b - L (b - a)) / 2, with L from :func:`_speed_bound`; an
+    interval whose bound is below thresh is bisected until it clears.  A
+    case is False when a sample comes within thresh or 30 bisections leave
+    an interval undecided.
     """
     both = np.vstack([rows, _mirror(rows)])
-    T_max = max(T for w in windows for _, T in w)
-    dense = _dop853_rows(flow._rhs, both, T_max, rtol=1e-13, atol=1e-13)
+    speed = _speed_bound(flow, both)
+    ends = sorted({t for case in cases for _, w in case for t in w})
+    grid = np.union1d(np.arange(ends[0], ends[-1], h), ends)
+    dense = _dop853_rows(flow._rhs, both, ends[-1], rtol=1e-13, atol=1e-13)
     n = len(rows)
-    out = [[math.inf] * len(w) for w in windows]
+    out = [[True] * len(case) for case in cases]
     for i in range(2 * n):
-        w = windows[i % n]
-        t = np.arange(min(t0 for t0, _ in w), max(T for _, T in w) + h, h)
-        d = flow.metric.distance(dense(i, t), np.broadcast_to(both[i],
-                                                              (len(t), 4)))
-        for j, (t0, T) in enumerate(w):
-            inside = (t >= t0) & (t <= T)
-            out[i % n][j] = min(out[i % n][j], float(np.min(d[inside])))
+
+        def dist(t):
+            return flow.metric.distance(
+                dense(i, t), np.broadcast_to(both[i], (len(t), 4)))
+
+        d_grid = dist(grid)
+        for j, (thresh, (t0, T)) in enumerate(cases[i % n]):
+            k = slice(np.searchsorted(grid, t0), np.searchsorted(grid, T) + 1)
+            a, b = grid[k][:-1], grid[k][1:]
+            da, db = d_grid[k][:-1], d_grid[k][1:]
+            ok = False
+            for _ in range(30):
+                if min(da.min(initial=np.inf), db.min(initial=np.inf)) \
+                        < thresh:
+                    break
+                live = da + db - speed[i] * (b - a) < 2.0 * thresh
+                if not live.any():
+                    ok = True
+                    break
+                a, b, da, db = a[live], b[live], da[live], db[live]
+                mid = 0.5 * (a + b)
+                d_mid = dist(mid)
+                a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+                da = np.concatenate([da, d_mid])
+                db = np.concatenate([d_mid, db])
+            out[i % n][j] = out[i % n][j] and ok
     return out
 
 
@@ -497,11 +536,12 @@ def test_radial_certificate_is_sound(profile, constants, thresholds,
     rows, cleared = np.vstack(rows), np.vstack(cleared)
     assert 0 < cleared.sum() < cleared.size
     keep = np.nonzero(cleared.any(axis=1))[0]
-    mins = _window_minima(flow, rows[keep], [[w for _, w in cases[i]]
-                                             for i in keep])
-    for i, row_mins in zip(keep, mins):
-        for (th, w), ok, m in zip(cases[i], cleared[i], row_mins):
-            assert not ok or m >= th, (rows[i], th, w, m)
+    checked = [[case for case, ok in zip(cases[i], cleared[i]) if ok]
+               for i in keep]
+    away = _stays_away(flow, rows[keep], checked)
+    for i, row_cases, row_away in zip(keep, checked, away):
+        bad = [case for case, ok in zip(row_cases, row_away) if not ok]
+        assert not bad, (rows[i], bad)
 
 
 def test_radial_certificate_clears_nothing_past_one_period():
