@@ -2,16 +2,15 @@
 
 __version__ = "0.1.0"
 
-from .errors import (AuditFailure, ConfigError, CoverFailure,
-                     DegenerateInput, DomainError, IncompleteInput,
-                     IncompleteSpectrum, InvariantViolation,
-                     QuadratureFailure, SolverFailure, StepFailure,
-                     WeylLabError, WindowTooSmall)
+from .errors import (ConfigError, CoverFailure, DegenerateInput,
+                     DomainError, IncompleteInput, IncompleteSpectrum,
+                     InvariantViolation, QuadratureFailure, SolverFailure,
+                     StepFailure, WeylLabError, WindowTooSmall)
 
 __all__ = [
     "__version__",
-    "AuditFailure", "ConfigError", "CoverFailure", "DegenerateInput",
-    "DomainError", "IncompleteInput", "IncompleteSpectrum",
-    "InvariantViolation", "QuadratureFailure", "SolverFailure",
-    "StepFailure", "WeylLabError", "WindowTooSmall",
+    "ConfigError", "CoverFailure", "DegenerateInput", "DomainError",
+    "IncompleteInput", "IncompleteSpectrum", "InvariantViolation",
+    "QuadratureFailure", "SolverFailure", "StepFailure", "WeylLabError",
+    "WindowTooSmall",
 ]

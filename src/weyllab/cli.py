@@ -3,7 +3,9 @@
 Outputs are CSV for series and JSON for verdicts, every file carrying a
 header block with the configuration hash and package version; writes are
 atomic (temp file + rename).  Exit codes: 0 all claims pass, 2 a claim
-failed, 3 configuration error, 4 numerical-stage error.
+failed, 3 configuration error (a malformed or unsupported configuration,
+or an argument outside the domain of its computation), 4 numerical-stage
+error.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, WeylLabError
+from .errors import ConfigError, DomainError, WeylLabError
 from .covers import (CircleTarget, CosphereSet, ResolutionFunction,
                      build_good_cover, looping_pair_measure,
                      near_periodic_measure, recurrence_measure)
@@ -25,7 +27,7 @@ from .geoflow import classify_tori, d_rotation_number, rotation_number
 from .manifolds import manifold_from_config
 from .scenarios import (ExperimentConfig, config_hash, list_scenarios,
                         run_scenario)
-from .spectra import save_spectrum, spectrum_for_manifold
+from .spectra import spectrum_for_manifold
 from .weyl import (build_smoothing_kernel, counting, counting_grid,
                    fit_remainder, kuznecov, localized_counting,
                    projector_kernel, smoothed_series, smoothed_series_direct)
@@ -140,8 +142,6 @@ def cmd_spectrum(args) -> int:
     else:
         _write_csv(_out_path(args, "spectrum.csv"), cfg,
                    ("lambda", "multiplicity", "m", "k"), rows)
-    if args.cache:
-        save_spectrum(spec, args.cache)
     return 0
 
 
@@ -315,7 +315,7 @@ def cmd_recurrence_check(args) -> int:
     seed = _require_seed(args)
     t_func = ResolutionFunction(
         lambda e: args.t_of_eps / np.maximum(np.asarray(e, dtype=float),
-                                             1e-9), form="c/eps")
+                                             1e-9))
     T_func = _resolution_from_flag(args.resolution)
     verdict = recurrence_measure(manifold, tuple(args.x), R0=args.R0,
                                  t_func=t_func, T_func=T_func, r=args.r,
@@ -332,7 +332,7 @@ def cmd_recurrence_check(args) -> int:
 
 def cmd_cover_audit(args) -> int:
     manifold, cfg = _load_manifold(args)
-    target = CircleTarget(manifold, kind="fiber", x=tuple(args.x))
+    target = CircleTarget(manifold, x=tuple(args.x))
     cover = build_good_cover(target, tau=args.tau, r=args.r)
     coverage = cover.audit_coverage(args.probes, seed=_require_seed(args))
     margin = cover.audit_disjointness()
@@ -393,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--manifold", required=True)
     sp.add_argument("--lambda-max", type=float, required=True)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--cache", default=None)
 
     for name, fn in (("count", cmd_count),
                      ("remainder-fit", cmd_remainder_fit)):
@@ -501,7 +500,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
     except WeylLabError as exc:

@@ -1,22 +1,22 @@
-"""Phase-space tube combinatorics and dynamical-size estimators.
+"""Phase-space tube covers and dynamical-size estimators.
 
-Resolution-function calculus, good covers over circle targets with exact
-section-chart audits, non-self-looping tests, bad/good splittings, and
-Monte-Carlo measures of near-periodic, looping, and recurrent sets with
-exact lattice oracles on flat tori.
+Resolution functions with their sub-logarithmic and Omega(T) checks, good
+covers over fiber circles with exact section-chart audits, and Monte-Carlo
+measures of near-periodic, looping, and recurrent sets with exact lattice
+oracles on flat tori.
 
 All measure estimators work with the fixed background phase metric of
 :mod:`weyllab.flows` and classify a sample by its certified closest
 approach; the criterion radius is twice the nominal scale R (the
 ball-to-ball contact distance), with integration slack folded in and
 reported.  The classification is one call to the flow's ``return_hits``
-or ``target_hits`` (``target_min`` for the bad/good splitting), so the
-estimators never ask which flow they have.  The closed-form flows compute
-exact minima and report no inflation.  On other surfaces of revolution
-``return_hits`` decides each sample by the first of these that can: the
-radial certificate (Clairaut's integral, no integration), the meridian
-closed form, the coarse scan, and the batched refinement; the inflation is
-the largest slack of the steps that ran (see :mod:`weyllab.flows`).
+or ``target_hits``, so the estimators never ask which flow they have.  The
+closed-form flows compute exact minima and report no inflation.  On other
+surfaces of revolution ``return_hits`` decides each sample by the first of
+these that can: the radial certificate (Clairaut's integral, no
+integration), the meridian closed form, the coarse scan, and the batched
+refinement; the inflation is the largest slack of the steps that ran (see
+:mod:`weyllab.flows`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.stats import qmc
 
-from .errors import AuditFailure, CoverFailure, DomainError
+from .errors import CoverFailure, DomainError
 from .flows import RevolutionFlow, RoundSphereFlow, TorusFlow, wrap_angle
 from .manifolds import HALF_PI, ModelManifold, make_round_sphere
 from .quadrature import tanh_sinh
@@ -40,34 +40,28 @@ from .quadrature import tanh_sinh
 
 @dataclass
 class ResolutionFunction:
-    """Scale-to-time horizon T(R), decreasing and continuous on (0, R_max)."""
+    """Scale-to-time horizon T(R), decreasing and continuous on (0, 1)."""
 
     eval: Callable
-    form: str = "custom"
-    R_max: float = 1.0
 
     def __call__(self, R):
         return self.eval(np.asarray(R, dtype=float))
 
     @classmethod
     def logarithmic(cls, c: float = 1.0, offset: float = 0.0):
-        return cls(lambda R: offset + c * np.log(1.0 / R),
-                   form=f"{offset} + {c} log(1/R)")
+        return cls(lambda R: offset + c * np.log(1.0 / R))
 
     @classmethod
     def power_log(cls, c: float = 1.0, beta: float = 1.0):
-        return cls(lambda R: c * np.log(1.0 / R) ** beta,
-                   form=f"{c} (log 1/R)^{beta}")
+        return cls(lambda R: c * np.log(1.0 / R) ** beta)
 
     @classmethod
     def constant(cls, value: float):
-        return cls(lambda R: np.full_like(np.asarray(R, dtype=float), value),
-                   form=f"constant {value}")
+        return cls(lambda R: np.full_like(np.asarray(R, dtype=float), value))
 
     @classmethod
     def power(cls, p: float, c: float = 1.0):
-        return cls(lambda R: c * np.asarray(R, dtype=float) ** (-p),
-                   form=f"{c} R^-{p}")
+        return cls(lambda R: c * np.asarray(R, dtype=float) ** (-p))
 
 
 def check_sublogarithmic(T: ResolutionFunction, grid,
@@ -118,63 +112,6 @@ def omega(T: ResolutionFunction, R_grid) -> dict:
         "decreasing-tail" if decreasing else "ratio-max")
     return {"value": value, "ratio_max": ratio_max, "slope": slope,
             "tag": tag}
-
-
-def invert_resolution(T: ResolutionFunction, s: float,
-                      lo: float = 1e-300, hi: float = 0.999999) -> float:
-    """R with T(R) = s (T decreasing); bisection."""
-    f = lambda R: float(T(np.array([R]))[0]) - s
-    if f(hi) > 0 or f(lo) < 0:
-        raise DomainError(f"value {s} outside the range of T on [{lo}, {hi}]")
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
-
-
-def sublog_inequalities(T: ResolutionFunction, a: float, b: float,
-                        mu: float, n_pairs: int = 5, seed: int = 0) -> dict:
-    """Evaluate the sub-logarithmic comparison inequalities numerically.
-
-    Checks (i) T(b) <= T(a) <= (log a / log b) T(b) for 0 < a < b < 1,
-    (ii) T(R) <= (log R / (log mu + log R)) T(mu R) at R = a, and (iii)
-    convexity f(x) <= (x/y) f(y) for f(x) = -log(T^{-1}(x)) on random
-    pairs.
-    """
-    if not (0 < a < b < 1):
-        raise DomainError("need 0 < a < b < 1")
-    Ta = float(T(np.array([a]))[0])
-    Tb = float(T(np.array([b]))[0])
-    item1 = (Tb <= Ta + 1e-12) and (Ta <= (math.log(a) / math.log(b)) * Tb
-                                    + 1e-9 * abs(Ta))
-    lhs2 = float(T(np.array([a]))[0])
-    rhs2 = (math.log(a) / (math.log(mu) + math.log(a))) \
-        * float(T(np.array([mu * a]))[0])
-    item2 = lhs2 <= rhs2 + 1e-9 * abs(rhs2)
-
-    rng = np.random.default_rng(seed)
-    s_lo = float(T(np.array([b]))[0])
-    s_hi = float(T(np.array([a]))[0])
-    item3 = True
-    pairs = []
-    if s_hi > s_lo * (1 + 1e-12):
-        for _ in range(n_pairs):
-            x, y = np.sort(rng.uniform(s_lo, s_hi, 2))
-            if y - x < 1e-9:
-                continue
-            fx = -math.log(invert_resolution(T, x))
-            fy = -math.log(invert_resolution(T, y))
-            ok = fx <= (x / y) * fy + 1e-7 * abs(fy)
-            pairs.append((float(x), float(y), bool(ok)))
-            item3 = item3 and ok
-    return {"monotone_and_log_ratio": bool(item1),
-            "scale_comparison": bool(item2),
-            "inverse_convexity": bool(item3),
-            "pairs": pairs,
-            "pass": bool(item1 and item2 and item3)}
 
 
 # ---------------------------------------------------------------------------
@@ -477,43 +414,20 @@ def _recurrence_mass(flow, manifold, x, psi0, a_k, thresh, t_lo, t_hi,
 
 
 # ---------------------------------------------------------------------------
-# Tubes and good covers over circle targets
+# Tubes and good covers over fiber circles
 
 
 @dataclass
 class CircleTarget:
-    """A circle of cosphere directions serving as the cover transversal.
+    """The fiber circle S*_x M, the cover transversal.
 
-    kind "fiber": S*_x M parametrized by the fiber angle psi; kind
-    "conormal": the two unit conormal circles of a latitude (parametrized
-    by theta, one component per sign).  Section coordinates at parameter u
-    are (transverse base offset, circle parameter); the max metric makes
-    section balls boxes, so all cover audits are exact in this chart.
+    Parametrized by the fiber angle psi.  Section coordinates at parameter
+    u are (transverse base offset, u); the max metric makes section balls
+    boxes, so all cover audits are exact in this chart.
     """
 
     manifold: ModelManifold
-    kind: str = "fiber"
     x: tuple = None
-    s_circle: float = None
-    component: int = +1
-
-    def circumference(self) -> float:
-        if self.kind == "fiber":
-            return 2.0 * math.pi
-        # background round-chart length of the latitude circle
-        return 2.0 * math.pi * math.cos(self.s_circle)
-
-    def param_distance(self, u1, u2) -> np.ndarray:
-        scale = self.circumference() / (2.0 * math.pi)
-        return wrap_angle(np.asarray(u1) - np.asarray(u2)) * scale
-
-    def state(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.kind == "fiber":
-            return _fiber_states(self.manifold, self.x, u)
-        return np.column_stack([np.full_like(u, self.s_circle), u,
-                                float(self.component) * np.ones_like(u),
-                                np.zeros_like(u)])
 
     def tau_inj(self) -> float:
         """Conservative injectivity time of the section flow-out.
@@ -530,11 +444,7 @@ class CircleTarget:
 
 @dataclass
 class Tube:
-    index: int
     center_param: float
-    center_state: np.ndarray
-    radius: float
-    half_time: float
     family: int = -1
 
 
@@ -544,7 +454,6 @@ class GoodCover:
     tubes: list
     families: list            # list of index lists
     r: float
-    tau: float
 
     @property
     def D(self) -> int:
@@ -565,7 +474,7 @@ class GoodCover:
             params = np.array([self.tubes[i].center_param for i in fam])
             if len(params) < 2:
                 continue
-            d = self.target.param_distance(params[:, None], params[None, :])
+            d = wrap_angle(params[:, None] - params[None, :])
             np.fill_diagonal(d, np.inf)
             margin = min(margin, float(np.min(d)) - 6.0 * self.r)
         return margin
@@ -580,8 +489,7 @@ class GoodCover:
         rng = np.random.default_rng(seed)
         u = rng.uniform(0.0, 2.0 * math.pi, n_probes)
         params = self.center_params()
-        scale = self.target.circumference() / (2.0 * math.pi)
-        gaps = wrap_angle(u[:, None] - params[None, :]) * scale
+        gaps = wrap_angle(u[:, None] - params[None, :])
         nearest = np.min(gaps, axis=1)
         failures = int(np.sum(nearest >= self.r))
         return {"pass": failures == 0, "failures": failures,
@@ -606,15 +514,14 @@ def build_good_cover(target: CircleTarget, tau: float, r: float,
     if tau + 3.0 * r >= target.tau_inj():
         raise DomainError(f"tau + 3r = {tau + 3 * r} reaches the section "
                           f"injectivity time {target.tau_inj()}")
-    scale = target.circumference() / (2.0 * math.pi)
-    n_cand = max(64, int(math.ceil(2.0 * math.pi * scale / (r / 8.0))))
+    n_cand = max(64, int(math.ceil(2.0 * math.pi / (r / 8.0))))
     cand = anchor + np.linspace(0.0, 2.0 * math.pi, n_cand, endpoint=False)
     chosen: list[float] = []
     for u in cand:
         if not chosen:
             chosen.append(float(u))
             continue
-        d = target.param_distance(np.array(chosen), u)
+        d = wrap_angle(np.array(chosen) - u)
         if np.all(d >= r):
             chosen.append(float(u))
     # maximality: a leftover gap of 2r or more admits its midpoint (the
@@ -623,20 +530,18 @@ def build_good_cover(target: CircleTarget, tau: float, r: float,
         params = np.sort(np.mod(np.array(chosen), 2.0 * math.pi))
         gaps = np.diff(np.concatenate([params,
                                        [params[0] + 2.0 * math.pi]]))
-        wide = np.nonzero(gaps * scale >= 2.0 * r)[0]
+        wide = np.nonzero(gaps >= 2.0 * r)[0]
         if len(wide) == 0:
             break
         for i in wide:
             chosen.append(float(params[i] + 0.5 * gaps[i]))
     params = np.sort(np.mod(np.array(chosen), 2.0 * math.pi))
-    states = target.state(params)
-    tubes = [Tube(i, float(params[i]), states[i], r, tau)
-             for i in range(len(params))]
+    tubes = [Tube(float(u)) for u in params]
 
     # greedy coloring of the 6r-proximity graph
     n = len(tubes)
     colors = np.full(n, -1, dtype=int)
-    dmat = target.param_distance(params[:, None], params[None, :])
+    dmat = wrap_angle(params[:, None] - params[None, :])
     for i in range(n):
         neighbor_colors = {colors[j] for j in range(n)
                            if j != i and dmat[i, j] < 6.0 * r
@@ -652,175 +557,8 @@ def build_good_cover(target: CircleTarget, tau: float, r: float,
                            f"budget {family_budget(1)}")
     families = [[i for i in range(n) if colors[i] == f]
                 for f in range(n_fam)]
-    cover = GoodCover(target, tubes, families, r, tau)
+    cover = GoodCover(target, tubes, families, r)
     margin = cover.audit_disjointness()
     if margin < 0:
         raise CoverFailure(f"same-family tubes overlap by {-margin}")
     return cover
-
-
-# ---------------------------------------------------------------------------
-# Non-self-looping and the bad/good splitting
-
-
-@dataclass
-class LoopingWitness:
-    point: np.ndarray
-    time: float
-    tube_index: int
-
-
-def _tube_samples(cover: GoodCover, indices, per_tube: int, seed: int):
-    """Phase points filling the tubes: section offsets and time offsets."""
-    rng = np.random.default_rng(seed)
-    flow = flow_for(cover.target.manifold)
-    out = []
-    for i in indices:
-        tube = cover.tubes[i]
-        psi = tube.center_param + rng.uniform(-tube.radius, tube.radius,
-                                              per_tube)
-        # deterministic center samples at the extremes of the time extent
-        psi = np.concatenate([[tube.center_param] * 3, psi])
-        base_states = cover.target.state(psi)
-        times = np.concatenate([
-            [0.0, tube.half_time + tube.radius,
-             -(tube.half_time + tube.radius)],
-            rng.uniform(-(tube.half_time + tube.radius),
-                        tube.half_time + tube.radius, per_tube)])
-        for j in range(len(psi)):
-            out.append((i, flow.flow(base_states[j][None, :], times[j])[0]))
-    return out
-
-
-def nonselflooping_test(cover: GoodCover, indices, t0: float, T0: float,
-                        sample_density: int = 8, seed: int = 0) -> dict:
-    """Test whether the tube union is [t0, T0] non-self looping.
-
-    Samples the union, flows each sample over both windows, and tests
-    re-entry into the union (within the integration budget inflation).
-    Either clean time direction certifies the disjunction; a failure in
-    both returns a witness in the forward direction when one exists.
-    """
-    if T0 < t0:
-        return {"verdict": "nonlooping", "signs": [+1, -1],
-                "witness": None, "vacuous": True}
-    target = cover.target
-    flow = flow_for(target.manifold)
-    tubes = [cover.tubes[i] for i in indices]
-    samples = _tube_samples(cover, indices, sample_density, seed)
-
-    witnesses = {+1: None, -1: None}
-    if isinstance(flow, TorusFlow) and target.kind == "fiber":
-        x0 = np.asarray(target.x, dtype=float)
-        for sign in (+1, -1):
-            for i, state in samples:
-                st = state.copy()
-                if sign < 0:
-                    st[2:] *= -1.0
-                for tube in tubes:
-                    hit = flow.tube_entry_windows(
-                        np.concatenate([st[:2] - x0, st[2:]]),
-                        tube.center_param if sign > 0
-                        else (tube.center_param + math.pi),
-                        tube.half_time, tube.radius, t0, T0)
-                    if hit is not None:
-                        if witnesses[sign] is None:
-                            witnesses[sign] = LoopingWitness(
-                                state, sign * hit, tube.index)
-                        break
-                if witnesses[sign] is not None:
-                    break
-    else:
-        # candidate-time membership scan, all samples advanced together
-        # from one scan time to the next; the witness is the first sample
-        # that hits, at its first hitting time
-        scan_ts = np.linspace(t0, T0, max(64, int((T0 - t0) / 0.05)))
-        start = np.stack([state for _, state in samples])
-        for sign in (+1, -1):
-            moved, t_prev = start, 0.0
-            first = np.full(len(start), -1)
-            for j, t in enumerate(scan_ts):
-                moved = flow.flow(moved, sign * (t - t_prev))
-                t_prev = t
-                hit = _in_tube_union(flow, tubes, moved, slack=0.05)
-                first[(first < 0) & hit] = j
-            hitters = np.nonzero(first >= 0)[0]
-            if len(hitters):
-                i = hitters[0]
-                witnesses[sign] = LoopingWitness(start[i],
-                                                 sign * scan_ts[first[i]], -1)
-
-    clean = [s for s in (+1, -1) if witnesses[s] is None]
-    if clean:
-        return {"verdict": "nonlooping", "signs": clean, "witness": None,
-                "vacuous": False}
-    return {"verdict": "looping", "signs": [],
-            "witness": witnesses[+1] or witnesses[-1], "vacuous": False}
-
-
-def _in_tube_union(flow, tubes, states, slack: float):
-    """Per row of states: whether it lies in the union of the tubes."""
-    centers = np.stack([t.center_state for t in tubes])
-    d = flow.metric.distance(states[:, None, :], centers[None, :, :])
-    radii = np.array([t.radius + t.half_time + slack for t in tubes])
-    # a point within the tube lies within half_time + r flow-distance of
-    # the center, hence within that phase distance (unit speed)
-    return np.any(d < radii, axis=1)
-
-
-@dataclass
-class CoverSplit:
-    bad: list
-    good: list
-    params: dict
-
-
-def split_bad_good(cover1: GoodCover, cover2: GoodCover, t0: float, T: float,
-                   S: float, sample_density: int = 6,
-                   seed: int = 0) -> CoverSplit:
-    """Split cover1 into tubes looping toward cover2 (bad) and the rest.
-
-    A tube is bad when a sampled section point of its 2r-neighborhood
-    loops S-close to the partner target within [t0, T].  Every good tube
-    is then audited by a direct flow test over the shrunken window; an
-    audit failure means undersampling and is raised, never absorbed.
-    """
-    if S < 4.0 * cover1.r:
-        raise DomainError("the splitting needs S >= 4r")
-    if T < t0:
-        return CoverSplit([], [t.index for t in cover1.tubes],
-                          {"t0": t0, "T": T, "S": S})
-    manifold = cover1.target.manifold
-    flow = flow_for(manifold)
-    target2 = cover2.target
-    y_point = np.asarray(target2.x, dtype=float)
-    rng = np.random.default_rng(seed)
-
-    bad, good = [], []
-    for tube in cover1.tubes:
-        psi = tube.center_param + rng.uniform(-2 * tube.radius,
-                                              2 * tube.radius,
-                                              sample_density)
-        psi = np.concatenate([[tube.center_param], psi])
-        states = cover1.target.state(psi)
-        if np.any(flow.target_min(states, y_point, t0, T) < S):
-            bad.append(tube.index)
-        else:
-            good.append(tube.index)
-
-    # audit the good tubes: over the window shrunken by the tube time
-    # extent, no sampled tube point may reach the core of a partner tube
-    # (base distance to the partner target below its radius)
-    pad = 2.0 * (cover1.tau + cover1.r)
-    lo, hi = t0 + pad, T - pad
-    if hi > lo:
-        for idx in good:
-            tube = cover1.tubes[idx]
-            psi = tube.center_param + rng.uniform(-tube.radius, tube.radius,
-                                                  sample_density)
-            states = cover1.target.state(psi)
-            if np.any(flow.target_min(states, y_point, lo, hi) < cover2.r):
-                raise AuditFailure(
-                    f"good tube {idx} failed its flow audit; raise "
-                    f"sample_density")
-    return CoverSplit(bad, good, {"t0": t0, "T": T, "S": S})

@@ -33,10 +33,6 @@ class CoverFailure(WeylLabError):
     """Good-cover construction exceeded its family budget."""
 
 
-class AuditFailure(WeylLabError):
-    """A certified property failed its direct audit (usually undersampling)."""
-
-
 class SolverFailure(WeylLabError):
     """Eigenvalue bracketing or root finding broke down."""
 

@@ -6,21 +6,20 @@ surfaces of revolution, flat quotient for tori) and the fiber angle gap.
 Both factors are metrics, so the max is one; all radii in the tube and
 measure machinery refer to it.
 
-Every flow offers the same four methods, so the estimators never ask which
-flow they have:
+Every flow offers the same three methods, so the estimators never ask
+which flow they have:
 
 * ``flow(states, t)`` moves rows of unit covectors by time t;
-* ``target_min(states, y, t0, T)`` is a certified lower bound on the base
-  distance from each orbit to the point y over t0 <= |t| <= T;
 * ``return_hits(states, t0, T, thresh)`` and
   ``target_hits(states, y, t0, T, thresh)`` classify each sample by whether
   its orbit comes within ``thresh`` of its start (phase distance) or of y
-  (base distance) in that window, and return ``(hits, inflation)``.
+  (base distance) over t0 <= |t| <= T, and return ``(hits, inflation)``.
 
-The closed-form flows (flat torus, round sphere) compute the minima exactly,
-so their inflation is 0; the torus tries only the lattice vectors within
-reach of the window.  :class:`RevolutionFlow` decides ``return_hits`` in
-this order:
+The closed-form flows (flat torus, round sphere) also offer the exact
+window minima behind their hits, ``self_return_min(states, t0, T)`` and
+``target_min(states, y, t0, T)``, so their inflation is 0; the torus tries
+only the lattice vectors within reach of the window.
+:class:`RevolutionFlow` decides ``return_hits`` in this order:
 
 1. the radial certificate (:meth:`RevolutionFlow.radial_clears`) clears,
    without integrating, every regular sample that Clairaut's integral keeps
@@ -64,6 +63,7 @@ def wrap_angle(d):
 
 
 MERIDIAN_C_FLOOR = 2e-3
+ODE_BUDGET = 1e-6             # integration error in scan and refinement slacks
 _MERIDIAN_CHUNK = 2 ** 16     # (row, time) pairs per closed-form evaluation
 _REFINE_CHUNK = 2 ** 15       # dense-output times per row and evaluation
 
@@ -275,7 +275,7 @@ def _dop853_rows(rhs, y0, T, rtol, atol):
 
 
 # ---------------------------------------------------------------------------
-# Phase metrics
+# Phase metric
 
 
 class RevolutionMetric:
@@ -315,35 +315,6 @@ class RevolutionMetric:
         return np.arccos(dot)
 
 
-class TorusMetric:
-    """max(flat quotient distance, direction angle) on S*T^d."""
-
-    def __init__(self, periods):
-        self.periods = np.asarray(periods, dtype=float)
-        self.d = len(self.periods)
-
-    def base_distance(self, xa, xb):
-        diff = np.abs(np.asarray(xa) - np.asarray(xb)) % self.periods
-        diff = np.minimum(diff, self.periods - diff)
-        return np.sqrt(np.sum(diff ** 2, axis=-1))
-
-    def distance(self, state_a, state_b):
-        state_a = np.asarray(state_a, dtype=float)
-        state_b = np.asarray(state_b, dtype=float)
-        d = self.d
-        base = self.base_distance(state_a[..., :d], state_b[..., :d])
-        dot = np.clip(np.sum(state_a[..., d:] * state_b[..., d:], axis=-1),
-                      -1.0, 1.0)
-        fiber = np.arccos(dot)
-        return np.maximum(base, fiber)
-
-
-def product_max_distance(metric_l, metric_r, pair_a, pair_b):
-    """Product phase metric: max of the factor distances."""
-    return np.maximum(metric_l.distance(pair_a[0], pair_b[0]),
-                      metric_r.distance(pair_a[1], pair_b[1]))
-
-
 # ---------------------------------------------------------------------------
 # Flat torus flow (exact)
 
@@ -366,7 +337,6 @@ class TorusFlow(ExactHits):
 
     def __post_init__(self):
         self.periods = tuple(float(p) for p in self.periods)
-        self.metric = TorusMetric(self.periods)
         self.d = len(self.periods)
 
     def flow(self, states, t):
@@ -471,37 +441,6 @@ class TorusFlow(ExactHits):
                 beta_star = 0.5 * (lo + hi)
             intervals.append((phi_v - beta_star, phi_v + beta_star))
         return _merge_circle_intervals(intervals)
-
-    def tube_entry_windows(self, state, center_psi, tau, r, t0, T0):
-        """Exact re-entry test of one orbit into a directional tube.
-
-        The tube is the flow of the section ball around direction angle
-        center_psi at base point x0 = (0, 0); returns True and a witness
-        time if the orbit meets it within [t0, T0] (forward).
-        """
-        x, omega = state[:self.d], state[self.d:]
-        psi = math.atan2(omega[1], omega[0])
-        if wrap_angle(psi - center_psi) >= r:
-            return None
-        lat = self.lattice(T0 + tau + 2.0
-                            + float(np.linalg.norm(self.periods)))
-        v = -x[None, :] + lat          # displacement to tube base x0 = 0
-        # decompose v + t omega = e + q omega with e orthogonal to omega
-        proj = v @ omega
-        e = v - proj[:, None] * omega[None, :]
-        e_norm = np.sqrt(np.sum(e ** 2, axis=-1))
-        ok = e_norm < r
-        if not np.any(ok):
-            return None
-        # time-part of the displacement is t - proj; entry needs it in
-        # [-(tau+r), tau+r] for some t in [t0, T0]
-        t_lo = proj[ok] - (tau + r)
-        t_hi = proj[ok] + (tau + r)
-        t_entry = np.maximum(t_lo, t0)
-        feasible = t_entry <= np.minimum(t_hi, T0)
-        if not np.any(feasible):
-            return None
-        return float(np.min(t_entry[feasible]))
 
 
 # ---------------------------------------------------------------------------
@@ -614,10 +553,9 @@ class RevolutionFlow:
     components negated) flows forward along the original orbit backwards.
     """
 
-    def __init__(self, profile: ProfileCurve, ode_budget: float = 1e-6):
+    def __init__(self, profile: ProfileCurve):
         self.profile = profile
         self.metric = RevolutionMetric(profile)
-        self.ode_budget = ode_budget
 
     def _rhs(self, y):
         a = self.profile.alpha(y[:, 0])
@@ -699,7 +637,7 @@ class RevolutionFlow:
                 best_t = np.where(better, t, best_t)
         if lipschitz is None:
             lipschitz = self.phase_speed_bound(states)
-        slack = np.asarray(lipschitz) * 0.5 * h + self.ode_budget
+        slack = np.asarray(lipschitz) * 0.5 * h + ODE_BUDGET
         return best, best_t, np.broadcast_to(slack, (len(states),))
 
     def refine_min(self, states, t0, T, distance_fn, resolution):
@@ -720,13 +658,6 @@ class RevolutionFlow:
                 vals = distance_fn(y, np.broadcast_to(states[i], y.shape))
                 best[i] = min(best[i], np.min(vals))
         return best
-
-    def target_min(self, states, y_point, t0, T):
-        """Coarse two-sided scan of the base distance to y, minus its slack."""
-        mins, slack = self._scan_both(
-            states, t0, T,
-            lambda y, _: self.metric.base_distance_to_point(y, y_point))
-        return mins - slack
 
     def return_hits(self, states, t0, T, thresh):
         """Samples returning within thresh of their start (phase metric).
@@ -901,7 +832,7 @@ class RevolutionFlow:
                 n = len(cand)
                 hits[cand] = np.minimum(best[:n], best[n:]) < thresh
                 inflation = max(inflation,
-                                float(np.max(spd * res)) + self.ode_budget)
+                                float(np.max(spd * res)) + ODE_BUDGET)
         return hits, inflation
 
     def _scan_both(self, states, t0, T, dist):

@@ -1,8 +1,8 @@
 """Geodesic dynamics on surfaces of revolution.
 
 Clairaut integrals, rotation numbers and their derivatives, Hamiltonian
-flow integration with conserved-quantity monitoring, periodic-torus
-classification, and expansion-rate estimation.
+flow integration with conserved-quantity monitoring, and periodic-torus
+classification.
 
 Orbits are parametrized by the right turning point ``s_plus``; angular
 advances are anchored at the profile maximum ``s_max`` (equal to 0 for
@@ -22,7 +22,7 @@ from scipy.optimize import brentq
 from .errors import DegenerateInput, DomainError, StepFailure
 from .flows import (RevolutionFlow, _alpha_sq_gap, _dop853_rows,
                     meridian_states)
-from .manifolds import HALF_PI, ModelManifold, ProfileCurve
+from .manifolds import HALF_PI, ProfileCurve
 from .quadrature import tanh_sinh
 
 _CLAIRAUT_REL_TOL = 1e-9
@@ -73,15 +73,6 @@ class TorusClassification:
     dTheta0: float
     p: Optional[int] = None
     q: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class ExpansionEstimate:
-    lambda_max: float
-    T_grid: np.ndarray
-    growth: np.ndarray
-    tail_slope: float = 0.0
-    model: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -467,86 +458,3 @@ def classify_tori(profile: ProfileCurve, grid: Iterable[float],
             out.append(TorusClassification(s, "uncertain", thetas[i],
                                            derivs[i]))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Expansion rate
-
-
-def _variational_rhs(profile: ProfileCurve):
-    """Rows of (state, tangent map): the flow and its linearization J M."""
-    flow = RevolutionFlow(profile)
-
-    def rhs(y):
-        s, xi_t = y[:, 0], y[:, 3]
-        a = profile.alpha(s)
-        da = profile.d_alpha(s)
-        dda = profile.dd_alpha(s)
-        J = np.zeros((len(y), 4, 4))
-        J[:, 0, 2] = 1.0
-        J[:, 1, 0] = -2.0 * xi_t * da / a ** 3
-        J[:, 1, 3] = 1.0 / (a * a)
-        J[:, 2, 0] = xi_t * xi_t * (dda * a - 3.0 * da * da) / a ** 4
-        J[:, 2, 3] = 2.0 * xi_t * da / a ** 3
-        dy = np.empty_like(y)
-        dy[:, :4] = flow._rhs(y[:, :4])
-        dy[:, 4:] = (J @ y[:, 4:].reshape(-1, 4, 4)).reshape(-1, 16)
-        return dy
-
-    return rhs
-
-
-def expansion_rate(manifold: ModelManifold, sample_count: int = 24,
-                   T: float = 40.0, seed: int = 7,
-                   lambda_floor: float = 0.02) -> ExpansionEstimate:
-    """Estimate the maximal expansion rate of the geodesic flow.
-
-    Integrates the tangent (variational) equations along sampled orbits and
-    fits the tail slope of max log ||dphi_t||; reports 0 when the growth is
-    better explained as polynomial (sub-exponential).
-    """
-    t_grid = np.linspace(T / 20.0, T, 40)
-    if manifold.kind == "flat_torus":
-        # free flow: dphi_t = [[I, t P], [0, I]] with P a projector
-        growth = np.log(np.sqrt(2.0 + t_grid ** 2))
-        return ExpansionEstimate(0.0, t_grid, growth, tail_slope=0.0,
-                                 model="polynomial")
-    if manifold.kind == "round_sphere" and manifold.n == 2:
-        growth = np.log(np.sqrt(2.0) * np.ones_like(t_grid))
-        return ExpansionEstimate(0.0, t_grid, growth, tail_slope=0.0,
-                                 model="bounded")
-    if manifold.kind != "surface_of_revolution":
-        raise DomainError(f"no flow available for kind {manifold.kind!r}")
-
-    profile = manifold.profile
-    rng = np.random.default_rng(seed)
-    y0 = np.empty((sample_count, 20))
-    for i in range(sample_count):
-        s0 = rng.uniform(-1.2, 1.2)
-        psi = rng.uniform(0.15, math.pi - 0.15)
-        a0 = float(profile.alpha(s0))
-        y0[i] = np.concatenate(([s0, 0.0, math.cos(psi), a0 * math.sin(psi)],
-                                np.eye(4).ravel()))
-    dense = _dop853_rows(_variational_rhs(profile), y0, T, rtol=1e-9,
-                         atol=1e-9)
-    best = np.full_like(t_grid, -np.inf)
-    for i in range(sample_count):
-        M = dense(i, t_grid)[:, 4:].reshape(-1, 4, 4)
-        best = np.maximum(best, np.log(np.linalg.norm(M, 2, axis=(1, 2))))
-    growth = np.maximum.accumulate(best)
-
-    def window_slope(lo, hi):
-        m = (t_grid >= lo) & (t_grid <= hi)
-        A = np.vstack([t_grid[m], np.ones(m.sum())]).T
-        coef, *_ = np.linalg.lstsq(A, growth[m], rcond=None)
-        return float(coef[0])
-
-    # Exponential growth keeps a steady slope across dyadic windows; any
-    # polynomial growth of log-norm halves it (or worse).
-    slope_early = window_slope(T / 4.0, T / 2.0)
-    slope_late = window_slope(T / 2.0, T)
-    if slope_late < lambda_floor or slope_late < 0.7 * slope_early:
-        return ExpansionEstimate(0.0, t_grid, growth, tail_slope=slope_late,
-                                 model="polynomial")
-    return ExpansionEstimate(slope_late, t_grid, growth,
-                             tail_slope=slope_late, model="exponential")

@@ -92,7 +92,7 @@ class Verdict:
             "passed": self.passed,
             "elapsed_seconds": round(self.elapsed, 3),
             "claims": [{"tag": c.tag, "measured": c.measured,
-                        "threshold": c.threshold, "passed": c.passed}
+                        "threshold": c.threshold, "passed": bool(c.passed)}
                        for c in self.claims],
             "provenance": self.provenance,
         }

@@ -25,19 +25,15 @@ an eigenvalue keeps its whole multiplet.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, IncompleteInput, SolverFailure
+from .errors import DomainError, IncompleteInput, SolverFailure
 from .manifolds import (HALF_PI, ModelManifold, ProfileCurve, lattice_box,
                         manifold_volume, sphere_volume)
-
-SOLVER_VERSION = "2"
 
 _GROUP_TOL = 1e-8          # relative clustering of merged frequencies
 # Relative lambda^2 slack of the radial solver's cutoff: far above its
@@ -633,7 +629,7 @@ def _build_eigenfunctions(profile, grid_L, grid_R, targets_m, lam2_star,
 
 
 # ---------------------------------------------------------------------------
-# Dispatch and caching
+# Dispatch
 
 
 def spectrum_for_manifold(m: ModelManifold, lambda_max: float,
@@ -650,34 +646,3 @@ def spectrum_for_manifold(m: ModelManifold, lambda_max: float,
         return surface_spectrum(m.profile, lambda_max,
                                 with_eigenfunctions=with_eigenfunctions)
     raise DomainError(f"unknown manifold kind {m.kind!r}")
-
-
-def profile_hash(profile: ProfileCurve) -> str:
-    s = np.linspace(-HALF_PI, HALF_PI, 257)
-    payload = profile.label.encode() + np.ascontiguousarray(
-        profile.alpha(s)).tobytes()
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
-def save_spectrum(spec: Spectrum, path: str) -> None:
-    """Cache frequencies/multiplicities with provenance (no eigenfunctions)."""
-    meta = {
-        "lambda_max": spec.lambda_max, "dim": spec.dim,
-        "volume": spec.volume, "label": spec.label,
-        "solver_version": SOLVER_VERSION,
-    }
-    np.savez(path, lambdas=spec.lambdas, mults=spec.mults,
-             meta=json.dumps(meta))
-
-
-def load_spectrum(path: str) -> Spectrum:
-    """Read a cache written by save_spectrum with the current solver."""
-    data = np.load(path, allow_pickle=False)
-    meta = json.loads(str(data["meta"]))
-    stored = meta.get("solver_version")
-    if stored != SOLVER_VERSION:
-        raise ConfigError(f"spectrum cache {path} was written by solver "
-                          f"version {stored!r}, this is version "
-                          f"{SOLVER_VERSION!r}")
-    return Spectrum(data["lambdas"], data["mults"], meta["lambda_max"],
-                    meta["dim"], meta["volume"], meta["label"])

@@ -2,9 +2,11 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from weyllab.cli import main
+from weyllab.scenarios import Claim, Verdict
 
 TORUS_CFG = {"kind": "flat_torus",
              "periods": [2 * math.pi, 2 * math.pi]}
@@ -103,12 +105,34 @@ def test_scenario_list_and_run(configs, capsys):
     assert all("tag" in c for c in verdict["claims"])
 
 
+def test_verdict_json_takes_numpy_flags():
+    # a claim decided by comparing numpy floats carries numpy.bool_, which
+    # the json module does not serialize
+    worst = np.float64(1e-9)
+    verdict = Verdict("x", [Claim("worst", worst, "< 1e-6", worst < 1e-6)])
+    assert json.loads(json.dumps(verdict.to_json()))["claims"][0]["passed"]
+
+
 def test_config_error_exit_code(configs, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"kind": "bogus"}))
     rc = main(["--out-dir", configs["dir"], "spectrum",
                "--manifold", str(bad), "--lambda-max", "5"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["nonperiodic-measure", "--samples", "10"],
+    ["nonperiodic-measure", "--band", "0.1", "0.2"],
+    ["cover-audit", "--tau", "5", "--r", "0.01"],
+    ["recurrence-check", "--x", "0", "0", "--R", "0.5", "--R0", "0.2"],
+], ids=["too-few-samples", "band-on-a-torus", "tube-past-injectivity",
+        "R-above-R0"])
+def test_out_of_domain_arguments_exit_code(configs, capsys, argv):
+    rc = main(["--out-dir", configs["dir"], argv[0],
+               "--manifold", configs["torus"]] + argv[1:])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("configuration error: ")
 
 
 def test_ci_mode_requires_seed(configs):

@@ -2,20 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from weyllab.errors import DomainError
-from weyllab.flows import RevolutionFlow, _dop853_rows
 from weyllab.geoflow import (
     PhasePoint,
-    _variational_rhs,
     best_rational,
     clairaut_constant,
     classify_tori,
     convergents,
     d_rotation_number,
     d_rotation_number_in_epsilon,
-    expansion_rate,
     integrate_geodesic,
     rotation_number,
     rotation_number_ode,
@@ -25,12 +21,9 @@ from weyllab.geoflow import (
 )
 from weyllab.manifolds import (
     PerturbationSpec,
-    flat_torus,
     make_perturbed_sphere,
     make_pendulum_profile,
     make_round_sphere,
-    round_sphere,
-    surface_of_revolution,
 )
 
 SPHERE = make_round_sphere()
@@ -257,66 +250,3 @@ def test_classify_synthetic_golden_table(monkeypatch):
     golden = (1 + math.sqrt(5)) / 2
     p, q, err = best_rational(golden, 50)
     assert err > 1e-9
-
-
-# --- expansion rate ---------------------------------------------------------
-
-def test_expansion_rate_flat_torus_zero():
-    est = expansion_rate(flat_torus((2 * math.pi, 2 * math.pi)))
-    assert est.lambda_max == 0.0
-
-
-def test_expansion_rate_round_sphere_zero():
-    est = expansion_rate(round_sphere(2))
-    assert est.lambda_max == 0.0
-
-
-def test_expansion_rate_perturbed_sphere_integrable():
-    m = surface_of_revolution(PERT)
-    est = expansion_rate(m, sample_count=6, T=30.0, seed=3)
-    est2 = expansion_rate(m, sample_count=6, T=60.0, seed=3)
-    assert est.lambda_max >= 0.0
-    assert abs(est.lambda_max - est2.lambda_max) <= 0.2 * max(
-        est.lambda_max, est2.lambda_max, 1e-12)
-    assert np.all(np.diff(est.growth) >= 0)
-
-
-def test_expansion_rate_batched_growth_matches_per_sample_solves():
-    m = surface_of_revolution(PERT)
-    count, T, seed = 3, 15.0, 3
-    est = expansion_rate(m, sample_count=count, T=T, seed=seed)
-    # the same draws, one scalar solve_ivp per sample
-    rhs = _variational_rhs(PERT)
-    rng = np.random.default_rng(seed)
-    best = np.full_like(est.T_grid, -np.inf)
-    for _ in range(count):
-        s0 = rng.uniform(-1.2, 1.2)
-        psi = rng.uniform(0.15, math.pi - 0.15)
-        y0 = np.concatenate(([s0, 0.0, math.cos(psi),
-                              float(PERT.alpha(s0)) * math.sin(psi)],
-                             np.eye(4).ravel()))
-        sol = solve_ivp(lambda _, y: rhs(y[None, :])[0], (0.0, T), y0,
-                        method="DOP853", rtol=1e-9, atol=1e-9,
-                        t_eval=est.T_grid)
-        norms = [np.linalg.norm(sol.y[4:, i].reshape(4, 4), 2)
-                 for i in range(len(est.T_grid))]
-        best = np.maximum(best, np.log(norms))
-    assert np.max(np.abs(est.growth - np.maximum.accumulate(best))) < 1e-6
-
-
-def test_tangent_flow_matches_a_difference_of_the_flow():
-    # the orbit turns inside the bump; the difference is good to about
-    # 5e-7 here, its truncation growing with t and its noise (the flow's
-    # tolerance over h) with 1/h
-    flow = RevolutionFlow(PERT)
-    y0 = unit_phase_point(PERT, 0.2, 0.3, 0.9).as_array()
-    t, h = 2.0, 1e-4
-    dense = _dop853_rows(_variational_rhs(PERT),
-                         np.concatenate([y0, np.eye(4).ravel()])[None, :],
-                         t, rtol=1e-9, atol=1e-9)
-    M = dense.at_end(t)[0, 4:].reshape(4, 4)
-    for j in range(4):
-        e = np.zeros(4)
-        e[j] = h
-        fd = (flow.flow(y0 + e, t) - flow.flow(y0 - e, t)) / (2.0 * h)
-        assert np.max(np.abs(M[:, j] - fd)) < 1e-5

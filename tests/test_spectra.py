@@ -1,12 +1,10 @@
-import json
 import math
 
 import numpy as np
 import pytest
 from scipy.special import lpmv
 
-from weyllab.errors import (ConfigError, DomainError, IncompleteInput,
-                            SolverFailure)
+from weyllab.errors import DomainError, IncompleteInput, SolverFailure
 from weyllab.manifolds import (
     PerturbationSpec,
     make_perturbed_sphere,
@@ -17,10 +15,7 @@ from weyllab.spectra import (
     _illinois,
     _winding_brackets,
     band_weights,
-    load_spectrum,
     product_spectrum,
-    profile_hash,
-    save_spectrum,
     sphere_spectrum,
     spectrum_for_manifold,
     surface_spectrum,
@@ -266,40 +261,6 @@ def test_weyl_sanity_torus():
     main = math.pi * lam ** 2 / (4 * math.pi ** 2) * t.volume / math.pi ** 1
     # (2pi)^-2 vol(B^2) vol lam^2 = lam^2 pi 4 pi^2 / 4 pi^2 = pi lam^2
     assert t.count(lam) == pytest.approx(math.pi * lam ** 2, rel=0.05)
-
-
-def test_save_load_round_trip(tmp_path):
-    s = sphere_spectrum(2, 10.0)
-    path = str(tmp_path / "spec.npz")
-    save_spectrum(s, path)
-    back = load_spectrum(path)
-    assert np.allclose(back.lambdas, s.lambdas)
-    assert np.array_equal(back.mults, s.mults)
-    assert back.volume == s.volume
-
-
-def test_load_refuses_another_solver_version(tmp_path):
-    s = sphere_spectrum(2, 10.0)
-    path = str(tmp_path / "spec.npz")
-    save_spectrum(s, path)
-    with np.load(path) as data:
-        arrays = {k: data[k] for k in data.files}
-    meta = json.loads(str(arrays["meta"]))
-    meta["solver_version"] = "1"
-    np.savez(path, **{**arrays, "meta": json.dumps(meta)})
-    with pytest.raises(ConfigError, match="'1'.*'2'"):
-        load_spectrum(path)
-    del meta["solver_version"]
-    np.savez(path, **{**arrays, "meta": json.dumps(meta)})
-    with pytest.raises(ConfigError, match="None"):
-        load_spectrum(path)
-
-
-def test_profile_hash_distinguishes():
-    h1 = profile_hash(make_round_sphere())
-    h2 = profile_hash(make_perturbed_sphere(
-        PerturbationSpec(epsilon=0.01, a=0.5, b=1.0)))
-    assert h1 != h2
 
 
 def test_spectrum_dispatch():
