@@ -332,7 +332,7 @@ def cmd_recurrence_check(args) -> int:
 
 def cmd_cover_audit(args) -> int:
     manifold, cfg = _load_manifold(args)
-    target = CircleTarget(manifold, x=tuple(args.x))
+    target = CircleTarget(manifold)
     cover = build_good_cover(target, tau=args.tau, r=args.r)
     coverage = cover.audit_coverage(args.probes, seed=_require_seed(args))
     margin = cover.audit_disjointness()
@@ -481,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("cover-audit", cmd_cover_audit)
     sp.add_argument("--manifold", required=True)
-    sp.add_argument("--x", type=float, nargs=2, default=(0.0, 0.0))
     sp.add_argument("--tau", type=float, default=0.1)
     sp.add_argument("--r", type=float, default=0.01)
     sp.add_argument("--probes", type=int, default=10_000)

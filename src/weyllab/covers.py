@@ -423,11 +423,12 @@ class CircleTarget:
 
     Parametrized by the fiber angle psi.  Section coordinates at parameter
     u are (transverse base offset, u); the max metric makes section balls
-    boxes, so all cover audits are exact in this chart.
+    boxes, so all cover audits are exact in this chart.  The cover depends
+    only on tau, r and the injectivity time, the same for every base
+    point x.
     """
 
     manifold: ModelManifold
-    x: tuple = None
 
     def tau_inj(self) -> float:
         """Conservative injectivity time of the section flow-out.

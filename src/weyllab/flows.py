@@ -349,7 +349,8 @@ class TorusFlow(ExactHits):
 
     def lattice(self, radius):
         """Period-lattice points, a box covering the ball of the radius."""
-        grids = lattice_box([radius / L for L in self.periods])
+        grids = np.broadcast_arrays(
+            *lattice_box([radius / L for L in self.periods]))
         return np.stack([g.ravel() * L for g, L in zip(grids, self.periods)],
                         axis=-1)
 
@@ -611,14 +612,12 @@ class RevolutionFlow:
                                   cap)
         return np.clip(np.maximum(1.0, fiber_rate), 1.0, cap)
 
-    def scan_min(self, states, t0, T, distance_fn, h_scan=0.02,
-                 lipschitz=None):
+    def scan_min(self, states, t0, T, distance_fn, h_scan=0.02):
         """Coarse scan of min over [t0, T] of distance_fn(phi_t(states)).
 
-        Returns (coarse_min, argmin_t, slack) with slack the per-sample
-        Lipschitz half-step bound plus the integration budget.  Pass
-        ``lipschitz=1.0`` for base-distance criteria (unit speed); the
-        default uses the capped phase-speed bound.
+        Returns (coarse_min, argmin_t, slack) with slack the half-step
+        bound at unit speed, valid for base-distance criteria, plus the
+        integration budget.
         """
         states = np.asarray(states, dtype=float).reshape(-1, 4)
         y = states.copy()
@@ -635,9 +634,7 @@ class RevolutionFlow:
                 better = d < best
                 best = np.where(better, d, best)
                 best_t = np.where(better, t, best_t)
-        if lipschitz is None:
-            lipschitz = self.phase_speed_bound(states)
-        slack = np.asarray(lipschitz) * 0.5 * h + ODE_BUDGET
+        slack = 0.5 * h + ODE_BUDGET
         return best, best_t, np.broadcast_to(slack, (len(states),))
 
     def refine_min(self, states, t0, T, distance_fn, resolution):
@@ -840,8 +837,7 @@ class RevolutionFlow:
         states = np.asarray(states, dtype=float).reshape(-1, 4)
         doubled = np.vstack([states, _mirror(states)])
         coarse, _, slack = self.scan_min(doubled, t0, T,
-                                         lambda y: dist(y, doubled),
-                                         lipschitz=1.0)
+                                         lambda y: dist(y, doubled))
         n = len(states)
         return (np.minimum(coarse[:n], coarse[n:]),
                 np.maximum(slack[:n], slack[n:]))

@@ -363,13 +363,15 @@ def product(m1: ModelManifold, m2: ModelManifold) -> ModelManifold:
 
 
 def lattice_box(extents) -> list:
-    """Integer index grids ("ij" order) of the box |k_i| <= int(e_i) + 1.
+    """Open integer index grids ("ij" order) of the box |k_i| <= int(e_i) + 1.
 
-    One entry per extent e_i; callers scale the indices by their periods
-    (positions) or by 2 pi / period (dual-lattice frequencies).
+    One entry per extent e_i, shaped to broadcast against the others
+    (``np.broadcast_arrays`` gives the full grids); callers scale the
+    indices by their periods (positions) or by 2 pi / period (dual-lattice
+    frequencies).
     """
     axes = [np.arange(-int(e) - 1, int(e) + 2) for e in extents]
-    return np.meshgrid(*axes, indexing="ij")
+    return np.meshgrid(*axes, indexing="ij", sparse=True)
 
 
 def sphere_volume(n: int) -> float:

@@ -145,9 +145,7 @@ def torus_spectrum(periods, lambda_max: float) -> Spectrum:
     if any(p <= 0 for p in periods):
         raise DomainError("periods must be positive")
     grids = lattice_box([lambda_max * L / (2 * math.pi) for L in periods])
-    lam2 = np.zeros_like(grids[0], dtype=float)
-    for g, L in zip(grids, periods):
-        lam2 += (2 * math.pi * g / L) ** 2
+    lam2 = sum((2 * math.pi * g / L) ** 2 for g, L in zip(grids, periods))
     lam2 = lam2.ravel()
     lam2 = lam2[lam2 <= lambda_max ** 2 * (1 + 1e-14)]
     vals, counts = np.unique(np.round(lam2, 9), return_counts=True)

@@ -168,12 +168,11 @@ def projector_kernel(manifold: ModelManifold, x, y, lam: float,
         if r >= min(periods) / 2.0:
             raise DomainError("pair beyond the torus injectivity radius")
         grids = lattice_box([lam * L / (2 * math.pi) for L in periods])
-        lam2 = np.zeros_like(grids[0], dtype=float)
-        phase = np.zeros_like(grids[0], dtype=float)
+        lam2 = phase = 0.0
         for g, L, xi, yi in zip(grids, periods, x, y):
             kstar = 2 * math.pi * g / L
-            lam2 += kstar ** 2
-            phase += kstar * (xi - yi)
+            lam2 = lam2 + kstar ** 2
+            phase = phase + kstar * (xi - yi)
         inside = lam2 <= lam ** 2 * (1 + 1e-14)
         val = float(np.sum(np.cos(phase[inside]))) / manifold.volume
         comp = euclidean_comparison(lam, r, d)
@@ -227,31 +226,35 @@ def _bump_unit(width: float):
 
 
 _RHO_GAUSS = None
+_RHO_CHUNK = 2048          # rows of the cosine block in rho_exact
 
 
 def rho_exact(s):
     """Analytic time-side kernel rho(s) = sin(1.5 s)/(pi s) psi_hat(s).
 
     psi_hat is the Fourier transform of the width-0.5 mollifier, evaluated
-    by fixed Gauss quadrature; no tables involved.
+    by fixed Gauss quadrature; no tables involved.  The 200-node rule and
+    the bump are both even, so each +/- pair of nodes is folded into one
+    cosine: 100 non-negative nodes carrying the summed weights.
     """
     global _RHO_GAUSS
     if _RHO_GAUSS is None:
         bump = _bump_unit(0.25)
         gx, gw = np.polynomial.legendre.leggauss(200)
-        _RHO_GAUSS = (0.25 * gx, 0.25 * gw * bump(0.25 * gx))
+        bw = 0.25 * gw * bump(0.25 * gx)
+        h = len(gx) // 2
+        _RHO_GAUSS = (0.25 * gx[h:], bw[h:] + bw[:h][::-1])
     bx, bw = _RHO_GAUSS
     s = np.abs(np.asarray(s, dtype=float))
     flat = s.ravel()
     out = np.empty_like(flat)
-    chunk = 40_000
-    for start in range(0, len(flat), chunk):
-        sl = flat[start:start + chunk]
+    for start in range(0, len(flat), _RHO_CHUNK):
+        sl = flat[start:start + _RHO_CHUNK]
         psi_hat = np.cos(np.outer(sl, bx)) @ bw
         with np.errstate(invalid="ignore", divide="ignore"):
             sinc = np.where(sl > 0, np.sin(1.5 * sl) / (math.pi * sl),
                             1.5 / math.pi)
-        out[start:start + chunk] = sinc * psi_hat
+        out[start:start + _RHO_CHUNK] = sinc * psi_hat
     return out.reshape(s.shape)
 
 
@@ -355,6 +358,9 @@ def build_smoothing_kernel(scale: float, s_max: float = 420.0,
                            tail_tol=tol)
 
 
+_SMOOTH_BLOCK = 1 << 16    # elements of one P block in smoothed_series
+
+
 def smoothed_series(spec: Spectrum, lambdas, kernel: SmoothingKernel,
                     weights: Optional[np.ndarray] = None,
                     tail_tol: Optional[float] = None) -> np.ndarray:
@@ -364,6 +370,10 @@ def smoothed_series(spec: Spectrum, lambdas, kernel: SmoothingKernel,
     the requested step tolerance; otherwise :class:`WindowTooSmall`
     reports the required enlargement.  Contributions of eigenvalues above
     the cutoff are bounded by :func:`truncation_bound`.
+
+    The grid x spectrum matrix of P is never formed: it is evaluated in
+    blocks of at most ``_SMOOTH_BLOCK`` (2^16) elements, about 0.5 MB
+    each, so memory stays bounded and each block stays in cache.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     tol = kernel.tail_tol if tail_tol is None else tail_tol
@@ -377,12 +387,15 @@ def smoothed_series(spec: Spectrum, lambdas, kernel: SmoothingKernel,
     if weights is None:
         weights = spec.mults.astype(float)
     out = np.zeros_like(lambdas)
-    chunk = max(1, int(4e6 // max(len(lambdas), 1)))
-    for start in range(0, len(spec.lambdas), chunk):
-        lj = spec.lambdas[start:start + chunk]
-        wj = weights[start:start + chunk]
-        out += (kernel.P(kernel.sigma * (lambdas[:, None] - lj[None, :]))
-                @ wj)
+    rows = min(len(lambdas), _SMOOTH_BLOCK)
+    cols = _SMOOTH_BLOCK // rows
+    for r0 in range(0, len(lambdas), rows):
+        lam = lambdas[r0:r0 + rows, None]
+        for c0 in range(0, len(spec.lambdas), cols):
+            lj = spec.lambdas[c0:c0 + cols]
+            out[r0:r0 + rows] += (
+                kernel.P(kernel.sigma * (lam - lj[None, :]))
+                @ weights[c0:c0 + cols])
     return out
 
 

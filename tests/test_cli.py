@@ -91,6 +91,14 @@ def test_cover_audit(configs):
     assert audit["coverage"]["pass"]
 
 
+def test_cover_audit_x_flag_is_rejected(configs):
+    # the cover of a fiber circle does not depend on its base point
+    with pytest.raises(SystemExit) as exc:
+        main(["--out-dir", configs["dir"], "cover-audit", "--manifold",
+              configs["torus"], "--x", "1.2", "0.4"])
+    assert exc.value.code == 2
+
+
 def test_scenario_list_and_run(configs, capsys):
     assert main(["scenario", "list"]) == 0
     out = capsys.readouterr().out

@@ -606,7 +606,7 @@ def test_recurrence_vacuous_window_passes():
 # --- good covers -------------------------------------------------------------
 
 def test_fiber_circle_cover_counts_and_audits():
-    target = CircleTarget(TORUS, x=(0.0, 0.0))
+    target = CircleTarget(TORUS)
     r = 0.01
     cover = build_good_cover(target, tau=0.1, r=r)
     n = len(cover.tubes)
@@ -618,14 +618,14 @@ def test_fiber_circle_cover_counts_and_audits():
 
 
 def test_cover_halving_radius_ratio():
-    target = CircleTarget(TORUS, x=(0.0, 0.0))
+    target = CircleTarget(TORUS)
     n1 = len(build_good_cover(target, tau=0.1, r=0.01).tubes)
     n2 = len(build_good_cover(target, tau=0.1, r=0.02).tubes)
     assert 1.0 / 3.0 <= n2 / n1 <= 1.0
 
 
 def test_cover_rejects_long_tubes():
-    target = CircleTarget(TORUS, x=(0.0, 0.0))
+    target = CircleTarget(TORUS)
     with pytest.raises(DomainError):
         build_good_cover(target, tau=10.0, r=0.05)
 

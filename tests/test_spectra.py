@@ -52,6 +52,27 @@ def test_torus_count_81():
     assert np.sum(kx ** 2 + ky ** 2 <= 25) == 81
 
 
+@pytest.mark.parametrize("periods, lambda_max", [
+    ((TWO_PI, TWO_PI), 80.0),
+    ((TWO_PI, 3.0), 60.0),
+    ((TWO_PI, TWO_PI, TWO_PI), 12.0),
+])
+def test_torus_spectrum_matches_the_full_meshgrid(periods, lambda_max):
+    # the lattice written out as full index grids
+    axes = [np.arange(-int(e) - 1, int(e) + 2)
+            for e in (lambda_max * L / TWO_PI for L in periods)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    lam2 = np.zeros_like(grids[0], dtype=float)
+    for g, L in zip(grids, periods):
+        lam2 += (TWO_PI * g / L) ** 2
+    lam2 = lam2.ravel()
+    lam2 = lam2[lam2 <= lambda_max ** 2 * (1 + 1e-14)]
+    vals, counts = np.unique(np.round(lam2, 9), return_counts=True)
+    t = torus_spectrum(periods, lambda_max)
+    assert t.lambdas.tobytes() == np.sqrt(vals).tobytes()
+    assert t.mults.tobytes() == counts.tobytes()
+
+
 def test_torus_multiplicity_of_25():
     t = torus_spectrum((TWO_PI, TWO_PI), 6.0)
     i = int(np.argmin(np.abs(t.lambdas - 5.0)))

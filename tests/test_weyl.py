@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from weyllab import weyl
 from weyllab.errors import (DomainError, IncompleteSpectrum, WindowTooSmall)
 from weyllab.manifolds import (flat_torus, make_round_sphere, round_sphere,
                                surface_of_revolution)
@@ -230,6 +232,68 @@ def test_table_vs_direct_other_scale(s2):
     for i, lam in enumerate(lams):
         direct = smoothed_series_direct(s2, lam, K5)
         assert abs(sm[i] - direct) <= K5.consistency_bound(W)
+
+
+def test_rho_exact_folded_rule_matches_the_unfolded_rule():
+    # the 200-node rule with both signs of every node, as written out
+    bump = weyl._bump_unit(0.25)
+    gx, gw = np.polynomial.legendre.leggauss(200)
+    bx, bw = 0.25 * gx, 0.25 * gw * bump(0.25 * gx)
+    rng = np.random.default_rng(21)
+    s = np.concatenate([np.arange(0.0, 420.002, 0.002),
+                        rng.uniform(0.0, 500.0, 1000)])
+    ref = np.empty_like(s)
+    for start in range(0, len(s), 4096):
+        sl = s[start:start + 4096]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            sinc = np.where(sl > 0, np.sin(1.5 * sl) / (math.pi * sl),
+                            1.5 / math.pi)
+        ref[start:start + 4096] = sinc * (np.cos(np.outer(sl, bx)) @ bw)
+    assert np.max(np.abs(weyl.rho_exact(s) - ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("n_grid, lo, hi, sigma, dim, lambda_max", [
+    (1, 50.0, 50.0, 1.0, 2, 520.0),
+    # 300 rows: the 2^16 block splits the 521 levels unevenly
+    (300, 15.0, 95.0, 1.0, 2, 520.0),
+    # more rows than one block holds
+    (70_001, 0.0, 5.5, 200.0, 1, 8.0),
+])
+def test_smoothed_series_blocks_match_the_dense_matrix(n_grid, lo, hi, sigma,
+                                                       dim, lambda_max):
+    s = sphere_spectrum(dim, lambda_max)
+    K = build_smoothing_kernel(sigma)
+    lams = np.linspace(lo, hi, n_grid)
+    w = s.mults.astype(float)
+    dense = K.P(K.sigma * (lams[:, None] - s.lambdas[None, :])) @ w
+    sm = smoothed_series(s, lams, K)
+    assert sm.shape == lams.shape
+    assert np.max(np.abs(sm - dense)) <= 1e-13 * float(np.sum(w))
+
+
+def _transient_mb(fn) -> float:
+    """Peak traced allocation above the level at the call, in MB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / 1e6
+
+
+def test_smoothed_series_memory_is_bounded(kernel):
+    # the benchmark's torus: 87,080 levels against 100 grid points
+    spec = torus_spectrum(
+        (TWO_PI, TWO_PI), 200.0 + kernel.tail_cut_for(kernel.tail_tol) + 2.0)
+    grid = np.sort(np.random.default_rng(11).uniform(20.0, 200.0, 100))
+    assert _transient_mb(lambda: smoothed_series(spec, grid, kernel)) < 16.0
+
+
+def test_kernel_build_memory_is_bounded(monkeypatch):
+    monkeypatch.setattr(weyl, "_KERNEL_CACHE", {})
+    assert _transient_mb(lambda: build_smoothing_kernel(1.0)) < 40.0
 
 
 # --- kuznecov ------------------------------------------------------------------
