@@ -241,12 +241,11 @@ def _profile_for(manifold):
 def cmd_rotation_number(args) -> int:
     manifold, cfg = _load_manifold(args)
     profile = _profile_for(manifold)
-    rows = []
-    for s_plus in _parse_grid(args.grid):
-        orb = rotation_number(float(s_plus), profile)
-        d = d_rotation_number(float(s_plus), profile, "finite_difference")
-        rows.append((float(s_plus), orb.c, orb.Theta0, d, orb.return_time,
-                     "", "", ""))
+    grid = _parse_grid(args.grid)
+    orb = rotation_number(grid, profile)
+    d = d_rotation_number(grid, profile, "finite_difference")
+    rows = [row + ("", "", "") for row in zip(
+        grid, orb.c, orb.Theta0, d, orb.return_time)]
     _write_csv(_out_path(args, "rotation-number.csv"), cfg,
                ("s_plus", "c", "Theta0", "dTheta0", "return_time",
                 "status", "p", "q"), rows)
@@ -260,8 +259,7 @@ def cmd_classify(args) -> int:
                         rational_tol=args.rational_tol,
                         deriv_floor=args.deriv_floor)
     rows = [(c.s_plus, float(profile.alpha(c.s_plus)), c.Theta0, c.dTheta0,
-             rotation_number(float(c.s_plus), profile).return_time,
-             c.status, c.p if c.p is not None else "",
+             c.return_time, c.status, c.p if c.p is not None else "",
              c.q if c.q is not None else "") for c in out]
     _write_csv(_out_path(args, "classify.csv"), cfg,
                ("s_plus", "c", "Theta0", "dTheta0", "return_time",

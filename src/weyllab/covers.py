@@ -1,9 +1,8 @@
 """Phase-space tube covers and dynamical-size estimators.
 
-Resolution functions with their sub-logarithmic and Omega(T) checks, good
-covers over fiber circles with exact section-chart audits, and Monte-Carlo
-measures of near-periodic, looping, and recurrent sets with exact lattice
-oracles on flat tori.
+Resolution functions, good covers over fiber circles with exact
+section-chart audits, and Monte-Carlo measures of near-periodic, looping,
+and recurrent sets with exact lattice oracles on flat tori.
 
 All measure estimators work with the fixed background phase metric of
 :mod:`weyllab.flows` and classify a sample by its certified closest
@@ -26,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import CoverFailure, DomainError
 from .flows import RevolutionFlow, RoundSphereFlow, TorusFlow, wrap_angle
@@ -52,10 +50,6 @@ class ResolutionFunction:
         return cls(lambda R: offset + c * np.log(1.0 / R))
 
     @classmethod
-    def power_log(cls, c: float = 1.0, beta: float = 1.0):
-        return cls(lambda R: c * np.log(1.0 / R) ** beta)
-
-    @classmethod
     def constant(cls, value: float):
         return cls(lambda R: np.full_like(np.asarray(R, dtype=float), value))
 
@@ -64,58 +58,19 @@ class ResolutionFunction:
         return cls(lambda R: c * np.asarray(R, dtype=float) ** (-p))
 
 
-def check_sublogarithmic(T: ResolutionFunction, grid,
-                         slack: float = 1e-8) -> dict:
-    """Verify -1/(R log 1/R) <= (log T)'(R) <= 0 on the grid.
-
-    The derivative is taken numerically (central step R * 1e-6); returns
-    {"pass": bool, "witness": R or None}.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if np.any((grid <= 0) | (grid >= 1)):
-        raise DomainError("grid must lie in (0, 1)")
-    h = grid * 1e-6
-    logT = lambda R: np.log(T(R))
-    deriv = (logT(grid + h) - logT(grid - h)) / (2 * h)
-    lower = -1.0 / (grid * np.log(1.0 / grid))
-    # slack scales with the bound (the logarithm itself sits exactly on
-    # it) plus the cancellation noise of the central difference
-    noise = np.finfo(float).eps * np.abs(logT(grid)) / h
-    tol = slack * (1.0 + np.abs(lower)) + noise
-    bad = (deriv > tol) | (deriv < lower - tol)
-    if np.any(bad):
-        return {"pass": False, "witness": float(grid[bad][0])}
-    return {"pass": True, "witness": None}
-
-
-def omega(T: ResolutionFunction, R_grid) -> dict:
-    """Estimate Omega(T) = limsup T(R)/log(1/R) as R -> 0.
-
-    Returns the raw tail-maximum of the ratio plus a linear-in-log
-    extrapolation (slope of T against log 1/R), tagged by which one the
-    data supports.
-    """
-    R_grid = np.sort(np.asarray(R_grid, dtype=float))[::-1]
-    L = np.log(1.0 / R_grid)
-    vals = T(R_grid)
-    ratio = vals / L
-    tail = max(1, len(R_grid) // 3)
-    ratio_max = float(np.max(ratio[-tail:]))
-    A = np.vstack([L[-tail:], np.ones(tail)]).T
-    coef, res, *_ = np.linalg.lstsq(A, vals[-tail:], rcond=None)
-    slope = float(coef[0])
-    resid = float(res[0]) if len(res) else 0.0
-    fit_ok = resid <= 1e-12 * max(1.0, float(np.sum(vals[-tail:] ** 2)))
-    decreasing = bool(ratio[-1] < ratio[0])
-    value = slope if fit_ok else ratio_max
-    tag = "affine-extrapolated" if fit_ok else (
-        "decreasing-tail" if decreasing else "ratio-max")
-    return {"value": value, "ratio_max": ratio_max, "slope": slope,
-            "tag": tag}
-
-
 # ---------------------------------------------------------------------------
 # Flows and samplers per manifold
+
+
+def _halton(d: int, n: int, seed) -> np.ndarray:
+    """n scrambled Halton points in [0, 1)^d.
+
+    scipy.stats is imported here, where points are drawn: its import is a
+    large share of a fresh process's start-up time and memory, and most
+    processes that import weyllab never sample.
+    """
+    from scipy.stats import qmc
+    return qmc.Halton(d=d, scramble=True, seed=seed).random(n)
 
 
 def flow_for(manifold: ModelManifold):
@@ -135,8 +90,7 @@ class CosphereSet:
     """Descriptor of a subset of the unit cosphere bundle.
 
     kinds: "full"; "band" (s in [s0, s1], revolution surfaces); "fiber"
-    (S*_x M over the point x); "conormal" (unit conormals of the latitude
-    circle s = s0).  Liouville measure = area x fiber angle.
+    (S*_x M over the point x).  Liouville measure = area x fiber angle.
     """
 
     manifold: ModelManifold
@@ -144,7 +98,6 @@ class CosphereSet:
     s0: float = None
     s1: float = None
     x: tuple = None
-    s_circle: float = None
 
     def total_measure(self) -> float:
         m = self.manifold
@@ -157,9 +110,6 @@ class CosphereSet:
             return area * 2.0 * math.pi
         if self.kind == "fiber":
             return 2.0 * math.pi
-        if self.kind == "conormal":
-            return 2.0 * 2.0 * math.pi * float(
-                m.profile.alpha(self.s_circle))
         raise DomainError(f"unknown set kind {self.kind!r}")
 
     def sample(self, n: int, seed: int) -> np.ndarray:
@@ -168,19 +118,19 @@ class CosphereSet:
             raise DomainError("torus sets other than the full cosphere and "
                               "a fiber are not needed by the estimators")
         if m.kind == "flat_torus" and self.kind == "full":
-            u = qmc.Halton(d=3, scramble=True, seed=seed).random(n)
+            u = _halton(3, n, seed)
             x = u[:, :2] * np.asarray(m.periods)
             phi = 2.0 * math.pi * u[:, 2]
             return np.column_stack([x, np.cos(phi), np.sin(phi)])
 
         if self.kind == "fiber":
-            u = qmc.Halton(d=1, scramble=True, seed=seed).random(n)[:, 0]
+            u = _halton(1, n, seed)[:, 0]
             return _fiber_states(m, self.x, 2.0 * math.pi * u)
         prof = _profile_of(m)
         if self.kind in ("full", "band"):
             lo = self.s0 if self.kind == "band" else (-HALF_PI + 1e-6)
             hi = self.s1 if self.kind == "band" else (HALF_PI - 1e-6)
-            u = qmc.Halton(d=3, scramble=True, seed=seed).random(n)
+            u = _halton(3, n, seed)
             grid = np.linspace(lo, hi, 4097)
             dens = prof.alpha(grid)
             cdf = np.concatenate([[0.0], np.cumsum(
@@ -192,13 +142,6 @@ class CosphereSet:
             a = prof.alpha(s)
             return np.column_stack([s, theta, np.cos(psi),
                                     a * np.sin(psi)])
-        if self.kind == "conormal":
-            s0 = self.s_circle
-            u = qmc.Halton(d=2, scramble=True, seed=seed).random(n)
-            theta = 2.0 * math.pi * u[:, 0]
-            sign = np.where(u[:, 1] < 0.5, 1.0, -1.0)
-            return np.column_stack([np.full(n, s0), theta, sign,
-                                    np.zeros(n)])
         raise DomainError(f"unknown set kind {self.kind!r}")
 
 
@@ -381,7 +324,7 @@ def recurrence_measure(manifold: ModelManifold, x, R0: float,
 def _recurrence_mass(flow, manifold, x, psi0, a_k, thresh, t_lo, t_hi,
                      sign, samples, seed):
     """Estimated mass of B(R^{rR}_{A, sign}, rR) on the fiber circle."""
-    u = qmc.Halton(d=1, scramble=True, seed=seed).random(samples)[:, 0]
+    u = _halton(1, samples, seed)[:, 0]
     psi = 2.0 * math.pi * u
     fiber_gap = np.maximum(wrap_angle(psi - psi0) - a_k, 0.0)
     near_A = fiber_gap < thresh

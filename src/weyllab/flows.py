@@ -33,6 +33,12 @@ only the lattice vectors within reach of the window.
    together in one pass of the row-batched DOP853 (:func:`_dop853_rows`),
    which :mod:`weyllab.geoflow` shares.
 
+The Clairaut data of surfaces of revolution live here once, batched over
+orbits: :func:`turning_points` (alpha = c on both sides of the maximum)
+and :func:`clairaut_segments` (the time and angle integrals between two
+radii, one tanh-sinh rule for all rows).  The certificate and
+:func:`weyllab.geoflow.rotation_number` both call them.
+
 ``target_hits`` runs steps 2 to 4.  Every DOP853 row keeps its own step
 size and error norm, so each is held to the same rtol/atol as a scalar
 solve; a row whose step falls below 10 ulps of its time raises
@@ -110,6 +116,51 @@ def _alpha_sq_gap(profile: ProfileCurve, w, c, s_turn, dw):
         diff = da * dw + 0.5 * dda * dw * dw
         gap = np.where(near, diff * (a + c), gap)
     return np.where(gap > 1e-300, gap, np.inf)
+
+
+def turning_points(profile: ProfileCurve, c):
+    """(s_-, s_+) per entry of c: alpha = c on each monotone side of s_max.
+
+    Bisection down to adjacent floats; each root is the end of its bracket
+    where alpha <= c, so alpha > c strictly between the two.  Raises
+    :class:`DomainError` unless every c lies in (0, alpha_max].
+    """
+    c = np.asarray(c, dtype=float)
+    if np.any((c <= 0.0) | (c > profile.alpha_max)):
+        raise DomainError(
+            f"Clairaut constant outside (0, {profile.alpha_max}]")
+    k = len(c)
+    inside = np.full(2 * k, profile.s_max)                 # alpha > c
+    outside = np.repeat([-HALF_PI, HALF_PI], k)            # alpha <= c
+    cc = np.concatenate([c, c])
+    for _ in range(64):
+        mid = 0.5 * (inside + outside)
+        up = profile.alpha(mid) > cc
+        inside = np.where(up, mid, inside)
+        outside = np.where(up, outside, mid)
+    return outside[:k], outside[k:]
+
+
+def clairaut_segments(profile: ProfileCurve, c, lo, hi, turn, angle,
+                      rel_tol):
+    """int_lo^hi numer / sqrt(alpha^2 - c^2) ds per row: (values, errs).
+
+    The numerator is c / alpha where ``angle[i]`` is true (the azimuthal
+    advance of an orbit with Clairaut constant c[i] from lo[i] to hi[i])
+    and alpha otherwise (the time it takes).  ``turn[i]`` is the end that
+    is a turning point, where the integrand is singular.  One batched
+    tanh-sinh rule; as :func:`weyllab.quadrature.tanh_sinh_rows`, a row
+    that does not converge gets ``err = inf``.
+    """
+    at_hi = turn == hi
+
+    def density(i, w, d_lo, d_hi):
+        dw = np.where(at_hi[i, None], -d_hi, d_lo)
+        gap = _alpha_sq_gap(profile, w, c[i, None], turn[i, None], dw)
+        a = profile.alpha(w)
+        return np.where(angle[i, None], c[i, None] / a, a) / np.sqrt(gap)
+
+    return tanh_sinh_rows(density, lo, hi, rel_tol=rel_tol)
 
 
 def _mirror(states: np.ndarray) -> np.ndarray:
@@ -713,7 +764,7 @@ class RevolutionFlow:
             return clear
         alpha = self.profile.alpha
         c = np.abs(states[rows, 3])
-        s_lo, s_hi = self._turning_points(c)
+        s_lo, s_hi = turning_points(self.profile, c)
         s0 = np.clip(states[rows, 0], s_lo, s_hi)
         lo_in, hi_in = s0 - d <= s_lo, s0 + d >= s_hi
         inner, one = ~lo_in & ~hi_in, lo_in ^ hi_in
@@ -732,9 +783,11 @@ class RevolutionFlow:
         turn = np.where(up, s_hi[two], s_lo[two])
         ends = np.concatenate([s0[two], np.where(up, s0[two] - d,
                                                  s0[two] + d)])
-        legs, errs = self._clairaut_times(
-            np.tile(c[two], 2), np.minimum(ends, np.tile(turn, 2)),
-            np.maximum(ends, np.tile(turn, 2)), np.tile(turn, 2))
+        legs, errs = clairaut_segments(
+            self.profile, np.tile(c[two], 2),
+            np.minimum(ends, np.tile(turn, 2)),
+            np.maximum(ends, np.tile(turn, 2)), np.tile(turn, 2),
+            np.zeros(2 * len(turn), dtype=bool), rel_tol=1e-4)
         t_exit[two] = legs.reshape(2, -1).sum(axis=0)
         exit_err = np.zeros(len(cand))
         exit_err[two] = 10.0 * errs.reshape(2, -1).sum(axis=0)
@@ -743,47 +796,14 @@ class RevolutionFlow:
             x[left] for x in (cand, c, s_lo, s_hi, t_exit, exit_err))
         # tau in two halves, split at s_max
         s_max = np.full(len(cand), self.profile.s_max)
-        halves, errs = self._clairaut_times(
-            np.tile(c, 2), np.concatenate([s_lo, s_max]),
-            np.concatenate([s_max, s_hi]), np.concatenate([s_lo, s_hi]))
+        halves, errs = clairaut_segments(
+            self.profile, np.tile(c, 2), np.concatenate([s_lo, s_max]),
+            np.concatenate([s_max, s_hi]), np.concatenate([s_lo, s_hi]),
+            np.zeros(2 * len(cand), dtype=bool), rel_tol=1e-4)
         tau = 2.0 * halves.reshape(2, -1).sum(axis=0)
         tau_err = 2.0 * errs.reshape(2, -1).sum(axis=0)
         clear[rows[cand]] = T + t_exit + exit_err + 10.0 * tau_err < tau
         return clear
-
-    def _clairaut_times(self, c, lo, hi, turn):
-        """int_lo^hi alpha / sqrt(alpha^2 - c^2) ds per row: (values, errs).
-
-        The time an orbit with Clairaut constant c[i] takes from lo[i] to
-        hi[i]; ``turn[i]`` is the end that is a turning point, where the
-        integrand is singular.  One batched tanh-sinh rule at rel_tol 1e-4.
-        """
-        at_hi = turn == hi
-
-        def time_density(i, w, d_lo, d_hi):
-            dw = np.where(at_hi[i, None], -d_hi, d_lo)
-            gap = _alpha_sq_gap(self.profile, w, c[i, None], turn[i, None],
-                                dw)
-            return self.profile.alpha(w) / np.sqrt(gap)
-
-        return tanh_sinh_rows(time_density, lo, hi, rel_tol=1e-4)
-
-    def _turning_points(self, c):
-        """(s_-, s_+) per row: alpha = c on each monotone side of s_max.
-
-        Bisection down to adjacent floats; each root is the end of its
-        bracket where alpha <= c, so alpha > c strictly between the two.
-        """
-        k = len(c)
-        inside = np.full(2 * k, self.profile.s_max)            # alpha > c
-        outside = np.repeat([-HALF_PI, HALF_PI], k)            # alpha <= c
-        cc = np.concatenate([c, c])
-        for _ in range(64):
-            mid = 0.5 * (inside + outside)
-            up = self.profile.alpha(mid) > cc
-            inside = np.where(up, mid, inside)
-            outside = np.where(up, outside, mid)
-        return outside[:k], outside[k:]
 
     def target_hits(self, states, y_point, t0, T, thresh):
         """Samples whose orbit passes within thresh of y (base distance).

@@ -1,8 +1,12 @@
 """Geodesic dynamics on surfaces of revolution.
 
-Clairaut integrals, rotation numbers and their derivatives, Hamiltonian
-flow integration with conserved-quantity monitoring, and periodic-torus
-classification.
+Rotation numbers and their derivatives, Hamiltonian flow integration
+with conserved-quantity monitoring, and periodic-torus classification.
+The Clairaut data (turning points, and the angle and time integrals) come
+from the batched :func:`weyllab.flows.turning_points` and
+:func:`weyllab.flows.clairaut_segments`, which the radial certificate of
+:class:`weyllab.flows.RevolutionFlow` shares; the rotation number of a
+whole grid is one call.
 
 Orbits are parametrized by the right turning point ``s_plus``; angular
 advances are anchored at the profile maximum ``s_max`` (equal to 0 for
@@ -17,11 +21,11 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
-from .errors import DegenerateInput, DomainError, StepFailure
+from .errors import (DegenerateInput, DomainError, QuadratureFailure,
+                     StepFailure)
 from .flows import (RevolutionFlow, _alpha_sq_gap, _dop853_rows,
-                    meridian_states)
+                    clairaut_segments, meridian_states, turning_points)
 from .manifolds import HALF_PI, ProfileCurve
 from .quadrature import tanh_sinh
 
@@ -54,7 +58,10 @@ def unit_phase_point(profile: ProfileCurve, s: float, theta: float,
 
 @dataclass(frozen=True)
 class ClairautOrbit:
-    """Conserved data of an integrable orbit with right turning point s_plus."""
+    """Conserved data of integrable orbits with right turning points s_plus.
+
+    Floats for one orbit, arrays of the shape of s_plus for an array.
+    """
 
     c: float
     s_plus: float
@@ -71,6 +78,7 @@ class TorusClassification:
     status: str                  # "periodic" | "aperiodic" | "uncertain"
     Theta0: float
     dTheta0: float
+    return_time: float
     p: Optional[int] = None
     q: Optional[int] = None
 
@@ -79,108 +87,48 @@ class TorusClassification:
 # Clairaut data
 
 
-def clairaut_constant(p: PhasePoint, profile: ProfileCurve) -> float:
-    """Conserved |xi_theta| (equals alpha at the turning points)."""
-    if p.unit_defect(profile) > 1e-6:
-        raise DomainError("phase point is not on the unit cosphere bundle")
-    return abs(p.xi_theta)
-
-
-def turning_points(c: float, profile: ProfileCurve,
-                   xtol: float = 1e-12) -> tuple[float, float]:
-    """Roots of alpha = c on either side of the profile maximum."""
-    if not (0.0 < c < profile.alpha_max):
-        raise DomainError(
-            f"Clairaut constant {c} outside (0, {profile.alpha_max})")
-
-    def g(s):
-        return float(profile.alpha(s)) - c
-
-    s_plus = brentq(g, profile.s_max, HALF_PI - 1e-15, xtol=xtol)
-    s_minus = brentq(g, -HALF_PI + 1e-15, profile.s_max, xtol=xtol)
-    return float(s_minus), float(s_plus)
-
-
-def s_minus_of(s_plus: float, profile: ProfileCurve) -> float:
-    """Left turning point paired with s_plus (same Clairaut constant)."""
-    c = float(profile.alpha(s_plus))
-    return turning_points(c, profile)[0]
-
-
-def _singular_segment(numer, profile: ProfileCurve, c: float, lo: float,
-                      hi: float, s_turn: float,
-                      rel_tol: float = _CLAIRAUT_REL_TOL) -> float:
-    """int_lo^hi numer(w) / sqrt(alpha^2 - c^2) dw, singular at s_turn.
-
-    ``s_turn`` must be one of the endpoints (a turning point of the orbit);
-    the other endpoint is regular.
-    """
-    at_hi = abs(s_turn - hi) < abs(s_turn - lo)
-
-    def f(w, d_lo, d_hi):
-        dw = -d_hi if at_hi else d_lo
-        return numer(w) / np.sqrt(_alpha_sq_gap(profile, w, c, s_turn, dw))
-
-    return tanh_sinh(f, lo, hi, rel_tol=rel_tol, endpoint_distances=True)[0]
-
-
-def _theta_segment(profile: ProfileCurve, c: float, lo: float, hi: float,
-                   s_turn: float, rel_tol: float = _CLAIRAUT_REL_TOL) -> float:
-    """int_lo^hi (c/alpha) / sqrt(alpha^2 - c^2) dw."""
-    return _singular_segment(lambda w: c / profile.alpha(w), profile, c,
-                             lo, hi, s_turn, rel_tol)
-
-
-def _time_segment(profile: ProfileCurve, c: float, lo: float, hi: float,
-                  s_turn: float, rel_tol: float = _CLAIRAUT_REL_TOL) -> float:
-    """int_lo^hi alpha / sqrt(alpha^2 - c^2) dw."""
-    return _singular_segment(lambda w: profile.alpha(w), profile, c,
-                             lo, hi, s_turn, rel_tol)
-
-
-def theta_half(s_turn: float, side: str, profile: ProfileCurve) -> float:
-    """Azimuthal advance over a half oscillation anchored at the equator.
-
-    ``side="plus"`` gives theta_+(s_turn) = 2 int_0^{s_turn}; ``side="minus"``
-    the mirror advance.  Requires the orbit to straddle s = 0.
-    """
-    c = float(profile.alpha(s_turn))
-    if side == "plus":
-        if not (profile.s_max < s_turn < HALF_PI):
-            raise DomainError(f"s_turn={s_turn} is not a right turning point")
-        if float(profile.alpha(0.0)) <= c:
-            raise DomainError("orbit does not reach the equator; "
-                              "use rotation_number for the full advance")
-        return 2.0 * _theta_segment(profile, c, 0.0, s_turn, s_turn)
-    if side == "minus":
-        if not (-HALF_PI < s_turn < profile.s_max):
-            raise DomainError(f"s_turn={s_turn} is not a left turning point")
-        if float(profile.alpha(0.0)) <= c:
-            raise DomainError("orbit does not reach the equator")
-        return 2.0 * _theta_segment(profile, c, s_turn, 0.0, s_turn)
-    raise DomainError(f"side must be 'plus' or 'minus', got {side!r}")
-
-
-def rotation_number(s_plus: float, profile: ProfileCurve) -> ClairautOrbit:
-    """Full Clairaut data of the orbit with right turning point s_plus.
+def rotation_number(s_plus, profile: ProfileCurve) -> ClairautOrbit:
+    """Full Clairaut data of the orbits with right turning points s_plus.
 
     Theta0 = theta_+ + theta_-, the azimuthal advance over one full radial
     oscillation; the return time is the period of that oscillation.  The
     two half advances are split at the profile maximum, so they agree with
     the equator-anchored definition on mirror-symmetric profiles.
+
+    ``s_plus`` is a scalar or an array; for an array every field of the
+    result is an array of its shape.  The left turning points come from
+    :func:`weyllab.flows.turning_points`, and the four half integrals of
+    every orbit from one :func:`weyllab.flows.clairaut_segments` call at
+    rel_tol 1e-9.  Raises :class:`QuadratureFailure` when one of them does
+    not converge.
     """
-    if not (profile.s_max < s_plus < HALF_PI):
+    s = np.asarray(s_plus, dtype=float)
+    sp = s.ravel()
+    if not np.all((profile.s_max < sp) & (sp < HALF_PI)):
         raise DomainError(f"s_plus={s_plus} outside ({profile.s_max}, pi/2)")
-    c = float(profile.alpha(s_plus))
-    s_minus = s_minus_of(s_plus, profile)
-    anchor = profile.s_max
-    th_p = 2.0 * _theta_segment(profile, c, anchor, s_plus, s_plus)
-    th_m = 2.0 * _theta_segment(profile, c, s_minus, anchor, s_minus)
-    t_p = 2.0 * _time_segment(profile, c, anchor, s_plus, s_plus)
-    t_m = 2.0 * _time_segment(profile, c, s_minus, anchor, s_minus)
-    return ClairautOrbit(c=c, s_plus=s_plus, s_minus=s_minus,
-                         theta_plus=th_p, theta_minus=th_m,
-                         Theta0=th_p + th_m, return_time=t_p + t_m)
+    c = profile.alpha(sp)
+    s_minus = turning_points(profile, c)[0]
+    k = len(sp)
+    anchor = np.full(k, profile.s_max)
+    # rows theta_+, theta_-, t_+, t_-, each orbit's half on either side
+    # of the anchor
+    lo = np.tile(np.concatenate([anchor, s_minus]), 2)
+    hi = np.tile(np.concatenate([sp, anchor]), 2)
+    turn = np.tile(np.concatenate([sp, s_minus]), 2)
+    vals, errs = clairaut_segments(profile, np.tile(c, 4), lo, hi, turn,
+                                   np.repeat([True, False], 2 * k),
+                                   rel_tol=_CLAIRAUT_REL_TOL)
+    if np.any(np.isinf(errs)):
+        raise QuadratureFailure(
+            "Clairaut quadrature did not converge at s_plus="
+            f"{sp[np.isinf(errs).reshape(4, k).any(axis=0)]}")
+    th_p, th_m, t_p, t_m = 2.0 * vals.reshape(4, k)
+    fields = {"c": c, "s_plus": sp, "s_minus": s_minus, "theta_plus": th_p,
+              "theta_minus": th_m, "Theta0": th_p + th_m,
+              "return_time": t_p + t_m}
+    if s.ndim == 0:
+        return ClairautOrbit(**{n: float(v[0]) for n, v in fields.items()})
+    return ClairautOrbit(**{n: v.reshape(s.shape) for n, v in fields.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -229,28 +177,36 @@ def _d_theta_plus_formula(profile: ProfileCurve, s_plus: float,
     return 2.0 * da_sp * (I1 - boundary + I2)
 
 
-def d_rotation_number(s_plus: float, profile: ProfileCurve,
-                      method: str = "formula",
-                      fd_step: float = 1e-4) -> float:
-    """d Theta0 / d s_plus, by the exact identity or by central differences."""
-    if method == "finite_difference":
-        h = fd_step
-        hi = min(s_plus + h, HALF_PI - 1e-9)
-        lo = max(s_plus - h, profile.s_max + 1e-9)
-        f_hi = rotation_number(hi, profile).Theta0
-        f_lo = rotation_number(lo, profile).Theta0
-        return (f_hi - f_lo) / (hi - lo)
-    if method != "formula":
-        raise DomainError(f"unknown method {method!r}")
-
+def _d_theta0(profile: ProfileCurve, s_plus: float, s_minus: float) -> float:
+    """d Theta0 / d s_plus by the exact identity; s_minus pairs with s_plus."""
     d_plus = _d_theta_plus_formula(profile, s_plus)
     # Mirror side through the reflected profile: theta_-(s_-; alpha) equals
     # theta_+(-s_-; alpha reflected), so d theta_-/d s_- = -d theta_+ at -s_-.
-    s_minus = s_minus_of(s_plus, profile)
     refl = profile.reflected()
     d_minus = -_d_theta_plus_formula(refl, -s_minus)
     ds_minus = float(profile.d_alpha(s_plus)) / float(profile.d_alpha(s_minus))
     return d_plus + d_minus * ds_minus
+
+
+def d_rotation_number(s_plus, profile: ProfileCurve,
+                      method: str = "formula", fd_step: float = 1e-4):
+    """d Theta0 / d s_plus, by the exact identity or by central differences.
+
+    ``"finite_difference"`` takes a scalar or an array of s_plus and
+    evaluates all its Theta0 in one :func:`rotation_number` call;
+    ``"formula"`` takes a scalar.
+    """
+    if method == "finite_difference":
+        s = np.asarray(s_plus, dtype=float)
+        hi = np.minimum(s + fd_step, HALF_PI - 1e-9)
+        lo = np.maximum(s - fd_step, profile.s_max + 1e-9)
+        f_hi, f_lo = rotation_number(np.stack([hi, lo]), profile).Theta0
+        d = (f_hi - f_lo) / (hi - lo)
+        return float(d) if s.ndim == 0 else d
+    if method != "formula":
+        raise DomainError(f"unknown method {method!r}")
+    s_minus = turning_points(profile, [float(profile.alpha(s_plus))])[0]
+    return _d_theta0(profile, s_plus, float(s_minus[0]))
 
 
 def d_rotation_number_in_epsilon(spec, s_plus: float) -> float:
@@ -429,32 +385,31 @@ def classify_tori(profile: ProfileCurve, grid: Iterable[float],
                   deriv_floor: float = 1e-6) -> list[TorusClassification]:
     """Classify the invariant tori over a grid of right turning points.
 
-    A torus is aperiodic when |d Theta0 / d s_plus| clears the floor with a
-    derivative sign stable across the five nearest grid points; otherwise
+    A torus is aperiodic when |d Theta0 / d s_plus| clears the floor and no
+    derivative among the five nearest grid points that clears it has the
+    other sign (below the floor a sign is quadrature noise); otherwise
     periodic when Theta0/2pi admits a convergent p/q with q <= q_max within
     rational_tol; otherwise uncertain.  The derivative comes from the exact
     identity: a finite difference of Theta0 carries quadrature noise of a
     few 1e-6, enough to clear the default floor on tori that are periodic.
     """
     grid = np.asarray(sorted(grid), dtype=float)
-    thetas = np.array([rotation_number(s, profile).Theta0 for s in grid])
-    derivs = np.array([d_rotation_number(s, profile, "formula")
-                       for s in grid])
+    orb = rotation_number(grid, profile)
+    derivs = np.array([_d_theta0(profile, s, float(s_minus))
+                       for s, s_minus in zip(grid, orb.s_minus)])
     out = []
     n = len(grid)
     for i, s in enumerate(grid):
         window = derivs[max(0, i - 2):min(n, i + 3)]
-        stable_sign = np.all(np.sign(window) == np.sign(derivs[i]))
-        if abs(derivs[i]) > deriv_floor and stable_sign:
-            out.append(TorusClassification(s, "aperiodic", thetas[i],
-                                           derivs[i]))
+        signed = window[np.abs(window) > deriv_floor]
+        data = (orb.Theta0[i], derivs[i], orb.return_time[i])
+        if abs(derivs[i]) > deriv_floor \
+                and np.all(np.sign(signed) == np.sign(derivs[i])):
+            out.append(TorusClassification(s, "aperiodic", *data))
             continue
-        ratio = thetas[i] / (2.0 * math.pi)
-        p, q, err = best_rational(ratio, q_max)
+        p, q, err = best_rational(orb.Theta0[i] / (2.0 * math.pi), q_max)
         if err < rational_tol:
-            out.append(TorusClassification(s, "periodic", thetas[i],
-                                           derivs[i], p=p, q=q))
+            out.append(TorusClassification(s, "periodic", *data, p=p, q=q))
         else:
-            out.append(TorusClassification(s, "uncertain", thetas[i],
-                                           derivs[i]))
+            out.append(TorusClassification(s, "uncertain", *data))
     return out

@@ -171,12 +171,11 @@ def torus_remainder(cfg: dict) -> list:
 def clairaut_crosscheck(cfg: dict) -> list:
     profile = _pert_profile({**_DEFAULT_PERT, **cfg})
     s_values = np.linspace(0.15, 1.5, cfg.get("n_points", 20))
+    orb = rotation_number(s_values, profile)
     worst = 0.0
-    for s_plus in s_values:
-        orb = rotation_number(float(s_plus), profile)
+    for s_plus, theta, tau in zip(s_values, orb.Theta0, orb.return_time):
         theta_ode, t_ode = rotation_number_ode(float(s_plus), profile)
-        worst = max(worst, abs(orb.Theta0 - theta_ode),
-                    abs(orb.return_time - t_ode))
+        worst = max(worst, abs(theta - theta_ode), abs(tau - t_ode))
     T = 20.0
     drift = 0.0
     for s0, psi in ((0.2, 0.9), (-0.5, 2.1), (0.8, 0.4)):
@@ -246,15 +245,13 @@ def pendulum_rotation(cfg: dict) -> list:
     mins = []
     for n in (cfg.get("n_grid", 40), 2 * cfg.get("n_grid", 40)):
         grid = np.linspace(lo, hi, n)
-        vals = [abs(d_rotation_number(float(s), profile,
-                                      "finite_difference")) for s in grid]
-        mins.append(min(vals))
+        mins.append(float(np.min(np.abs(d_rotation_number(
+            grid, profile, "finite_difference")))))
     stable = abs(mins[0] - mins[1]) <= 0.10 * max(mins)
     # square-root scale near the singular torus (offsets from the maximum)
     us = np.geomspace(1e-4, 1e-2, 10)
-    ratio_min = min(rotation_number(profile.s_max + float(u),
-                                    profile).Theta0 / math.sqrt(float(u))
-                    for u in us)
+    ratio_min = float(np.min(rotation_number(profile.s_max + us,
+                                             profile).Theta0 / np.sqrt(us)))
     return [
         Claim("pendulum-derivative-floor", mins[1],
               "min |dTheta0/ds| > 0, stable within 10% under grid "

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import weyllab
 from weyllab.cli import main
 from weyllab.scenarios import Claim, Verdict
 
@@ -219,3 +222,15 @@ def test_threads_flag_is_rejected(configs):
         main(["--threads", "2", "--out-dir", configs["dir"], "scenario",
               "list"])
     assert exc.value.code == 2
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats (for the Halton sampler) costs a fresh process about a
+    # third of a second; only the samplers import it
+    src = os.path.dirname(os.path.dirname(weyllab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, weyllab.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

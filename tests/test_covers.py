@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.stats import qmc
 
 from weyllab.covers import (
     CircleTarget,
     CosphereSet,
     ResolutionFunction,
     build_good_cover,
-    check_sublogarithmic,
     family_budget,
     looping_pair_measure,
     near_periodic_measure,
-    omega,
     recurrence_measure,
     wrap_angle,
 )
@@ -27,9 +26,11 @@ from weyllab.flows import (
     TorusFlow,
     _dop853_rows,
     _mirror,
+    clairaut_segments,
     meridian_states,
+    turning_points,
 )
-from weyllab.geoflow import rotation_number
+from weyllab.geoflow import rotation_number, rotation_number_ode
 from weyllab.manifolds import (
     HALF_PI,
     PerturbationSpec,
@@ -46,51 +47,6 @@ TORUS = flat_torus((TWO_PI, TWO_PI))
 SPHERE = round_sphere(2)
 PERTURBED = surface_of_revolution(make_perturbed_sphere(
     PerturbationSpec(epsilon=0.01, a=0.5, b=1.0)))
-
-
-# --- resolution functions ----------------------------------------------------
-
-GRID = np.geomspace(1e-6, 0.5, 40)
-
-
-def test_sublogarithmic_boundary_case():
-    assert check_sublogarithmic(ResolutionFunction.logarithmic(1.0),
-                                GRID)["pass"]
-
-
-def test_sublogarithmic_constant():
-    assert check_sublogarithmic(ResolutionFunction.constant(5.0),
-                                GRID)["pass"]
-
-
-def test_sublogarithmic_rejects_power():
-    out = check_sublogarithmic(ResolutionFunction.power(1.0), GRID)
-    assert not out["pass"]
-    assert out["witness"] < 1.0 / math.e
-
-
-def test_sublogarithmic_power_log():
-    assert check_sublogarithmic(ResolutionFunction.power_log(1.0, 0.5),
-                                GRID)["pass"]
-
-
-def test_omega_of_scaled_log():
-    out = omega(ResolutionFunction.logarithmic(0.7),
-                np.geomspace(1e-8, 1e-2, 30))
-    assert out["value"] == pytest.approx(0.7, abs=1e-9)
-
-
-def test_omega_affine_within_one_percent():
-    out = omega(ResolutionFunction.logarithmic(2.0, offset=3.0),
-                np.geomspace(1e-8, 1e-2, 30))
-    assert out["value"] == pytest.approx(2.0, rel=0.01)
-
-
-def test_omega_sublog_decays():
-    out = omega(ResolutionFunction.power_log(1.0, 0.5),
-                np.geomspace(1e-8, 1e-2, 30))
-    assert out["value"] < 0.3
-    assert out["tag"] in ("decreasing-tail", "affine-extrapolated")
 
 
 # --- phase metric ------------------------------------------------------------
@@ -223,10 +179,15 @@ def test_perturbed_band_refines_candidates(monkeypatch):
 def test_perturbed_conormals_return_through_the_meridian_form():
     # conormals of a latitude are meridian data: closed form, closing
     # within the window T = 7 > 2 pi
-    U = CosphereSet(PERTURBED, kind="conormal", s_circle=0.4)
-    est = near_periodic_measure(U, 1.0, 7.0, 0.05, samples=1000, seed=2)
-    assert est.value == est.total == 11.574393809070305
-    assert est.inflation == 0.0145
+    # the rows the conormal set of s = 0.4 drew at seed 2
+    u = qmc.Halton(d=2, scramble=True, seed=2).random(1000)
+    rows = np.column_stack([np.full(1000, 0.4), TWO_PI * u[:, 0],
+                            np.where(u[:, 1] < 0.5, 1.0, -1.0),
+                            np.zeros(1000)])
+    hits, inflation = RevolutionFlow(PERTURBED.profile).return_hits(
+        rows, 1.0, 7.0, 0.1)
+    assert hits.all()
+    assert inflation == 0.0145
 
 
 # --- looping pairs -----------------------------------------------------------
@@ -405,7 +366,7 @@ def _flat_equator_profile(a=-0.30343):
 def _rows_of_constant(flow, c):
     """Rows with Clairaut constant c across [s_-, s_+], crowding both turning
     points, heading either way: (rows, tau(c))."""
-    s_lo, s_hi = (float(x[0]) for x in flow._turning_points(np.array([c])))
+    s_lo, s_hi = (float(x[0]) for x in turning_points(flow.profile, [c]))
     near = np.geomspace(1e-6, 0.3, 4) * (s_hi - s_lo)
     s0 = np.concatenate([np.linspace(s_lo, s_hi, 11), s_hi - near,
                          s_lo + near])
@@ -531,19 +492,19 @@ def test_radial_certificate_clears_nothing_past_one_period():
 @pytest.mark.parametrize("c", [2e-3, 3e-2, 0.3, 0.9])
 def test_radial_certificate_period_is_the_clairaut_return_time(c):
     profile = PERTURBED.profile
-    flow = RevolutionFlow(profile)
-    s_lo, s_hi = (float(x[0]) for x in flow._turning_points(np.array([c])))
+    s_lo, s_hi = (float(x[0]) for x in turning_points(profile, [c]))
     # each root is the bracket end with alpha <= c, the next float inward
     # has alpha > c
     assert profile.alpha(s_lo) <= c < profile.alpha(np.nextafter(s_lo, 1))
     assert profile.alpha(s_hi) <= c < profile.alpha(np.nextafter(s_hi, 0))
-    ref = rotation_number(s_hi, profile)
-    assert abs(ref.s_minus - s_lo) <= 1e-11
-    halves, errs = flow._clairaut_times(
-        np.array([c, c]), np.array([s_lo, profile.s_max]),
-        np.array([profile.s_max, s_hi]), np.array([s_lo, s_hi]))
+    # the certificate's rule: time rows at rel_tol 1e-4; the reference is
+    # the return time of the DOP853 return map
+    halves, errs = clairaut_segments(
+        profile, np.array([c, c]), np.array([s_lo, profile.s_max]),
+        np.array([profile.s_max, s_hi]), np.array([s_lo, s_hi]),
+        np.zeros(2, dtype=bool), rel_tol=1e-4)
     tau, tau_err = 2.0 * halves.sum(), 2.0 * errs.sum()
-    assert abs(tau - ref.return_time) <= tau_err <= 1e-4
+    assert abs(tau - rotation_number_ode(s_hi, profile)[1]) <= tau_err <= 1e-4
 
 
 @pytest.mark.parametrize("samples, thresh", [(1000, 0.01), (20_000, 0.01)])

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from weyllab.errors import DomainError
+from weyllab import flows, geoflow
+from weyllab.errors import DomainError, QuadratureFailure
+from weyllab.flows import turning_points
 from weyllab.geoflow import (
     PhasePoint,
     best_rational,
-    clairaut_constant,
     classify_tori,
     convergents,
     d_rotation_number,
@@ -15,8 +16,6 @@ from weyllab.geoflow import (
     integrate_geodesic,
     rotation_number,
     rotation_number_ode,
-    theta_half,
-    turning_points,
     unit_phase_point,
 )
 from weyllab.manifolds import (
@@ -33,32 +32,17 @@ PERT = make_perturbed_sphere(SPEC)
 
 # --- Clairaut data ---------------------------------------------------------
 
-def test_clairaut_constant_equatorial_and_meridian():
-    eq = PhasePoint(0.0, 0.0, 0.0, 1.0)
-    assert clairaut_constant(eq, SPHERE) == 1.0
-    mer = PhasePoint(0.3, 0.0, 1.0, 0.0)
-    assert clairaut_constant(mer, SPHERE) == 0.0
-
-
-def test_clairaut_constant_mixed_direction():
-    p = unit_phase_point(SPHERE, 0.0, 0.0, math.pi / 4)
-    c = clairaut_constant(p, SPHERE)
-    assert c == pytest.approx(math.cos(math.pi / 4), rel=1e-12)
-    s_minus, s_plus = turning_points(c, SPHERE)
-    assert s_plus == pytest.approx(math.pi / 4, abs=1e-11)
-
-
 def test_turning_points_symmetric():
-    s_minus, s_plus = turning_points(math.sqrt(0.5), SPHERE)
+    (s_minus,), (s_plus,) = turning_points(SPHERE, [math.sqrt(0.5)])
     assert s_plus == pytest.approx(math.pi / 4, abs=1e-11)
     assert s_minus == pytest.approx(-math.pi / 4, abs=1e-11)
 
 
 def test_turning_points_domain():
     with pytest.raises(DomainError):
-        turning_points(1.5, SPHERE)
+        turning_points(SPHERE, [0.5, 1.5])
     with pytest.raises(DomainError):
-        turning_points(0.0, SPHERE)
+        turning_points(SPHERE, [0.0])
 
 
 def test_turning_points_asymmetric_on_one_sided_perturbation():
@@ -68,23 +52,10 @@ def test_turning_points_asymmetric_on_one_sided_perturbation():
                             f_minus=lambda s: np.zeros_like(np.asarray(s, float)))
     one_sided = make_perturbed_sphere(spec)
     c = float(one_sided.alpha(0.7))
-    s_minus, s_plus = turning_points(c, one_sided)
+    (s_minus,), (s_plus,) = turning_points(one_sided, [c])
     assert s_plus == pytest.approx(0.7, abs=1e-11)
     assert abs(s_minus + 0.7) > 1e-4
     assert float(one_sided.alpha(s_minus)) == pytest.approx(c, abs=1e-11)
-
-
-def test_theta_half_round_sphere_is_pi():
-    for s_plus in (0.3, 0.7, 1.2):
-        assert theta_half(s_plus, "plus", SPHERE) == pytest.approx(
-            math.pi, abs=1e-9)
-
-
-def test_theta_half_even_symmetry():
-    s_plus = 0.8
-    s_minus = -s_plus
-    assert theta_half(s_minus, "minus", SPHERE) == pytest.approx(
-        theta_half(s_plus, "plus", SPHERE), abs=1e-10)
 
 
 def test_rotation_number_round_sphere():
@@ -92,6 +63,41 @@ def test_rotation_number_round_sphere():
     assert orb.Theta0 == pytest.approx(2 * math.pi, abs=1e-9)
     assert orb.return_time == pytest.approx(2 * math.pi, abs=1e-9)
     assert orb.theta_plus == pytest.approx(math.pi, abs=1e-9)
+
+
+def test_rotation_number_round_sphere_grid():
+    orb = rotation_number(np.linspace(0.05, math.pi / 2 - 0.05, 50), SPHERE)
+    assert np.max(np.abs(orb.Theta0 - 2 * math.pi)) <= 1e-11
+    assert np.max(np.abs(orb.return_time - 2 * math.pi)) <= 1e-11
+
+
+@pytest.mark.parametrize("profile", [PERT, make_pendulum_profile(4.0)],
+                         ids=["perturbed", "pendulum"])
+def test_rotation_number_array_equals_scalar_calls(profile):
+    grid = profile.s_max + np.linspace(0.01, 0.99, 12).reshape(3, 4) \
+        * (math.pi / 2 - profile.s_max)
+    orb = rotation_number(grid, profile)
+    fd = d_rotation_number(grid, profile, "finite_difference")
+    for idx in np.ndindex(grid.shape):
+        one = rotation_number(float(grid[idx]), profile)
+        for name, value in vars(one).items():
+            assert getattr(orb, name)[idx] == value, name
+        assert fd[idx] == d_rotation_number(float(grid[idx]), profile,
+                                            "finite_difference")
+    with pytest.raises(DomainError):
+        rotation_number(np.array([0.5, math.pi / 2]), profile)
+
+
+def test_rotation_number_raises_when_the_rule_does_not_converge(monkeypatch):
+    rule = flows.tanh_sinh_rows
+    # one level gives no difference to converge on: every row's err is inf
+    monkeypatch.setattr(flows, "tanh_sinh_rows",
+                        lambda f, a, b, rel_tol: rule(f, a, b, rel_tol,
+                                                      max_level=2))
+    with pytest.raises(QuadratureFailure):
+        rotation_number(0.5, PERT)
+    with pytest.raises(QuadratureFailure):
+        rotation_number(np.array([0.5, 0.9]), PERT)
 
 
 def test_rotation_number_unseen_perturbation():
@@ -242,6 +248,26 @@ def test_classify_strip_ignores_quadrature_noise(s_plus):
     (c,) = classify_tori(PERT, [s_plus])
     assert abs(c.dTheta0) < 1e-9
     assert c.status == "periodic" and (c.p, c.q) == (1, 1)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_classify_noise_signs_below_the_floor_carry_no_sign(monkeypatch,
+                                                           sign):
+    # in the spherical strip the exact derivative is ~1e-12 and its sign is
+    # quadrature noise; it must not veto the band's first aperiodic torus
+    formula = geoflow._d_theta0
+
+    def noisy(profile, s_plus, s_minus):
+        if s_plus < SPEC.a:
+            return sign * 1e-12
+        return formula(profile, s_plus, s_minus)
+
+    monkeypatch.setattr(geoflow, "_d_theta0", noisy)
+    grid = np.linspace(0.05, math.pi / 2 - 0.05, 25)
+    out = classify_tori(PERT, grid)
+    first = next(c for c in out if c.s_plus >= SPEC.a)
+    assert first.dTheta0 > 1e-6
+    assert first.status == "aperiodic"
 
 
 def test_classify_synthetic_golden_table(monkeypatch):
