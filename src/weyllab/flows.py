@@ -96,17 +96,16 @@ def meridian_states(states, t) -> np.ndarray:
                             np.zeros_like(s)])
 
 
-def _alpha_sq_gap(profile: ProfileCurve, w, c, s_turn, dw):
-    """alpha(w)^2 - c^2, cancellation-guarded near the turning point.
+def _alpha_sq_gap(profile: ProfileCurve, a, c, s_turn, dw):
+    """alpha(w)^2 - c^2 from a = alpha(w), cancellation-guarded near s_turn.
 
     ``dw = w - s_turn`` is supplied in exact arithmetic by the quadrature
     rule.  Within 1e-5 of the turning point the difference alpha(w) - c is
     replaced by its two-term Taylor expansion (exact derivative
     evaluators), which keeps the relative error of the gap near machine
     precision instead of eps/distance.  ``c`` and ``s_turn`` are scalars or
-    arrays that broadcast against ``w``, one per row of a batched rule.
+    arrays that broadcast against ``a``, one per row of a batched rule.
     """
-    a = profile.alpha(w)
     gap = (a - c) * (a + c)
     dw = np.asarray(dw, dtype=float)
     near = np.abs(dw) < 1e-5
@@ -156,8 +155,8 @@ def clairaut_segments(profile: ProfileCurve, c, lo, hi, turn, angle,
 
     def density(i, w, d_lo, d_hi):
         dw = np.where(at_hi[i, None], -d_hi, d_lo)
-        gap = _alpha_sq_gap(profile, w, c[i, None], turn[i, None], dw)
         a = profile.alpha(w)
+        gap = _alpha_sq_gap(profile, a, c[i, None], turn[i, None], dw)
         return np.where(angle[i, None], c[i, None] / a, a) / np.sqrt(gap)
 
     return tanh_sinh_rows(density, lo, hi, rel_tol=rel_tol)
@@ -610,8 +609,7 @@ class RevolutionFlow:
         self.metric = RevolutionMetric(profile)
 
     def _rhs(self, y):
-        a = self.profile.alpha(y[:, 0])
-        da = self.profile.d_alpha(y[:, 0])
+        a, da = self.profile.alpha_and_d_alpha(y[:, 0])
         out = np.empty_like(y)
         out[:, 0] = y[:, 2]
         out[:, 1] = y[:, 3] / (a * a)

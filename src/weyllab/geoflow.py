@@ -27,7 +27,7 @@ from .errors import (DegenerateInput, DomainError, QuadratureFailure,
 from .flows import (RevolutionFlow, _alpha_sq_gap, _dop853_rows,
                     clairaut_segments, meridian_states, turning_points)
 from .manifolds import HALF_PI, ProfileCurve
-from .quadrature import tanh_sinh
+from .quadrature import tanh_sinh, tanh_sinh_rows
 
 _CLAIRAUT_REL_TOL = 1e-9
 
@@ -135,78 +135,108 @@ def rotation_number(s_plus, profile: ProfileCurve) -> ClairautOrbit:
 # Derivative of the rotation number
 
 
-def _d_theta_plus_formula(profile: ProfileCurve, s_plus: float,
-                          split_frac: float = 0.5) -> float:
-    """d theta_+ / d s_plus by the split-integral identity.
+def _d_theta0(profile: ProfileCurve, s_plus, s_minus):
+    """d Theta0 / d s_plus at each pair of turning points (s_plus, s_minus).
 
-    The half advance from the anchor z to s_plus is differentiated by
-    integrating by parts on (beta, s_plus) and differentiating under the
-    integral on (z, beta), beta = z + split_frac (s_plus - z).  The result
-    is independent of the split point; callers verify insensitivity by
-    re-evaluating at a second split.
+    Each half advance theta_s from the anchor z = s_max to its turning
+    point s (s_plus or s_minus, with c = alpha(s)) is differentiated by the
+    split-integral identity at beta = z + (s - z) / 2: integration by parts
+    on the part between beta and s, differentiation under the integral on
+    the part between z and beta.  With sigma = sign(s - z),
+
+        d theta_s / d s = 2 alpha'(s) (I1 - sigma B + I2),
+        I1 = int_beta^s (alpha^2 - 2c^2)(2 alpha'^2 + alpha alpha'')
+                        / (sqrt(alpha^2 - c^2) alpha^3 alpha'^2),
+        I2 = int_z^beta alpha / (alpha^2 - c^2)^(3/2),
+        B = (alpha^2 - 2c^2) / (sqrt(alpha^2 - c^2) alpha^2 alpha') at beta,
+
+    the integrals taken over the interval between their ends.  Then
+    dTheta0 = d theta_+/d s_+ + d theta_-/d s_- * d s_-/d s_+ with
+    d s_-/d s_+ = alpha'(s_+) / alpha'(s_-).  The I1 (singular at s, with
+    the exact endpoint distances) and I2 rows of every orbit and both
+    sides are one :func:`tanh_sinh_rows` call at rel_tol 1e-9.  Raises
+    :class:`DegenerateInput` when a split point falls within 1e-6 of z or
+    on a flat stretch of alpha, and :class:`QuadratureFailure` when a row
+    does not converge.
+
+    Near s_max the result cancels and is less accurate than rel_tol: each
+    side is 2 alpha'(s) times a small difference of integrals that grow as
+    s nears z (I1 and I2 are about 5500 and 1840 on the pendulum below),
+    and the two sides nearly cancel.  On the pendulum (E = 4) at s_plus =
+    0.05, 0.016 from s_max, dTheta0 is a 130-fold cancellation of -0.1252
+    and 0.1262, good to about 5e-6 relative.
     """
+    s_plus = np.asarray(s_plus, dtype=float)
+    s_minus = np.asarray(s_minus, dtype=float)
+    k = len(s_plus)
     z = profile.s_max
-    c = float(profile.alpha(s_plus))
-    beta = z + split_frac * (s_plus - z)
-    a_beta = float(profile.alpha(beta))
-    da_beta = float(profile.d_alpha(beta))
-    if abs(da_beta) < 1e-8 or (s_plus - z) < 1e-6:
+    s = np.concatenate([s_plus, s_minus])
+    sigma = np.repeat([1.0, -1.0], k)
+    c = profile.alpha(s)
+    beta = z + 0.5 * (s - z)
+    a_beta, da_beta = profile.alpha_and_d_alpha(beta)
+    bad = (np.abs(da_beta) < 1e-8) | (sigma * (s - z) < 1e-6)
+    if np.any(bad):
         raise DegenerateInput(
-            f"cannot place the split point for s_plus={s_plus}")
-    da_sp = float(profile.d_alpha(s_plus))
+            f"cannot place the split point for s={s[bad]}")
+    # rows: I1 of every orbit and side, then I2
+    lo = np.concatenate([np.minimum(beta, s), np.minimum(z, beta)])
+    hi = np.concatenate([np.maximum(beta, s), np.maximum(z, beta)])
+    c2, s2 = np.tile(c, 2), np.tile(s, 2)
+    at_hi = hi == s2
+    singular = np.arange(4 * k) < 2 * k
 
-    def f1(w, d_lo, d_hi):
-        a = profile.alpha(w)
-        da = profile.d_alpha(w)
-        dda = profile.dd_alpha(w)
-        gap = _alpha_sq_gap(profile, w, c, s_plus, -d_hi)
-        return ((a * a - 2.0 * c * c) * (2.0 * da * da + a * dda)
-                / (np.sqrt(gap) * a ** 3 * da ** 2))
+    def integrand(i, w, d_lo, d_hi):
+        out = np.empty(w.shape)
+        one = singular[i]
+        r, wr = i[one], w[one]
+        cr = c2[r, None]
+        a, da = profile.alpha_and_d_alpha(wr)
+        dda = profile.dd_alpha(wr)
+        dw = np.where(at_hi[r, None], -d_hi[one], d_lo[one])
+        gap = _alpha_sq_gap(profile, a, cr, s2[r, None], dw)
+        out[one] = ((a * a - 2.0 * cr * cr) * (2.0 * da * da + a * dda)
+                    / (np.sqrt(gap) * a ** 3 * da ** 2))
+        cr = c2[i[~one], None]
+        a = profile.alpha(w[~one])
+        out[~one] = a / ((a - cr) * (a + cr)) ** 1.5
+        return out
 
-    I1 = tanh_sinh(f1, beta, s_plus, rel_tol=_CLAIRAUT_REL_TOL,
-                   endpoint_distances=True)[0]
+    vals, errs = tanh_sinh_rows(integrand, lo, hi, rel_tol=_CLAIRAUT_REL_TOL)
+    if np.any(np.isinf(errs)):
+        raise QuadratureFailure(
+            "derivative quadrature did not converge at s="
+            f"{s2[np.isinf(errs)]}")
+    I1, I2 = vals.reshape(2, 2 * k)
     boundary = ((a_beta ** 2 - 2.0 * c * c)
-                / (math.sqrt(a_beta ** 2 - c * c) * a_beta ** 2 * da_beta))
-
-    def f2(w):
-        a = profile.alpha(w)
-        gap = (a - c) * (a + c)
-        return a / gap ** 1.5
-
-    I2 = tanh_sinh(f2, z, beta, rel_tol=_CLAIRAUT_REL_TOL)[0]
-    return 2.0 * da_sp * (I1 - boundary + I2)
-
-
-def _d_theta0(profile: ProfileCurve, s_plus: float, s_minus: float) -> float:
-    """d Theta0 / d s_plus by the exact identity; s_minus pairs with s_plus."""
-    d_plus = _d_theta_plus_formula(profile, s_plus)
-    # Mirror side through the reflected profile: theta_-(s_-; alpha) equals
-    # theta_+(-s_-; alpha reflected), so d theta_-/d s_- = -d theta_+ at -s_-.
-    refl = profile.reflected()
-    d_minus = -_d_theta_plus_formula(refl, -s_minus)
-    ds_minus = float(profile.d_alpha(s_plus)) / float(profile.d_alpha(s_minus))
-    return d_plus + d_minus * ds_minus
+                / (np.sqrt(a_beta ** 2 - c * c) * a_beta ** 2 * da_beta))
+    da_s = profile.d_alpha(s)
+    d_plus, d_minus = (2.0 * da_s * (I1 - sigma * boundary + I2)).reshape(2, k)
+    return d_plus + d_minus * (da_s[:k] / da_s[k:])
 
 
 def d_rotation_number(s_plus, profile: ProfileCurve,
                       method: str = "formula", fd_step: float = 1e-4):
     """d Theta0 / d s_plus, by the exact identity or by central differences.
 
-    ``"finite_difference"`` takes a scalar or an array of s_plus and
-    evaluates all its Theta0 in one :func:`rotation_number` call;
-    ``"formula"`` takes a scalar.
+    ``s_plus`` is a scalar or an array; for an array the result has its
+    shape.  ``"formula"`` evaluates every point by one :func:`_d_theta0`
+    call, ``"finite_difference"`` all its Theta0 by one
+    :func:`rotation_number` call.
     """
+    s = np.asarray(s_plus, dtype=float)
     if method == "finite_difference":
-        s = np.asarray(s_plus, dtype=float)
         hi = np.minimum(s + fd_step, HALF_PI - 1e-9)
         lo = np.maximum(s - fd_step, profile.s_max + 1e-9)
         f_hi, f_lo = rotation_number(np.stack([hi, lo]), profile).Theta0
         d = (f_hi - f_lo) / (hi - lo)
-        return float(d) if s.ndim == 0 else d
-    if method != "formula":
+    elif method == "formula":
+        sp = s.ravel()
+        s_minus = turning_points(profile, profile.alpha(sp))[0]
+        d = _d_theta0(profile, sp, s_minus).reshape(s.shape)
+    else:
         raise DomainError(f"unknown method {method!r}")
-    s_minus = turning_points(profile, [float(profile.alpha(s_plus))])[0]
-    return _d_theta0(profile, s_plus, float(s_minus[0]))
+    return float(d) if s.ndim == 0 else d
 
 
 def d_rotation_number_in_epsilon(spec, s_plus: float) -> float:
@@ -395,8 +425,7 @@ def classify_tori(profile: ProfileCurve, grid: Iterable[float],
     """
     grid = np.asarray(sorted(grid), dtype=float)
     orb = rotation_number(grid, profile)
-    derivs = np.array([_d_theta0(profile, s, float(s_minus))
-                       for s, s_minus in zip(grid, orb.s_minus)])
+    derivs = _d_theta0(profile, grid, orb.s_minus)
     out = []
     n = len(grid)
     for i, s in enumerate(grid):

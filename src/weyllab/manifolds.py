@@ -29,7 +29,9 @@ class ProfileCurve:
     Evaluators are vectorized (accept floats or numpy arrays).  Where no
     closed form exists the derivatives are 5-point central differences with
     step 1e-5.  ``s_max`` locates the (unique) interior maximum of alpha;
-    for even profiles it is 0.
+    for even profiles it is 0.  ``alpha_pair``, when given, returns
+    ``(alpha(s), d_alpha(s))`` bit for bit from one pass over the profile;
+    :meth:`alpha_and_d_alpha` falls back to the two evaluators.
     """
 
     alpha: Callable
@@ -38,13 +40,26 @@ class ProfileCurve:
     label: str
     s_max: float = 0.0
     alpha_max: float = 1.0
+    alpha_pair: Callable = field(default=None, repr=False, compare=False)
 
     def __call__(self, s):
         return self.alpha(s)
 
+    def alpha_and_d_alpha(self, s):
+        """(alpha(s), alpha'(s)), in one pass where the profile has one."""
+        if self.alpha_pair is None:
+            return self.alpha(s), self.d_alpha(s)
+        return self.alpha_pair(s)
+
     def reflected(self) -> "ProfileCurve":
         """Mirror profile alpha(-s); swaps the roles of the two poles."""
         a, da, dda = self.alpha, self.d_alpha, self.dd_alpha
+        pair = self.alpha_pair
+
+        def mirrored_pair(s):
+            val, slope = pair(-np.asarray(s))
+            return val, -slope
+
         return ProfileCurve(
             alpha=lambda s: a(-np.asarray(s)),
             d_alpha=lambda s: -da(-np.asarray(s)),
@@ -52,6 +67,7 @@ class ProfileCurve:
             label=self.label + " (reflected)",
             s_max=-self.s_max,
             alpha_max=self.alpha_max,
+            alpha_pair=None if pair is None else mirrored_pair,
         )
 
 
@@ -185,12 +201,42 @@ def _bump_derivatives(a: float, b: float):
     return _bump_evaluator(a, b, gp), _bump_evaluator(a, b, gp2_plus_gpp)
 
 
+def _bump_pair(a: float, b: float) -> Callable:
+    """x -> (f, f') of the sum of the bumps on (a, b) and (-b, -a).
+
+    One gather over both supports: the mirror bump at x is the bump at
+    |x| with its slope negated.  Per point these are the operations of
+    bump_function and the first of _bump_derivatives, reordered only where
+    floating point is exact (negation, commuted sums), so the two sums are
+    bit-identical to those evaluators' (the supports are disjoint).
+    """
+    peak = math.exp(-4.0 / (b - a))
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        val, slope = np.zeros(x.shape), np.zeros(x.shape)
+        y = np.abs(x)
+        inside = (y > a) & (y < b)
+        if inside.any():
+            yi = y[inside]
+            with np.errstate(over="ignore", under="ignore"):
+                v = np.exp(-1.0 / (yi - a) - 1.0 / (b - yi)) / peak
+            val[inside] = v
+            slope[inside] = np.sign(x[inside]) * v \
+                * (1.0 / (yi - a) ** 2 - 1.0 / (b - yi) ** 2)
+        return val, slope
+
+    return f
+
+
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Bump perturbation data for a perturbed sphere.
 
     ``f_plus`` is supported in (a, b) with 0 < a < b < pi/2; ``f_minus`` in
-    the mirror interval (-b, -a).  Both are nonnegative and smooth.
+    the mirror interval (-b, -a).  Both are nonnegative and smooth.  When
+    both are the default bumps, ``bumps`` evaluates (f_plus + f_minus, its
+    derivative) in one pass; otherwise it is None.
     """
 
     epsilon: float
@@ -202,11 +248,15 @@ class PerturbationSpec:
     dd_f_plus: Callable = field(default=None, repr=False)
     d_f_minus: Callable = field(default=None, repr=False)
     dd_f_minus: Callable = field(default=None, repr=False)
+    bumps: Callable = field(default=None, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if not (0 < self.a < self.b < HALF_PI):
             raise DomainError(f"support bounds need 0 < a < b < pi/2, "
                               f"got a={self.a}, b={self.b}")
+        if self.f_plus is None and self.f_minus is None:
+            object.__setattr__(self, "bumps", _bump_pair(self.a, self.b))
         if self.f_plus is None:
             d1, d2 = _bump_derivatives(self.a, self.b)
             object.__setattr__(self, "f_plus", bump_function(self.a, self.b))
@@ -243,11 +293,17 @@ def make_perturbed_sphere(spec: PerturbationSpec) -> ProfileCurve:
         s = np.asarray(s, dtype=float)
         return -np.cos(s) + eps * (spec.dd_f_plus(s) + spec.dd_f_minus(s))
 
-    probe = ProfileCurve(alpha, d_alpha, dd_alpha,
-                         label=f"perturbed sphere (eps={eps}, a={spec.a}, b={spec.b})")
+    def alpha_pair(s):
+        s = np.asarray(s, dtype=float)
+        val, slope = spec.bumps(s)
+        return np.cos(s) + eps * val, -np.sin(s) + eps * slope
+
+    label = f"perturbed sphere (eps={eps}, a={spec.a}, b={spec.b})"
     s_star, a_star = _locate_max(alpha, d_alpha)
-    profile = ProfileCurve(alpha, d_alpha, dd_alpha, probe.label,
-                           s_max=s_star, alpha_max=a_star)
+    profile = ProfileCurve(alpha, d_alpha, dd_alpha, label,
+                           s_max=s_star, alpha_max=a_star,
+                           alpha_pair=None if spec.bumps is None
+                           else alpha_pair)
     validate_profile(profile, strict=True)
     return profile
 

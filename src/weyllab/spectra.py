@@ -267,7 +267,11 @@ class _RadialGrid:
 
     Bulk spacing resolves the fastest Pruefer winding (~lambda_max); near
     the poles the spacing shrinks like alpha/(m_max+1), which keeps the
-    boundary-layer attraction stable for explicit RK4.
+    boundary-layer attraction stable for explicit RK4.  The grid runs from
+    the pole up to ``hi``, the maximum of alpha, so alpha grows along it:
+    the pole layer is walked point by point, and the first step at the
+    bulk spacing starts a bulk of equal steps, summed in order as the walk
+    would, with the last one clamped at ``hi``.
     """
 
     def __init__(self, profile: ProfileCurve, lam_max: float, m_max: int,
@@ -277,19 +281,21 @@ class _RadialGrid:
         pts = [lo]
         s = lo
         while s < hi:
-            a = float(profile.alpha(s))
-            h = min(h_bulk, 0.7 * a / (m_max + 1.0))
+            h = 0.7 * float(profile.alpha(s)) / (m_max + 1.0)
+            if h >= h_bulk:
+                break
             s = min(s + h, hi)
             pts.append(s)
-        self.s = np.array(pts)
+        bulk = np.cumsum(np.append(
+            s, np.full(int(math.ceil((hi - s) / h_bulk)) + 2, h_bulk)))
+        # the walk ends at the first point at or past hi
+        n_bulk = int(np.argmax(bulk >= hi)) if s < hi else 0
+        self.s = np.append(pts, np.minimum(bulk[1:n_bulk + 1], hi))
         mid = 0.5 * (self.s[:-1] + self.s[1:])
         self.h = np.diff(self.s)
-        self.a0 = profile.alpha(self.s[:-1])
-        self.da0 = profile.d_alpha(self.s[:-1])
-        self.am = profile.alpha(mid)
-        self.dam = profile.d_alpha(mid)
-        self.a1 = profile.alpha(self.s[1:])
-        self.da1 = profile.d_alpha(self.s[1:])
+        self.a0, self.da0 = profile.alpha_and_d_alpha(self.s[:-1])
+        self.am, self.dam = profile.alpha_and_d_alpha(mid)
+        self.a1, self.da1 = profile.alpha_and_d_alpha(self.s[1:])
         self.delta = delta
 
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from weyllab import flows, geoflow
-from weyllab.errors import DomainError, QuadratureFailure
+from weyllab import flows, geoflow, quadrature
+from weyllab.errors import DegenerateInput, DomainError, QuadratureFailure
 from weyllab.flows import turning_points
 from weyllab.geoflow import (
     PhasePoint,
@@ -119,6 +119,22 @@ def test_pendulum_theta0_sqrt_lower_bound():
 def test_d_rotation_number_round_sphere_vanishes():
     for s_plus in (0.4, 0.9, 1.3):
         assert abs(d_rotation_number(s_plus, SPHERE, "formula")) < 1e-10
+
+
+@pytest.mark.parametrize("profile", [PERT, make_pendulum_profile(4.0)],
+                         ids=["perturbed", "pendulum"])
+def test_d_rotation_number_formula_array_equals_scalar_calls(profile):
+    grid = profile.s_max + np.linspace(0.01, 0.99, 12).reshape(3, 4) \
+        * (math.pi / 2 - profile.s_max)
+    d = d_rotation_number(grid, profile, "formula")
+    assert d.shape == grid.shape
+    for idx in np.ndindex(grid.shape):
+        assert d[idx] == d_rotation_number(float(grid[idx]), profile,
+                                           "formula")
+    # one point within 1e-6 of s_max has no room for the split point
+    bad = np.append(grid.ravel(), profile.s_max + 5e-7)
+    with pytest.raises(DegenerateInput):
+        d_rotation_number(bad, profile, "formula")
 
 
 def test_d_rotation_number_formula_vs_fd():
@@ -258,9 +274,8 @@ def test_classify_noise_signs_below_the_floor_carry_no_sign(monkeypatch,
     formula = geoflow._d_theta0
 
     def noisy(profile, s_plus, s_minus):
-        if s_plus < SPEC.a:
-            return sign * 1e-12
-        return formula(profile, s_plus, s_minus)
+        return np.where(s_plus < SPEC.a, sign * 1e-12,
+                        formula(profile, s_plus, s_minus))
 
     monkeypatch.setattr(geoflow, "_d_theta0", noisy)
     grid = np.linspace(0.05, math.pi / 2 - 0.05, 25)
@@ -268,6 +283,26 @@ def test_classify_noise_signs_below_the_floor_carry_no_sign(monkeypatch,
     first = next(c for c in out if c.s_plus >= SPEC.a)
     assert first.dTheta0 > 1e-6
     assert first.status == "aperiodic"
+
+
+def test_classify_makes_two_quadrature_calls(monkeypatch):
+    # one rule for Theta0 and tau, one for the derivative identity, whatever
+    # the number of tori, and no scalar rule
+    calls = []
+
+    def counted(rule):
+        def spy(f, a, b, *args, **kwargs):
+            calls.append((rule.__name__, np.size(a)))
+            return rule(f, a, b, *args, **kwargs)
+        return spy
+
+    for module in (flows, geoflow):
+        monkeypatch.setattr(module, "tanh_sinh_rows",
+                            counted(quadrature.tanh_sinh_rows))
+    monkeypatch.setattr(geoflow, "tanh_sinh", counted(quadrature.tanh_sinh))
+    out = classify_tori(PERT, np.linspace(0.05, math.pi / 2 - 0.05, 25))
+    assert len(out) == 25
+    assert calls == [("tanh_sinh_rows", 100), ("tanh_sinh_rows", 100)]
 
 
 def test_classify_synthetic_golden_table(monkeypatch):

@@ -121,6 +121,37 @@ def test_perturbed_volume_quadrature_oracle():
     assert manifold_volume(m) == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("profile", [
+    make_perturbed_sphere(PerturbationSpec(epsilon=0.01, a=0.5, b=1.0)),
+    make_perturbed_sphere(PerturbationSpec(epsilon=0.0103, a=0.49,
+                                           b=1.013))],
+    ids=["perturbed", "jittered"])
+def test_alpha_pair_is_alpha_and_d_alpha_bit_for_bit(profile):
+    # a dense grid over both bump supports, plus every support edge and
+    # its neighbouring floats on either side
+    edges = [0.5, 1.0, 0.49, 1.013]
+    near = [np.nextafter(e, e + d) for e in edges + [-e for e in edges]
+            for d in (-1.0, 0.0, 1.0)]
+    s = np.concatenate([np.linspace(-HALF_PI, HALF_PI, 100_001), near,
+                        np.random.default_rng(5).uniform(-1.1, 1.1, 20_000)])
+    for p in (profile, profile.reflected()):
+        assert p.alpha_pair is not None
+        a, da = p.alpha_and_d_alpha(s)
+        assert np.array_equal(a, p.alpha(s))
+        assert np.array_equal(da, p.d_alpha(s))
+
+
+def test_alpha_pair_only_for_the_default_bumps():
+    # a custom bump on one side keeps the two evaluators
+    spec = PerturbationSpec(epsilon=0.01, a=0.5, b=1.0,
+                            f_minus=lambda s: np.zeros(np.shape(s)))
+    p = make_perturbed_sphere(spec)
+    assert spec.bumps is None and p.alpha_pair is None
+    s = np.linspace(-1.2, 1.2, 101)
+    a, da = p.alpha_and_d_alpha(s)
+    assert np.array_equal(a, p.alpha(s)) and np.array_equal(da, p.d_alpha(s))
+
+
 def test_revolution_volume_matches_sphere():
     m = surface_of_revolution(make_round_sphere())
     assert manifold_volume(m) == pytest.approx(4 * math.pi, rel=1e-12)

@@ -77,3 +77,31 @@ def test_rows_that_do_not_converge_are_left_undecided():
         np.zeros(2), np.ones(2), rel_tol=1e-10)
     assert errs[0] == np.inf
     assert abs(values[1] - 1.0) < 1e-14 and errs[1] <= 1e-10
+
+
+def test_levels_nest_and_evaluate_only_their_new_nodes():
+    # int_0^1 e^x converges at level 4 (mesh 1/16) at rel_tol 1e-12: the
+    # nested rule evaluates 33 + 32 + 64 = 129 nodes, the 129 of level 4,
+    # where evaluating every level afresh would take 33 + 65 + 129 = 227
+    seen = []
+
+    def f(rows, w, d_lo, d_hi):
+        seen.append(w.size)
+        return np.exp(w)
+
+    (value,), (err,) = tanh_sinh_rows(f, [0.0], [1.0], rel_tol=1e-12)
+    assert seen == [33, 32, 64]
+    # the level-4 rule written out: nodes t = k/16, |k| <= 64, on (0, 1)
+    h = 2.0 ** -4
+    t = h * np.arange(-64, 65)
+    z = 0.5 * math.pi * np.sinh(t)
+    w = h * 0.5 * math.pi * np.cosh(t) / np.cosh(z) ** 2
+    direct = 0.5 * np.sum(w * np.exp(0.5 + 0.5 * np.tanh(z)))
+    assert abs(value - direct) <= 1e-15 * direct
+    assert abs(value - (math.e - 1.0)) <= 1e-14
+    # the scalar rule is one row of the same nested rule
+    seen.clear()
+    assert tanh_sinh(lambda x, d_lo, d_hi: f(None, x, d_lo, d_hi), 0.0,
+                     1.0, rel_tol=1e-12, endpoint_distances=True) \
+        == (value, err)
+    assert seen == [33, 32, 64]

@@ -7,11 +7,13 @@ from scipy.special import lpmv
 from weyllab.errors import DomainError, IncompleteInput, SolverFailure
 from weyllab.manifolds import (
     PerturbationSpec,
+    make_pendulum_profile,
     make_perturbed_sphere,
     make_round_sphere,
 )
 from weyllab.spectra import (
     Spectrum,
+    _RadialGrid,
     _illinois,
     _winding_brackets,
     band_weights,
@@ -222,6 +224,36 @@ def test_cutoff_at_an_eigenvalue_keeps_the_multiplet(l):
     assert radial.total == (l + 1) ** 2
 
 
+def _walked_grid(profile, lam_max, m_max, hi, delta=1e-4):
+    """The radial grid walked point by point, one alpha call per step."""
+    h_bulk = 0.08 / (2.0 * lam_max + 2.0)
+    pts = [-math.pi / 2 + delta]
+    while pts[-1] < hi:
+        a = float(profile.alpha(pts[-1]))
+        pts.append(min(pts[-1] + min(h_bulk, 0.7 * a / (m_max + 1.0)), hi))
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("profile", [
+    make_round_sphere(),
+    make_perturbed_sphere(PerturbationSpec(epsilon=0.01, a=0.5, b=1.0)),
+    make_pendulum_profile(4.0)], ids=["round", "perturbed", "pendulum"])
+def test_radial_grid_equals_the_walk(profile):
+    # the bulk of equal steps is one cumulative sum; it must reproduce the
+    # walk point for point, with the profile values at its nodes
+    for lam_max in (12.0, 30.0, 60.0):
+        m_max = int(math.ceil(lam_max * profile.alpha_max)) + 2
+        for side, hi in ((profile, profile.s_max),
+                         (profile.reflected(), -profile.s_max)):
+            grid = _RadialGrid(side, lam_max, m_max, hi=hi)
+            assert np.array_equal(grid.s,
+                                  _walked_grid(side, lam_max, m_max, hi))
+            assert grid.s[-1] == hi
+            assert np.array_equal(grid.a0, side.alpha(grid.s[:-1]))
+            assert np.array_equal(grid.dam, side.d_alpha(
+                0.5 * (grid.s[:-1] + grid.s[1:])))
+
+
 def test_illinois_finds_roots_of_a_monotone_function():
     F = lambda m, x: x ** 3 + m * x
     m = np.array([0.0, 1.0, 4.0])
@@ -316,7 +348,6 @@ def test_product_associative():
 
 def test_pendulum_spectrum_nonsymmetric_profile():
     # the solver must handle profiles whose maximum is off-center
-    from weyllab.manifolds import make_pendulum_profile
     prof = make_pendulum_profile(4.0)
     spec = surface_spectrum(prof, 6.0)
     assert spec.lambdas[0] == 0.0
