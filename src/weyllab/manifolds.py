@@ -283,6 +283,8 @@ def make_perturbed_sphere(spec: PerturbationSpec) -> ProfileCurve:
 
     def alpha(s):
         s = np.asarray(s, dtype=float)
+        if spec.bumps is not None:
+            return np.cos(s) + eps * spec.bumps(s)[0]
         return np.cos(s) + eps * (spec.f_plus(s) + spec.f_minus(s))
 
     def d_alpha(s):

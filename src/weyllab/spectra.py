@@ -4,23 +4,35 @@ Surfaces of revolution separate into radial problems per angular mode m:
 
     -(alpha u')'/alpha + (m^2/alpha^2) u = lambda^2 u,
 
-with boundedness at the poles.  A generalized Pruefer angle, integrated by
-RK4 from both poles to the profile maximum in one stacked loop, gives the
-matching angle F(lambda^2), which increases with lambda^2 and passes n pi
-exactly at the eigenvalues of mode m.  The solver works in two steps:
+with boundedness at the poles.  In y = (u, w = alpha u') the problem is
+y' = A(s) y with the traceless A = [[0, 1/alpha], [m^2/alpha - lam^2 alpha,
+0]].  One propagator carries y from both poles to the maximum of alpha:
+sixth-order Magnus steps with three Gauss points, whose exponentials have
+a closed form for traceless 2x2 matrices.  Its steps follow the profile,
+min(0.2 / lambda_max, 0.1 alpha), not the oscillation, so the step count
+grows only like lambda_max.  The zeros of u are counted from its exact
+sign changes (and the step's phase advance where it passes pi), which
+gives the matching angle F(lambda^2) = theta_left + theta_right; F
+increases with lambda^2 and passes n pi exactly at the eigenvalues of
+mode m.  The solver works in three steps:
 
 * a winding table: F for every mode at about ceil(lambda_max) + 1 nodes
   uniform in lambda, in one batched pass.  The integer winding of each row
-  counts the mode's eigenvalues below the top node, so completeness below
-  the cutoff is certified by integer arithmetic, and the table interval
+  counts the mode's eigenvalues below the top node, and the table interval
   holding each crossing is that eigenvalue's bracket;
+* a winding certificate: F at the first and last nodes again, on a grid
+  with half the steps, must give every mode the same integer windings, so
+  the count below the cutoff is checked at run time;
 * Illinois iteration (regula falsi with halving of a retained end), run on
   all brackets at once until each is narrower than the requested lambda^2
-  tolerance, then a secant step through the true end values.
+  tolerance, then a secant step through the true end values.  Each new F
+  value must lie between its bracket's end values.
 
 The cutoff keeps an eigenvalue whose refined lambda^2 lies within the
 relative slack ``_CUTOFF_RTOL`` of lambda_max^2, so a cutoff that is itself
-an eigenvalue keeps its whole multiplet.
+an eigenvalue keeps its whole multiplet.  Eigenfunctions come from the
+same propagator: one pass stores y at the grid nodes, and a partial Magnus
+step reaches each Chebyshev node from the node to its left.
 """
 
 from __future__ import annotations
@@ -32,12 +44,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, IncompleteInput, SolverFailure
-from .manifolds import (HALF_PI, ModelManifold, ProfileCurve, lattice_box,
+from .manifolds import (HALF_PI, ModelManifold, ProfileCurve,
                         manifold_volume, sphere_volume)
 
 _GROUP_TOL = 1e-8          # relative clustering of merged frequencies
 # Relative lambda^2 slack of the radial solver's cutoff: far above its
-# discretisation error (~3e-9 relative) and far below the relative level
+# discretisation error (~1e-9 relative) and far below the relative level
 # spacing (~2 / lambda_max, 3e-2 at lambda_max 60).
 _CUTOFF_RTOL = 1e-6
 # Rounding noise allowed in a winding-table row before it counts as a
@@ -46,11 +58,21 @@ _MONOTONE_SLACK = 1e-9
 # Illinois steps before the radial solver gives up; a converging run takes
 # about ten.
 _ILLINOIS_MAX_STEPS = 100
-# Batch size times steps per chunk of precomputed Pruefer coefficients:
-# each coefficient array of a chunk then takes about 256 kB, which keeps
-# the transient small without adding measurable per-chunk overhead.
+# Radial steps follow the profile, not lambda: a step is
+# min(_STEP_BULK / lambda_max, _STEP_POLE * alpha) at its left end, so a
+# step advances the phase by at most about 0.2 and the pole layer, where
+# the coefficients vary on the scale of alpha, is resolved.
+_STEP_BULK = 0.2
+_STEP_POLE = 0.1
+_POLE_DELTA = 1e-4         # the integration starts this far from each pole
+# Gauss-Legendre points of the sixth-order Magnus step, as step fractions
+_GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
+# Batch size times steps per chunk of precomputed step matrices: each
+# array of a chunk then takes about 256 kB, which keeps the transient
+# small without adding measurable per-chunk overhead.
 _CHUNK_ELEMS = 1 << 14
 _CHEB_N = 2048
+_TORUS_BLOCK = 128         # first-index rows per block of torus_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +162,42 @@ def sphere_spectrum(n: int, lambda_max: float) -> Spectrum:
 
 
 def torus_spectrum(periods, lambda_max: float) -> Spectrum:
-    """Flat torus R^d / (L_1 Z x ... x L_d Z): dual-lattice norms."""
+    """Flat torus R^d / (L_1 Z x ... x L_d Z): dual-lattice norms.
+
+    The dual lattice is enumerated in the orthant of nonnegative indices,
+    each point standing for its 2^(nonzero indices) sign images, which
+    share its lambda^2 bit for bit.  The orthant goes in blocks of the
+    first index; each block bounds the second index by the ball at its
+    first row, so only a thin rim outside the ball is formed.
+    """
     periods = tuple(float(p) for p in periods)
     if any(p <= 0 for p in periods):
         raise DomainError("periods must be positive")
-    grids = lattice_box([lambda_max * L / (2 * math.pi) for L in periods])
-    lam2 = sum((2 * math.pi * g / L) ** 2 for g, L in zip(grids, periods))
-    lam2 = lam2.ravel()
-    lam2 = lam2[lam2 <= lambda_max ** 2 * (1 + 1e-14)]
-    vals, counts = np.unique(np.round(lam2, 9), return_counts=True)
-    return Spectrum(np.sqrt(vals), counts, lambda_max, len(periods),
-                    math.prod(periods), f"torus{periods}")
+    cut = lambda_max ** 2 * (1 + 1e-14)
+    axes = [np.arange(int(e) + 2)
+            for e in (lambda_max * L / (2 * math.pi) for L in periods)]
+    terms = [(2 * math.pi * g / L) ** 2 for g, L in zip(axes, periods)]
+    images = [np.where(g > 0, 2.0, 1.0) for g in axes]
+    vals, counts = np.empty(0), np.empty(0)
+    for start in range(0, len(axes[0]), _TORUS_BLOCK):
+        rows = slice(start, start + _TORUS_BLOCK)
+        lam2, mult = [terms[0][rows]], [images[0][rows]]
+        if len(periods) > 1:
+            n = np.searchsorted(terms[1], cut - terms[0][start], "right") + 1
+            lam2.append(terms[1][:n])
+            mult.append(images[1][:n])
+        lam2 = np.meshgrid(*(lam2 + terms[2:]), indexing="ij", sparse=True)
+        mult = np.meshgrid(*(mult + images[2:]), indexing="ij", sparse=True)
+        lam2 = sum(lam2)                   # 0 + t_1 + t_2 + ..., in order
+        keep = lam2 <= cut
+        # merge the block into the distinct values so far
+        vals, inverse = np.unique(
+            np.concatenate([vals, np.round(lam2[keep], 9)]),
+            return_inverse=True)
+        counts = np.bincount(inverse, np.concatenate(
+            [counts, np.prod(np.broadcast_arrays(*mult), axis=0)[keep]]))
+    return Spectrum(np.sqrt(vals), counts.astype(int), lambda_max,
+                    len(periods), math.prod(periods), f"torus{periods}")
 
 
 def product_spectrum(s1: Spectrum, s2: Spectrum,
@@ -194,6 +241,22 @@ def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:
     c[..., 0] *= 0.5
     c[..., -1] *= 0.5
     return c[..., :n]
+
+
+def _cheb_integral(c: np.ndarray) -> np.ndarray:
+    """Coefficients of the antiderivative in s = x pi/2, zero at s = 0.
+
+    Row-batched ``chebint``: b_k = (c_{k-1} - c_{k+1}) / (2k), with c_0
+    counted twice in b_1, and b_0 makes the value at x = 0 vanish.
+    """
+    n = c.shape[-1]
+    c = np.concatenate([c, np.zeros(c.shape[:-1] + (2,))], axis=-1)
+    b = np.empty(c.shape[:-1] + (n + 1,))
+    b[..., 1:] = (c[..., :n] - c[..., 2:]) / (2.0 * np.arange(1, n + 1))
+    b[..., 1] += 0.5 * c[..., 0]
+    # T_k(0) is (-1)^(k/2) for even k and 0 for odd k
+    b[..., 0] = b[..., 2::4].sum(axis=-1) - b[..., 4::4].sum(axis=-1)
+    return b * HALF_PI
 
 
 @dataclass
@@ -254,167 +317,242 @@ class SurfaceEigenbasis:
 # Radial solver
 
 
-def _bessel_logderiv(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """d/dx log J_m(x) for small x, by the three-term power series."""
+def _bessel_series(m: np.ndarray, x: np.ndarray):
+    """S(x) = J_m(x) m! (2/x)^m for small x and dS/dy, y = x^2/4.
+
+    Three terms of the power series; d/dx log J_m(x) = m/x + x/2 dS/dy / S.
+    """
     y = 0.25 * x * x
     S = 1.0 - y / (m + 1) + y * y / (2.0 * (m + 1) * (m + 2))
-    dS = -1.0 / (m + 1) + y / ((m + 1) * (m + 2))
-    return m / x + 0.5 * x * dS / S
+    return S, -1.0 / (m + 1) + y / ((m + 1) * (m + 2))
 
 
-class _RadialGrid:
-    """Graded integration grid shared by a whole eigenvalue batch.
+def _side_nodes(profile: ProfileCurve, lam_max: float, hi: float,
+                coarsen: float) -> np.ndarray:
+    """Nodes from the pole at -pi/2 + _POLE_DELTA up to ``hi``.
 
-    Bulk spacing resolves the fastest Pruefer winding (~lambda_max); near
-    the poles the spacing shrinks like alpha/(m_max+1), which keeps the
-    boundary-layer attraction stable for explicit RK4.  The grid runs from
-    the pole up to ``hi``, the maximum of alpha, so alpha grows along it:
-    the pole layer is walked point by point, and the first step at the
-    bulk spacing starts a bulk of equal steps, summed in order as the walk
-    would, with the last one clamped at ``hi``.
+    A step is min(_STEP_BULK / lam_max, _STEP_POLE alpha) at its left end,
+    times ``coarsen``.  alpha grows up to ``hi``, the maximum of alpha, so
+    the pole layer is walked point by point and the rest is one run of
+    equal steps.
+    """
+    h_bulk = coarsen * _STEP_BULK / lam_max
+    s = -HALF_PI + _POLE_DELTA
+    pts = [s]
+    while s < hi:
+        h = coarsen * _STEP_POLE * float(profile.alpha(s))
+        if h >= h_bulk:
+            pts.extend(np.linspace(s, hi, int(math.ceil((hi - s) / h_bulk))
+                                   + 1)[1:])
+            break
+        s = min(s + h, hi)
+        pts.append(s)
+    return np.array(pts)
+
+
+def _magnus_terms(profile: ProfileCurve, s, h) -> np.ndarray:
+    """The profile's part of the sixth-order Magnus step from s over h.
+
+    With A_k = A(s + c_k h) at the Gauss points c_k, the step uses the
+    combinations h A_2, sqrt(15) h / 3 (A_3 - A_1) and 10 h / 3 (A_3 - 2 A_2
+    + A_1).  A = [[0, 1/alpha], [m^2/alpha - lam^2 alpha, 0]] is linear in
+    1/alpha and alpha, so the result has shape (2, 3, ...): the three
+    combinations of 1/alpha, then of alpha.  One profile call covers every
+    Gauss point.
+    """
+    s, h = np.broadcast_arrays(np.asarray(s, dtype=float),
+                               np.asarray(h, dtype=float))
+    a = profile.alpha(s + _GAUSS.reshape((3,) + (1,) * s.ndim) * h)
+    out = np.empty((2, 3) + s.shape)
+    for f, v in zip(out, (1.0 / a, a)):
+        f[0] = h * v[1]
+        f[1] = (math.sqrt(15.0) / 3.0) * h * (v[2] - v[0])
+        f[2] = (10.0 / 3.0) * h * (v[2] - 2.0 * v[1] + v[0])
+    return out
+
+
+def _magnus_step(terms: np.ndarray, m2, lam2):
+    """exp(Omega) of the sixth-order Magnus step and its phase advance.
+
+    Omega (Blanes, Casas and Ros 2000, three Gauss points) is built from
+    the combinations q_j = [[0, b_j], [c_j, 0]] with c_j = m^2 b_j - lam^2
+    p_j, where ``terms`` holds (b, p) as :func:`_magnus_terms` returns
+    them.  Every matrix is traceless 2x2, so each commutator is a few
+    products, and Omega = [[a, b], [c, -a]] squares to d I, d = a^2 + b c:
+    exp(Omega) = cos(omega) I + sin(omega)/omega Omega where d = -omega^2
+    < 0, and the cosh/sinh form where d > 0.  Returns the entries (e00,
+    e01, e10, e11) and omega, which is 0 where the step does not oscillate.
+    """
+    (b1, b2, b3), (p1, p2, p3) = terms
+    c1 = m2 * b1 - lam2 * p1
+    c2 = m2 * b2 - lam2 * p2
+    c3 = m2 * b3 - lam2 * p3
+    # Omega = q1 + q3/12 + [X, Z]/240 with X = -20 q1 - q3 + [q1, q2] and
+    # Z = q2 - [q1, 2 q3 + [q1, q2]]/60.  [q1, q2] = diag(k, -k); X and Z
+    # are written (a, b, c) for [[a, b], [c, -a]], and then [X, Z] is
+    # (X_b Z_c - Z_b X_c, 2 (X_a Z_b - Z_a X_b), 2 (X_c Z_a - X_a Z_c)).
+    k = b1 * c2 - b2 * c1
+    xb = -20.0 * b1 - b3
+    xc = -20.0 * c1 - c3
+    za = (b3 * c1 - b1 * c3) / 30.0
+    zb = b2 + k * b1 / 30.0
+    zc = c2 - k * c1 / 30.0
+    oa = (xb * zc - zb * xc) / 240.0
+    ob = b1 + b3 / 12.0 + (k * zb - za * xb) / 120.0
+    oc = c1 + c3 / 12.0 + (xc * za - k * zc) / 120.0
+    d = oa * oa + ob * oc
+    omega = np.sqrt(np.maximum(-d, 0.0))
+    kappa = np.sqrt(np.maximum(d, 0.0))
+    # one of omega, kappa is 0, where cos and cosh are 1 and sin, sinh are 0
+    cs = np.cos(omega) * np.cosh(kappa)
+    r = omega + kappa
+    sn = np.divide(np.sin(omega) + np.sinh(kappa), r, out=np.ones_like(r),
+                   where=r > 0)
+    return cs + sn * oa, sn * ob, sn * oc, cs - sn * oa, omega
+
+
+def _half_turns(flip, omega):
+    """Zeros of u in a step: the count of parity ``flip`` nearest omega/pi.
+
+    ``flip`` says whether u changed sign over the step, which is exact.
+    The step is the flow of y' = Omega y over unit time, and in the chart
+    (omega u, u') of that flow the phase advances by exactly omega, so the
+    count lies within 1 of omega/pi.  A hyperbolic step (omega = 0) has at
+    most one zero, and the sign change alone decides it.
+    """
+    return flip + 2 * np.round((omega / math.pi - flip) / 2.0).astype(int)
+
+
+def _prufer_angle(u, w, kappa, turns):
+    """Continuous Pruefer angle of (kappa u, w) after ``turns`` zeros of u.
+
+    The angle is turns pi plus the angle of the vector on the branch the
+    sign of u selects, which lies in [0, pi] whatever rounding does: near a
+    zero of u, with w < 0, it reads about pi before the zero and about 0
+    after it, where ``turns`` has gone up by one.  Taking the branch from a
+    rounded angle instead (atan2 gives pi at u = 1e-17, w = -1) would add
+    a spurious half-turn there.
+    """
+    sign = np.where(u < 0, -1.0, 1.0)
+    return turns * math.pi + np.arctan2(kappa * u * sign, w * sign)
+
+
+class _MagnusGrid:
+    """Steps from both poles up to the maximum of alpha, for one loop.
+
+    Side 0 runs on the profile, side 1 on the reflected profile; both end
+    at alpha's maximum.  The step terms have shape (2, 3, steps, 2, 1); the
+    shorter side is padded with zero terms, whose step is the identity.
     """
 
-    def __init__(self, profile: ProfileCurve, lam_max: float, m_max: int,
-                 hi: float, delta: float = 1e-4):
-        lo = -HALF_PI + delta
-        h_bulk = 0.08 / (2.0 * lam_max + 2.0)
-        pts = [lo]
-        s = lo
-        while s < hi:
-            h = 0.7 * float(profile.alpha(s)) / (m_max + 1.0)
-            if h >= h_bulk:
-                break
-            s = min(s + h, hi)
-            pts.append(s)
-        bulk = np.cumsum(np.append(
-            s, np.full(int(math.ceil((hi - s) / h_bulk)) + 2, h_bulk)))
-        # the walk ends at the first point at or past hi
-        n_bulk = int(np.argmax(bulk >= hi)) if s < hi else 0
-        self.s = np.append(pts, np.minimum(bulk[1:n_bulk + 1], hi))
-        mid = 0.5 * (self.s[:-1] + self.s[1:])
-        self.h = np.diff(self.s)
-        self.a0, self.da0 = profile.alpha_and_d_alpha(self.s[:-1])
-        self.am, self.dam = profile.alpha_and_d_alpha(mid)
-        self.a1, self.da1 = profile.alpha_and_d_alpha(self.s[1:])
-        self.delta = delta
+    def __init__(self, profile: ProfileCurve, lam_max: float,
+                 coarsen: float = 1.0):
+        self.sides = (profile, profile.reflected())
+        self.nodes = [_side_nodes(side, lam_max, hi, coarsen)
+                      for side, hi in zip(self.sides,
+                                          (profile.s_max, -profile.s_max))]
+        n = max(len(s) for s in self.nodes) - 1
+        self.terms = np.zeros((2, 3, n, 2, 1))
+        for k, (side, s) in enumerate(zip(self.sides, self.nodes)):
+            self.terms[:, :, :len(s) - 1, k, 0] = _magnus_terms(
+                side, s[:-1], np.diff(s))
+        self.alpha_start = np.array(
+            [[profile.alpha(-HALF_PI + _POLE_DELTA)],
+             [profile.alpha(HALF_PI - _POLE_DELTA)]], dtype=float)
+        self.alpha_end = float(profile.alpha(profile.s_max))
 
 
-class _PairGrid:
-    """The left and right half-grids stacked for one fused RK4 loop.
+def _propagate(grid: _MagnusGrid, m, lam2, store: bool = False):
+    """Carry the regular solution from both poles to the maximum of alpha.
 
-    Arrays have shape (steps or nodes, 2, 1): side 0 is the left grid,
-    side 1 the right grid of the reflected profile.  The shorter side is
-    padded with h = 0 steps (profile values repeated), which leave theta
-    unchanged.
-    """
-
-    def __init__(self, grid_L: _RadialGrid, grid_R: _RadialGrid):
-        n = max(len(grid_L.h), len(grid_R.h))
-
-        def stack(parts, length, fill=None):
-            return np.stack([np.concatenate(
-                [v, np.full(length - len(v), v[-1] if fill is None else fill)])
-                for v in parts], axis=1)[:, :, None]
-
-        sides = (grid_L, grid_R)
-        self.h = stack([g.h for g in sides], n, 0.0)
-        self.a = stack([np.append(g.a0, g.a1[-1]) for g in sides], n + 1)
-        self.da = stack([np.append(g.da0, g.da1[-1]) for g in sides], n + 1)
-        self.am = stack([g.am for g in sides], n)
-        self.dam = stack([g.dam for g in sides], n)
-        self.delta = grid_L.delta
-
-
-def _prufer_coeffs(a, da, m2, lam2):
-    """theta' = p + q cos(2 theta) + r sin(2 theta) at profile values a, da.
-
-    The Pruefer angle of u and alpha u' / kappa, kappa^2 = m^2 + lam^2 alpha^2,
-    turns at kappa/alpha cos^2 + (lam^2 alpha - m^2/alpha)/kappa sin^2
-    + lam^2 alpha alpha' / kappa^2 sin cos, written here in double angles.
-    """
-    kap2 = m2 + lam2 * a * a
-    kap = np.sqrt(kap2)
-    cos2 = kap / a
-    sin2 = (lam2 * a - m2 / a) / kap
-    return 0.5 * (cos2 + sin2), 0.5 * (cos2 - sin2), 0.5 * lam2 * a * da / kap2
-
-
-def _matching_angle(grid: _PairGrid, m: np.ndarray,
-                    lam2: np.ndarray) -> np.ndarray:
-    """F(lambda^2) = theta_left + theta_right at the profile maximum.
-
-    One RK4 loop integrates the Pruefer angle from both poles for every
-    (m, lam2) pair; F is increasing in lam2 and crosses n pi exactly at the
-    n-th eigenvalue of mode m above the floor winding.  The right-hand
-    side's coefficients do not depend on theta, so they are computed for a
-    chunk of steps at once, leaving a few operations per RK stage.
+    y = (u, w = alpha u') starts from the Bessel series at -pi/2 + delta
+    with u = 1 and takes one Magnus step per grid step.  The step matrices
+    of a chunk are computed at once; the loop only applies them, rescales
+    y to unit length and counts the zeros of u.  Returns (u, w, turns),
+    each of shape (2, rows), and with ``store`` also (U, W, L) at every
+    node, shape (nodes, 2, rows): y there is (U, W) exp(L).
     """
     m = np.asarray(m, dtype=float)
     m2 = m * m
     lam2 = np.asarray(lam2, dtype=float)
-    x = np.sqrt(lam2) * grid.delta
-    r0 = grid.a[0] * np.sqrt(lam2) * _bessel_logderiv(m, x)
-    kap0 = np.sqrt(m2 + lam2 * grid.a[0] ** 2)
-    theta = np.arctan2(kap0, r0)
-    n = len(grid.h)
-    chunk = max(16, _CHUNK_ELEMS // max(1, lam2.size))
+    lam = np.sqrt(lam2)
+    rows = lam2.size
+    u = np.ones((2, rows))
+    x = lam * _POLE_DELTA
+    S, dS = _bessel_series(m, x)
+    w = grid.alpha_start * lam * (m / x + 0.5 * x * dS / S)
+    turns = np.zeros((2, rows), dtype=int)
+    neg = np.zeros((2, rows), dtype=bool)
+    n = grid.terms.shape[2]
+    if store:
+        U, W, L = (np.empty((n + 1, 2, rows)) for _ in range(3))
+        U[0], W[0], L[0] = u, w, 0.0
+    chunk = max(16, _CHUNK_ELEMS // rows)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        pn, qn, rn = _prufer_coeffs(grid.a[start:stop + 1],
-                                    grid.da[start:stop + 1], m2, lam2)
-        pm, qm, rm = _prufer_coeffs(grid.am[start:stop],
-                                    grid.dam[start:stop], m2, lam2)
+        e00, e01, e10, e11, omega = _magnus_step(
+            grid.terms[:, :, start:stop], m2, lam2)
+        several = omega.max() >= math.pi
         for i in range(stop - start):
-            h = grid.h[start + i]
-            # RK4 stage points in doubled angle: 2 (theta + h k / 2) = th2 + h k
-            th2 = 2.0 * theta
-            k1 = pn[i] + qn[i] * np.cos(th2) + rn[i] * np.sin(th2)
-            t = th2 + h * k1
-            k2 = pm[i] + qm[i] * np.cos(t) + rm[i] * np.sin(t)
-            t = th2 + h * k2
-            k3 = pm[i] + qm[i] * np.cos(t) + rm[i] * np.sin(t)
-            t = th2 + (2.0 * h) * k3
-            k4 = pn[i + 1] + qn[i + 1] * np.cos(t) + rn[i + 1] * np.sin(t)
-            theta = theta + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return theta[0] + theta[1]
+            u, w = e00[i] * u + e01[i] * w, e10[i] * u + e11[i] * w
+            r = np.hypot(u, w)
+            u /= r
+            w /= r
+            flip = (u < 0) != neg
+            neg ^= flip
+            turns += _half_turns(flip, omega[i]) if several else flip
+            if store:
+                j = start + i + 1
+                U[j], W[j], L[j] = u, w, L[j - 1] + np.log(r)
+    if store:
+        return u, w, turns, U, W, L
+    return u, w, turns
 
 
-def _integrate_uw(grid: _RadialGrid, m: np.ndarray, lam2: np.ndarray):
-    """Linear pass collecting the radial solution along the grid.
+def _matching_angle(grid: _MagnusGrid, m, lam2) -> np.ndarray:
+    """F(lambda^2) = theta_left + theta_right at the maximum of alpha.
 
-    Returns (U, logscale) with U[:, j] the renormalized solution at grid
-    node j and logscale the accumulated log of the stripped factors, so the
-    true solution is U * exp(logscale - logscale_ref) rowwise.
+    F is increasing in lam2 and crosses n pi exactly at the n-th
+    eigenvalue of mode m above the floor winding.
     """
-    m = np.asarray(m, dtype=float)
-    m2 = m * m
-    n = len(grid.s)
-    batch = len(lam2)
-    U = np.empty((batch, n))
-    LS = np.empty((batch, n))
-    x = np.sqrt(lam2) * grid.delta
-    u = np.ones(batch)
-    w = float(grid.a0[0]) * np.sqrt(lam2) * _bessel_logderiv(m, x)
-    logs = np.zeros(batch)
-    U[:, 0], LS[:, 0] = u, logs
+    u, w, turns = _propagate(grid, m, lam2)
+    kap = np.sqrt(np.asarray(m, dtype=float) ** 2
+                  + np.asarray(lam2, dtype=float) * grid.alpha_end ** 2)
+    return np.sum(_prufer_angle(u, w, kap, turns), axis=0)
 
-    def rhs(u, w, a, m2, lam2):
-        return w / a, (m2 / a - lam2 * a) * u
 
-    for i in range(len(grid.h)):
-        h = grid.h[i]
-        du1, dw1 = rhs(u, w, grid.a0[i], m2, lam2)
-        du2, dw2 = rhs(u + 0.5 * h * du1, w + 0.5 * h * dw1, grid.am[i], m2, lam2)
-        du3, dw3 = rhs(u + 0.5 * h * du2, w + 0.5 * h * dw2, grid.am[i], m2, lam2)
-        du4, dw4 = rhs(u + h * du3, w + h * dw3, grid.a1[i], m2, lam2)
-        u = u + (h / 6.0) * (du1 + 2 * du2 + 2 * du3 + du4)
-        w = w + (h / 6.0) * (dw1 + 2 * dw2 + 2 * dw3 + dw4)
-        scale = np.maximum(np.maximum(np.abs(u), np.abs(w)), 1e-30)
-        u /= scale
-        w /= scale
-        logs = logs + np.log(scale)
-        U[:, i + 1], LS[:, i + 1] = u, logs
-    return U, LS, u, w, logs
+def _windings(f_first, f_last):
+    """Integer windings floor(F/pi) at the first and last table nodes.
+
+    The first carries a 1e-9 slack: the constant mode's F sits just above
+    pi there, and the crossing at lambda = 0 is not a target.
+    """
+    return (np.floor(np.asarray(f_first) / math.pi + 1e-9).astype(int),
+            np.floor(np.asarray(f_last) / math.pi).astype(int))
+
+
+def _certify_windings(coarse: _MagnusGrid, table: np.ndarray,
+                      nodes: np.ndarray, modes: list) -> None:
+    """Check the table's integer windings against a grid with half the steps.
+
+    F at the first and last table nodes of every mode is recomputed on
+    ``coarse``; each mode's eigenvalue count below the top node is the
+    difference of the two windings, so equal windings make that count a
+    checked result, not an assumption about the step size.
+    """
+    k = len(modes)
+    m = np.tile(np.asarray(modes, dtype=float), 2)
+    lam2 = np.repeat([nodes[0], nodes[-1]], k)
+    f = _matching_angle(coarse, m, lam2)
+    fine = np.stack(_windings(table[:, 0], table[:, -1]))
+    other = np.stack(_windings(f[:k], f[k:]))
+    if np.any(fine != other):
+        end, i = np.argwhere(fine != other)[0]
+        at = (nodes[0], nodes[-1])[end]
+        raise SolverFailure(
+            f"winding of mode {modes[i]} at lambda^2 = {at:.6g} is "
+            f"{fine[end, i]} but {other[end, i]} with half the steps",
+            mode=modes[i], bracket=(nodes[0], nodes[-1]))
 
 
 def _winding_brackets(table: np.ndarray, nodes: np.ndarray, modes: list):
@@ -430,8 +568,7 @@ def _winding_brackets(table: np.ndarray, nodes: np.ndarray, modes: list):
         i = int(np.argmin(np.min(np.diff(table, axis=1), axis=1)))
         raise SolverFailure("winding table row is not monotone",
                             mode=modes[i], bracket=(nodes[0], nodes[-1]))
-    n_lo = np.floor(table[:, 0] / math.pi + 1e-9).astype(int)
-    n_hi = np.floor(table[:, -1] / math.pi).astype(int)
+    n_lo, n_hi = _windings(table[:, 0], table[:, -1])
     rows = np.repeat(np.arange(len(modes)), np.maximum(n_hi - n_lo, 0))
     n = np.concatenate([np.arange(a + 1, b + 1) for a, b in zip(n_lo, n_hi)])
     goal = n * math.pi
@@ -467,6 +604,14 @@ def _illinois(F, m, goal, lo, hi, f_lo, f_hi, tol: float) -> np.ndarray:
         # a quarter tolerance off each end, so every step shrinks the bracket
         x = np.clip(x, a + 0.25 * tol, b - 0.25 * tol)
         fx = F(m[act], x) - goal[act]
+        # F increases, so F(x) lies between the true values at the ends
+        out = ((fx < f_lo[act] - _MONOTONE_SLACK)
+               | (fx > f_hi[act] + _MONOTONE_SLACK))
+        if out.any():
+            i = act[int(np.argmax(out))]
+            raise SolverFailure(
+                f"F of mode {int(m[i])} left its bracket: not monotone",
+                mode=int(m[i]), bracket=(lo[i], hi[i]))
         up = fx >= 0                          # x becomes the new hi
         g_lo[act] = np.where(up & (kept[act] == 1), 0.5 * ga, ga)
         g_hi[act] = np.where(~up & (kept[act] == -1), 0.5 * gb, gb)
@@ -494,8 +639,10 @@ def surface_spectrum(profile: ProfileCurve, lambda_max: float,
     n pi.  One batched pass tabulates F for every mode on a coarse node set
     that ends just past ``lambda_max**2 * (1 + _CUTOFF_RTOL)``; the integer
     winding of each row enumerates its eigenvalues (so none below the top
-    node is missed) and gives each its own bracket.  Vectorized Illinois
-    iteration then narrows every bracket below ``bisect_tol`` in lambda^2.
+    node is missed) and gives each its own bracket, and a grid with half
+    the steps must give every mode the same windings, else
+    ``SolverFailure``.  Vectorized Illinois iteration then narrows every
+    bracket below ``bisect_tol`` in lambda^2.
 
     An eigenvalue belongs to the spectrum when its refined lambda^2 is at
     most ``lambda_max**2 * (1 + _CUTOFF_RTOL)``: a cutoff that is itself an
@@ -509,14 +656,10 @@ def surface_spectrum(profile: ProfileCurve, lambda_max: float,
     if m_max < lambda_max * a_max:
         raise DomainError(f"m_max={m_max} below lambda_max*max alpha")
 
-    mid = profile.s_max
-    refl = profile.reflected()
-    grid_L = _RadialGrid(profile, lambda_max, m_max, hi=mid)
-    grid_R = _RadialGrid(refl, lambda_max, m_max, hi=-mid)
-    pair = _PairGrid(grid_L, grid_R)
+    grid = _MagnusGrid(profile, lambda_max)
 
     def F(m_arr, lam2_arr):
-        return _matching_angle(pair, m_arr, lam2_arr)
+        return _matching_angle(grid, m_arr, lam2_arr)
 
     lam2_cut = lambda_max ** 2 * (1.0 + _CUTOFF_RTOL)
     lam2_lo = min(1e-6, lambda_max ** 2 * 1e-9)
@@ -532,6 +675,8 @@ def surface_spectrum(profile: ProfileCurve, lambda_max: float,
               np.tile(nodes, len(modes))).reshape(len(modes), n_nodes)
     targets_m, goal, lo, hi, f_lo, f_hi = _winding_brackets(table, nodes,
                                                             modes)
+    _certify_windings(_MagnusGrid(profile, lambda_max, coarsen=2.0), table,
+                      nodes, modes)
 
     # ----- Illinois iteration inside every bracket at once
     lam2_star = _illinois(F, targets_m, goal, lo, hi, f_lo, f_hi, bisect_tol)
@@ -561,7 +706,7 @@ def surface_spectrum(profile: ProfileCurve, lambda_max: float,
     if with_eigenfunctions:
         basis = SurfaceEigenbasis(profile)
         basis.add(_constant_mode(profile, vol))
-        _build_eigenfunctions(profile, grid_L, grid_R, targets_m, lam2_star,
+        _build_eigenfunctions(profile, grid, targets_m, lam2_star,
                               entry_of_target, basis)
 
     lam_arr, mult_arr, tag_arr = _group(np.array(lams), np.array(mults), tags)
@@ -574,59 +719,73 @@ def _constant_mode(profile: ProfileCurve, vol: float) -> ModeEigenfunction:
     u = np.full(_CHEB_N, 1.0 / math.sqrt(vol))
     coeffs = _cheb_coeffs(u)
     wvals = 2.0 * math.pi * u * u * profile.alpha(nodes)
-    w_coeffs = np.polynomial.chebyshev.chebint(_cheb_coeffs(wvals)) * HALF_PI
-    return ModeEigenfunction(0, 0, 0.0, coeffs, w_coeffs)
+    return ModeEigenfunction(0, 0, 0.0, coeffs,
+                             _cheb_integral(_cheb_coeffs(wvals)))
 
 
-def _build_eigenfunctions(profile, grid_L, grid_R, targets_m, lam2_star,
-                          entry_of_target, basis, chunk: int = 192):
-    from scipy.interpolate import CubicSpline
+def _build_eigenfunctions(profile, grid: _MagnusGrid, targets_m, lam2_star,
+                          entry_of_target, basis, chunk: int = 48):
+    """Radial factors at the Chebyshev nodes, normalized, into ``basis``.
 
+    One stored pass gives (u, w) and the log scale at the grid nodes; each
+    Chebyshev node is reached by a partial Magnus step from the node to its
+    left, and nodes below the first grid node take the Bessel series.  The
+    right side is scaled to meet the left at the maximum of alpha.
+    """
     nodes = _cheb_nodes(_CHEB_N)
     alpha_nodes = profile.alpha(nodes)
-    mid = profile.s_max
-    left_nodes = nodes <= mid
+    left = nodes <= profile.s_max
+    x = (nodes[left], -nodes[~left])   # each side in its own coordinate
+    # per side: the grid node j left of each point (-1 below the first
+    # node) and the terms of the partial step from node j to the point
+    steps = []
+    for side, s, xs in zip(grid.sides, grid.nodes, x):
+        j = np.minimum(np.searchsorted(s, xs, side="right") - 1, len(s) - 2)
+        base = s[np.maximum(j, 0)]
+        steps.append((j, _magnus_terms(side, base,
+                                       np.maximum(xs - base, 0.0))))
     for start in range(0, len(targets_m), chunk):
         sl = slice(start, start + chunk)
         m_b = targets_m[sl]
         l2_b = lam2_star[sl]
-        UL, LSL, uL, wL, logsL = _integrate_uw(grid_L, m_b, l2_b)
-        UR, LSR, uR, wR, logsR = _integrate_uw(grid_R, m_b, l2_b)
-
-        # true values relative to the matching point scale
-        valsL = UL * np.exp(LSL - LSL[:, -1][:, None])
-        valsR = UR * np.exp(LSR - LSR[:, -1][:, None])
+        lam_b = np.sqrt(l2_b)
+        u_end, w_end, _, U, W, L = _propagate(grid, m_b, l2_b, store=True)
+        u_nodes = np.empty((len(m_b), _CHEB_N))
+        parts = []
+        for side, (xs, (j, terms)) in enumerate(zip(x, steps)):
+            e00, e01, _, _, _ = _magnus_step(terms[..., None], m_b ** 2, l2_b)
+            jj = np.maximum(j, 0)
+            # true values relative to the scale at the matching point
+            vals = ((e00 * U[jj, side] + e01 * W[jj, side])
+                    * np.exp(L[jj, side] - L[-1, side]))
+            pole = j < 0
+            if pole.any():
+                rho = xs[pole, None] + HALF_PI
+                S = _bessel_series(m_b, lam_b * rho)[0]
+                S0 = _bessel_series(m_b, lam_b * _POLE_DELTA)[0]
+                vals[pole] = ((rho / _POLE_DELTA) ** m_b * S / S0
+                              * np.exp(-L[-1, side]))
+            parts.append(vals.T)
         # glue: scale the right side for continuity, picking whichever of
         # u or w = alpha u' dominates at the matching point (odd modes
         # vanish there, where the u-ratio is pure shooting noise)
-        kap_mid = np.sqrt(m_b ** 2 + l2_b * float(profile.alpha(mid)) ** 2)
+        (uL, uR), (wL, wR) = u_end, w_end
+        kap_mid = np.sqrt(m_b ** 2 + l2_b * grid.alpha_end ** 2)
         use_u = np.abs(kap_mid * uL) >= np.abs(wL)
         gamma = np.where(use_u,
                          uL / np.where(np.abs(uR) > 0, uR, 1.0),
                          -wL / np.where(np.abs(wR) > 0, wR, 1.0))
-
-        splL = CubicSpline(grid_L.s, valsL.T)
-        splR = CubicSpline(grid_R.s, valsR.T)
-        n_rows = len(m_b)
-        u_nodes = np.empty((n_rows, _CHEB_N))
-        u_nodes[:, left_nodes] = splL(nodes[left_nodes]).T
-        u_nodes[:, ~left_nodes] = (splR(-nodes[~left_nodes]).T
-                                   * gamma[:, None])
+        u_nodes[:, left] = parts[0]
+        u_nodes[:, ~left] = parts[1] * gamma[:, None]
 
         wvals = 2.0 * math.pi * u_nodes ** 2 * alpha_nodes[None, :]
-        w_coeffs = np.polynomial.chebyshev.chebint(
-            _cheb_coeffs(wvals), axis=-1) * HALF_PI
-        norm2 = (np.polynomial.chebyshev.chebvander(1.0, w_coeffs.shape[-1] - 1)
-                 @ w_coeffs.T).ravel() - \
-                (np.polynomial.chebyshev.chebvander(-1.0, w_coeffs.shape[-1] - 1)
-                 @ w_coeffs.T).ravel()
-        scale = 1.0 / np.sqrt(norm2)
-        u_nodes *= scale[:, None]
-        coeffs = _cheb_coeffs(u_nodes)
-        wvals = 2.0 * math.pi * u_nodes ** 2 * alpha_nodes[None, :]
-        w_coeffs = np.polynomial.chebyshev.chebint(
-            _cheb_coeffs(wvals), axis=-1) * HALF_PI
-        for row in range(n_rows):
+        w_coeffs = _cheb_integral(_cheb_coeffs(wvals))
+        # the mass is the antiderivative at x = 1 (every T_k is 1) minus
+        # its value at x = -1 (T_k is (-1)^k)
+        norm2 = np.sum(w_coeffs[:, 1::2], axis=1) * 2.0
+        coeffs = _cheb_coeffs(u_nodes) / np.sqrt(norm2)[:, None]
+        w_coeffs /= norm2[:, None]
+        for row in range(len(m_b)):
             m, k = entry_of_target[start + row]
             basis.add(ModeEigenfunction(m, k, math.sqrt(l2_b[row]),
                                         coeffs[row], w_coeffs[row]))

@@ -7,14 +7,20 @@ from scipy.special import lpmv
 from weyllab.errors import DomainError, IncompleteInput, SolverFailure
 from weyllab.manifolds import (
     PerturbationSpec,
+    ProfileCurve,
     make_pendulum_profile,
     make_perturbed_sphere,
     make_round_sphere,
 )
 from weyllab.spectra import (
     Spectrum,
-    _RadialGrid,
+    _MagnusGrid,
+    _certify_windings,
+    _half_turns,
     _illinois,
+    _magnus_step,
+    _matching_angle,
+    _prufer_angle,
     _winding_brackets,
     band_weights,
     product_spectrum,
@@ -205,14 +211,22 @@ def test_perturbed_eigenvalues_near_round(sphere_radial):
     assert abs(consts[0] - consts[1]) < 0.25 * max(consts)
 
 
-def test_radial_every_mode_is_legendre_at_12():
-    spec = surface_spectrum(make_round_sphere(), 12.0,
+def _assert_every_mode_is_legendre(lambda_max, count):
+    spec = surface_spectrum(make_round_sphere(), lambda_max,
                             with_eigenfunctions=False)
-    assert spec.total == 144
+    assert spec.total == count
     for lam, tags in zip(spec.lambdas[1:], spec.mode_tags[1:]):
         for m, k in tags:
             l2 = (m + k) * (m + k + 1)
             assert abs(lam ** 2 - l2) <= 1e-8 * l2
+
+
+def test_radial_every_mode_is_legendre_at_12():
+    _assert_every_mode_is_legendre(12.0, 144)
+
+
+def test_radial_every_mode_is_legendre_at_30():
+    _assert_every_mode_is_legendre(30.0, 900)
 
 
 @pytest.mark.parametrize("l", [5, 8, 11])
@@ -224,34 +238,74 @@ def test_cutoff_at_an_eigenvalue_keeps_the_multiplet(l):
     assert radial.total == (l + 1) ** 2
 
 
-def _walked_grid(profile, lam_max, m_max, hi, delta=1e-4):
-    """The radial grid walked point by point, one alpha call per step."""
-    h_bulk = 0.08 / (2.0 * lam_max + 2.0)
-    pts = [-math.pi / 2 + delta]
-    while pts[-1] < hi:
-        a = float(profile.alpha(pts[-1]))
-        pts.append(min(pts[-1] + min(h_bulk, 0.7 * a / (m_max + 1.0)), hi))
-    return np.array(pts)
+def test_matching_angle_is_monotone_through_every_eigenvalue():
+    # odd modes of the round sphere vanish at s_max at their eigenvalues,
+    # so F's end angle sits on a zero of u there: the sweep must not jump
+    grid = _MagnusGrid(make_round_sphere(), 12.0)
+    rel = np.linspace(-1e-6, 1e-6, 21)
+    m, lam2 = [], []
+    for l in range(1, 12):
+        for mode in range(l + 1):
+            m.append(np.full(rel.size, mode))
+            lam2.append(l * (l + 1) * (1.0 + rel))
+    F = _matching_angle(grid, np.concatenate(m),
+                        np.concatenate(lam2)).reshape(-1, rel.size)
+    steps = np.diff(F, axis=1)
+    assert np.all(steps > 0)
+    assert np.all(F[:, -1] - F[:, 0] < 1e-3)
+    # and each crossing is a multiple of pi inside the sweep
+    assert np.all(np.floor(F[:, 0] / np.pi) + 1 == np.floor(F[:, -1] / np.pi))
 
 
-@pytest.mark.parametrize("profile", [
-    make_round_sphere(),
-    make_perturbed_sphere(PerturbationSpec(epsilon=0.01, a=0.5, b=1.0)),
-    make_pendulum_profile(4.0)], ids=["round", "perturbed", "pendulum"])
-def test_radial_grid_equals_the_walk(profile):
-    # the bulk of equal steps is one cumulative sum; it must reproduce the
-    # walk point for point, with the profile values at its nodes
-    for lam_max in (12.0, 30.0, 60.0):
-        m_max = int(math.ceil(lam_max * profile.alpha_max)) + 2
-        for side, hi in ((profile, profile.s_max),
-                         (profile.reflected(), -profile.s_max)):
-            grid = _RadialGrid(side, lam_max, m_max, hi=hi)
-            assert np.array_equal(grid.s,
-                                  _walked_grid(side, lam_max, m_max, hi))
-            assert grid.s[-1] == hi
-            assert np.array_equal(grid.a0, side.alpha(grid.s[:-1]))
-            assert np.array_equal(grid.dam, side.d_alpha(
-                0.5 * (grid.s[:-1] + grid.s[1:])))
+def test_prufer_angle_takes_its_branch_from_the_sign_of_u():
+    # atan2 rounds the angle of (1e-17, -1) to pi; the branch of u's sign
+    # keeps the continuous angle continuous across the zero of u
+    before = _prufer_angle(np.array([1e-17]), np.array([-1.0]), 1.0, 0)
+    after = _prufer_angle(np.array([-1e-17]), np.array([-1.0]), 1.0, 1)
+    assert before[0] <= np.pi and after[0] >= np.pi
+    assert after[0] - before[0] < 1e-15
+    assert _prufer_angle(np.array([0.0]), np.array([-1.0]), 1.0, 0)[0] \
+        == np.pi
+
+
+def test_half_turns_count_several_zeros_in_one_step():
+    # a step that advances the phase by omega from phi0 in [0, pi) passes
+    # floor((phi0 + omega) / pi) zeros of u; its parity is the sign flip
+    phi0 = np.linspace(0.0, np.pi, 7, endpoint=False)[:, None]
+    omega = np.array([0.0, 0.5, 3.0, 3.5, 7.0, 12.0])[None, :]
+    count = np.floor((phi0 + omega) / np.pi).astype(int)
+    assert np.array_equal(_half_turns(count % 2 == 1, omega), count)
+
+
+def test_steps_of_several_half_turns_keep_the_winding():
+    # with constant coefficients one Magnus step is exact whatever its
+    # length, so steps that turn the phase by more than pi must give the
+    # fine grid's F, winding included
+    flat = ProfileCurve(lambda s: np.ones(np.shape(s)),
+                        lambda s: np.zeros(np.shape(s)),
+                        lambda s: np.zeros(np.shape(s)), "cylinder")
+    coarse = _MagnusGrid(flat, 12.0, coarsen=60.0)
+    m = np.repeat(np.arange(0.0, 6.0), 3)
+    lam2 = np.tile([50.5, 100.5, 140.5], 6)
+    assert _magnus_step(coarse.terms, m * m, lam2)[4].max() > 2 * np.pi
+    F = _matching_angle(_MagnusGrid(flat, 12.0), m, lam2)
+    assert np.allclose(_matching_angle(coarse, m, lam2), F, rtol=0,
+                       atol=1e-10)
+
+
+def test_winding_certificate_names_the_mode_that_disagrees():
+    profile = make_round_sphere()
+    nodes = np.array([1e-6, 40.0, 150.0])
+    modes = [0, 1, 2]
+    grid = _MagnusGrid(profile, 12.0)
+    table = _matching_angle(grid, np.repeat(modes, 3).astype(float),
+                            np.tile(nodes, 3)).reshape(3, 3)
+    coarse = _MagnusGrid(profile, 12.0, coarsen=2.0)
+    _certify_windings(coarse, table, nodes, modes)
+    table[1, -1] += np.pi
+    with pytest.raises(SolverFailure) as err:
+        _certify_windings(coarse, table, nodes, modes)
+    assert err.value.mode == 1
 
 
 def test_illinois_finds_roots_of_a_monotone_function():
@@ -270,6 +324,16 @@ def test_illinois_rejects_a_bracket_that_misses_its_target():
     lo, hi = np.array([1.0, 6.0]), np.array([2.0, 7.0])
     with pytest.raises(SolverFailure):
         _illinois(F, m, goal, lo, hi, lo - goal, hi - goal, tol=1e-10)
+
+
+def test_illinois_rejects_a_value_outside_its_bracket():
+    # a planted 2 pi jump between the table's values and the passes' ones
+    F = lambda m, x: x + 2 * np.pi * (x > 1.25)
+    m, goal = np.array([3.0]), np.array([1.5])
+    lo, hi = np.array([1.0]), np.array([2.0])
+    with pytest.raises(SolverFailure) as err:
+        _illinois(F, m, goal, lo, hi, lo - goal, hi - goal, tol=1e-10)
+    assert err.value.mode == 3 and err.value.bracket == (1.0, 2.0)
 
 
 def test_winding_table_rejects_a_decreasing_row():
