@@ -28,8 +28,9 @@ import numpy as np
 
 from .errors import CoverFailure, DomainError
 from .flows import RevolutionFlow, RoundSphereFlow, TorusFlow, wrap_angle
-from .manifolds import HALF_PI, ModelManifold, make_round_sphere
-from .quadrature import tanh_sinh
+from .manifolds import HALF_PI, ModelManifold, band_area, make_round_sphere
+# unused here, but perfbench/tracing.py times scalar quadrature at this name
+from .quadrature import tanh_sinh  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +105,7 @@ class CosphereSet:
         if self.kind == "full":
             return m.volume * 2.0 * math.pi
         if self.kind == "band":
-            prof = m.profile
-            area = 2.0 * math.pi * tanh_sinh(
-                lambda s: prof.alpha(s), self.s0, self.s1, rel_tol=1e-12)[0]
-            return area * 2.0 * math.pi
+            return band_area(m.profile, self.s0, self.s1) * 2.0 * math.pi
         if self.kind == "fiber":
             return 2.0 * math.pi
         raise DomainError(f"unknown set kind {self.kind!r}")

@@ -101,8 +101,8 @@ def _alpha_sq_gap(profile: ProfileCurve, a, c, s_turn, dw):
 
     ``dw = w - s_turn`` is supplied in exact arithmetic by the quadrature
     rule.  Within 1e-5 of the turning point the difference alpha(w) - c is
-    replaced by its two-term Taylor expansion (exact derivative
-    evaluators), which keeps the relative error of the gap near machine
+    replaced by its two-term Taylor expansion (one jet of the profile at
+    s_turn), which keeps the relative error of the gap near machine
     precision instead of eps/distance.  ``c`` and ``s_turn`` are scalars or
     arrays that broadcast against ``a``, one per row of a batched rule.
     """
@@ -110,8 +110,7 @@ def _alpha_sq_gap(profile: ProfileCurve, a, c, s_turn, dw):
     dw = np.asarray(dw, dtype=float)
     near = np.abs(dw) < 1e-5
     if np.any(near):
-        da = profile.d_alpha(s_turn)
-        dda = profile.dd_alpha(s_turn)
+        _, da, dda = profile.jet(s_turn, 2)
         diff = da * dw + 0.5 * dda * dw * dw
         gap = np.where(near, diff * (a + c), gap)
     return np.where(gap > 1e-300, gap, np.inf)
@@ -357,12 +356,18 @@ class RevolutionMetric:
         return self.base_distance_to_state(state, np.asarray(x_point))
 
     def base_distance_to_state(self, state_a, state_b):
-        state_a = np.asarray(state_a, dtype=float)
+        return self.base_distance_from(state_b)(state_a)
+
+    def base_distance_from(self, state_b):
+        """state_a -> base distance to ``state_b``, embedded once here."""
         state_b = np.asarray(state_b, dtype=float)
-        pa = self.embed(state_a[..., 0], state_a[..., 1])
         pb = self.embed(state_b[..., 0], state_b[..., 1])
-        dot = np.clip(np.sum(pa * pb, axis=-1), -1.0, 1.0)
-        return np.arccos(dot)
+
+        def dist(state_a):
+            state_a = np.asarray(state_a, dtype=float)
+            pa = self.embed(state_a[..., 0], state_a[..., 1])
+            return np.arccos(np.clip(np.sum(pa * pb, axis=-1), -1.0, 1.0))
+        return dist
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +614,7 @@ class RevolutionFlow:
         self.metric = RevolutionMetric(profile)
 
     def _rhs(self, y):
-        a, da = self.profile.alpha_and_d_alpha(y[:, 0])
+        a, da = self.profile.jet(y[:, 0], 1)
         out = np.empty_like(y)
         out[:, 0] = y[:, 2]
         out[:, 1] = y[:, 3] / (a * a)
@@ -722,7 +727,7 @@ class RevolutionFlow:
             states[rest], t0, T, thresh,
             lambda y, ref: self.metric.distance(
                 y, np.broadcast_to(ref, y.shape)),
-            self.metric.base_distance_to_state, exact=False)
+            self.metric.base_distance_from, exact=False)
         return hits, inflation
 
     def radial_clears(self, states, t0, T, thresh):
@@ -809,16 +814,20 @@ class RevolutionFlow:
         The scan decides every sample whose minimum lies farther than its
         slack from thresh; only the ambiguous ones are refined.
         """
+        to_point = self.metric.base_distance_from(y_point)
+
         def dist(y, _):
-            return self.metric.base_distance_to_point(y, y_point)
-        return self._hits(states, t0, T, thresh, dist, dist, exact=True)
+            return to_point(y)
+        return self._hits(states, t0, T, thresh, dist, lambda _: to_point,
+                          exact=True)
 
     def _hits(self, states, t0, T, thresh, dist, scan_dist, exact):
         """Meridian closed form, two-sided scan, then batched refinement.
 
-        ``dist(y, start)`` is the criterion and ``scan_dist`` its unit-rate
-        lower bound; with ``exact`` they coincide, so the scan decides the
-        clear cases both ways and refinement runs at unit phase speed.
+        ``dist(y, start)`` is the criterion and ``scan_dist(start)`` gives
+        its unit-rate lower bound as a function of y alone, set up once per
+        scan; with ``exact`` they coincide, so the scan decides the clear
+        cases both ways and refinement runs at unit phase speed.
         """
         states = np.asarray(states, dtype=float).reshape(-1, 4)
         hits = np.zeros(len(states), dtype=bool)
@@ -850,12 +859,14 @@ class RevolutionFlow:
                                 float(np.max(spd * res)) + ODE_BUDGET)
         return hits, inflation
 
-    def _scan_both(self, states, t0, T, dist):
-        """scan_min over both time directions: (minima, slacks) per sample."""
+    def _scan_both(self, states, t0, T, scan_dist):
+        """scan_min over both time directions: (minima, slacks) per sample.
+
+        ``scan_dist(start)`` is set up once, for the doubled start rows.
+        """
         states = np.asarray(states, dtype=float).reshape(-1, 4)
         doubled = np.vstack([states, _mirror(states)])
-        coarse, _, slack = self.scan_min(doubled, t0, T,
-                                         lambda y: dist(y, doubled))
+        coarse, _, slack = self.scan_min(doubled, t0, T, scan_dist(doubled))
         n = len(states)
         return (np.minimum(coarse[:n], coarse[n:]),
                 np.maximum(slack[:n], slack[n:]))

@@ -26,7 +26,7 @@ from .errors import (DegenerateInput, DomainError, QuadratureFailure,
                      StepFailure)
 from .flows import (RevolutionFlow, _alpha_sq_gap, _dop853_rows,
                     clairaut_segments, meridian_states, turning_points)
-from .manifolds import HALF_PI, ProfileCurve
+from .manifolds import HALF_PI, ProfileCurve, bump_function
 from .quadrature import tanh_sinh, tanh_sinh_rows
 
 _CLAIRAUT_REL_TOL = 1e-9
@@ -172,7 +172,7 @@ def _d_theta0(profile: ProfileCurve, s_plus, s_minus):
     z = profile.s_max
     s = np.concatenate([s_plus, s_minus])
     sigma = np.repeat([1.0, -1.0], k)
-    c = profile.alpha(s)
+    c, da_s = profile.jet(s, 1)
     beta = z + 0.5 * (s - z)
     a_beta, da_beta = profile.alpha_and_d_alpha(beta)
     bad = (np.abs(da_beta) < 1e-8) | (sigma * (s - z) < 1e-6)
@@ -191,8 +191,7 @@ def _d_theta0(profile: ProfileCurve, s_plus, s_minus):
         one = singular[i]
         r, wr = i[one], w[one]
         cr = c2[r, None]
-        a, da = profile.alpha_and_d_alpha(wr)
-        dda = profile.dd_alpha(wr)
+        a, da, dda = profile.jet(wr, 2)
         dw = np.where(at_hi[r, None], -d_hi[one], d_lo[one])
         gap = _alpha_sq_gap(profile, a, cr, s2[r, None], dw)
         out[one] = ((a * a - 2.0 * cr * cr) * (2.0 * da * da + a * dda)
@@ -210,7 +209,6 @@ def _d_theta0(profile: ProfileCurve, s_plus, s_minus):
     I1, I2 = vals.reshape(2, 2 * k)
     boundary = ((a_beta ** 2 - 2.0 * c * c)
                 / (np.sqrt(a_beta ** 2 - c * c) * a_beta ** 2 * da_beta))
-    da_s = profile.d_alpha(s)
     d_plus, d_minus = (2.0 * da_s * (I1 - sigma * boundary + I2)).reshape(2, k)
     return d_plus + d_minus * (da_s[:k] / da_s[k:])
 
@@ -266,13 +264,14 @@ def d_rotation_number_in_epsilon(spec, s_plus: float) -> float:
             return out
         return f
 
-    I_plus = tanh_sinh(supported(spec.f_plus, c), spec.a, spec.b,
-                       rel_tol=1e-11)[0]
+    I_plus = tanh_sinh(supported(bump_function(spec.a, spec.b), c),
+                       spec.a, spec.b, rel_tol=1e-11)[0]
     # -2 alpha0'(s_plus) I_plus with alpha0' = -sin
     d_eps_d_theta_plus = 2.0 * math.sin(s_plus) * I_plus
 
     s_minus = -s_plus            # round-sphere pairing
-    I_minus = tanh_sinh(supported(spec.f_minus, math.cos(s_minus)),
+    I_minus = tanh_sinh(supported(bump_function(-spec.b, -spec.a),
+                                  math.cos(s_minus)),
                         -spec.b, -spec.a, rel_tol=1e-11)[0]
     d_eps_d_theta_minus = 2.0 * math.sin(s_minus) * I_minus
 

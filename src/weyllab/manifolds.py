@@ -2,13 +2,15 @@
 
 A profile ``alpha`` on [-pi/2, pi/2] defines the metric of revolution
 ``ds^2 + alpha(s)^2 dtheta^2`` on the two-sphere; the poles close smoothly
-exactly when alpha vanishes at the endpoints with unit slope.
+exactly when alpha vanishes at the endpoints with unit slope.  Each
+profile is one jet evaluator, ``jet(s, order)``, which gives alpha and its
+derivatives up to ``order`` in closed form from one pass over the profile.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,155 +26,129 @@ _VALIDATION_GRID = 10_000
 
 @dataclass(frozen=True)
 class ProfileCurve:
-    """Profile of a metric of revolution and its first two derivatives.
+    """Profile of a metric of revolution, given by its jet evaluator.
 
-    Evaluators are vectorized (accept floats or numpy arrays).  Where no
-    closed form exists the derivatives are 5-point central differences with
-    step 1e-5.  ``s_max`` locates the (unique) interior maximum of alpha;
-    for even profiles it is 0.  ``alpha_pair``, when given, returns
-    ``(alpha(s), d_alpha(s))`` bit for bit from one pass over the profile;
-    :meth:`alpha_and_d_alpha` falls back to the two evaluators.
+    ``jet(s, order)`` takes a float or a numpy array and returns the tuple
+    (alpha, alpha'[, alpha'']) at s, up to ``order`` (0, 1 or 2), computing
+    only the derivatives asked for.  ``s_max`` locates the (unique)
+    interior maximum of alpha, ``alpha_max`` its value; for even profiles
+    s_max is 0.
     """
 
-    alpha: Callable
-    d_alpha: Callable
-    dd_alpha: Callable
+    jet: Callable
     label: str
     s_max: float = 0.0
     alpha_max: float = 1.0
-    alpha_pair: Callable = field(default=None, repr=False, compare=False)
 
     def __call__(self, s):
         return self.alpha(s)
 
+    def alpha(self, s):
+        return self.jet(s, 0)[0]
+
+    def d_alpha(self, s):
+        return self.jet(s, 1)[1]
+
+    def dd_alpha(self, s):
+        return self.jet(s, 2)[2]
+
     def alpha_and_d_alpha(self, s):
-        """(alpha(s), alpha'(s)), in one pass where the profile has one."""
-        if self.alpha_pair is None:
-            return self.alpha(s), self.d_alpha(s)
-        return self.alpha_pair(s)
+        """(alpha(s), alpha'(s)) from one pass over the profile."""
+        return self.jet(s, 1)
 
     def reflected(self) -> "ProfileCurve":
         """Mirror profile alpha(-s); swaps the roles of the two poles."""
-        a, da, dda = self.alpha, self.d_alpha, self.dd_alpha
-        pair = self.alpha_pair
+        jet = self.jet
 
-        def mirrored_pair(s):
-            val, slope = pair(-np.asarray(s))
-            return val, -slope
+        def mirrored(s, order):
+            vals = jet(-np.asarray(s), order)
+            return tuple(-v if k == 1 else v for k, v in enumerate(vals))
 
-        return ProfileCurve(
-            alpha=lambda s: a(-np.asarray(s)),
-            d_alpha=lambda s: -da(-np.asarray(s)),
-            dd_alpha=lambda s: dda(-np.asarray(s)),
-            label=self.label + " (reflected)",
-            s_max=-self.s_max,
-            alpha_max=self.alpha_max,
-            alpha_pair=None if pair is None else mirrored_pair,
-        )
+        return ProfileCurve(mirrored, self.label + " (reflected)",
+                            s_max=-self.s_max, alpha_max=self.alpha_max)
 
 
-def _finite_diff_evaluators(alpha, h: float = 1e-5):
-    def d1(s):
-        s = np.asarray(s, dtype=float)
-        return (-alpha(s + 2 * h) + 8 * alpha(s + h)
-                - 8 * alpha(s - h) + alpha(s - 2 * h)) / (12 * h)
-
-    def d2(s):
-        s = np.asarray(s, dtype=float)
-        return (-alpha(s + 2 * h) + 16 * alpha(s + h) - 30 * alpha(s)
-                + 16 * alpha(s - h) - alpha(s - 2 * h)) / (12 * h * h)
-
-    return d1, d2
-
-
-def _locate_max(alpha, d_alpha) -> tuple[float, float]:
-    grid = np.linspace(-HALF_PI + 1e-6, HALF_PI - 1e-6, 4001)
-    vals = alpha(grid)
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    if d_alpha(lo) * d_alpha(hi) < 0:
-        s_star = brentq(lambda s: float(d_alpha(s)), lo, hi, xtol=1e-14)
-    else:
-        s_star = grid[i]
-    return float(s_star), float(alpha(s_star))
-
-
-def validate_profile(profile: ProfileCurve, strict: bool = True,
-                     grid_points: int = _VALIDATION_GRID) -> None:
+def validate_profile(profile: ProfileCurve) -> None:
     """Check the profile invariants on a dense grid.
 
-    Strict mode additionally requires the maximum at s = 0 (the mirror
-    symmetric setup); unimodality about ``s_max`` is always required.
-    Raises :class:`InvariantViolation` on failure.
+    The poles close (alpha = 0 with slope +-1), alpha is positive inside,
+    unimodal about ``s_max``, and alpha'' is negative there.  Raises
+    :class:`InvariantViolation` on failure.
     """
-    a = profile.alpha
-    da = profile.d_alpha
     for end, slope in ((-HALF_PI, 1.0), (HALF_PI, -1.0)):
-        if abs(float(a(end))) > 1e-12:
+        a, da = (float(v) for v in profile.jet(end, 1))
+        if abs(a) > 1e-12:
             raise InvariantViolation(
-                f"{profile.label}: alpha({end:+.3f}) = {float(a(end)):.3e} != 0")
-        if abs(float(da(end)) - slope) > 1e-6:
+                f"{profile.label}: alpha({end:+.3f}) = {a:.3e} != 0")
+        if abs(da - slope) > 1e-6:
             raise InvariantViolation(
-                f"{profile.label}: alpha'({end:+.3f}) = {float(da(end)):.6f}, "
+                f"{profile.label}: alpha'({end:+.3f}) = {da:.6f}, "
                 f"expected {slope:+.0f}")
-    s = np.linspace(-HALF_PI + 1e-4, HALF_PI - 1e-4, grid_points)
-    vals = a(s)
+    s = np.linspace(-HALF_PI + 1e-4, HALF_PI - 1e-4, _VALIDATION_GRID)
+    vals, dvals = profile.jet(s, 1)
     if np.any(vals <= 0):
         bad = s[np.argmin(vals)]
         raise InvariantViolation(
             f"{profile.label}: alpha not positive on the interior (s={bad:.4f})")
-    dvals = da(s)
-    if strict:
-        mask = np.abs(s) > 1e-3
-        if np.any(-s[mask] * dvals[mask] <= 0):
-            bad = s[mask][np.argmin(-s[mask] * dvals[mask])]
-            raise InvariantViolation(
-                f"{profile.label}: -s*alpha'(s) > 0 fails at s={bad:.4f}")
-    else:
-        mask = np.abs(s - profile.s_max) > 1e-3
-        if np.any(-(s[mask] - profile.s_max) * dvals[mask] <= 0):
-            bad = s[mask][np.argmin(-(s[mask] - profile.s_max) * dvals[mask])]
-            raise InvariantViolation(
-                f"{profile.label}: not unimodal about s_max={profile.s_max:.4f} "
-                f"(fails at s={bad:.4f})")
+    mask = np.abs(s - profile.s_max) > 1e-3
+    slope_in = -(s[mask] - profile.s_max) * dvals[mask]
+    if np.any(slope_in <= 0):
+        raise InvariantViolation(
+            f"{profile.label}: not unimodal about s_max={profile.s_max:.4f} "
+            f"(fails at s={s[mask][np.argmin(slope_in)]:.4f})")
     if float(profile.dd_alpha(profile.s_max)) >= 0:
         raise InvariantViolation(
             f"{profile.label}: alpha'' at the maximum is not negative")
 
 
+def _validated(jet: Callable, label: str) -> ProfileCurve:
+    """The profile of ``jet`` with its maximum located, after validation."""
+    rough = ProfileCurve(jet, label)
+    grid = np.linspace(-HALF_PI + 1e-6, HALF_PI - 1e-6, 4001)
+    i = int(np.argmax(rough.alpha(grid)))
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, len(grid) - 1)]
+    if rough.d_alpha(lo) * rough.d_alpha(hi) < 0:
+        s_star = brentq(lambda s: float(rough.d_alpha(s)), lo, hi, xtol=1e-14)
+    else:
+        s_star = grid[i]
+    profile = ProfileCurve(jet, label, s_max=float(s_star),
+                           alpha_max=float(rough.alpha(s_star)))
+    validate_profile(profile)
+    return profile
+
+
+def _round_jet(s, order):
+    s = np.asarray(s, dtype=float)
+    cs = np.cos(s)
+    return (cs,) if order == 0 else (cs, -np.sin(s), -cs)[:order + 1]
+
+
 def make_round_sphere() -> ProfileCurve:
     """Round unit sphere, alpha(s) = cos s."""
-    return ProfileCurve(
-        alpha=lambda s: np.cos(np.asarray(s, dtype=float)),
-        d_alpha=lambda s: -np.sin(np.asarray(s, dtype=float)),
-        dd_alpha=lambda s: -np.cos(np.asarray(s, dtype=float)),
-        label="round sphere",
-        s_max=0.0,
-        alpha_max=1.0,
-    )
+    return ProfileCurve(_round_jet, "round sphere")
 
 
-def _bump_evaluator(a: float, b: float, weight: Callable = None) -> Callable:
-    """x -> bump(x) weight(x) on (a, b), 0 outside; the bump is evaluated once.
+def _bump_jet(a: float, b: float, x, order: int) -> list:
+    """(f, f'[, f'']) of bump_function(a, b) at x, from one gather.
 
-    Only the points inside the support are gathered, and the exponent is
-    taken there alone; ``weight`` (default 1) sees those points only.
+    Only the points inside (a, b) are gathered.  With g = -1/(x-a) - 1/(b-x)
+    the exponent, f' = f g' and f'' = f (g'' + g'^2).
     """
-    peak = math.exp(-4.0 / (b - a))  # value at the midpoint
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
-        inside = (x > a) & (x < b)
-        if inside.any():
-            xi = x[inside]
-            with np.errstate(over="ignore", under="ignore"):
-                val = np.exp(-1.0 / (xi - a) - 1.0 / (b - xi)) / peak
-            out[inside] = val if weight is None else val * weight(xi)
-        return out
-
-    return f
+    x = np.asarray(x, dtype=float)
+    out = [np.zeros(x.shape) for _ in range(order + 1)]
+    inside = (x > a) & (x < b)
+    if inside.any():
+        p, q = x[inside] - a, b - x[inside]
+        with np.errstate(over="ignore", under="ignore"):
+            f = np.exp(-1.0 / p - 1.0 / q) / math.exp(-4.0 / (b - a))
+        out[0][inside] = f
+        if order >= 1:
+            gp = 1.0 / p ** 2 - 1.0 / q ** 2
+            out[1][inside] = f * gp
+        if order >= 2:
+            out[2][inside] = f * (-2.0 / p ** 3 - 2.0 / q ** 3 + gp ** 2)
+    return out
 
 
 def bump_function(a: float, b: float) -> Callable:
@@ -182,132 +158,42 @@ def bump_function(a: float, b: float) -> Callable:
     the endpoints, which keeps perturbed-profile derivatives well
     conditioned near the support boundary.
     """
-    return _bump_evaluator(a, b)
-
-
-def _bump_derivatives(a: float, b: float):
-    """First and second derivatives of bump_function(a, b).
-
-    With g = -1/(x-a) - 1/(b-x) the exponent, they are bump g' and
-    bump (g'' + g'^2).
-    """
-    def gp(xi):
-        return 1.0 / (xi - a) ** 2 - 1.0 / (b - xi) ** 2
-
-    def gp2_plus_gpp(xi):
-        gpp = -2.0 / (xi - a) ** 3 - 2.0 / (b - xi) ** 3
-        return gpp + gp(xi) ** 2
-
-    return _bump_evaluator(a, b, gp), _bump_evaluator(a, b, gp2_plus_gpp)
-
-
-def _bump_pair(a: float, b: float) -> Callable:
-    """x -> (f, f') of the sum of the bumps on (a, b) and (-b, -a).
-
-    One gather over both supports: the mirror bump at x is the bump at
-    |x| with its slope negated.  Per point these are the operations of
-    bump_function and the first of _bump_derivatives, reordered only where
-    floating point is exact (negation, commuted sums), so the two sums are
-    bit-identical to those evaluators' (the supports are disjoint).
-    """
-    peak = math.exp(-4.0 / (b - a))
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        val, slope = np.zeros(x.shape), np.zeros(x.shape)
-        y = np.abs(x)
-        inside = (y > a) & (y < b)
-        if inside.any():
-            yi = y[inside]
-            with np.errstate(over="ignore", under="ignore"):
-                v = np.exp(-1.0 / (yi - a) - 1.0 / (b - yi)) / peak
-            val[inside] = v
-            slope[inside] = np.sign(x[inside]) * v \
-                * (1.0 / (yi - a) ** 2 - 1.0 / (b - yi) ** 2)
-        return val, slope
-
-    return f
+    return lambda x: _bump_jet(a, b, x, 0)[0]
 
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Bump perturbation data for a perturbed sphere.
-
-    ``f_plus`` is supported in (a, b) with 0 < a < b < pi/2; ``f_minus`` in
-    the mirror interval (-b, -a).  Both are nonnegative and smooth.  When
-    both are the default bumps, ``bumps`` evaluates (f_plus + f_minus, its
-    derivative) in one pass; otherwise it is None.
-    """
+    """Bump perturbation of the round sphere: epsilon times the bumps on
+    (a, b) and on the mirror interval (-b, -a), with 0 < a < b < pi/2."""
 
     epsilon: float
     a: float
     b: float
-    f_plus: Callable = None
-    f_minus: Callable = None
-    d_f_plus: Callable = field(default=None, repr=False)
-    dd_f_plus: Callable = field(default=None, repr=False)
-    d_f_minus: Callable = field(default=None, repr=False)
-    dd_f_minus: Callable = field(default=None, repr=False)
-    bumps: Callable = field(default=None, init=False, repr=False,
-                            compare=False)
 
     def __post_init__(self):
         if not (0 < self.a < self.b < HALF_PI):
             raise DomainError(f"support bounds need 0 < a < b < pi/2, "
                               f"got a={self.a}, b={self.b}")
-        if self.f_plus is None and self.f_minus is None:
-            object.__setattr__(self, "bumps", _bump_pair(self.a, self.b))
-        if self.f_plus is None:
-            d1, d2 = _bump_derivatives(self.a, self.b)
-            object.__setattr__(self, "f_plus", bump_function(self.a, self.b))
-            object.__setattr__(self, "d_f_plus", d1)
-            object.__setattr__(self, "dd_f_plus", d2)
-        if self.f_minus is None:
-            d1m, d2m = _bump_derivatives(-self.b, -self.a)
-            object.__setattr__(self, "f_minus", bump_function(-self.b, -self.a))
-            object.__setattr__(self, "d_f_minus", d1m)
-            object.__setattr__(self, "dd_f_minus", d2m)
-        if self.d_f_plus is None:
-            d1, d2 = _finite_diff_evaluators(self.f_plus)
-            object.__setattr__(self, "d_f_plus", d1)
-            object.__setattr__(self, "dd_f_plus", d2)
-        if self.d_f_minus is None:
-            d1, d2 = _finite_diff_evaluators(self.f_minus)
-            object.__setattr__(self, "d_f_minus", d1)
-            object.__setattr__(self, "dd_f_minus", d2)
 
 
 def make_perturbed_sphere(spec: PerturbationSpec) -> ProfileCurve:
-    """alpha = cos s + epsilon (f_plus + f_minus); validates the invariants."""
-    eps = spec.epsilon
+    """alpha = cos s + epsilon (bump on (a, b) + bump on (-b, -a)).
 
-    def alpha(s):
+    Both bumps come from one gather at |s|: the mirror bump at s is the
+    bump at -s, with its slope negated.  Negation and sums with 0 are exact
+    and the supports are disjoint, so every value equals the sum of the
+    two one-sided evaluations bit for bit.  Validates the invariants.
+    """
+    eps, a, b = spec.epsilon, spec.a, spec.b
+
+    def jet(s, order):
         s = np.asarray(s, dtype=float)
-        if spec.bumps is not None:
-            return np.cos(s) + eps * spec.bumps(s)[0]
-        return np.cos(s) + eps * (spec.f_plus(s) + spec.f_minus(s))
+        bump = _bump_jet(a, b, np.abs(s), order)
+        if order >= 1:
+            bump[1] *= np.sign(s)
+        return tuple(r + eps * f for r, f in zip(_round_jet(s, order), bump))
 
-    def d_alpha(s):
-        s = np.asarray(s, dtype=float)
-        return -np.sin(s) + eps * (spec.d_f_plus(s) + spec.d_f_minus(s))
-
-    def dd_alpha(s):
-        s = np.asarray(s, dtype=float)
-        return -np.cos(s) + eps * (spec.dd_f_plus(s) + spec.dd_f_minus(s))
-
-    def alpha_pair(s):
-        s = np.asarray(s, dtype=float)
-        val, slope = spec.bumps(s)
-        return np.cos(s) + eps * val, -np.sin(s) + eps * slope
-
-    label = f"perturbed sphere (eps={eps}, a={spec.a}, b={spec.b})"
-    s_star, a_star = _locate_max(alpha, d_alpha)
-    profile = ProfileCurve(alpha, d_alpha, dd_alpha, label,
-                           s_max=s_star, alpha_max=a_star,
-                           alpha_pair=None if spec.bumps is None
-                           else alpha_pair)
-    validate_profile(profile, strict=True)
-    return profile
+    return _validated(jet, f"perturbed sphere (eps={eps}, a={a}, b={b})")
 
 
 def make_pendulum_profile(E: float) -> ProfileCurve:
@@ -318,8 +204,8 @@ def make_pendulum_profile(E: float) -> ProfileCurve:
     then the sig-domain is mapped affinely onto [-pi/2, pi/2].  The affine
     map scales the metric globally, which leaves rotation numbers unchanged;
     the scale is recorded in the label.  The resulting profile is unimodal
-    with its maximum at a slightly negative latitude (it is not even), so
-    invariants are checked about ``s_max``.
+    with its maximum at a slightly negative latitude (it is not even).  Each
+    jet call inverts sig(s) once, by Newton steps on a spline of the table.
     """
     if E <= 2:
         raise DomainError(f"pendulum reparametrization needs E > 2, got E={E}")
@@ -346,37 +232,22 @@ def make_pendulum_profile(E: float) -> ProfileCurve:
             s = np.clip(s - (sig_spline(s) - sig) / speed(s), -HALF_PI, HALF_PI)
         return s
 
-    def abar(s):
-        return speed(s) * np.cos(s)
-
-    def d_abar(s):
-        v = speed(s)
-        return -np.cos(s) ** 2 / v - v * np.sin(s)
-
-    def dd_abar(s):
-        v = speed(s)
-        return 3.0 * np.sin(s) * np.cos(s) / v - np.cos(s) ** 3 / v ** 3 - v * np.cos(s)
-
-    def alpha(sig_t):
-        return abar(s_of_scaled(sig_t)) / scale
-
-    def d_alpha(sig_t):
+    def jet(sig_t, order):
+        # abar(s) = v cos s with v = speed(s); d/dsig = (1/v) d/ds
         s = s_of_scaled(sig_t)
-        return d_abar(s) / speed(s)
+        v, cs = speed(s), np.cos(s)
+        out = (v * cs / scale,)
+        if order >= 1:
+            sn = np.sin(s)
+            d_abar = -cs ** 2 / v - v * sn
+            out += (d_abar / v,)
+        if order >= 2:
+            dd_abar = 3.0 * sn * cs / v - cs ** 3 / v ** 3 - v * cs
+            out += (scale * (dd_abar * v - d_abar * (-cs / v)) / v ** 3,)
+        return out
 
-    def dd_alpha(sig_t):
-        s = s_of_scaled(sig_t)
-        v = speed(s)
-        dv = -np.cos(s) / v
-        return scale * (dd_abar(s) * v - d_abar(s) * dv) / v ** 3
-
-    label = (f"spherical pendulum E={E} "
-             f"(metric globally scaled by {scale ** 2:.12g})")
-    s_star, a_star = _locate_max(alpha, d_alpha)
-    profile = ProfileCurve(alpha, d_alpha, dd_alpha, label,
-                           s_max=s_star, alpha_max=a_star)
-    validate_profile(profile, strict=False)
-    return profile
+    return _validated(jet, f"spherical pendulum E={E} "
+                           f"(metric globally scaled by {scale ** 2:.12g})")
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +308,16 @@ def sphere_volume(n: int) -> float:
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
 
 
+def band_area(profile: ProfileCurve, s0: float, s1: float) -> float:
+    """Riemannian area of the band [s0, s1] x S^1: 2 pi int alpha, by quad."""
+    return 2.0 * math.pi * quad(lambda s: float(profile.alpha(s)), s0, s1,
+                                epsabs=1e-12, epsrel=1e-12)[0]
+
+
 def manifold_volume(m: ModelManifold) -> float:
     """Riemannian volume; enters the Weyl main term."""
     if m.kind == "surface_of_revolution":
-        val = quad(lambda s: m.profile.alpha(s), -HALF_PI, HALF_PI,
-                   epsabs=1e-12, epsrel=1e-12)[0]
-        return 2.0 * math.pi * val
+        return band_area(m.profile, -HALF_PI, HALF_PI)
     if m.kind == "round_sphere":
         return sphere_volume(m.n)
     if m.kind == "flat_torus":
@@ -457,7 +332,7 @@ def manifold_volume(m: ModelManifold) -> float:
 
 
 def manifold_from_config(cfg: dict) -> ModelManifold:
-    """Build a manifold from a JSON-style dict; see :func:`manifold_to_config`."""
+    """Build a manifold from a JSON-style dict with a ``kind`` field."""
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("manifold config must be a dict with a 'kind' field")
     kind = cfg["kind"]
@@ -480,25 +355,3 @@ def manifold_from_config(cfg: dict) -> ModelManifold:
         # round profile realized through the revolution machinery
         return surface_of_revolution(make_round_sphere())
     raise ConfigError(f"unknown manifold kind {kind!r}")
-
-
-def manifold_to_config(m: ModelManifold) -> dict:
-    if m.kind == "round_sphere":
-        return {"kind": "round_sphere", "n": m.n}
-    if m.kind == "flat_torus":
-        return {"kind": "flat_torus", "periods": list(m.periods)}
-    if m.kind == "product":
-        return {"kind": "product",
-                "factors": [manifold_to_config(f) for f in m.factors]}
-    if m.kind == "surface_of_revolution":
-        label = m.profile.label
-        if label.startswith("perturbed sphere"):
-            inner = label[label.index("(") + 1:label.rindex(")")]
-            parts = dict(p.strip().split("=") for p in inner.split(","))
-            return {"kind": "perturbed_sphere", "epsilon": float(parts["eps"]),
-                    "a": float(parts["a"]), "b": float(parts["b"])}
-        if label.startswith("spherical pendulum"):
-            e_val = float(label.split("E=")[1].split()[0])
-            return {"kind": "pendulum", "E": e_val}
-        return {"kind": "surface_of_revolution"}
-    raise ConfigError(f"cannot serialize manifold kind {m.kind!r}")

@@ -416,11 +416,11 @@ def smoothing_consistency(cfg: dict) -> list:
         product_spectrum(sphere_spectrum(2, 460.0), sphere_spectrum(1, 460.0),
                          460.0),
     ]
+    tail_cut = kernel.tail_cut_for(kernel.tail_tol)
     worst_ratio = 0.0
     allocation = cfg.get("points_per_spectrum", (7, 7, 6))
     for spec, n_points in zip(specs, allocation):
-        lams = rng.uniform(20.0, spec.lambda_max - kernel.tail_cut - 1.0,
-                           n_points)
+        lams = rng.uniform(20.0, spec.lambda_max - tail_cut - 1.0, n_points)
         sm = smoothed_series(spec, lams, kernel)
         W = float(spec.count(min(spec.lambda_max,
                                  lams.max() + kernel.s_table[-1])))

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import eval_legendre, jv
 
 from .errors import DomainError, IncompleteSpectrum, WindowTooSmall
-from .manifolds import ModelManifold, lattice_box
+from .manifolds import ModelManifold, band_area, lattice_box
 from .quadrature import gauss_legendre
 from .spectra import Spectrum, band_weights
 
@@ -70,12 +69,6 @@ def counting(spec: Spectrum, lambdas) -> CountingSeries:
                           spec.label)
 
 
-def band_volume(profile, s0: float, s1: float) -> float:
-    """Riemannian area of the band [s0, s1] x S^1."""
-    return 2.0 * math.pi * quad(lambda s: float(profile.alpha(s)), s0, s1,
-                                epsabs=1e-12, epsrel=1e-12)[0]
-
-
 def localized_counting(spec: Spectrum, band: tuple[float, float],
                        lambdas) -> CountingSeries:
     """int_W Pi_lam(x,x) over the band W = [s0, s1] x S^1.
@@ -98,7 +91,7 @@ def localized_counting(spec: Spectrum, band: tuple[float, float],
     csum = np.concatenate([[0.0], np.cumsum(weights)])
     idx = np.searchsorted(spec.lambdas, lambdas, side="right")
     NW = csum[idx]
-    vol_w = band_volume(spec.basis.profile, s0, s1)
+    vol_w = band_area(spec.basis.profile, s0, s1)
     main = weyl_main_term(lambdas, 2, vol_w)
     return CountingSeries(lambdas, NW, main, NW - main, 2, vol_w,
                           f"{spec.label} band [{s0}, {s1}]")
@@ -274,13 +267,7 @@ class SmoothingKernel:
     rho_table: np.ndarray = field(repr=False)
     P_table: np.ndarray = field(repr=False)
     decay_constants: dict = field(default_factory=dict)
-    tail_cut: float = 0.0          # x beyond which |P - step| <= tail_tol
     tail_tol: float = 1e-9
-
-    def rho(self, u):
-        """Unscaled rho(u); even."""
-        u = np.abs(np.asarray(u, dtype=float))
-        return np.interp(u, self.s_table, self.rho_table, right=0.0)
 
     def P(self, x):
         """Antiderivative int_{-inf}^x rho; P(-x) = 1 - P(x).
@@ -349,13 +336,9 @@ def build_smoothing_kernel(scale: float, s_max: float = 420.0,
         # achievable step-function tolerance: the P deviation still present
         # at the end of the table bounds everything beyond it
         tol = max(1e-9, 2.0 * float(np.abs(1.0 - P)[-1]))
-        dev = np.abs(1.0 - P)
-        inside = dev > tol
-        tail_cut = float(s[inside][-1]) + ds if np.any(inside) else 0.0
-        _KERNEL_CACHE[key] = (s, rho, P, decay, tail_cut, tol)
-    s, rho, P, decay, tail_cut, tol = _KERNEL_CACHE[key]
-    return SmoothingKernel(scale, s, rho, P, dict(decay), tail_cut,
-                           tail_tol=tol)
+        _KERNEL_CACHE[key] = (s, rho, P, decay, tol)
+    s, rho, P, decay, tol = _KERNEL_CACHE[key]
+    return SmoothingKernel(scale, s, rho, P, dict(decay), tail_tol=tol)
 
 
 _SMOOTH_BLOCK = 1 << 16    # elements of one P block in smoothed_series

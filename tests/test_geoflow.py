@@ -20,6 +20,8 @@ from weyllab.geoflow import (
 )
 from weyllab.manifolds import (
     PerturbationSpec,
+    ProfileCurve,
+    _bump_jet,
     make_perturbed_sphere,
     make_pendulum_profile,
     make_round_sphere,
@@ -48,9 +50,12 @@ def test_turning_points_domain():
 def test_turning_points_asymmetric_on_one_sided_perturbation():
     # with only the northern band perturbed, the turning points of orbits
     # reaching into the band are no longer mirror images
-    spec = PerturbationSpec(epsilon=0.01, a=0.5, b=1.0,
-                            f_minus=lambda s: np.zeros_like(np.asarray(s, float)))
-    one_sided = make_perturbed_sphere(spec)
+    def jet(s, order):
+        bump = _bump_jet(0.5, 1.0, s, order)
+        return tuple(r + 0.01 * f
+                     for r, f in zip(SPHERE.jet(s, order), bump))
+
+    one_sided = ProfileCurve(jet, "northern bump only")
     c = float(one_sided.alpha(0.7))
     (s_minus,), (s_plus,) = turning_points(one_sided, [c])
     assert s_plus == pytest.approx(0.7, abs=1e-11)

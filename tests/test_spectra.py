@@ -281,9 +281,8 @@ def test_steps_of_several_half_turns_keep_the_winding():
     # with constant coefficients one Magnus step is exact whatever its
     # length, so steps that turn the phase by more than pi must give the
     # fine grid's F, winding included
-    flat = ProfileCurve(lambda s: np.ones(np.shape(s)),
-                        lambda s: np.zeros(np.shape(s)),
-                        lambda s: np.zeros(np.shape(s)), "cylinder")
+    flat = ProfileCurve(lambda s, order: (np.ones(np.shape(s)),)
+                        + (np.zeros(np.shape(s)),) * order, "cylinder")
     coarse = _MagnusGrid(flat, 12.0, coarsen=60.0)
     m = np.repeat(np.arange(0.0, 6.0), 3)
     lam2 = np.tile([50.5, 100.5, 140.5], 6)
