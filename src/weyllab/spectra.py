@@ -402,12 +402,16 @@ def _magnus_step(terms: np.ndarray, m2, lam2):
     oc = c1 + c3 / 12.0 + (xc * za - k * zc) / 120.0
     d = oa * oa + ob * oc
     omega = np.sqrt(np.maximum(-d, 0.0))
+    # each element takes only its own branch: cos and sin/omega where d < 0,
+    # cosh and sinh/kappa where d > 0, and 1 and 1 where d = 0
+    osc, hyp = d < 0, d > 0
+    cs = np.cos(omega, out=np.ones_like(d), where=osc)
+    sn = np.sin(omega, out=np.ones_like(d), where=osc)
+    np.divide(sn, omega, out=sn, where=osc)
     kappa = np.sqrt(np.maximum(d, 0.0))
-    # one of omega, kappa is 0, where cos and cosh are 1 and sin, sinh are 0
-    cs = np.cos(omega) * np.cosh(kappa)
-    r = omega + kappa
-    sn = np.divide(np.sin(omega) + np.sinh(kappa), r, out=np.ones_like(r),
-                   where=r > 0)
+    np.cosh(kappa, out=cs, where=hyp)
+    np.sinh(kappa, out=sn, where=hyp)
+    np.divide(sn, kappa, out=sn, where=hyp)
     return cs + sn * oa, sn * ob, sn * oc, cs - sn * oa, omega
 
 

@@ -9,6 +9,7 @@ a propagation horizon sigma.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -18,7 +19,6 @@ from scipy.special import eval_legendre, jv
 
 from .errors import DomainError, IncompleteSpectrum, WindowTooSmall
 from .manifolds import ModelManifold, band_area, lattice_box
-from .quadrature import gauss_legendre
 from .spectra import Spectrum, band_weights
 
 
@@ -202,6 +202,12 @@ def projector_kernel(manifold: ModelManifold, x, y, lam: float,
 # Smoothing kernel
 
 
+@functools.cache
+def _gauss_rule(n: int):
+    """The n-node Gauss-Legendre nodes and weights on [-1, 1], cached."""
+    return np.polynomial.legendre.leggauss(n)
+
+
 def _bump_unit(width: float):
     """Normalized smooth bump supported on (-width, width)."""
 
@@ -214,41 +220,73 @@ def _bump_unit(width: float):
             out[inside] = np.exp(-1.0 / (1.0 - z * z))
         return out
 
-    mass = gauss_legendre(raw, -width, width, n=200)
+    gx, gw = _gauss_rule(200)
+    mass = width * float(np.sum(gw * raw(width * gx)))
     return lambda x: raw(x) / mass
 
 
-_RHO_GAUSS = None
-_RHO_CHUNK = 2048          # rows of the cosine block in rho_exact
+_RHO_CHUNK = 2048          # nodes of one cosine block
+
+
+@functools.cache
+def _rho_gauss():
+    """The width-0.25 bump and the folded 200-node rule for psi_hat.
+
+    The rule and the bump are both even, so each +/- pair of nodes is
+    folded into one cosine: 100 non-negative nodes carrying the summed
+    weights.  Returns (bump, nodes, weights).
+    """
+    gx, gw = _gauss_rule(200)
+    bump = _bump_unit(0.25)
+    bw = 0.25 * gw * bump(0.25 * gx)
+    h = len(gx) // 2
+    return bump, 0.25 * gx[h:], bw[h:] + bw[:h][::-1]
+
+
+def _sinc(s):
+    """sin(1.5 s)/(pi s) for s >= 0, the plateau's indicator transform."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(s > 0, np.sin(1.5 * s) / (math.pi * s),
+                        1.5 / math.pi)
 
 
 def rho_exact(s):
     """Analytic time-side kernel rho(s) = sin(1.5 s)/(pi s) psi_hat(s).
 
     psi_hat is the Fourier transform of the width-0.5 mollifier, evaluated
-    by fixed Gauss quadrature; no tables involved.  The 200-node rule and
-    the bump are both even, so each +/- pair of nodes is folded into one
-    cosine: 100 non-negative nodes carrying the summed weights.
+    by fixed Gauss quadrature with one cosine per point and node; no tables
+    involved.  This is the independent oracle: the kernel table of
+    :func:`build_smoothing_kernel` takes another evaluation path, and
+    :func:`smoothed_series_direct` integrates with this one.
     """
-    global _RHO_GAUSS
-    if _RHO_GAUSS is None:
-        bump = _bump_unit(0.25)
-        gx, gw = np.polynomial.legendre.leggauss(200)
-        bw = 0.25 * gw * bump(0.25 * gx)
-        h = len(gx) // 2
-        _RHO_GAUSS = (0.25 * gx[h:], bw[h:] + bw[:h][::-1])
-    bx, bw = _RHO_GAUSS
+    _, bx, bw = _rho_gauss()
     s = np.abs(np.asarray(s, dtype=float))
     flat = s.ravel()
     out = np.empty_like(flat)
     for start in range(0, len(flat), _RHO_CHUNK):
         sl = flat[start:start + _RHO_CHUNK]
-        psi_hat = np.cos(np.outer(sl, bx)) @ bw
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sinc = np.where(sl > 0, np.sin(1.5 * sl) / (math.pi * sl),
-                            1.5 / math.pi)
-        out[start:start + _RHO_CHUNK] = sinc * psi_hat
+        out[start:start + _RHO_CHUNK] = (_sinc(sl)
+                                         * (np.cos(np.outer(sl, bx)) @ bw))
     return out.reshape(s.shape)
+
+
+def _rho_table(s: np.ndarray, ds: float) -> np.ndarray:
+    """rho at the nodes s_k = k ds, from blocked exponentials.
+
+    With k = k0 + r, cos(k ds x) = cos(k0 ds x) cos(r ds x) - sin(k0 ds x)
+    sin(r ds x): the r-factors, one (100 x _RHO_CHUNK) pair, serve every
+    block, and each block start k0 contributes one row of weighted
+    cosines and sines, so psi_hat of the whole table is two matrix
+    products and no per-node cosine.
+    """
+    _, bx, bw = _rho_gauss()
+    theta = ds * bx
+    starts = np.arange(0, len(s), _RHO_CHUNK, dtype=float)
+    phase = np.outer(starts, theta)
+    step = np.outer(theta, np.arange(_RHO_CHUNK, dtype=float))
+    psi_hat = (bw * np.cos(phase)) @ np.cos(step)
+    psi_hat -= (bw * np.sin(phase)) @ np.sin(step)
+    return _sinc(s) * psi_hat.ravel()[:len(s)]
 
 
 @dataclass
@@ -266,39 +304,53 @@ class SmoothingKernel:
     s_table: np.ndarray = field(repr=False)
     rho_table: np.ndarray = field(repr=False)
     P_table: np.ndarray = field(repr=False)
-    decay_constants: dict = field(default_factory=dict)
+    bend_table: np.ndarray = field(repr=False)     # 0.5 ds diff(rho)
     tail_tol: float = 1e-9
 
     def P(self, x):
         """Antiderivative int_{-inf}^x rho; P(-x) = 1 - P(x).
 
-        Piecewise trapezoid correction between table nodes keeps the
-        evaluation error at the cubic-in-spacing scale.
+        Read from the tables of :func:`build_smoothing_kernel`, not from
+        :func:`rho_exact`: in the cell [s_i, s_i + ds], at u = (|x| -
+        s_i)/ds, rho is linear and its integral from s_i is the quadratic
+        (bend_i u + ds rho_i) u, with bend_i = 0.5 ds (rho_{i+1} - rho_i).
+        This trapezoid correction keeps the evaluation error at the
+        cubic-in-spacing scale.
         """
         x = np.asarray(x, dtype=float)
-        ax = np.minimum(np.abs(x), self.s_table[-1])
+        flat = x.reshape(-1)
         ds = self.s_table[1] - self.s_table[0]
-        idx = np.minimum((ax / ds).astype(int), len(self.s_table) - 2)
-        s0 = self.s_table[idx]
-        frac = ax - s0
-        rho0 = self.rho_table[idx]
-        rho1 = self.rho_table[idx + 1]
-        rho_x = rho0 + (rho1 - rho0) * (frac / ds)
-        tail = self.P_table[idx] + 0.5 * frac * (rho0 + rho_x)
-        return np.where(x >= 0, tail, 1.0 - tail)
+        u = np.abs(flat)
+        np.minimum(u, self.s_table[-1], out=u)
+        u /= ds
+        idx = u.astype(np.intp)
+        np.minimum(idx, len(self.s_table) - 2, out=idx)
+        u -= idx
+        tail = self.bend_table[idx]
+        tail *= u
+        lin = self.rho_table[idx]
+        lin *= ds
+        tail += lin
+        tail *= u
+        tail += self.P_table[idx]
+        np.subtract(1.0, tail, out=tail, where=flat < 0)
+        return tail.reshape(x.shape)
 
     def rho_hat(self, xi):
-        """Frequency-side profile (exact plateau convolution)."""
-        xi = np.asarray(xi, dtype=float)
-        bump = _bump_unit(0.25)
+        """Frequency-side profile (exact plateau convolution).
 
-        def single(v):
-            lo, hi = max(-0.25, v - 1.5), min(0.25, v + 1.5)
-            if lo >= hi:
-                return 0.0
-            return gauss_legendre(bump, lo, hi, n=120)
-
-        return np.vectorize(single)(np.abs(xi))
+        The bump integrated over [-0.25, 0.25] cap [|xi| - 1.5, |xi| + 1.5]
+        by the 120-node Gauss rule mapped onto each interval.
+        """
+        bump = _rho_gauss()[0]
+        v = np.abs(np.asarray(xi, dtype=float))
+        lo = np.maximum(-0.25, v - 1.5)
+        hi = np.minimum(0.25, v + 1.5)
+        gx, gw = _gauss_rule(120)
+        mid = (0.5 * (lo + hi))[..., None]
+        half = 0.5 * (hi - lo)
+        out = half * np.sum(gw * bump(mid + half[..., None] * gx), axis=-1)
+        return np.where(lo < hi, out, 0.0)
 
     def tail_cut_for(self, tol: float) -> float:
         """Smallest x beyond which |P - step| stays below ``tol``."""
@@ -319,26 +371,31 @@ _KERNEL_CACHE: dict = {}
 
 def build_smoothing_kernel(scale: float, s_max: float = 420.0,
                            ds: float = 0.002) -> SmoothingKernel:
-    """Construct rho_sigma for sigma = scale (table shared across scales)."""
+    """Construct rho_sigma for sigma = scale (table shared across scales).
+
+    The rho table on s_k = k ds is the fast path, built by
+    :func:`_rho_table` from blocked exponentials; :func:`rho_exact` stays
+    the oracle it is checked against.  P is its cumulative Simpson
+    integral, and the per-cell bends 0.5 ds diff(rho) let
+    :meth:`SmoothingKernel.P` evaluate between nodes.
+    """
     if scale <= 0:
         raise DomainError("smoothing scale must be positive")
     key = (s_max, ds)
     if key not in _KERNEL_CACHE:
         from scipy.integrate import cumulative_simpson
         s = np.arange(0.0, s_max + ds, ds)
-        rho = rho_exact(s)
+        rho = _rho_table(s, ds)
         # P(x) = 1 - int_x^inf rho, cumulative Simpson from the far end
         tail_from = cumulative_simpson(rho[::-1], x=-s[::-1], initial=0.0)[::-1]
         P = 1.0 - tail_from
-        decay = {}
-        for j in range(1, 9):
-            decay[j] = float(np.max(np.abs(rho) * (1.0 + s) ** j))
+        bend = 0.5 * ds * np.diff(rho)
         # achievable step-function tolerance: the P deviation still present
         # at the end of the table bounds everything beyond it
         tol = max(1e-9, 2.0 * float(np.abs(1.0 - P)[-1]))
-        _KERNEL_CACHE[key] = (s, rho, P, decay, tol)
-    s, rho, P, decay, tol = _KERNEL_CACHE[key]
-    return SmoothingKernel(scale, s, rho, P, dict(decay), tail_tol=tol)
+        _KERNEL_CACHE[key] = (s, rho, P, bend, tol)
+    s, rho, P, bend, tol = _KERNEL_CACHE[key]
+    return SmoothingKernel(scale, s, rho, P, bend, tail_tol=tol)
 
 
 _SMOOTH_BLOCK = 1 << 16    # elements of one P block in smoothed_series

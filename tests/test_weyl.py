@@ -179,9 +179,61 @@ def test_rho_hat_plateau_and_support(kernel):
     assert float(kernel.rho_hat(1.9)) == 0.0      # support is [-1.75, 1.75]
 
 
-def test_decay_constants_tabulated(kernel):
-    assert set(kernel.decay_constants) == set(range(1, 9))
-    assert kernel.decay_constants[4] < math.inf
+def test_rho_hat_is_the_per_point_gauss_rule(kernel):
+    # one 120-node Gauss rule per point, as gauss_legendre maps it
+    from weyllab.quadrature import gauss_legendre
+    bump = weyl._bump_unit(0.25)
+    xi = np.concatenate([[0.0, -0.0, 1.25, -1.25, 1.5, 1.75, -1.75, 2.1],
+                         np.random.default_rng(4).uniform(-2.0, 2.0, 400)])
+    ref = []
+    for v in np.abs(xi):
+        lo, hi = max(-0.25, v - 1.5), min(0.25, v + 1.5)
+        ref.append(gauss_legendre(bump, lo, hi, n=120) if lo < hi else 0.0)
+    assert np.array_equal(kernel.rho_hat(xi), ref)
+    assert kernel.rho_hat(xi.reshape(4, -1)).shape == (4, 102)
+
+
+@pytest.mark.parametrize("s_max, ds, nodes", [
+    (420.0, 0.002, 210_001),
+    # the last block of 2,048 holds 1,653 nodes
+    (37.0, 0.01, 3_701),
+])
+def test_kernel_table_matches_rho_exact_at_every_node(monkeypatch, s_max, ds,
+                                                      nodes):
+    monkeypatch.setattr(weyl, "_KERNEL_CACHE", {})
+    K = build_smoothing_kernel(1.0, s_max=s_max, ds=ds)
+    assert len(K.s_table) == nodes
+    assert np.max(np.abs(K.rho_table - weyl.rho_exact(K.s_table))) <= 1e-15
+
+
+@pytest.mark.parametrize("sigma", [1.0, 5.0])
+def test_P_matches_the_trapezoid_formula(sigma):
+    K = build_smoothing_kernel(sigma)
+    s, rho, Ptab = K.s_table, K.rho_table, K.P_table
+
+    def trapezoid_P(x):
+        # linear rho between nodes, integrated from the node below
+        ax = np.minimum(np.abs(x), s[-1])
+        ds = s[1] - s[0]
+        idx = np.minimum((ax / ds).astype(int), len(s) - 2)
+        frac = ax - s[idx]
+        rho0, rho1 = rho[idx], rho[idx + 1]
+        rho_x = rho0 + (rho1 - rho0) * (frac / ds)
+        tail = Ptab[idx] + 0.5 * frac * (rho0 + rho_x)
+        return np.where(x >= 0, tail, 1.0 - tail)
+
+    # sigma (lam - lambda_j), as smoothed_series passes it
+    rng = np.random.default_rng(17)
+    gaps = np.concatenate([rng.uniform(-30.0, 30.0, 100_000),
+                           rng.uniform(-450.0, 450.0, 100_000)]) / sigma
+    x = np.concatenate([sigma * gaps, s[::37], -s[::41],
+                        [0.0, -0.0, s[-1], -s[-1]],
+                        [420.5, -420.5, 1e3, -1e3, 1e9, -1e9]])
+    assert np.max(np.abs(K.P(x) - trapezoid_P(x))) <= 1e-15
+    grid = x[:600].reshape(20, 30)
+    assert np.array_equal(K.P(grid), K.P(x[:600]).reshape(20, 30))
+    assert K.P(-3.0).shape == ()
+    assert abs(K.P(-3.0) - trapezoid_P(np.float64(-3.0))) <= 1e-15
 
 
 def test_P_limits(kernel):
