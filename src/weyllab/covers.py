@@ -256,6 +256,9 @@ def looping_pair_measure(manifold: ModelManifold, x, y, t0: float, T: float,
 # ---------------------------------------------------------------------------
 # Recurrence
 
+_RECURRENCE_PROBES = 4     # probe directions of recurrence_measure
+_DYADIC_LEVELS = 3         # test arcs B(rho, R0 2^-k), k < _DYADIC_LEVELS
+
 
 @dataclass
 class RecurrenceVerdict:
@@ -269,8 +272,7 @@ class RecurrenceVerdict:
 def recurrence_measure(manifold: ModelManifold, x, R0: float,
                        t_func: ResolutionFunction,
                        T_func: ResolutionFunction, r: float, R: float,
-                       eps_list=(0.5,), n_dyadic: int = 3,
-                       probe_count: int = 4, samples: int = 4000,
+                       eps_list=(0.5,), samples: int = 4000,
                        seed: int = 0) -> RecurrenceVerdict:
     """Dyadic-ball recurrence test at the point x.
 
@@ -287,14 +289,14 @@ def recurrence_measure(manifold: ModelManifold, x, R0: float,
     thresh = 2.0 * r * R
     T_r = float(T_func(np.array([r]))[0])
     rng = np.random.default_rng(seed)
-    probe_angles = rng.uniform(0.0, 2.0 * math.pi, probe_count)
+    probe_angles = rng.uniform(0.0, 2.0 * math.pi, _RECURRENCE_PROBES)
     failures = []
     probes = []
     for psi0 in probe_angles:
         best_sign = None
         for sign in (+1, -1):
             sign_ok = True
-            for k in range(n_dyadic):
+            for k in range(_DYADIC_LEVELS):
                 a_k = R0 * 0.5 ** k
                 for eps in eps_list:
                     t_eps = float(t_func(np.array([eps]))[0])
@@ -339,12 +341,13 @@ def _recurrence_mass(flow, manifold, x, psi0, a_k, thresh, t_lo, t_hi,
         states = np.column_stack([np.full(samples, x[0]),
                                   np.full(samples, x[1]),
                                   np.cos(psi), a * np.sin(psi)])
+        to_x = flow.metric.base_distance_from(x)
         # candidate return times: closures at 2 pi k inside the window
         hits = np.zeros(samples, dtype=bool)
         for k in range(0, int(t_hi / (2 * math.pi)) + 2):
             t_star = min(max(2 * math.pi * k, t_lo), t_hi)
             moved = flow.flow(states, -sign * t_star)
-            base = flow.metric.base_distance_to_point(moved, x)
+            base = to_x(moved)
             fib = np.maximum(wrap_angle(flow.metric.fiber_angle(moved)
                                         - psi0) - a_k, 0.0)
             hits |= (np.maximum(base, fib) < thresh)
@@ -443,21 +446,20 @@ def family_budget(dim: int) -> int:
     return 13 ** dim
 
 
-def build_good_cover(target: CircleTarget, tau: float, r: float,
-                     anchor: float = 0.0) -> GoodCover:
+def build_good_cover(target: CircleTarget, tau: float,
+                     r: float) -> GoodCover:
     """Greedy maximal r-separated centers, families by greedy coloring.
 
     The 6r-proximity graph on centers captures inflated-tube intersection
     exactly for circle targets, so the greedy coloring certifies the
     family disjointness by construction; the family count is checked
-    against the dimensional budget.  ``anchor`` rotates the candidate
-    grid so a center lands exactly on a direction of interest.
+    against the dimensional budget.
     """
     if tau + 3.0 * r >= target.tau_inj():
         raise DomainError(f"tau + 3r = {tau + 3 * r} reaches the section "
                           f"injectivity time {target.tau_inj()}")
     n_cand = max(64, int(math.ceil(2.0 * math.pi / (r / 8.0))))
-    cand = anchor + np.linspace(0.0, 2.0 * math.pi, n_cand, endpoint=False)
+    cand = np.linspace(0.0, 2.0 * math.pi, n_cand, endpoint=False)
     chosen: list[float] = []
     for u in cand:
         if not chosen:

@@ -347,16 +347,10 @@ class RevolutionMetric:
     def distance(self, state_a, state_b):
         state_a = np.asarray(state_a, dtype=float)
         state_b = np.asarray(state_b, dtype=float)
-        base = self.base_distance_to_state(state_a, state_b)
+        base = self.base_distance_from(state_b)(state_a)
         fiber = wrap_angle(self.fiber_angle(state_a)
                            - self.fiber_angle(state_b))
         return np.maximum(base, fiber)
-
-    def base_distance_to_point(self, state, x_point):
-        return self.base_distance_to_state(state, np.asarray(x_point))
-
-    def base_distance_to_state(self, state_a, state_b):
-        return self.base_distance_from(state_b)(state_a)
 
     def base_distance_from(self, state_b):
         """state_a -> base distance to ``state_b``, embedded once here."""

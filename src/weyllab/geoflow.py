@@ -30,6 +30,11 @@ from .manifolds import HALF_PI, ProfileCurve, bump_function
 from .quadrature import tanh_sinh, tanh_sinh_rows
 
 _CLAIRAUT_REL_TOL = 1e-9
+_FD_STEP = 1e-4            # half-width of d_rotation_number's differences
+_CONSERVATION_CHECKS = 200  # sample times of Trajectory.conservation_report
+_GEODESIC_TOL = 1e-10      # rtol = atol of integrate_geodesic
+_RETURN_MAP_TOL = 1e-11    # rtol = atol of rotation_number_ode
+_RETURN_MAP_T_MAX = 40.0   # time cap of its return map
 
 
 @dataclass(frozen=True)
@@ -174,7 +179,7 @@ def _d_theta0(profile: ProfileCurve, s_plus, s_minus):
     sigma = np.repeat([1.0, -1.0], k)
     c, da_s = profile.jet(s, 1)
     beta = z + 0.5 * (s - z)
-    a_beta, da_beta = profile.alpha_and_d_alpha(beta)
+    a_beta, da_beta = profile.jet(beta, 1)
     bad = (np.abs(da_beta) < 1e-8) | (sigma * (s - z) < 1e-6)
     if np.any(bad):
         raise DegenerateInput(
@@ -214,7 +219,7 @@ def _d_theta0(profile: ProfileCurve, s_plus, s_minus):
 
 
 def d_rotation_number(s_plus, profile: ProfileCurve,
-                      method: str = "formula", fd_step: float = 1e-4):
+                      method: str = "formula"):
     """d Theta0 / d s_plus, by the exact identity or by central differences.
 
     ``s_plus`` is a scalar or an array; for an array the result has its
@@ -224,8 +229,8 @@ def d_rotation_number(s_plus, profile: ProfileCurve,
     """
     s = np.asarray(s_plus, dtype=float)
     if method == "finite_difference":
-        hi = np.minimum(s + fd_step, HALF_PI - 1e-9)
-        lo = np.maximum(s - fd_step, profile.s_max + 1e-9)
+        hi = np.minimum(s + _FD_STEP, HALF_PI - 1e-9)
+        lo = np.maximum(s - _FD_STEP, profile.s_max + 1e-9)
         f_hi, f_lo = rotation_number(np.stack([hi, lo]), profile).Theta0
         d = (f_hi - f_lo) / (hi - lo)
     elif method == "formula":
@@ -301,8 +306,8 @@ class Trajectory:
         t = np.asarray(t, dtype=float)
         return self._rows(t.ravel()).T.reshape((4,) + t.shape)
 
-    def conservation_report(self, n_check: int = 200) -> dict:
-        t = np.linspace(self.t_span[0], self.t_span[1], n_check)
+    def conservation_report(self) -> dict:
+        t = np.linspace(self.t_span[0], self.t_span[1], _CONSERVATION_CHECKS)
         y = self(t)
         a = self.profile.alpha(y[0])
         unit = y[2] ** 2 + y[3] ** 2 / a ** 2 - 1.0
@@ -312,8 +317,8 @@ class Trajectory:
         }
 
 
-def integrate_geodesic(p0: PhasePoint, T: float, profile: ProfileCurve,
-                       rtol: float = 1e-10, atol: float = 1e-10) -> Trajectory:
+def integrate_geodesic(p0: PhasePoint, T: float,
+                       profile: ProfileCurve) -> Trajectory:
     """Adaptive high-order integration of the unit cosphere geodesic flow.
 
     One row of :func:`weyllab.flows._dop853_rows` with its dense output.
@@ -326,12 +331,12 @@ def integrate_geodesic(p0: PhasePoint, T: float, profile: ProfileCurve,
     y0 = p0.as_array()[None, :]
     if abs(p0.xi_theta) < 1e-12:
         return Trajectory(lambda t: meridian_states(y0, t), (0.0, T), profile)
-    dense = _dop853_rows(RevolutionFlow(profile)._rhs, y0, T, rtol, atol)
+    dense = _dop853_rows(RevolutionFlow(profile)._rhs, y0, T,
+                         _GEODESIC_TOL, _GEODESIC_TOL)
     return Trajectory(lambda t: dense(0, t), (0.0, T), profile)
 
 
-def rotation_number_ode(s_plus: float, profile: ProfileCurve,
-                        rtol: float = 1e-11, t_max: float = 40.0):
+def rotation_number_ode(s_plus: float, profile: ProfileCurve):
     """(Theta0, return time) measured from the flow's turning-point return map.
 
     Starts at the right turning point and integrates until xi_s falls back
@@ -350,7 +355,7 @@ def rotation_number_ode(s_plus: float, profile: ProfileCurve,
     # return to the right turning point after one full oscillation
     t_burn = 0.1
     sol_burn = solve_ivp(rhs, (0.0, t_burn), y0, method="DOP853",
-                         rtol=rtol, atol=rtol)
+                         rtol=_RETURN_MAP_TOL, atol=_RETURN_MAP_TOL)
     if not sol_burn.success:
         raise StepFailure(f"return-map burn-in failed: {sol_burn.message}")
 
@@ -360,8 +365,9 @@ def rotation_number_ode(s_plus: float, profile: ProfileCurve,
     falling.direction = -1.0
     falling.terminal = True
 
-    sol = solve_ivp(rhs, (t_burn, t_max), sol_burn.y[:, -1],
-                    method="DOP853", rtol=rtol, atol=rtol,
+    sol = solve_ivp(rhs, (t_burn, _RETURN_MAP_T_MAX), sol_burn.y[:, -1],
+                    method="DOP853", rtol=_RETURN_MAP_TOL,
+                    atol=_RETURN_MAP_TOL,
                     dense_output=True, events=falling)
     if not sol.success:
         raise StepFailure(f"return-map integration failed: {sol.message}")

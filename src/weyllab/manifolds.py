@@ -52,10 +52,6 @@ class ProfileCurve:
     def dd_alpha(self, s):
         return self.jet(s, 2)[2]
 
-    def alpha_and_d_alpha(self, s):
-        """(alpha(s), alpha'(s)) from one pass over the profile."""
-        return self.jet(s, 1)
-
     def reflected(self) -> "ProfileCurve":
         """Mirror profile alpha(-s); swaps the roles of the two poles."""
         jet = self.jet

@@ -24,7 +24,7 @@ from .geoflow import (classify_tori, d_rotation_number,
                       unit_phase_point)
 from .manifolds import (HALF_PI, PerturbationSpec, flat_torus,
                         make_perturbed_sphere, make_pendulum_profile,
-                        make_round_sphere)
+                        make_round_sphere, surface_of_revolution)
 from .spectra import (product_spectrum, sphere_spectrum, surface_spectrum,
                       torus_spectrum)
 from .weyl import (build_smoothing_kernel, circle_integral_quadrature,
@@ -326,7 +326,6 @@ def measure_oracle(cfg: dict) -> list:
 
 def nonperiodic_trend(cfg: dict) -> list:
     profile = _pert_profile({**_DEFAULT_PERT, **cfg})
-    from .manifolds import surface_of_revolution
     m = surface_of_revolution(profile)
     band = (cfg.get("s0", 1.05), cfg.get("s1", 1.45))
     U = CosphereSet(m, kind="band", s0=band[0], s1=band[1])
@@ -369,10 +368,8 @@ def localized_weyl_contrast(cfg: dict) -> list:
 def kuznecov_structure(cfg: dict) -> list:
     profile = make_round_sphere()
     spec = surface_spectrum(profile, 12.0)
-    worst_circle = max(
-        abs(circle_integral_quadrature(mode, 0.3, profile))
-        for (mm, kk), mode in spec.basis.modes.items() if mm != 0)
-    from .manifolds import surface_of_revolution
+    worst_circle = float(np.max(np.abs(
+        circle_integral_quadrature(spec.basis, 0.3)[spec.basis.m != 0])))
     man = surface_of_revolution(profile)
     x = ("point", 0.4, 1.1)
     lams = np.array([3.0, 4.0, 5.0])

@@ -33,6 +33,11 @@ relative slack ``_CUTOFF_RTOL`` of lambda_max^2, so a cutoff that is itself
 an eigenvalue keeps its whole multiplet.  Eigenfunctions come from the
 same propagator: one pass stores y at the grid nodes, and a partial Magnus
 step reaches each Chebyshev node from the node to its left.
+
+The eigenfunctions are one table, :class:`SurfaceEigenbasis`, with a row
+per mode (m, k) in the order of the spectrum's entries.  Every caller reads
+it through ``values(s)``, all u_i(s) in one Clenshaw pass, or
+``band_weights(s0, s1)``, all band masses in one Vandermonde product.
 """
 
 from __future__ import annotations
@@ -72,6 +77,9 @@ _GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 # small without adding measurable per-chunk overhead.
 _CHUNK_ELEMS = 1 << 14
 _CHEB_N = 2048
+_EIGEN_CHUNK = 48          # targets per eigenfunction build pass
+# Illinois iteration narrows every bracket below this width in lambda^2
+_LAM2_TOL = 1e-10
 _TORUS_BLOCK = 128         # first-index rows per block of torus_spectrum
 
 
@@ -98,9 +106,8 @@ class Spectrum:
         self.mults = np.asarray(self.mults, dtype=int)[order]
         if self.mode_tags is not None:
             self.mode_tags = [self.mode_tags[i] for i in order]
-        if len(self.lambdas):
-            if self.lambdas[0] < -1e-12:
-                raise DomainError("negative frequency in spectrum")
+        if len(self.lambdas) and self.lambdas[0] < -1e-12:
+            raise DomainError("negative frequency in spectrum")
 
     def count(self, lam) -> np.ndarray:
         """N(lam) with the half-open convention lambda_j <= lam."""
@@ -116,7 +123,7 @@ class Spectrum:
 
 def _group(lams: np.ndarray, mults: np.ndarray, tags=None):
     """Merge entries whose frequencies agree to _GROUP_TOL (relative)."""
-    order = np.argsort(lams)
+    order = np.argsort(lams, kind="stable")
     lams, mults = lams[order], mults[order]
     if tags is not None:
         tags = [tags[i] for i in order]
@@ -259,6 +266,14 @@ def _cheb_integral(c: np.ndarray) -> np.ndarray:
     return b * HALF_PI
 
 
+def _band_masses(weight_coeffs: np.ndarray, s0: float, s1: float):
+    """2 pi int_{s0}^{s1} u^2 alpha ds of one row or a stack of rows."""
+    vander = np.polynomial.chebyshev.chebvander(
+        np.array([s0, s1]) / HALF_PI, weight_coeffs.shape[-1] - 1)
+    ends = weight_coeffs @ vander.T
+    return ends[..., 1] - ends[..., 0]
+
+
 @dataclass
 class ModeEigenfunction:
     """Radial factor u_{m,k}(s) of an eigenfunction u(s) e^{i m theta}.
@@ -266,6 +281,7 @@ class ModeEigenfunction:
     Normalized so the full complex eigenfunction has unit L^2 norm:
     2 pi int u^2 alpha ds = 1 (each of +-m carries its own copy; real
     cosine/sine pairs are linear combinations with the same normalization).
+    A row view of :class:`SurfaceEigenbasis`: the arrays are its table rows.
     """
 
     m: int
@@ -280,37 +296,46 @@ class ModeEigenfunction:
 
     def band_weight(self, s0: float, s1: float) -> float:
         """2 pi int_{s0}^{s1} u^2 alpha ds (the localized mass)."""
-        return float(band_weights([self], s0, s1)[0])
-
-
-def band_weights(modes, s0: float, s1: float) -> np.ndarray:
-    """``band_weight(s0, s1)`` of every mode in ``modes``, in one product.
-
-    The stacked antiderivative coefficients meet one Chebyshev Vandermonde
-    matrix at the two band edges.
-    """
-    coeffs = np.stack([mode.weight_coeffs for mode in modes])
-    vander = np.polynomial.chebyshev.chebvander(
-        np.array([s0, s1]) / HALF_PI, coeffs.shape[1] - 1)
-    ends = coeffs @ vander.T
-    return ends[:, 1] - ends[:, 0]
+        return float(_band_masses(self.weight_coeffs, s0, s1))
 
 
 class SurfaceEigenbasis:
-    """Store of radial eigenfunctions keyed by (m, k), m >= 0."""
+    """Radial eigenfunctions of a surface of revolution as one table.
 
-    def __init__(self, profile: ProfileCurve):
+    Row i is mode (``m[i]`` >= 0, ``k[i]``) at frequency ``lam[i]``, with the
+    Chebyshev coefficients of u_i (``coeffs[i]``) and of the antiderivative
+    of 2 pi u_i^2 alpha (``weight_coeffs[i]``).  Rows follow the flattened
+    ``mode_tags``, so ``lam`` ascends from the constant mode at row 0;
+    ``entry[i]`` is row i's spectrum entry.
+    """
+
+    def __init__(self, profile: ProfileCurve, m, k, lam, entry):
         self.profile = profile
-        self.modes: dict[tuple[int, int], ModeEigenfunction] = {}
+        self.m, self.k, self.lam, self.entry = m, k, lam, entry
+        self.coeffs = np.empty((len(m), _CHEB_N))
+        self.weight_coeffs = np.empty((len(m), _CHEB_N + 1))
+        self._row = {key: i for i, key in enumerate(zip(m.tolist(),
+                                                        k.tolist()))}
 
-    def add(self, mode: ModeEigenfunction):
-        self.modes[(mode.m, mode.k)] = mode
+    def __getitem__(self, key) -> ModeEigenfunction:
+        i = self._row[key]
+        return ModeEigenfunction(*key, float(self.lam[i]), self.coeffs[i],
+                                 self.weight_coeffs[i])
 
-    def __getitem__(self, key):
-        return self.modes[key]
+    def __iter__(self):
+        return (self[key] for key in self._row)
 
     def __len__(self):
-        return len(self.modes)
+        return len(self.m)
+
+    def values(self, s) -> np.ndarray:
+        """u_i(s) of every row, shape (rows,) + shape(s): one Clenshaw pass."""
+        return np.polynomial.chebyshev.chebval(
+            np.asarray(s, dtype=float) / HALF_PI, self.coeffs.T)
+
+    def band_weights(self, s0: float, s1: float) -> np.ndarray:
+        """2 pi int_{s0}^{s1} u_i^2 alpha ds of every row, in one product."""
+        return _band_masses(self.weight_coeffs, s0, s1)
 
 
 # ---------------------------------------------------------------------------
@@ -633,9 +658,7 @@ def _illinois(F, m, goal, lo, hi, f_lo, f_hi, tol: float) -> np.ndarray:
 
 
 def surface_spectrum(profile: ProfileCurve, lambda_max: float,
-                     m_max: Optional[int] = None,
-                     with_eigenfunctions: bool = True,
-                     bisect_tol: float = 1e-10) -> Spectrum:
+                     with_eigenfunctions: bool = True) -> Spectrum:
     """Spectrum of the Laplacian on the surface of revolution of ``profile``.
 
     Eigenvalues of mode m are the crossings of the monotone matching angle
@@ -646,7 +669,7 @@ def surface_spectrum(profile: ProfileCurve, lambda_max: float,
     node is missed) and gives each its own bracket, and a grid with half
     the steps must give every mode the same windings, else
     ``SolverFailure``.  Vectorized Illinois iteration then narrows every
-    bracket below ``bisect_tol`` in lambda^2.
+    bracket below ``_LAM2_TOL`` in lambda^2.
 
     An eigenvalue belongs to the spectrum when its refined lambda^2 is at
     most ``lambda_max**2 * (1 + _CUTOFF_RTOL)``: a cutoff that is itself an
@@ -654,12 +677,6 @@ def surface_spectrum(profile: ProfileCurve, lambda_max: float,
     discretisation error puts each mode.
     """
     a_max = profile.alpha_max
-    m_needed = int(math.ceil(lambda_max * a_max)) + 2
-    if m_max is None:
-        m_max = m_needed
-    if m_max < lambda_max * a_max:
-        raise DomainError(f"m_max={m_max} below lambda_max*max alpha")
-
     grid = _MagnusGrid(profile, lambda_max)
 
     def F(m_arr, lam2_arr):
@@ -669,7 +686,7 @@ def surface_spectrum(profile: ProfileCurve, lambda_max: float,
     lam2_lo = min(1e-6, lambda_max ** 2 * 1e-9)
 
     # ----- one winding table: every mode on nodes uniform in lambda
-    modes = [m for m in range(0, m_max + 1)
+    modes = [m for m in range(int(math.ceil(lambda_max * a_max)) + 3)
              if m * m <= lam2_cut * a_max * a_max + 1e-9]
     n_nodes = int(math.ceil(lambda_max)) + 1
     lam_top = math.sqrt(lam2_cut * (1.0 + _CUTOFF_RTOL))
@@ -683,61 +700,54 @@ def surface_spectrum(profile: ProfileCurve, lambda_max: float,
                       nodes, modes)
 
     # ----- Illinois iteration inside every bracket at once
-    lam2_star = _illinois(F, targets_m, goal, lo, hi, f_lo, f_hi, bisect_tol)
+    lam2_star = _illinois(F, targets_m, goal, lo, hi, f_lo, f_hi, _LAM2_TOL)
     keep = lam2_star <= lam2_cut
     targets_m, lam2_star = targets_m[keep], lam2_star[keep]
-    lam_star = np.sqrt(np.maximum(lam2_star, 0.0))
 
-    # ----- assemble entries
-    lams = [0.0]
-    mults = [1]
-    tags = [[(0, 0)]]
-    k_counter = {m: (1 if m == 0 else 0) for m in modes}
-    entry_of_target = []
-    for i in range(len(targets_m)):
-        m = int(targets_m[i])
-        k = k_counter[m]
-        k_counter[m] = k + 1
-        lams.append(lam_star[i])
-        mults.append(1 if m == 0 else 2)
-        tags.append([(m, k)])
-        entry_of_target.append((m, k))
+    # ----- entries: the constant mode, then the targets, which come mode by
+    # mode; k counts a mode's targets from 0 (from 1 for m = 0)
+    k = (np.arange(len(targets_m)) - np.searchsorted(targets_m, targets_m)
+         + (targets_m == 0))
+    m_row = np.concatenate([[0], targets_m.astype(int)])
+    k_row = np.concatenate([[0], k])
+    lam_row = np.concatenate([[0.0], np.sqrt(np.maximum(lam2_star, 0.0))])
+    # rows in entry order, known before any eigenfunction is built
+    order = np.argsort(lam_row, kind="stable")
+    m_row, k_row, lam_row = m_row[order], k_row[order], lam_row[order]
+    lam_arr, mult_arr, tag_arr = _group(
+        lam_row, np.where(m_row == 0, 1, 2),
+        [[mk] for mk in zip(m_row.tolist(), k_row.tolist())])
 
     vol = manifold_volume(
         ModelManifold(kind="surface_of_revolution", dim=2, profile=profile))
-
     basis = None
     if with_eigenfunctions:
-        basis = SurfaceEigenbasis(profile)
-        basis.add(_constant_mode(profile, vol))
-        _build_eigenfunctions(profile, grid, targets_m, lam2_star,
-                              entry_of_target, basis)
-
-    lam_arr, mult_arr, tag_arr = _group(np.array(lams), np.array(mults), tags)
+        entry = np.repeat(np.arange(len(tag_arr)), [len(t) for t in tag_arr])
+        basis = SurfaceEigenbasis(profile, m_row, k_row, lam_row, entry)
+        row = np.argsort(order)        # the row of each unsorted entry
+        _build_eigenfunctions(basis, grid, vol, targets_m, lam2_star, row[1:])
     return Spectrum(lam_arr, mult_arr, lambda_max, 2, vol,
                     profile.label, mode_tags=tag_arr, basis=basis)
 
 
-def _constant_mode(profile: ProfileCurve, vol: float) -> ModeEigenfunction:
-    nodes = _cheb_nodes(_CHEB_N)
-    u = np.full(_CHEB_N, 1.0 / math.sqrt(vol))
-    coeffs = _cheb_coeffs(u)
-    wvals = 2.0 * math.pi * u * u * profile.alpha(nodes)
-    return ModeEigenfunction(0, 0, 0.0, coeffs,
-                             _cheb_integral(_cheb_coeffs(wvals)))
+def _build_eigenfunctions(basis: SurfaceEigenbasis, grid: _MagnusGrid,
+                          vol: float, targets_m, lam2_star, rows):
+    """Fill the table of ``basis``: radial factors, normalized.
 
-
-def _build_eigenfunctions(profile, grid: _MagnusGrid, targets_m, lam2_star,
-                          entry_of_target, basis, chunk: int = 48):
-    """Radial factors at the Chebyshev nodes, normalized, into ``basis``.
-
-    One stored pass gives (u, w) and the log scale at the grid nodes; each
-    Chebyshev node is reached by a partial Magnus step from the node to its
-    left, and nodes below the first grid node take the Bessel series.  The
-    right side is scaled to meet the left at the maximum of alpha.
+    Row 0 is the constant mode 1 / sqrt(vol).  Target i goes to row
+    ``rows[i]``, in chunks of ``_EIGEN_CHUNK`` targets: one stored pass
+    gives (u, w) and the log scale at the grid nodes; each Chebyshev node
+    is reached by a partial Magnus step from the node to its left, and
+    nodes below the first grid node take the Bessel series.  The right
+    side is scaled to meet the left at the maximum of alpha.
     """
+    profile = basis.profile
     nodes = _cheb_nodes(_CHEB_N)
     alpha_nodes = profile.alpha(nodes)
+    u = np.full(_CHEB_N, 1.0 / math.sqrt(vol))
+    basis.coeffs[0] = _cheb_coeffs(u)
+    basis.weight_coeffs[0] = _cheb_integral(
+        _cheb_coeffs(2.0 * math.pi * u * u * alpha_nodes))
     left = nodes <= profile.s_max
     x = (nodes[left], -nodes[~left])   # each side in its own coordinate
     # per side: the grid node j left of each point (-1 below the first
@@ -748,10 +758,9 @@ def _build_eigenfunctions(profile, grid: _MagnusGrid, targets_m, lam2_star,
         base = s[np.maximum(j, 0)]
         steps.append((j, _magnus_terms(side, base,
                                        np.maximum(xs - base, 0.0))))
-    for start in range(0, len(targets_m), chunk):
-        sl = slice(start, start + chunk)
-        m_b = targets_m[sl]
-        l2_b = lam2_star[sl]
+    for start in range(0, len(targets_m), _EIGEN_CHUNK):
+        sl = slice(start, start + _EIGEN_CHUNK)
+        m_b, l2_b, rows_b = targets_m[sl], lam2_star[sl], rows[sl]
         lam_b = np.sqrt(l2_b)
         u_end, w_end, _, U, W, L = _propagate(grid, m_b, l2_b, store=True)
         u_nodes = np.empty((len(m_b), _CHEB_N))
@@ -787,12 +796,8 @@ def _build_eigenfunctions(profile, grid: _MagnusGrid, targets_m, lam2_star,
         # the mass is the antiderivative at x = 1 (every T_k is 1) minus
         # its value at x = -1 (T_k is (-1)^k)
         norm2 = np.sum(w_coeffs[:, 1::2], axis=1) * 2.0
-        coeffs = _cheb_coeffs(u_nodes) / np.sqrt(norm2)[:, None]
-        w_coeffs /= norm2[:, None]
-        for row in range(len(m_b)):
-            m, k = entry_of_target[start + row]
-            basis.add(ModeEigenfunction(m, k, math.sqrt(l2_b[row]),
-                                        coeffs[row], w_coeffs[row]))
+        basis.coeffs[rows_b] = _cheb_coeffs(u_nodes) / np.sqrt(norm2)[:, None]
+        basis.weight_coeffs[rows_b] = w_coeffs / norm2[:, None]
 
 
 # ---------------------------------------------------------------------------

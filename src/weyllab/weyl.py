@@ -19,7 +19,7 @@ from scipy.special import eval_legendre, jv
 
 from .errors import DomainError, IncompleteSpectrum, WindowTooSmall
 from .manifolds import ModelManifold, band_area, lattice_box
-from .spectra import Spectrum, band_weights
+from .spectra import Spectrum
 
 
 def ball_volume(n: int) -> float:
@@ -83,10 +83,9 @@ def localized_counting(spec: Spectrum, band: tuple[float, float],
     if lambdas.size and lambdas.max() > spec.lambda_max + 1e-12:
         raise IncompleteSpectrum("grid exceeds the spectrum cutoff")
     s0, s1 = band
-    rows = [i for i, tags in enumerate(spec.mode_tags) for _ in tags]
-    modes = [spec.basis[mk] for tags in spec.mode_tags for mk in tags]
-    copies = np.array([1 if mode.m == 0 else 2 for mode in modes])
-    weights = np.bincount(rows, copies * band_weights(modes, s0, s1),
+    basis = spec.basis
+    copies = np.where(basis.m == 0, 1, 2)
+    weights = np.bincount(basis.entry, copies * basis.band_weights(s0, s1),
                           minlength=len(spec.lambdas))
     csum = np.concatenate([[0.0], np.cumsum(weights)])
     idx = np.searchsorted(spec.lambdas, lambdas, side="right")
@@ -179,12 +178,12 @@ def projector_kernel(manifold: ModelManifold, x, y, lam: float,
             raise IncompleteSpectrum("lam exceeds the spectrum cutoff")
         s1, t1 = x
         s2, t2 = y
-        val = 0.0
-        for (m, k), mode in spec.basis.modes.items():
-            if mode.lam <= lam:
-                contrib = float(mode(s1)) * float(mode(s2))
-                val += contrib * (2.0 * math.cos(m * (t1 - t2)) if m > 0
-                                  else 1.0)
+        basis = spec.basis
+        u1, u2 = basis.values([s1, s2]).T
+        # the pair +-m carries 2 cos(m (t1 - t2)), and m = 0 carries 1
+        angular = np.where(basis.m > 0, 2.0 * np.cos(basis.m * (t1 - t2)),
+                           1.0)
+        val = float(np.sum((u1 * u2 * angular)[basis.lam <= lam]))
         if abs(s1 - s2) < 1e-12 and abs(t1 - t2) < 1e-12:
             r = 0.0
         elif abs((t1 - t2) % (2 * math.pi)) < 1e-12:
@@ -523,28 +522,50 @@ class KuznecovSeries:
     trunc_bound: float
 
 
-def circle_integral_quadrature(mode, s0: float, profile,
-                               n_theta: int = 512) -> complex:
-    """Latitude-circle integral of u e^{i m theta} by explicit quadrature.
+_CIRCLE_NODES = 512        # angular nodes of circle_integral_quadrature
+
+
+def circle_integral_quadrature(basis, s0: float) -> np.ndarray:
+    """Latitude-circle integrals of u e^{i m theta}, one per basis row.
 
     Exercises the angular integration path; analytically 2 pi alpha(s0)
     u(s0) for m = 0 and 0 otherwise.
     """
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    vals = float(mode(s0)) * np.exp(1j * mode.m * theta)
-    return complex(np.sum(vals) * (2 * math.pi / n_theta)
-                   * float(profile.alpha(s0)))
+    theta = np.linspace(0.0, 2.0 * math.pi, _CIRCLE_NODES, endpoint=False)
+    vals = basis.values(s0)[:, None] * np.exp(1j * basis.m[:, None] * theta)
+    return (np.sum(vals, axis=1) * (2 * math.pi / _CIRCLE_NODES)
+            * float(basis.profile.alpha(s0)))
+
+
+def _period_integrals(basis, H) -> np.ndarray:
+    """Period integrals over H of each row's two eigenfunctions, +m and -m.
+
+    Shape (rows, 2), complex; an m = 0 row has one eigenfunction, so its
+    -m column is 0.
+    """
+    zero = basis.m == 0
+    if H[0] == "point":
+        phase = np.exp(1j * np.outer(basis.m, [H[2], -H[2]]))
+        amp = basis.values(H[1])[:, None] * phase
+        amp[zero, 1] = 0.0
+    elif H[0] == "circle":
+        amp = np.zeros((len(basis), 2), dtype=complex)
+        amp[zero, 0] = (2.0 * math.pi * float(basis.profile.alpha(H[1]))
+                        * basis.values(H[1])[zero])
+    else:
+        raise DomainError(f"unknown submanifold descriptor {H[0]!r}")
+    return amp
 
 
 def kuznecov(spec: Spectrum, H1, H2, lambdas, t0: float = 1.0,
-             kernel: Optional[SmoothingKernel] = None,
              tail_tol: float = 1e-4) -> KuznecovSeries:
     """Cumulative sums of period-integral products over two submanifolds.
 
     Descriptors: ``("point", s, theta)`` or ``("circle", s0)``.  For
     latitude circles only m = 0 modes contribute (the angular integral of
     e^{i m theta} vanishes otherwise); for points every mode contributes
-    with both signs of m.
+    with both signs of m.  Each mode adds sum p conj(q) over its
+    eigenfunctions, with p and q its period integrals over H1 and H2.
 
     The smoothed comparison carries the truncation bound of the spectrum's
     finite cutoff in ``trunc_bound``; radial-solver spectra are short, so
@@ -553,49 +574,22 @@ def kuznecov(spec: Spectrum, H1, H2, lambdas, t0: float = 1.0,
     if spec.basis is None:
         raise IncompleteSpectrum("Kuznecov sums need the eigenfunction store")
     lambdas = np.asarray(lambdas, dtype=float)
-    profile = spec.basis.profile
+    basis = spec.basis
+    prods = np.sum(_period_integrals(basis, H1)
+                   * np.conj(_period_integrals(basis, H2)), axis=1).real
+    # the rows ascend in lambda, so their running sum is the series
+    csum = np.concatenate([[0.0], np.cumsum(prods)])
+    values = csum[np.searchsorted(basis.lam, lambdas, side="right")]
 
-    def amplitudes(H, mode):
-        """List of complex period integrals, one per eigenspace member."""
-        if H[0] == "point":
-            s, theta = H[1], H[2]
-            u = float(mode(s))
-            if mode.m == 0:
-                return [u]
-            return [u * np.exp(1j * mode.m * theta),
-                    u * np.exp(-1j * mode.m * theta)]
-        if H[0] == "circle":
-            s0 = H[1]
-            if mode.m == 0:
-                return [2.0 * math.pi * float(profile.alpha(s0))
-                        * float(mode(s0))]
-            return [0.0, 0.0]
-        raise DomainError(f"unknown submanifold descriptor {H[0]!r}")
-
-    lam_list, prod_list = [], []
-    for (m, k), mode in spec.basis.modes.items():
-        a1 = amplitudes(H1, mode)
-        a2 = amplitudes(H2, mode)
-        contrib = sum(p * np.conj(q) for p, q in zip(a1, a2))
-        lam_list.append(mode.lam)
-        prod_list.append(contrib.real if np.iscomplexobj(contrib)
-                         else float(contrib))
-    order = np.argsort(lam_list)
-    lam_arr = np.asarray(lam_list, dtype=float)[order]
-    prod_arr = np.asarray(prod_list, dtype=float)[order]
-    csum = np.concatenate([[0.0], np.cumsum(prod_arr)])
-    values = csum[np.searchsorted(lam_arr, lambdas, side="right")]
-
-    if kernel is None:
-        kernel = build_smoothing_kernel(t0)
-    helper = Spectrum(lam_arr.copy(), np.ones(len(lam_arr), dtype=int),
+    kernel = build_smoothing_kernel(t0)
+    helper = Spectrum(basis.lam, np.ones(len(basis), dtype=int),
                       spec.lambda_max, spec.dim, spec.volume, "kuznecov")
-    smoothed = smoothed_series(helper, lambdas, kernel, weights=prod_arr,
+    smoothed = smoothed_series(helper, lambdas, kernel, weights=prods,
                                tail_tol=tail_tol)
     return KuznecovSeries(tuple(H1), tuple(H2), lambdas, values, smoothed,
                           values - smoothed, t0,
                           truncation_bound(helper, float(lambdas.max()),
-                                           kernel, weights=np.abs(prod_arr)))
+                                           kernel, weights=np.abs(prods)))
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +614,11 @@ def _model_values(model: str, lam: np.ndarray, dim: int) -> np.ndarray:
     raise DomainError(f"unknown remainder model {model!r}")
 
 
+_POWER_WINDOWS = 16        # logarithmic sub-windows of the power envelope
+
+
 def fit_remainder(series: CountingSeries, model: str,
-                  window: tuple[float, float],
-                  n_windows: int = 16) -> RemainderFit:
+                  window: tuple[float, float]) -> RemainderFit:
     """Sup-constant (fixed models) or envelope exponent (power model).
 
     The trend is the ratio of the sup-constants over the upper and lower
@@ -648,9 +644,9 @@ def fit_remainder(series: CountingSeries, model: str,
                             trend=upper / lower)
 
     if model == "power":
-        edges = np.geomspace(lo, hi, n_windows + 1)
+        edges = np.geomspace(lo, hi, _POWER_WINDOWS + 1)
         env_lam, env_val = [], []
-        for i in range(n_windows):
+        for i in range(_POWER_WINDOWS):
             mm = (lam >= edges[i]) & (lam <= edges[i + 1])
             if np.any(mm) and np.max(E[mm]) > 0:
                 env_lam.append(math.sqrt(edges[i] * edges[i + 1]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import lpmv
 
-from weyllab.errors import DomainError, IncompleteInput, SolverFailure
+from weyllab.errors import IncompleteInput, SolverFailure
 from weyllab.manifolds import (
     PerturbationSpec,
     ProfileCurve,
@@ -22,7 +22,6 @@ from weyllab.spectra import (
     _matching_angle,
     _prufer_angle,
     _winding_brackets,
-    band_weights,
     product_spectrum,
     sphere_spectrum,
     spectrum_for_manifold,
@@ -159,8 +158,7 @@ def test_radial_eigenvalues_are_legendre(sphere_radial):
 
 def test_radial_m2_eigenvalues(sphere_radial):
     # mode m=2: eigenvalues l(l+1) for l >= 2
-    lams = sorted(mode.lam for (m, k), mode in sphere_radial.basis.modes.items()
-                  if m == 2)
+    lams = sorted(mode.lam for mode in sphere_radial.basis if mode.m == 2)
     for k, lam in enumerate(lams):
         l = k + 2
         assert lam ** 2 == pytest.approx(l * (l + 1), rel=1e-6)
@@ -168,8 +166,8 @@ def test_radial_m2_eigenvalues(sphere_radial):
 
 def test_radial_eigenfunctions_match_legendre(sphere_radial):
     svals = np.array([-1.2, -0.5, 0.0, 0.3, 1.0])
-    for (m, k), mode in sphere_radial.basis.modes.items():
-        l = m + k
+    for mode in sphere_radial.basis:
+        m, l = mode.m, mode.m + mode.k
         if mode.lam == 0.0:
             expected = np.full_like(svals, 1 / math.sqrt(4 * math.pi))
         else:
@@ -353,22 +351,16 @@ def test_winding_table_brackets_each_target():
 
 
 def test_batched_band_weights_match_clenshaw(sphere_radial):
-    modes = list(sphere_radial.basis.modes.values())
-    got = band_weights(modes, -0.3, 0.7)
+    got = sphere_radial.basis.band_weights(-0.3, 0.7)
     ref = [np.diff(np.polynomial.chebyshev.chebval(
         np.array([-0.3, 0.7]) / (math.pi / 2), mode.weight_coeffs))[0]
-        for mode in modes]
+        for mode in sphere_radial.basis]
     assert np.allclose(got, ref, rtol=0, atol=1e-13)
 
 
 def test_mode_floor_certificate(sphere_radial):
     # no mode beyond lambda_max * max alpha contributes
-    assert all(m <= 8 for (m, k) in sphere_radial.basis.modes)
-
-
-def test_m_max_precondition():
-    with pytest.raises(DomainError):
-        surface_spectrum(make_round_sphere(), 8.0, m_max=3)
+    assert sphere_radial.basis.m.max() <= 8
 
 
 def test_weyl_sanity_torus():
@@ -427,3 +419,44 @@ def test_pendulum_spectrum_nonsymmetric_profile():
         + u / prof.alpha(s) ** 2
     resid = np.max(np.abs(lap - mode.lam ** 2 * u))
     assert resid < 1e-3 * max(1.0, mode.lam ** 2)
+
+
+# --- the eigenbasis table ---------------------------------------------------
+
+def test_table_rows_follow_the_spectrum_entries(perturbed_radial):
+    spec = perturbed_radial
+    basis = spec.basis
+    tags = [mk for entry in spec.mode_tags for mk in entry]
+    assert list(zip(basis.m.tolist(), basis.k.tolist())) == tags
+    assert (basis.m[0], basis.k[0], basis.lam[0]) == (0, 0, 0.0)
+    assert np.all(np.diff(basis.lam) >= 0)
+    sizes = [len(entry) for entry in spec.mode_tags]
+    assert basis.entry.tolist() == np.repeat(np.arange(len(sizes)),
+                                             sizes).tolist()
+    assert np.allclose(basis.lam, spec.lambdas[basis.entry], rtol=1e-8,
+                       atol=0)
+    # a row view shares the table's memory
+    mode = basis[(3, 2)]
+    assert np.shares_memory(mode.coeffs, basis.coeffs)
+    assert np.shares_memory(mode.weight_coeffs, basis.weight_coeffs)
+
+
+def test_table_values_are_the_row_clenshaw_bit_for_bit(perturbed_radial):
+    basis = perturbed_radial.basis
+    s = np.concatenate([np.linspace(-math.pi / 2, math.pi / 2, 1000),
+                        [basis.profile.s_max]])
+    got = basis.values(s)
+    assert got.shape == (len(basis), len(s))
+    for row, mode in zip(got, basis):
+        assert np.array_equal(row, mode(s))
+    assert np.array_equal(basis.values(0.3),
+                          [mode(0.3) for mode in basis])
+
+
+def test_table_band_weights_are_the_row_band_weights(perturbed_radial):
+    basis = perturbed_radial.basis
+    got = basis.band_weights(1.05, 1.45)
+    ref = np.array([mode.band_weight(1.05, 1.45) for mode in basis])
+    # one product over the stack (BLAS gemm) and one per row (gemv) sum in
+    # different orders, so they agree to rounding, not bit for bit
+    assert np.allclose(got, ref, rtol=0, atol=1e-14)

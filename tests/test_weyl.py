@@ -8,7 +8,7 @@ from weyllab import weyl
 from weyllab.errors import (DomainError, IncompleteSpectrum, WindowTooSmall)
 from weyllab.manifolds import (flat_torus, make_round_sphere, round_sphere,
                                surface_of_revolution)
-from weyllab.spectra import (sphere_spectrum, surface_spectrum,
+from weyllab.spectra import (Spectrum, sphere_spectrum, surface_spectrum,
                              torus_spectrum)
 from weyllab.weyl import (
     CountingSeries,
@@ -351,10 +351,13 @@ def test_kernel_build_memory_is_bounded(monkeypatch):
 # --- kuznecov ------------------------------------------------------------------
 
 def test_circle_integrals_of_nonzero_modes_vanish(radial):
-    prof = make_round_sphere()
-    worst = max(abs(circle_integral_quadrature(mode, 0.3, prof))
-                for (m, k), mode in radial.basis.modes.items() if m != 0)
-    assert worst < 1e-10
+    basis = radial.basis
+    integrals = circle_integral_quadrature(basis, 0.3)
+    assert np.max(np.abs(integrals[basis.m != 0])) < 1e-10
+    # the m = 0 integrals keep their analytic value 2 pi alpha(s0) u(s0)
+    zero = basis.m == 0
+    exact = 2 * math.pi * math.cos(0.3) * basis.values(0.3)[zero]
+    assert np.allclose(integrals[zero], exact, rtol=0, atol=1e-12)
 
 
 def test_point_kuznecov_equals_diagonal_kernel(radial):
@@ -369,8 +372,8 @@ def test_point_kuznecov_equals_diagonal_kernel(radial):
 
 def test_equator_kuznecov_odd_modes_vanish(radial):
     # P_l(0) = 0 for odd l: odd radial parity contributes nothing
-    for (m, k), mode in radial.basis.modes.items():
-        if m == 0 and k % 2 == 1:
+    for mode in radial.basis:
+        if mode.m == 0 and mode.k % 2 == 1:
             assert abs(float(mode(0.0))) < 1e-8
 
 
@@ -412,3 +415,92 @@ def test_weyl_main_term_values():
     assert weyl_main_term(10.0, 2, 4 * math.pi) == pytest.approx(100.0)
     assert weyl_main_term(10.0, 2, 4 * math.pi ** 2) == pytest.approx(
         100 * math.pi)
+
+
+# --- table reads against the per-mode formulas -------------------------------
+
+def _kernel_by_modes(basis, x, y, lams):
+    """Pi_lam(x, y) at each of ``lams`` by one loop over the modes."""
+    (s1, t1), (s2, t2) = x, y
+    vals = np.zeros(len(lams))
+    for mode in basis:
+        contrib = float(mode(s1)) * float(mode(s2))
+        contrib *= 2.0 * math.cos(mode.m * (t1 - t2)) if mode.m > 0 else 1.0
+        vals += np.where(mode.lam <= lams, contrib, 0.0)
+    return vals
+
+
+def _kuznecov_by_modes(basis, H1, H2):
+    """Sorted (lambda, sum p conj(q)) per mode, one loop over the modes."""
+
+    def amplitudes(H, mode):
+        if H[0] == "point":
+            u = float(mode(H[1]))
+            if mode.m == 0:
+                return [u]
+            return [u * np.exp(1j * mode.m * H[2]),
+                    u * np.exp(-1j * mode.m * H[2])]
+        if mode.m == 0:
+            return [2.0 * math.pi * float(basis.profile.alpha(H[1]))
+                    * float(mode(H[1]))]
+        return [0.0, 0.0]
+
+    lam, prod = [], []
+    for mode in basis:
+        contrib = sum(p * np.conj(q) for p, q in zip(amplitudes(H1, mode),
+                                                     amplitudes(H2, mode)))
+        lam.append(mode.lam)
+        prod.append(float(np.real(contrib)))
+    order = np.argsort(lam)
+    return np.asarray(lam)[order], np.asarray(prod)[order]
+
+
+@pytest.mark.parametrize("x, y", [((0.4, 1.1), (0.4, 1.1)),
+                                  ((0.3, 1.0), (0.5, 1.0)),
+                                  ((-1.2, 2.0), (0.9, 2.0))])
+def test_revolution_kernel_matches_the_mode_loop(perturbed_radial, x, y):
+    spec = perturbed_radial
+    man = surface_of_revolution(spec.basis.profile)
+    lams = np.linspace(2.0, spec.lambda_max, 9)
+    ref = _kernel_by_modes(spec.basis, x, y, lams)
+    got = [projector_kernel(man, x, y, lam, spec=spec).Pi for lam in lams]
+    assert np.allclose(got, ref, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("H1, H2", [
+    (("point", 0.4, 1.1), ("point", -0.2, 0.3)),
+    (("point", 0.4, 1.1), ("circle", 0.3)),
+    (("circle", 1.2), ("circle", 0.3))])
+def test_kuznecov_matches_the_mode_loop(perturbed_radial, H1, H2):
+    spec = perturbed_radial
+    kernel = build_smoothing_kernel(1.0)
+    lams = np.linspace(2.0, spec.lambda_max - kernel.tail_cut_for(0.02) - 1.0,
+                       9)
+    ks = kuznecov(spec, H1, H2, lams, t0=1.0, tail_tol=0.02)
+    lam, prod = _kuznecov_by_modes(spec.basis, H1, H2)
+    values = np.concatenate([[0.0], np.cumsum(prod)])[
+        np.searchsorted(lam, lams, side="right")]
+    helper = Spectrum(lam, np.ones(len(lam), dtype=int), spec.lambda_max, 2,
+                      spec.volume, "reference")
+    smoothed = smoothed_series(helper, lams, kernel, weights=prod,
+                               tail_tol=0.02)
+    assert np.allclose(ks.values, values, rtol=1e-13, atol=0)
+    assert np.allclose(ks.smoothed, smoothed, rtol=1e-13, atol=0)
+
+
+def test_revolution_kernel_off_diagonal_matches_legendre():
+    # the round profile through the radial solver, against the closed
+    # Legendre sum of round_sphere(2), between consecutive levels
+    profile = make_round_sphere()
+    spec = surface_spectrum(profile, 20.0)
+    man = surface_of_revolution(profile)
+    levels = np.sqrt([l * (l + 1) for l in range(20)])
+    mids = 0.5 * (levels[:-1] + levels[1:])
+    worst = 0.0
+    for x, y in [((0.3, 1.0), (0.5, 1.0)), ((-1.2, 2.0), (0.9, 2.0)),
+                 ((0.4, 1.1), (0.4, 1.1))]:
+        for lam in mids[mids < 20.0]:
+            got = projector_kernel(man, x, y, lam, spec=spec).Pi
+            exact = projector_kernel(round_sphere(2), x, y, lam).Pi
+            worst = max(worst, abs(got - exact) / lam)
+    assert worst <= 1e-9
