@@ -19,14 +19,14 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DomainError, WeylLabError
+from .errors import ConfigError, DomainError, WeylLabError, bind
 from .covers import (CircleTarget, CosphereSet, ResolutionFunction,
                      build_good_cover, looping_pair_measure,
                      near_periodic_measure, recurrence_measure)
 from .geoflow import classify_tori, d_rotation_number, rotation_number
 from .manifolds import manifold_from_config
-from .scenarios import (ExperimentConfig, config_hash, list_scenarios,
-                        run_scenario)
+from .scenarios import (battery_configs, config_hash, experiment_task,
+                        list_scenarios, run_scenario)
 from .spectra import spectrum_for_manifold
 from .weyl import (build_smoothing_kernel, counting, counting_grid,
                    fit_remainder, kuznecov, localized_counting,
@@ -77,14 +77,16 @@ def _write_json(path: str, cfg: dict, payload: dict) -> None:
     _atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
 
-def _load_manifold(args):
-    if args.manifold is None:
-        raise ConfigError("--manifold <config.json> is required")
+def _read_json(path: str, what: str):
     try:
-        with open(args.manifold) as fh:
-            cfg = json.load(fh)
+        with open(path) as fh:
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read manifold config: {exc}")
+        raise ConfigError(f"cannot read {what}: {exc}")
+
+
+def _load_manifold(args):
+    cfg = _read_json(args.manifold, "manifold config")
     return manifold_from_config(cfg), cfg
 
 
@@ -348,19 +350,18 @@ def cmd_scenario(args) -> int:
         for name in list_scenarios():
             print(name)
         return 0
-    cfg = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read experiment config: {exc}")
-        cfg = ExperimentConfig.from_dict(raw).scenario_overrides()
-    names = list_scenarios() if args.name == "all" else [args.name]
+    raw = _read_json(args.config, "experiment config") if args.config else {}
+    task = experiment_task(**bind(experiment_task, raw, "experiment config"))
+    if args.seed is not None:       # --seed is the task's seed parameter
+        if task.setdefault("seed", args.seed) != args.seed:
+            raise ConfigError(f"task seed {task['seed']!r} differs from "
+                              f"--seed {args.seed}")
+    configs = (battery_configs(task) if args.name == "all"
+               else {args.name: task})
     worst = 0
-    for name in names:
+    for name, cfg in configs.items():
         verdict = run_scenario(name, cfg)
-        _write_json(_out_path(args, f"verdict-{name}.json"), cfg,
+        _write_json(_out_path(args, f"verdict-{name}.json"), task,
                     verdict.to_json())
         for claim in verdict.claims:
             status = "pass" if claim.passed else "FAIL"
@@ -377,7 +378,9 @@ def cmd_scenario(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="weyllab", description=__doc__)
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the sampling subcommands, and the seed "
+                        "parameter of the scenarios that declare one")
     p.add_argument("--ci", action="store_true",
                    help="CI mode: a seed becomes mandatory")
     sub = p.add_subparsers(dest="command", required=True)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule that binds
+a JSON object to the keyword parameters of the function it configures."""
+
+import inspect
 
 
 class WeylLabError(Exception):
@@ -60,3 +63,21 @@ class WindowTooSmall(WeylLabError):
 
 class ConfigError(WeylLabError):
     """An experiment configuration failed schema validation."""
+
+
+def json_object(value, where: str) -> dict:
+    """``value`` if it is a JSON object, else ConfigError naming ``where``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got "
+                          f"{type(value).__name__}")
+    return value
+
+
+def bind(fn, fields, where: str) -> dict:
+    """``fields``, once they bind to the keyword parameters of ``fn``; an
+    unknown or missing key raises ConfigError naming ``where`` and the key."""
+    try:
+        inspect.signature(fn).bind(**json_object(fields, where))
+    except TypeError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    return fields

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .errors import ConfigError, DomainError, InvariantViolation
+from .errors import ConfigError, DomainError, InvariantViolation, bind
 
 HALF_PI = math.pi / 2.0
 
@@ -327,27 +327,36 @@ def manifold_volume(m: ModelManifold) -> float:
 # JSON configuration
 
 
+def _product(*, factors) -> ModelManifold:
+    if not isinstance(factors, (list, tuple)) or len(factors) != 2:
+        raise ConfigError("product config needs exactly two factors")
+    return product(*(manifold_from_config(f) for f in factors))
+
+
+# each kind's builder; its keyword parameters are the kind's JSON fields
+_BUILDERS = {
+    "round_sphere": lambda *, n=2: round_sphere(int(n)),
+    "perturbed_sphere": lambda *, epsilon, a, b: surface_of_revolution(
+        make_perturbed_sphere(PerturbationSpec(float(epsilon), float(a),
+                                               float(b)))),
+    "pendulum": lambda *, E: surface_of_revolution(
+        make_pendulum_profile(float(E))),
+    "flat_torus": lambda *, periods: flat_torus(periods),
+    "product": _product,
+    # round profile realized through the revolution machinery
+    "surface_of_revolution":
+        lambda: surface_of_revolution(make_round_sphere()),
+}
+
+
 def manifold_from_config(cfg: dict) -> ModelManifold:
-    """Build a manifold from a JSON-style dict with a ``kind`` field."""
+    """Build a manifold from a JSON object with a ``kind`` field; the other
+    fields bind to the keyword parameters of the kind's builder."""
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("manifold config must be a dict with a 'kind' field")
-    kind = cfg["kind"]
-    if kind == "round_sphere":
-        return round_sphere(int(cfg.get("n", 2)))
-    if kind == "perturbed_sphere":
-        spec = PerturbationSpec(epsilon=float(cfg["epsilon"]),
-                                a=float(cfg["a"]), b=float(cfg["b"]))
-        return surface_of_revolution(make_perturbed_sphere(spec))
-    if kind == "pendulum":
-        return surface_of_revolution(make_pendulum_profile(float(cfg["E"])))
-    if kind == "flat_torus":
-        return flat_torus(cfg["periods"])
-    if kind == "product":
-        facs = cfg.get("factors")
-        if not facs or len(facs) != 2:
-            raise ConfigError("product config needs exactly two factors")
-        return product(manifold_from_config(facs[0]), manifold_from_config(facs[1]))
-    if kind == "surface_of_revolution":
-        # round profile realized through the revolution machinery
-        return surface_of_revolution(make_round_sphere())
-    raise ConfigError(f"unknown manifold kind {kind!r}")
+    fields = dict(cfg)
+    kind = fields.pop("kind")
+    builder = _BUILDERS.get(kind) if isinstance(kind, str) else None
+    if builder is None:
+        raise ConfigError(f"unknown manifold kind {kind!r}")
+    return builder(**bind(builder, fields, f"manifold {kind!r}"))

@@ -160,10 +160,3 @@ def tanh_sinh_rows(f, a, b, rel_tol: float = 1e-10, max_level: int = 11):
     errs[active] = np.inf
     return values, errs
 
-
-def gauss_legendre(f, a: float, b: float, n: int = 128):
-    """Fixed-order Gauss-Legendre rule; for smooth compact integrands."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.sum(w * f(mid + half * x)))

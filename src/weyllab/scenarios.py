@@ -1,13 +1,16 @@
 """Prepackaged verification scenarios with machine-checkable verdicts.
 
 Each scenario pins its tolerances and produces a Verdict whose claims are
-individually labeled; the CLI exposes them under ``scenario run`` and the
-acceptance suite executes all of them.
+individually labeled; the CLI exposes them under ``scenario <name>`` and
+the acceptance suite executes all of them.  A scenario's parameters are
+its keyword-only arguments, with their defaults; a config binds to that
+signature, so a key the scenario does not declare is an error.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import time
@@ -17,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .covers import CosphereSet, MeasureEstimate, near_periodic_measure
+from .errors import ConfigError, bind, json_object
 from .flows import TorusFlow
 from .geoflow import (classify_tori, d_rotation_number,
                       d_rotation_number_in_epsilon, integrate_geodesic,
@@ -33,38 +37,10 @@ from .weyl import (build_smoothing_kernel, circle_integral_quadrature,
                    smoothed_series_direct)
 
 
-@dataclass
-class ExperimentConfig:
-    """Description of one experiment run, read from a JSON object.
-
-    ``task`` carries the scenario parameter overrides; reruns of an
-    identical config reproduce identical outputs (evaluation order does
-    not depend on worker count).
-    """
-
-    task: dict = field(default_factory=dict)
-    seeds: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
-
-    _FIELDS = ("task", "seeds", "tolerances")
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        from .errors import ConfigError
-        if not isinstance(raw, dict):
-            raise ConfigError("experiment config must be a JSON object")
-        unknown = set(raw) - set(cls._FIELDS)
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**{k: raw[k] for k in raw})
-
-    def scenario_overrides(self) -> dict:
-        merged = dict(self.task)
-        merged.update({f"seed_{k}": v for k, v in self.seeds.items()})
-        if "seed" in self.seeds:
-            merged["seed"] = self.seeds["seed"]
-        merged.update(self.tolerances)
-        return merged
+def experiment_task(*, task=None) -> dict:
+    """The scenario parameters of an experiment config, ``{"task": {...}}``:
+    the config binds to this signature, so any other block is an error."""
+    return json_object({} if task is None else task, "task")
 
 
 @dataclass
@@ -103,24 +79,14 @@ def config_hash(cfg: dict) -> str:
         json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
-_DEFAULT_PERT = {"epsilon": 0.01, "a": 0.5, "b": 1.0}
-
-
-def _pert_profile(cfg):
-    return make_perturbed_sphere(PerturbationSpec(
-        epsilon=cfg.get("epsilon", 0.01), a=cfg.get("a", 0.5),
-        b=cfg.get("b", 1.0)))
-
-
 # ---------------------------------------------------------------------------
 # scenario implementations
 
 
-def sphere_sharpness(cfg: dict) -> list:
-    lam_max = cfg.get("lambda_max", 200.0)
-    spec = sphere_spectrum(2, lam_max + 1.0)
-    grid = counting_grid(spec, 20.0, lam_max)
-    fit = fit_remainder(counting(spec, grid), "standard", (20.0, lam_max))
+def sphere_sharpness(*, lambda_max=200.0) -> list:
+    spec = sphere_spectrum(2, lambda_max + 1.0)
+    grid = counting_grid(spec, 20.0, lambda_max)
+    fit = fit_remainder(counting(spec, grid), "standard", (20.0, lambda_max))
     return [
         Claim("sharp-remainder-constant", fit.constant,
               "sup |E|/lam in [0.5, 4]", 0.5 <= fit.constant <= 4.0),
@@ -129,15 +95,14 @@ def sphere_sharpness(cfg: dict) -> list:
     ]
 
 
-def product_log_gain(cfg: dict) -> list:
-    lam_max = cfg.get("lambda_max", 150.0)
-    s2 = sphere_spectrum(2, lam_max)
-    s1 = sphere_spectrum(1, lam_max)
-    spec = product_spectrum(s2, s1, lam_max)
-    grid = counting_grid(spec, 50.0, lam_max, n_base=600)
+def product_log_gain(*, lambda_max=150.0) -> list:
+    s2 = sphere_spectrum(2, lambda_max)
+    s1 = sphere_spectrum(1, lambda_max)
+    spec = product_spectrum(s2, s1, lambda_max)
+    grid = counting_grid(spec, 50.0, lambda_max, n_base=600)
     series = counting(spec, grid)
-    c_half = fit_remainder(series, "log", (50.0, lam_max / 2.0)).constant
-    c_full = fit_remainder(series, "log", (50.0, lam_max)).constant
+    c_half = fit_remainder(series, "log", (50.0, lambda_max / 2.0)).constant
+    c_full = fit_remainder(series, "log", (50.0, lambda_max)).constant
     change = abs(c_full / c_half - 1.0)
     return [
         Claim("log-gain-constant-stability", change,
@@ -146,15 +111,14 @@ def product_log_gain(cfg: dict) -> list:
     ]
 
 
-def torus_remainder(cfg: dict) -> list:
-    lam_max = cfg.get("lambda_max", 500.0)
-    spec = torus_spectrum((2 * math.pi, 2 * math.pi), lam_max)
-    grid = counting_grid(spec, 20.0, lam_max, n_base=800)
+def torus_remainder(*, lambda_max=500.0) -> list:
+    spec = torus_spectrum((2 * math.pi, 2 * math.pi), lambda_max)
+    grid = counting_grid(spec, 20.0, lambda_max, n_base=800)
     series = counting(spec, grid)
-    fit = fit_remainder(series, "power", (20.0, lam_max))
+    fit = fit_remainder(series, "power", (20.0, lambda_max))
     # windowed envelope of |E| log(lam)/lam over four dyadic windows
     q = np.abs(series.E) * np.log(series.lambdas) / series.lambdas
-    edges = np.geomspace(20.0, lam_max, 5)
+    edges = np.geomspace(20.0, lambda_max, 5)
     env = [float(np.max(q[(series.lambdas >= a) & (series.lambdas <= b)]))
            for a, b in zip(edges[:-1], edges[1:])]
     slope = np.polyfit(np.log(0.5 * (edges[:-1] + edges[1:])),
@@ -168,9 +132,9 @@ def torus_remainder(cfg: dict) -> list:
     ]
 
 
-def clairaut_crosscheck(cfg: dict) -> list:
-    profile = _pert_profile({**_DEFAULT_PERT, **cfg})
-    s_values = np.linspace(0.15, 1.5, cfg.get("n_points", 20))
+def clairaut_crosscheck(*, epsilon=0.01, a=0.5, b=1.0, n_points=20) -> list:
+    profile = make_perturbed_sphere(PerturbationSpec(epsilon, a, b))
+    s_values = np.linspace(0.15, 1.5, n_points)
     orb = rotation_number(s_values, profile)
     worst = 0.0
     for s_plus, theta, tau in zip(s_values, orb.Theta0, orb.return_time):
@@ -194,13 +158,13 @@ def clairaut_crosscheck(cfg: dict) -> list:
     ]
 
 
-def perturbation_derivative(cfg: dict) -> list:
-    spec = PerturbationSpec(**{**_DEFAULT_PERT, **{k: cfg[k] for k in cfg
-                                                   if k in _DEFAULT_PERT}})
+def perturbation_derivative(*, a=0.5, b=1.0) -> list:
+    # the derivative in epsilon is taken at epsilon = 0
     h = 1e-4
-    plus = make_perturbed_sphere(PerturbationSpec(h, spec.a, spec.b))
-    minus = make_perturbed_sphere(PerturbationSpec(-h, spec.a, spec.b))
-    grid = np.linspace(spec.b, HALF_PI - 0.05, 10)
+    spec = PerturbationSpec(h, a, b)
+    plus = make_perturbed_sphere(spec)
+    minus = make_perturbed_sphere(PerturbationSpec(-h, a, b))
+    grid = np.linspace(b, HALF_PI - 0.05, 10)
     D = np.array([d_rotation_number_in_epsilon(spec, float(s_plus))
                   for s_plus in grid])
     fd = (d_rotation_number(grid, plus, "formula")
@@ -216,18 +180,16 @@ def perturbation_derivative(cfg: dict) -> list:
     ]
 
 
-def band_classification(cfg: dict) -> list:
-    spec = {**_DEFAULT_PERT, **cfg}
-    profile = _pert_profile(spec)
-    grid = np.linspace(0.05, HALF_PI - 0.05, cfg.get("n_grid", 50))
+def band_classification(*, epsilon=0.01, a=0.5, b=1.0, n_grid=50) -> list:
+    profile = make_perturbed_sphere(PerturbationSpec(epsilon, a, b))
+    grid = np.linspace(0.05, HALF_PI - 0.05, n_grid)
     out = classify_tori(profile, grid, q_max=50, rational_tol=1e-9,
                         deriv_floor=1e-6)
     below_ok = all(c.status == "periodic" and (c.p, c.q) == (1, 1)
-                   for c in out if c.s_plus < spec["a"])
-    above_ok = all(c.status == "aperiodic"
-                   for c in out if c.s_plus >= spec["b"])
-    n_below = sum(1 for c in out if c.s_plus < spec["a"])
-    n_above = sum(1 for c in out if c.s_plus >= spec["b"])
+                   for c in out if c.s_plus < a)
+    above_ok = all(c.status == "aperiodic" for c in out if c.s_plus >= b)
+    n_below = sum(1 for c in out if c.s_plus < a)
+    n_above = sum(1 for c in out if c.s_plus >= b)
     return [
         Claim("spherical-strip-periodic", float(n_below),
               "all grid points below a classify periodic (1,1)", below_ok),
@@ -236,12 +198,11 @@ def band_classification(cfg: dict) -> list:
     ]
 
 
-def pendulum_rotation(cfg: dict) -> list:
-    E = cfg.get("energy", 4.0)
-    profile = make_pendulum_profile(E)
+def pendulum_rotation(*, energy=4.0, n_grid=40) -> list:
+    profile = make_pendulum_profile(energy)
     lo, hi = 0.05, HALF_PI - 0.05
     mins = []
-    for n in (cfg.get("n_grid", 40), 2 * cfg.get("n_grid", 40)):
+    for n in (n_grid, 2 * n_grid):
         grid = np.linspace(lo, hi, n)
         mins.append(float(np.min(np.abs(d_rotation_number(
             grid, profile, "finite_difference")))))
@@ -260,7 +221,7 @@ def pendulum_rotation(cfg: dict) -> list:
     ]
 
 
-def radial_solver_oracle(cfg: dict) -> list:
+def radial_solver_oracle() -> list:
     lam_max = math.sqrt(14 * 15) + 0.2
     spec = surface_spectrum(make_round_sphere(), lam_max,
                             with_eigenfunctions=False)
@@ -292,9 +253,7 @@ def radial_solver_oracle(cfg: dict) -> list:
     ]
 
 
-def measure_oracle(cfg: dict) -> list:
-    samples = cfg.get("samples", 100_000)
-    reps = cfg.get("repetitions", 100)
+def measure_oracle(*, samples=100_000, repetitions=100, seed=1000) -> list:
     torus = flat_torus((2 * math.pi, 2 * math.pi))
     U = CosphereSet(torus, kind="full")
     flow = TorusFlow(torus.periods)
@@ -305,8 +264,8 @@ def measure_oracle(cfg: dict) -> list:
     exact = exact_frac * total
     good = 0
     worst_dev = 0.0
-    for rep in range(reps):
-        states = U.sample(samples, seed=1000 + rep)
+    for rep in range(repetitions):
+        states = U.sample(samples, seed=seed + rep)
         hits, _ = flow.return_hits(states, 1.0, 10.0, thresh)
         value = float(np.mean(hits)) * total
         hw = MeasureEstimate.hoeffding(samples, total)
@@ -317,23 +276,22 @@ def measure_oracle(cfg: dict) -> list:
     return [
         Claim("hoeffding-coverage", float(good),
               f"value within 3 half-widths of the lattice oracle in >= 99 "
-              f"of {reps} seeded repetitions", good >= 99),
+              f"of {repetitions} seeded repetitions", good >= 99),
         Claim("worst-deviation", worst_dev,
               "largest |value - exact| in half-width units (reported)",
               True),
     ]
 
 
-def nonperiodic_trend(cfg: dict) -> list:
-    profile = _pert_profile({**_DEFAULT_PERT, **cfg})
-    m = surface_of_revolution(profile)
-    band = (cfg.get("s0", 1.05), cfg.get("s1", 1.45))
-    U = CosphereSet(m, kind="band", s0=band[0], s1=band[1])
-    samples = cfg.get("samples", 20_000)
+def nonperiodic_trend(*, epsilon=0.01, a=0.5, b=1.0, s0=1.05, s1=1.45,
+                      samples=20_000, seed=37) -> list:
+    m = surface_of_revolution(make_perturbed_sphere(
+        PerturbationSpec(epsilon, a, b)))
+    U = CosphereSet(m, kind="band", s0=s0, s1=s1)
     products = []
     for R in (0.05, 0.02, 0.01, 0.005):
         T = R ** (-1.0 / 3.0)
-        est = near_periodic_measure(U, 1.0, T, R, samples=samples, seed=37)
+        est = near_periodic_measure(U, 1.0, T, R, samples=samples, seed=seed)
         products.append(est.value * T)
     lo, hi = min(products), max(products)
     bounded = hi <= 1e-9 or hi <= 2.0 * lo
@@ -344,16 +302,17 @@ def nonperiodic_trend(cfg: dict) -> list:
     ]
 
 
-def localized_weyl_contrast(cfg: dict) -> list:
-    profile = _pert_profile({**_DEFAULT_PERT, **cfg})
-    lam_max = cfg.get("lambda_max", 60.0)
-    spec = surface_spectrum(profile, lam_max)
-    grid = counting_grid(spec, 20.0, lam_max - 0.5, n_base=300)
+def localized_weyl_contrast(*, epsilon=0.01, a=0.5, b=1.0,
+                            lambda_max=60.0) -> list:
+    profile = make_perturbed_sphere(PerturbationSpec(epsilon, a, b))
+    spec = surface_spectrum(profile, lambda_max)
+    grid = counting_grid(spec, 20.0, lambda_max - 0.5, n_base=300)
     green = localized_counting(spec, (1.05, 1.45), grid)
     orange = localized_counting(spec, (-0.4, 0.4), grid)
-    fit_green = fit_remainder(green, "log", (20.0, lam_max - 0.5))
-    fit_orange = fit_remainder(orange, "log", (20.0, lam_max - 0.5))
-    fit_orange_std = fit_remainder(orange, "standard", (20.0, lam_max - 0.5))
+    fit_green = fit_remainder(green, "log", (20.0, lambda_max - 0.5))
+    fit_orange = fit_remainder(orange, "log", (20.0, lambda_max - 0.5))
+    fit_orange_std = fit_remainder(orange, "standard",
+                                   (20.0, lambda_max - 0.5))
     ratio = fit_green.constant / fit_orange.constant
     return [
         Claim("aperiodic-band-gain", ratio,
@@ -365,7 +324,7 @@ def localized_weyl_contrast(cfg: dict) -> list:
     ]
 
 
-def kuznecov_structure(cfg: dict) -> list:
+def kuznecov_structure(*, lambda_max=500.0) -> list:
     profile = make_round_sphere()
     spec = surface_spectrum(profile, 12.0)
     worst_circle = float(np.max(np.abs(
@@ -379,15 +338,14 @@ def kuznecov_structure(cfg: dict) -> list:
                                           float(lam), spec=spec).Pi)
                    for i, lam in enumerate(lams))
     # smoothed comparison on the flat torus point
-    lam_hi = cfg.get("lambda_max", 500.0)
     kernel = build_smoothing_kernel(1.0)
     tor = torus_spectrum((2 * math.pi, 2 * math.pi),
-                         lam_hi + kernel.tail_cut_for(1e-9) + 2.0)
-    lam_grid = np.geomspace(50.0, lam_hi, 40)
+                         lambda_max + kernel.tail_cut_for(1e-9) + 2.0)
+    lam_grid = np.geomspace(50.0, lambda_max, 40)
     sm = smoothed_series(tor, lam_grid, kernel)
     E_t0 = (tor.count(lam_grid) - sm) / tor.volume
     q = np.abs(E_t0) * np.log(lam_grid) / lam_grid
-    edges = np.geomspace(50.0, lam_hi, 5)
+    edges = np.geomspace(50.0, lambda_max, 5)
     env = [float(np.max(q[(lam_grid >= a) & (lam_grid <= b)]))
            for a, b in zip(edges[:-1], edges[1:])]
     slope = float(np.polyfit(np.log(0.5 * (edges[:-1] + edges[1:])),
@@ -404,9 +362,9 @@ def kuznecov_structure(cfg: dict) -> list:
     ]
 
 
-def smoothing_consistency(cfg: dict) -> list:
+def smoothing_consistency(*, seed=12, points_per_spectrum=(7, 7, 6)) -> list:
     kernel = build_smoothing_kernel(1.0)
-    rng = np.random.default_rng(cfg.get("seed", 12))
+    rng = np.random.default_rng(seed)
     specs = [
         sphere_spectrum(2, 520.0),
         torus_spectrum((2 * math.pi, 2 * math.pi), 530.0),
@@ -415,8 +373,7 @@ def smoothing_consistency(cfg: dict) -> list:
     ]
     tail_cut = kernel.tail_cut_for(kernel.tail_tol)
     worst_ratio = 0.0
-    allocation = cfg.get("points_per_spectrum", (7, 7, 6))
-    for spec, n_points in zip(specs, allocation):
+    for spec, n_points in zip(specs, points_per_spectrum):
         lams = rng.uniform(20.0, spec.lambda_max - tail_cut - 1.0, n_points)
         sm = smoothed_series(spec, lams, kernel)
         W = float(spec.count(min(spec.lambda_max,
@@ -454,12 +411,27 @@ def list_scenarios() -> list:
     return sorted(SCENARIOS)
 
 
+def battery_configs(task: dict) -> dict:
+    """Per scenario, the keys of ``task`` it declares (``scenario all``); a
+    key that no scenario declares raises ConfigError before any runs."""
+    params = {name: inspect.signature(fn).parameters
+              for name, fn in sorted(SCENARIOS.items())}
+    unknown = set(task).difference(*params.values())
+    if unknown:
+        raise ConfigError(f"no scenario takes the parameters "
+                          f"{sorted(unknown)}")
+    return {name: {k: v for k, v in task.items() if k in declared}
+            for name, declared in params.items()}
+
+
 def run_scenario(name: str, cfg: dict = None) -> Verdict:
+    """Run one scenario with ``cfg`` bound to its keyword parameters."""
     if name not in SCENARIOS:
-        raise KeyError(f"unknown scenario {name!r}; see list_scenarios()")
-    cfg = dict(cfg or {})
+        raise ConfigError(f"unknown scenario {name!r}; see list_scenarios()")
+    fn = SCENARIOS[name]
+    cfg = bind(fn, {} if cfg is None else cfg, f"scenario {name!r}")
     start = time.time()
-    claims = SCENARIOS[name](cfg)
+    claims = fn(**cfg)
     verdict = Verdict(name, claims,
                       provenance={"config_hash": config_hash(cfg),
                                   "version": __version__},

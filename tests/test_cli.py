@@ -124,12 +124,23 @@ def test_verdict_json_takes_numpy_flags():
     assert json.loads(json.dumps(verdict.to_json()))["claims"][0]["passed"]
 
 
-def test_config_error_exit_code(configs, tmp_path):
+def test_config_error_exit_code(configs, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"kind": "bogus"}))
-    rc = main(["--out-dir", configs["dir"], "spectrum",
-               "--manifold", str(bad), "--lambda-max", "5"])
-    assert rc == 3
+    for cfg, key in [
+        ({"kind": "bogus"}, "bogus"),
+        ({"kind": "round_sphere", "dim": 3}, "'dim'"),
+        ({**TORUS_CFG, "perods": [1.0]}, "'perods'"),
+        ({"kind": "perturbed_sphere", "epsilon": 0.01, "a": 0.5}, "'b'"),
+        ({"kind": "product", "factors": [PERT_CFG, {**TORUS_CFG, "n": 2}]},
+         "'n'"),
+        ({"kind": "surface_of_revolution", "profile": "round"}, "'profile'"),
+    ]:
+        bad.write_text(json.dumps(cfg))
+        rc = main(["--out-dir", configs["dir"], "spectrum",
+                   "--manifold", str(bad), "--lambda-max", "5"])
+        err = capsys.readouterr().err
+        assert rc == 3, cfg
+        assert err.startswith("configuration error: ") and key in err, err
 
 
 @pytest.mark.parametrize("argv", [
@@ -181,7 +192,8 @@ def test_experiment_config_rejects_unknown_fields(tmp_path, configs):
     assert rc == 3
 
 
-@pytest.mark.parametrize("block", ["manifold", "output"])
+@pytest.mark.parametrize("block", ["manifold", "output", "seeds",
+                                   "tolerances"])
 def test_experiment_config_rejects_unread_blocks(tmp_path, configs, block):
     # nothing reads these blocks, so a run must not pass with them ignored
     cfg = tmp_path / "exp.json"
@@ -189,6 +201,51 @@ def test_experiment_config_rejects_unread_blocks(tmp_path, configs, block):
     rc = main(["--out-dir", configs["dir"], "scenario", "sphere-sharpness",
                "--config", str(cfg)])
     assert rc == 3
+
+
+@pytest.mark.parametrize("argv, task, key", [
+    (["scenario", "sphere-sharpness"], {"lambda_maxx": 120}, "'lambda_maxx'"),
+    (["scenario", "sphere-sharpness"], [1], "task"),
+    # the derivative in epsilon is taken at epsilon = 0
+    (["scenario", "perturbation-derivative"], {"epsilon": 0.02},
+     "'epsilon'"),
+    (["--seed", "7", "scenario", "sphere-sharpness"], {}, "'seed'"),
+    (["--seed", "7", "scenario", "measure-oracle"], {"seed": 5}, "seed"),
+    (["scenario", "all"], {"lambda_max": 100, "lambda_maxx": 120},
+     "'lambda_maxx'"),
+    (["scenario", "no-such-scenario"], {}, "'no-such-scenario'"),
+], ids=["misspelled-key", "task-not-an-object", "undeclared-key",
+        "seedless-scenario", "conflicting-seeds", "battery-undeclared-key",
+        "unknown-scenario"])
+def test_scenario_parameter_errors_exit_code(tmp_path, capsys, argv, task,
+                                             key):
+    # a key the scenario does not declare fails before anything runs
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"task": task}))
+    out = tmp_path / "out"
+    rc = main(["--out-dir", str(out)] + argv + ["--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("configuration error: ") and key in err, err
+    assert not out.exists()
+
+
+def test_seed_reaches_a_seeded_scenario(tmp_path):
+    # measure-oracle draws repetition rep from seed + rep, base 1000
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"task": {"samples": 1000, "repetitions": 2}}))
+
+    def worst_deviation(name, *seed):
+        out = tmp_path / name
+        rc = main(["--out-dir", str(out), *seed, "scenario", "measure-oracle",
+                   "--config", str(cfg)])
+        assert rc == 2      # 2 repetitions cannot cover 99
+        verdict = json.load(open(out / "verdict-measure-oracle.json"))
+        return verdict["claims"][1]["measured"]
+
+    default = worst_deviation("default")
+    assert worst_deviation("base", "--seed", "1000") == default
+    assert worst_deviation("other", "--seed", "1") != default
 
 
 def test_smooth_compare_subcommand(configs):

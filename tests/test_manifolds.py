@@ -260,7 +260,19 @@ def test_config_round_trip():
 
 
 def test_config_rejects_garbage():
-    with pytest.raises(ConfigError):
-        manifold_from_config({"kind": "klein_bottle"})
-    with pytest.raises(ConfigError):
-        manifold_from_config("not a dict")
+    # the fields bind to the kind's builder: a missing, unknown or
+    # misspelled one raises an error that names it, in a product factor too
+    factor = {"kind": "flat_torus", "periods": [2 * math.pi], "perods": [1]}
+    for cfg, key in [
+        ({"kind": "klein_bottle"}, "klein_bottle"),
+        ("not a dict", "kind"),
+        ({"kind": "round_sphere", "dim": 3}, "dim"),
+        ({"kind": "flat_torus", "periods": [1.0, 1.0], "perods": [1.0]},
+         "perods"),
+        ({"kind": "perturbed_sphere", "epsilon": 0.01, "a": 0.5}, "'b'"),
+        ({"kind": "product", "factors": [{"kind": "round_sphere"}, factor]},
+         "perods"),
+        ({"kind": "surface_of_revolution", "profile": "round"}, "profile"),
+    ]:
+        with pytest.raises(ConfigError, match=key):
+            manifold_from_config(cfg)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from weyllab.errors import QuadratureFailure
-from weyllab.quadrature import gauss_legendre, tanh_sinh, tanh_sinh_rows
+from weyllab.quadrature import tanh_sinh, tanh_sinh_rows
 
 
 def test_smooth_integrand():
@@ -42,10 +42,6 @@ def test_stall_reports_achieved_error():
         tanh_sinh(lambda w, d_lo, d_hi: 1.0 / d_hi, 0.0, 1.0,
                   rel_tol=1e-10, endpoint_distances=True)
     assert exc.value.achieved is not None
-
-
-def test_gauss_legendre():
-    assert abs(gauss_legendre(np.cos, 0.0, 1.0, n=32) - math.sin(1.0)) < 1e-14
 
 
 def test_rows_match_the_scalar_rule():
