@@ -336,11 +336,11 @@ def cmd_cover_audit(args) -> int:
     cover = build_good_cover(target, tau=args.tau, r=args.r)
     coverage = cover.audit_coverage(args.probes, seed=_require_seed(args))
     margin = cover.audit_disjointness()
-    payload = {"tubes": len(cover.tubes), "families": cover.D,
+    payload = {"tubes": len(cover.params), "families": cover.D,
                "disjointness_margin": margin, "coverage": coverage}
     _write_json(_out_path(args, "cover-audit.json"), cfg, payload)
     ok = coverage["pass"] and margin >= 0
-    print(f"cover-audit: {len(cover.tubes)} tubes, {cover.D} families, "
+    print(f"cover-audit: {len(cover.params)} tubes, {cover.D} families, "
           f"{'pass' if ok else 'FAIL'}")
     return 0 if ok else 2
 

@@ -324,23 +324,15 @@ def recurrence_measure(manifold: ModelManifold, x, R0: float,
 def _recurrence_mass(flow, manifold, x, psi0, a_k, thresh, t_lo, t_hi,
                      sign, samples, seed):
     """Estimated mass of B(R^{rR}_{A, sign}, rR) on the fiber circle."""
+    if isinstance(flow, RevolutionFlow):
+        raise DomainError("recurrence estimator supports flat tori and the "
+                          "round sphere")
     u = _halton(1, samples, seed)[:, 0]
     psi = 2.0 * math.pi * u
     fiber_gap = np.maximum(wrap_angle(psi - psi0) - a_k, 0.0)
     near_A = fiber_gap < thresh
-    if isinstance(flow, TorusFlow):
-        # fiber distance is flow-invariant: the condition splits exactly
-        om = np.column_stack([np.cos(psi), np.sin(psi)])
-        lat = flow.lattice(t_hi + 1.0)
-        targets = np.broadcast_to(lat[None, :, :],
-                                  (samples,) + lat.shape)
-        base_min = flow._window_min(sign * om, targets, t_lo, t_hi).min(axis=1)
-        hits = base_min < thresh
-    elif isinstance(flow, RoundSphereFlow):
-        a = float(flow.profile.alpha(x[0]))
-        states = np.column_stack([np.full(samples, x[0]),
-                                  np.full(samples, x[1]),
-                                  np.cos(psi), a * np.sin(psi)])
+    states = _fiber_states(manifold, x, psi)
+    if isinstance(flow, RoundSphereFlow):
         to_x = flow.metric.base_distance_from(x)
         # candidate return times: closures at 2 pi k inside the window
         hits = np.zeros(samples, dtype=bool)
@@ -352,8 +344,11 @@ def _recurrence_mass(flow, manifold, x, psi0, a_k, thresh, t_lo, t_hi,
                                         - psi0) - a_k, 0.0)
             hits |= (np.maximum(base, fib) < thresh)
     else:
-        raise DomainError("recurrence estimator supports flat tori and the "
-                          "round sphere")
+        # the torus flow keeps every fiber angle, so the condition splits
+        # into near_A and a base return; the base return of -omega against
+        # the period lattice is that of omega against the negated lattice,
+        # the same set, so the time direction drops out
+        hits = flow.return_hits(states, t_lo, t_hi, thresh)[0]
     return float(np.mean(hits & near_A)) * 2.0 * math.pi
 
 
@@ -388,24 +383,18 @@ class CircleTarget:
 
 
 @dataclass
-class Tube:
-    center_param: float
-    family: int = -1
-
-
-@dataclass
 class GoodCover:
+    """Tubes over the fiber circle: their center parameters, ascending, and
+    the family (color) of each; the families are the color classes."""
+
     target: CircleTarget
-    tubes: list
-    families: list            # list of index lists
+    params: np.ndarray
+    colors: np.ndarray
     r: float
 
     @property
     def D(self) -> int:
-        return len(self.families)
-
-    def center_params(self) -> np.ndarray:
-        return np.array([t.center_param for t in self.tubes])
+        return int(self.colors.max()) + 1
 
     def audit_disjointness(self) -> float:
         """Exact same-family 3r-disjointness: centers >= 6r apart.
@@ -415,8 +404,8 @@ class GoodCover:
         parameters are closer than 6r.  Returns the worst margin.
         """
         margin = math.inf
-        for fam in self.families:
-            params = np.array([self.tubes[i].center_param for i in fam])
+        for f in range(self.D):
+            params = self.params[self.colors == f]
             if len(params) < 2:
                 continue
             d = wrap_angle(params[:, None] - params[None, :])
@@ -433,8 +422,7 @@ class GoodCover:
         """
         rng = np.random.default_rng(seed)
         u = rng.uniform(0.0, 2.0 * math.pi, n_probes)
-        params = self.center_params()
-        gaps = wrap_angle(u[:, None] - params[None, :])
+        gaps = wrap_angle(u[:, None] - self.params[None, :])
         nearest = np.min(gaps, axis=1)
         failures = int(np.sum(nearest >= self.r))
         return {"pass": failures == 0, "failures": failures,
@@ -480,10 +468,9 @@ def build_good_cover(target: CircleTarget, tau: float,
         for i in wide:
             chosen.append(float(params[i] + 0.5 * gaps[i]))
     params = np.sort(np.mod(np.array(chosen), 2.0 * math.pi))
-    tubes = [Tube(float(u)) for u in params]
 
     # greedy coloring of the 6r-proximity graph
-    n = len(tubes)
+    n = len(params)
     colors = np.full(n, -1, dtype=int)
     dmat = wrap_angle(params[:, None] - params[None, :])
     for i in range(n):
@@ -494,14 +481,10 @@ def build_good_cover(target: CircleTarget, tau: float,
         while c in neighbor_colors:
             c += 1
         colors[i] = c
-        tubes[i].family = c
-    n_fam = int(colors.max()) + 1
-    if n_fam > family_budget(1):
-        raise CoverFailure(f"greedy coloring used {n_fam} families, "
+    cover = GoodCover(target, params, colors, r)
+    if cover.D > family_budget(1):
+        raise CoverFailure(f"greedy coloring used {cover.D} families, "
                            f"budget {family_budget(1)}")
-    families = [[i for i in range(n) if colors[i] == f]
-                for f in range(n_fam)]
-    cover = GoodCover(target, tubes, families, r)
     margin = cover.audit_disjointness()
     if margin < 0:
         raise CoverFailure(f"same-family tubes overlap by {-margin}")

@@ -2,6 +2,7 @@
 a JSON object to the keyword parameters of the function it configures."""
 
 import inspect
+import numbers
 
 
 class WeylLabError(Exception):
@@ -73,11 +74,30 @@ def json_object(value, where: str) -> dict:
     return value
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def number(value, where: str) -> float:
+    """``value`` as a float if it is a number (not a boolean), else
+    ConfigError naming ``where``."""
+    if not _is_number(value):
+        raise ConfigError(f"{where} must be a number, got "
+                          f"{type(value).__name__}")
+    return float(value)
+
+
 def bind(fn, fields, where: str) -> dict:
     """``fields``, once they bind to the keyword parameters of ``fn``; an
-    unknown or missing key raises ConfigError naming ``where`` and the key."""
+    unknown or missing key, or a value that is not a number where the
+    parameter's default is one, raises ConfigError naming ``where`` and the
+    key."""
+    signature = inspect.signature(fn)
     try:
-        inspect.signature(fn).bind(**json_object(fields, where))
+        signature.bind(**json_object(fields, where))
     except TypeError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+    for key, value in fields.items():
+        if _is_number(signature.parameters[key].default):
+            number(value, f"{where}: {key!r}")
     return fields

@@ -6,19 +6,19 @@ surfaces of revolution, flat quotient for tori) and the fiber angle gap.
 Both factors are metrics, so the max is one; all radii in the tube and
 measure machinery refer to it.
 
-Every flow offers the same three methods, so the estimators never ask
-which flow they have:
-
-* ``flow(states, t)`` moves rows of unit covectors by time t;
-* ``return_hits(states, t0, T, thresh)`` and
-  ``target_hits(states, y, t0, T, thresh)`` classify each sample by whether
-  its orbit comes within ``thresh`` of its start (phase distance) or of y
-  (base distance) over t0 <= |t| <= T, and return ``(hits, inflation)``.
+Every flow offers the same two hit tests, so the estimators never ask
+which flow they have: ``return_hits(states, t0, T, thresh)`` and
+``target_hits(states, y, t0, T, thresh)`` classify each sample by whether
+its orbit comes within ``thresh`` of its start (phase distance) or of y
+(base distance) over t0 <= |t| <= T, and return ``(hits, inflation)``.
 
 The closed-form flows (flat torus, round sphere) also offer the exact
 window minima behind their hits, ``self_return_min(states, t0, T)`` and
 ``target_min(states, y, t0, T)``, so their inflation is 0; the torus tries
-only the lattice vectors within reach of the window.
+only the lattice vectors within reach of the window.  Only the round
+sphere moves rows by a time, ``flow(states, t)`` (great circles in closed
+form); a single orbit on another surface of revolution is
+:func:`weyllab.geoflow.integrate_geodesic`.
 :class:`RevolutionFlow` decides ``return_hits`` in this order:
 
 1. the radial certificate (:meth:`RevolutionFlow.radial_clears`) clears,
@@ -234,15 +234,6 @@ class _RowDense:
         lo, hi = self.start[row], self.start[row + 1]
         seg = lo + np.clip(np.searchsorted(self.t_old[lo:hi], t) - 1,
                            0, hi - lo - 1)
-        return self._interpolate(seg, t)
-
-    def at_end(self, T):
-        """Every row at its end time T, where its last step ends: (k, n)."""
-        seg = self.start[1:] - 1
-        return self._interpolate(seg, np.full(len(seg), T))
-
-    def _interpolate(self, seg, t):
-        """The interpolant of step seg[j] at the time t[j], for every j."""
         x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
         y = np.zeros((len(t), self.F.shape[2]))
         for i in range(self.F.shape[1] - 1, -1, -1):
@@ -388,14 +379,6 @@ class TorusFlow(ExactHits):
         self.periods = tuple(float(p) for p in self.periods)
         self.d = len(self.periods)
 
-    def flow(self, states, t):
-        states = np.asarray(states, dtype=float)
-        out = states.copy()
-        out[..., :self.d] = np.mod(
-            states[..., :self.d] + t * states[..., self.d:],
-            np.asarray(self.periods))
-        return out
-
     def lattice(self, radius):
         """Period-lattice points, a box covering the ball of the radius."""
         grids = np.broadcast_arrays(
@@ -417,14 +400,15 @@ class TorusFlow(ExactHits):
     def self_return_min(self, states, t0, T):
         """Exact min over t0<=|t|<=T of d(phi_t rho, rho); fiber gap is 0.
 
-        |t omega - v| >= |v| - T, so only the lattice vectors shorter than
-        T + 1 are tried: a minimum below 1 is exact, a larger one is
-        reported as some value of at least 1.
+        |t omega - v| >= |v| - T, and the zero vector gives t0, so a lattice
+        vector at least T + max(1, t0) long cannot lower the minimum; only
+        the shorter ones are tried.
         """
         states = np.asarray(states, dtype=float)
         omega = states[..., self.d:].reshape(-1, self.d)
-        lat = self.lattice(T + 1.0)
-        lat = lat[np.linalg.norm(lat, axis=1) < T + 1.0]
+        reach = T + max(1.0, t0)
+        lat = self.lattice(reach)
+        lat = lat[np.linalg.norm(lat, axis=1) < reach]
         targets = np.broadcast_to(lat[None, :, :],
                                   (omega.shape[0],) + lat.shape)
         d_fwd = self._window_min(omega, targets, t0, T).min(axis=1)
@@ -591,8 +575,6 @@ class RoundSphereFlow(ExactHits):
 class RevolutionFlow:
     """Geodesic flow of a surface of revolution in the (s, theta) chart.
 
-    ``flow`` integrates every row by the row-batched DOP853
-    (:func:`_dop853_rows`); exact meridian rows take the closed form.
     ``return_hits`` first lets the radial certificate clear the samples
     that cannot return before their first radial period, with no
     integration; then near-meridian samples (|xi_theta| below
@@ -623,33 +605,13 @@ class RevolutionFlow:
         k4 = self._rhs(y + h * k3)
         return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    def flow(self, states, t):
-        """The rows moved by time t: DOP853 at rtol = atol = 1e-10.
-
-        Exact meridian rows (xi_theta = 0) take the closed form, which
-        turns them at the poles; the chart equations would not.  A negative
-        time flows the mirrored rows forward and mirrors them back; t = 0
-        returns the rows unchanged.
-        """
-        y = np.array(states, dtype=float).reshape(-1, 4)
-        if t != 0:
-            merid = y[:, 3] == 0.0
-            y[merid] = meridian_states(y[merid], t)
-            chart = np.nonzero(~merid)[0]
-            if len(chart):
-                start = y[chart] if t > 0 else _mirror(y[chart])
-                moved = _dop853_rows(self._rhs, start, abs(t), rtol=1e-10,
-                                     atol=1e-10).at_end(abs(t))
-                y[chart] = moved if t > 0 else _mirror(moved)
-        return y.reshape(np.shape(states))
-
     def phase_speed_bound(self, states, cap: float = 64.0) -> np.ndarray:
         """Per-sample bound on the phase-space speed in the background metric.
 
         The base speed is 1 (unit-speed geodesics); the chart fiber angle
         turns at rate |alpha'| c / alpha^2 <= max|alpha'| / c along an orbit
-        with Clairaut constant c.  Near-meridian samples are capped; the
-        residual enters the caller's reported inflation.
+        with Clairaut constant c.  Near-meridian samples are capped; the speed
+        above the cap enters the caller's reported inflation.
         """
         states = np.asarray(states, dtype=float).reshape(-1, 4)
         c = np.abs(states[:, 3])
@@ -663,15 +625,14 @@ class RevolutionFlow:
     def scan_min(self, states, t0, T, distance_fn, h_scan=0.02):
         """Coarse scan of min over [t0, T] of distance_fn(phi_t(states)).
 
-        Returns (coarse_min, argmin_t, slack) with slack the half-step
-        bound at unit speed, valid for base-distance criteria, plus the
-        integration budget.
+        Returns (coarse_min, slack); the slack, one number for every row, is
+        the half-step bound at unit speed, valid for base-distance criteria,
+        plus the integration budget.
         """
         states = np.asarray(states, dtype=float).reshape(-1, 4)
         y = states.copy()
         t = 0.0
         best = np.full(len(states), np.inf)
-        best_t = np.zeros(len(states))
         n_steps = int(math.ceil(T / h_scan))
         h = T / n_steps
         for i in range(n_steps):
@@ -679,11 +640,8 @@ class RevolutionFlow:
             t += h
             if t >= t0 - 1e-12:
                 d = distance_fn(y)
-                better = d < best
-                best = np.where(better, d, best)
-                best_t = np.where(better, t, best_t)
-        slack = 0.5 * h + ODE_BUDGET
-        return best, best_t, np.broadcast_to(slack, (len(states),))
+                best = np.where(d < best, d, best)
+        return best, 0.5 * h + ODE_BUDGET
 
     def refine_min(self, states, t0, T, distance_fn, resolution):
         """Dense refinement of k rows in one batched DOP853 pass.
@@ -854,16 +812,15 @@ class RevolutionFlow:
         return hits, inflation
 
     def _scan_both(self, states, t0, T, scan_dist):
-        """scan_min over both time directions: (minima, slacks) per sample.
+        """scan_min over both time directions: (minima per sample, slack).
 
         ``scan_dist(start)`` is set up once, for the doubled start rows.
         """
         states = np.asarray(states, dtype=float).reshape(-1, 4)
         doubled = np.vstack([states, _mirror(states)])
-        coarse, _, slack = self.scan_min(doubled, t0, T, scan_dist(doubled))
+        coarse, slack = self.scan_min(doubled, t0, T, scan_dist(doubled))
         n = len(states)
-        return (np.minimum(coarse[:n], coarse[n:]),
-                np.maximum(slack[:n], slack[n:]))
+        return np.minimum(coarse[:n], coarse[n:]), slack
 
     @staticmethod
     def _meridian_min(states, t0, T, resolution, dist):

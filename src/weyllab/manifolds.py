@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .errors import ConfigError, DomainError, InvariantViolation, bind
+from .errors import ConfigError, DomainError, InvariantViolation, bind, number
 
 HALF_PI = math.pi / 2.0
 
@@ -333,15 +333,23 @@ def _product(*, factors) -> ModelManifold:
     return product(*(manifold_from_config(f) for f in factors))
 
 
+def _flat_torus(*, periods) -> ModelManifold:
+    if not isinstance(periods, (list, tuple)):
+        raise ConfigError(f"'periods' must be a list of numbers, got "
+                          f"{type(periods).__name__}")
+    return flat_torus([number(p, "'periods' entry") for p in periods])
+
+
 # each kind's builder; its keyword parameters are the kind's JSON fields
 _BUILDERS = {
     "round_sphere": lambda *, n=2: round_sphere(int(n)),
     "perturbed_sphere": lambda *, epsilon, a, b: surface_of_revolution(
-        make_perturbed_sphere(PerturbationSpec(float(epsilon), float(a),
-                                               float(b)))),
+        make_perturbed_sphere(PerturbationSpec(number(epsilon, "'epsilon'"),
+                                               number(a, "'a'"),
+                                               number(b, "'b'")))),
     "pendulum": lambda *, E: surface_of_revolution(
-        make_pendulum_profile(float(E))),
-    "flat_torus": lambda *, periods: flat_torus(periods),
+        make_pendulum_profile(number(E, "'E'"))),
+    "flat_torus": _flat_torus,
     "product": _product,
     # round profile realized through the revolution machinery
     "surface_of_revolution":

@@ -116,20 +116,29 @@ def torus_remainder(*, lambda_max=500.0) -> list:
     grid = counting_grid(spec, 20.0, lambda_max, n_base=800)
     series = counting(spec, grid)
     fit = fit_remainder(series, "power", (20.0, lambda_max))
-    # windowed envelope of |E| log(lam)/lam over four dyadic windows
-    q = np.abs(series.E) * np.log(series.lambdas) / series.lambdas
-    edges = np.geomspace(20.0, lambda_max, 5)
-    env = [float(np.max(q[(series.lambdas >= a) & (series.lambdas <= b)]))
-           for a, b in zip(edges[:-1], edges[1:])]
-    slope = np.polyfit(np.log(0.5 * (edges[:-1] + edges[1:])),
-                       np.log(env), 1)[0]
+    slope, decreasing = _log_weighted_envelope(series.lambdas, series.E,
+                                               20.0, lambda_max)
     return [
         Claim("gauss-circle-exponent", fit.gamma,
               "envelope-fitted gamma <= 0.75", fit.gamma <= 0.75),
-        Claim("log-weighted-remainder-decreasing", float(slope),
+        Claim("log-weighted-remainder-decreasing", slope,
               "|E| log(lam)/lam envelope decreasing (slope < 0, last < "
-              "first)", slope < 0 and env[-1] < env[0]),
+              "first)", decreasing),
     ]
+
+
+def _log_weighted_envelope(lam, E, lo, hi):
+    """(slope, decreasing) of the envelope of |E| log(lam)/lam over the four
+    dyadic windows of [lo, hi]: the slope of its log against the log of the
+    window midpoints, and whether the slope is negative and the last window
+    lies below the first."""
+    q = np.abs(E) * np.log(lam) / lam
+    edges = np.geomspace(lo, hi, 5)
+    env = [float(np.max(q[(lam >= a) & (lam <= b)]))
+           for a, b in zip(edges[:-1], edges[1:])]
+    slope = float(np.polyfit(np.log(0.5 * (edges[:-1] + edges[1:])),
+                             np.log(env), 1)[0])
+    return slope, slope < 0 and env[-1] < env[0]
 
 
 def clairaut_crosscheck(*, epsilon=0.01, a=0.5, b=1.0, n_points=20) -> list:
@@ -344,12 +353,8 @@ def kuznecov_structure(*, lambda_max=500.0) -> list:
     lam_grid = np.geomspace(50.0, lambda_max, 40)
     sm = smoothed_series(tor, lam_grid, kernel)
     E_t0 = (tor.count(lam_grid) - sm) / tor.volume
-    q = np.abs(E_t0) * np.log(lam_grid) / lam_grid
-    edges = np.geomspace(50.0, lambda_max, 5)
-    env = [float(np.max(q[(lam_grid >= a) & (lam_grid <= b)]))
-           for a, b in zip(edges[:-1], edges[1:])]
-    slope = float(np.polyfit(np.log(0.5 * (edges[:-1] + edges[1:])),
-                             np.log(env), 1)[0])
+    slope, decreasing = _log_weighted_envelope(lam_grid, E_t0, 50.0,
+                                               lambda_max)
     return [
         Claim("circle-integrals-vanish", worst_circle,
               "m != 0 latitude integrals below 1e-10", worst_circle < 1e-10),
@@ -358,7 +363,7 @@ def kuznecov_structure(*, lambda_max=500.0) -> list:
               worst_pt < 1e-8),
         Claim("smoothed-comparison-decreasing", slope,
               "|E^{t0}| log(lam)/lam decreasing over [50, 500]",
-              slope < 0 and env[-1] < env[0]),
+              decreasing),
     ]
 
 
@@ -412,15 +417,18 @@ def list_scenarios() -> list:
 
 
 def battery_configs(task: dict) -> dict:
-    """Per scenario, the keys of ``task`` it declares (``scenario all``); a
-    key that no scenario declares raises ConfigError before any runs."""
+    """Per scenario, the keys of ``task`` it declares (``scenario all``),
+    bound to its signature; a key that no scenario declares, or a value of
+    the wrong type, raises ConfigError before any runs."""
     params = {name: inspect.signature(fn).parameters
               for name, fn in sorted(SCENARIOS.items())}
     unknown = set(task).difference(*params.values())
     if unknown:
         raise ConfigError(f"no scenario takes the parameters "
                           f"{sorted(unknown)}")
-    return {name: {k: v for k, v in task.items() if k in declared}
+    return {name: bind(SCENARIOS[name],
+                       {k: v for k, v in task.items() if k in declared},
+                       f"scenario {name!r}")
             for name, declared in params.items()}
 
 

@@ -603,7 +603,6 @@ class RemainderFit:
     gamma: Optional[float]
     window: tuple
     trend: float
-    residual: float = 0.0
 
 
 def _model_values(model: str, lam: np.ndarray, dim: int) -> np.ndarray:
@@ -654,14 +653,13 @@ def fit_remainder(series: CountingSeries, model: str,
         env_lam = np.log(env_lam)
         env_val = np.log(env_val)
         A = np.vstack([env_lam, np.ones_like(env_lam)]).T
-        coef, res, *_ = np.linalg.lstsq(A, env_val, rcond=None)
+        coef = np.linalg.lstsq(A, env_val, rcond=None)[0]
         gamma = float(coef[0])
         const = float(np.exp(coef[1]))
         half = len(env_lam) // 2
         t_lo = np.max(env_val[:half] - gamma * env_lam[:half])
         t_hi = np.max(env_val[half:] - gamma * env_lam[half:])
         return RemainderFit(model, const, gamma, window,
-                            trend=float(np.exp(t_hi - t_lo)),
-                            residual=float(res[0]) if len(res) else 0.0)
+                            trend=float(np.exp(t_hi - t_lo)))
 
     raise DomainError(f"unknown remainder model {model!r}")

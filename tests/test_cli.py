@@ -134,6 +134,10 @@ def test_config_error_exit_code(configs, tmp_path, capsys):
         ({"kind": "product", "factors": [PERT_CFG, {**TORUS_CFG, "n": 2}]},
          "'n'"),
         ({"kind": "surface_of_revolution", "profile": "round"}, "'profile'"),
+        ({"kind": "pendulum", "E": "four"}, "'E'"),
+        ({"kind": "product", "factors": [PERT_CFG, {**TORUS_CFG,
+                                                    "periods": 6.28}]},
+         "'periods'"),
     ]:
         bad.write_text(json.dumps(cfg))
         rc = main(["--out-dir", configs["dir"], "spectrum",
@@ -214,9 +218,15 @@ def test_experiment_config_rejects_unread_blocks(tmp_path, configs, block):
     (["scenario", "all"], {"lambda_max": 100, "lambda_maxx": 120},
      "'lambda_maxx'"),
     (["scenario", "no-such-scenario"], {}, "'no-such-scenario'"),
+    # a value that is not a number where the default is one
+    (["scenario", "sphere-sharpness"], {"lambda_max": "120"},
+     "'lambda_max'"),
+    (["scenario", "nonperiodic-trend"], {"seed": True}, "'seed'"),
+    (["scenario", "all"], {"samples": [1000]}, "'samples'"),
 ], ids=["misspelled-key", "task-not-an-object", "undeclared-key",
         "seedless-scenario", "conflicting-seeds", "battery-undeclared-key",
-        "unknown-scenario"])
+        "unknown-scenario", "string-for-a-number", "boolean-for-a-number",
+        "battery-array-for-a-number"])
 def test_scenario_parameter_errors_exit_code(tmp_path, capsys, argv, task,
                                              key):
     # a key the scenario does not declare fails before anything runs

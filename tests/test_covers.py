@@ -30,7 +30,8 @@ from weyllab.flows import (
     meridian_states,
     turning_points,
 )
-from weyllab.geoflow import rotation_number, rotation_number_ode
+from weyllab.geoflow import (PhasePoint, integrate_geodesic, rotation_number,
+                             rotation_number_ode)
 from weyllab.manifolds import (
     HALF_PI,
     PerturbationSpec,
@@ -125,6 +126,20 @@ def test_torus_return_hits_skip_lattice_vectors_out_of_reach():
     box_min = flow._window_min(omega, box, 1.0, 10.0).min(axis=1)
     assert inflation == 0.0
     assert np.array_equal(hits, box_min < 0.02)
+
+
+def test_torus_return_hits_are_exact_past_a_unit_threshold():
+    # at thresh 1.2 and t0 = 2 the orbit along (1, 0) comes within 1.08 of
+    # the lattice vector (2 pi, 0) at t = 5.2, a vector longer than T + 1
+    flow = TorusFlow(TORUS.periods)
+    states = np.vstack([[[0.0, 0.0, 1.0, 0.0]],
+                        CosphereSet(TORUS, kind="full").sample(2000, 7)])
+    hits, _ = flow.return_hits(states, 2.0, 5.2, 1.2)
+    lat = flow.lattice(20.0)
+    box = np.broadcast_to(lat[None], (len(states),) + lat.shape)
+    box_min = flow._window_min(states[:, 2:], box, 2.0, 5.2).min(axis=1)
+    assert hits[0]
+    assert np.array_equal(hits, box_min < 1.2)
 
 
 def test_near_periodic_requires_samples():
@@ -273,6 +288,25 @@ def test_closed_form_hits_are_exact_minima():
     assert np.array_equal(hits, mins < 0.1)
 
 
+def _moved(profile, states, t):
+    """Chart rows moved by time t != 0 in one batched DOP853 pass at the
+    tolerance of integrate_geodesic; a negative time flows the mirrored rows
+    forward and mirrors them back."""
+    start = states if t > 0 else _mirror(states)
+    dense = _dop853_rows(RevolutionFlow(profile)._rhs, start, abs(t),
+                         rtol=1e-10, atol=1e-10)
+    end = np.array([dense(i, np.array([abs(t)]))[0]
+                    for i in range(len(states))])
+    return end if t > 0 else _mirror(end)
+
+
+def _geodesic_at(profile, row, t):
+    """integrate_geodesic of one row at time t, mirrored as in _moved."""
+    start = row if t > 0 else _mirror(row[None])[0]
+    end = integrate_geodesic(PhasePoint(*start), abs(t), profile)(abs(t))
+    return end if t > 0 else _mirror(end[None])[0]
+
+
 def test_revolution_flow_matches_great_circles():
     rng = np.random.default_rng(3)
     s = rng.uniform(-1.0, 1.0, 20)
@@ -280,9 +314,8 @@ def test_revolution_flow_matches_great_circles():
     states = np.column_stack([s, rng.uniform(0.0, TWO_PI, 20), np.cos(psi),
                               np.cos(s) * np.sin(psi)])
     exact = RoundSphereFlow(make_round_sphere())
-    dop853 = RevolutionFlow(make_round_sphere())
-    for t in (0.0, 0.013, -0.7, 1.9):
-        d = exact.metric.distance(dop853.flow(states, t),
+    for t in (0.013, -0.7, 1.9):
+        d = exact.metric.distance(_moved(make_round_sphere(), states, t),
                                   exact.flow(states, t))
         # DOP853 at rtol = atol = 1e-10 in the (s, theta) chart, away from
         # the poles; the arccos in the metric floors d near 2e-8
@@ -299,8 +332,8 @@ def test_revolution_flow_matches_a_tight_dop853_reference(t):
     a0 = float(profile.alpha(0.0))
     states = np.column_stack([np.zeros_like(c), np.full_like(c, 0.5),
                               np.sqrt(1.0 - (c / a0) ** 2), c])
-    got = flow.flow(states, t)
-    for row, y in zip(states, got):
+    for row in states:
+        y = _geodesic_at(profile, row, t)
         ref = solve_ivp(lambda _, y: flow._rhs(y[None, :])[0], (0.0, t), row,
                         method="DOP853", rtol=1e-13, atol=1e-13).y[:, -1]
         err = np.abs(y - ref)
@@ -351,16 +384,23 @@ def test_batched_dop853_raises_on_blow_up():
 def test_exact_meridian_rows_turn_at_the_pole():
     # s runs from 1.4 through the north pole at t = pi/2 - 1.4 and comes
     # down the opposite meridian: theta jumps by pi, xi_s flips
-    flow = RevolutionFlow(PERTURBED.profile)
-    start = np.array([[1.4, 0.0, 1.0, 0.0], [0.3, 1.0, 0.6, 0.5]])
+    profile = PERTURBED.profile
+    metric = RevolutionMetric(profile)
+    start = np.array([[1.4, 0.0, 1.0, 0.0]])
+    # unit chart rows at s = 0.3, heading either way
+    c = np.array([0.5, 0.2, -0.3])
+    chart = np.column_stack([np.full(3, 0.3), np.full(3, 1.0),
+                             np.sqrt(1.0 - (c / profile.alpha(0.3)) ** 2)
+                             * [1.0, -1.0, 1.0], c])
     for t in (0.5, -2.5):
-        got = flow.flow(start, t)
-        ref = meridian_states(start[:1], t)
+        got = _geodesic_at(profile, start[0], t)
+        ref = meridian_states(start, t)
         assert ref[0, 1] == pytest.approx(math.pi if t > 0 else 0.0)
-        assert flow.metric.distance(got[:1], ref)[0] < 1e-9
-        # the chart row beside it is integrated as before
-        assert np.array_equal(got[1:], flow.flow(start[1:], t))
-    assert np.allclose(meridian_states(start[:1], 0.5),
+        assert metric.distance(got[None], ref)[0] < 1e-9
+        # the chart rows batched give each row alone, bit for bit
+        for row, y in zip(chart, _moved(profile, chart, t)):
+            assert np.array_equal(y, _geodesic_at(profile, row, t))
+    assert np.allclose(meridian_states(start, 0.5),
                        [[math.pi - 1.9, math.pi, -1.0, 0.0]])
 
 
@@ -565,13 +605,40 @@ def test_torus_recurrence_passes():
     assert not v.failures
 
 
+def _failing_hits(v):
+    """Each failure's estimate as its count of hits among 3000 samples,
+    asserted exact, with the probes, levels and signs in their order."""
+    assert [(f["k"], f["sign"]) for f in v.failures] \
+        == [(k, sign) for _ in v.probes for sign in (1, -1) for k in range(3)]
+    counts = [round(f["estimate"] * 3000 / TWO_PI) for f in v.failures]
+    assert [f["estimate"] for f in v.failures] \
+        == [n / 3000 * TWO_PI for n in counts]
+    return counts[::3], counts[1::3], counts[2::3]
+
+
 def test_round_sphere_recurrence_fails():
+    # every orbit closes at t = 2 pi, inside the window [2, 8]
     v = recurrence_measure(SPHERE, (0.3, 0.2), R0=0.2, t_func=T_OF_EPS,
                            T_func=ResolutionFunction.constant(8.0),
                            r=0.05, R=0.05, eps_list=(0.5,),
                            samples=3000, seed=4)
     assert not v.passes
-    assert v.failures
+    assert _failing_hits(v) == ([195, 195, 195, 195, 196, 196, 196, 196],
+                                [101] * 6 + [100] * 2,
+                                [53, 53, 51, 51, 53, 53, 53, 53])
+
+
+def test_torus_recurrence_fails_at_small_eps():
+    # eps = 0.05 allows 5 % of the arc's mass, and about a tenth of the
+    # directions pass within 2rR = 0.1 of a lattice vector over [20, 40]
+    v = recurrence_measure(TORUS, (0.3, 0.4), R0=0.2, t_func=T_OF_EPS,
+                           T_func=ResolutionFunction.constant(40.0),
+                           r=0.5, R=0.1, eps_list=(0.05,),
+                           samples=3000, seed=4)
+    assert not v.passes
+    assert _failing_hits(v) == ([29, 29, 20, 20, 18, 18, 24, 24],
+                                [20, 20, 13, 13, 15, 15, 18, 18],
+                                [12, 12, 10, 10, 12, 12, 16, 16])
 
 
 def test_recurrence_vacuous_window_passes():
@@ -589,7 +656,7 @@ def test_fiber_circle_cover_counts_and_audits():
     target = CircleTarget(TORUS)
     r = 0.01
     cover = build_good_cover(target, tau=0.1, r=r)
-    n = len(cover.tubes)
+    n = len(cover.params)
     assert math.ceil(TWO_PI / (2 * r)) <= n <= math.ceil(TWO_PI / r)
     assert cover.D <= family_budget(1)
     assert cover.audit_disjointness() >= 0.0
@@ -599,8 +666,8 @@ def test_fiber_circle_cover_counts_and_audits():
 
 def test_cover_halving_radius_ratio():
     target = CircleTarget(TORUS)
-    n1 = len(build_good_cover(target, tau=0.1, r=0.01).tubes)
-    n2 = len(build_good_cover(target, tau=0.1, r=0.02).tubes)
+    n1 = len(build_good_cover(target, tau=0.1, r=0.01).params)
+    n2 = len(build_good_cover(target, tau=0.1, r=0.02).params)
     assert 1.0 / 3.0 <= n2 / n1 <= 1.0
 
 

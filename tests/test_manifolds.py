@@ -247,6 +247,7 @@ def test_config_round_trip():
     # every config kind, read back from JSON, builds a manifold of its dim
     cfgs = [
         ({"kind": "round_sphere", "n": 3}, 3),
+        ({"kind": "round_sphere", "n": 2.0}, 2),
         ({"kind": "flat_torus", "periods": [2 * math.pi, 2 * math.pi]}, 2),
         ({"kind": "perturbed_sphere", "epsilon": 0.01, "a": 0.5, "b": 1.0}, 2),
         ({"kind": "pendulum", "E": 4.0}, 2),
@@ -273,6 +274,13 @@ def test_config_rejects_garbage():
         ({"kind": "product", "factors": [{"kind": "round_sphere"}, factor]},
          "perods"),
         ({"kind": "surface_of_revolution", "profile": "round"}, "profile"),
+        # a value of the wrong type
+        ({"kind": "pendulum", "E": "four"}, "'E'"),
+        ({"kind": "round_sphere", "n": True}, "'n'"),
+        ({"kind": "flat_torus", "periods": 6.28}, "'periods'"),
+        ({"kind": "flat_torus", "periods": [6.28, None]}, "'periods'"),
+        ({"kind": "perturbed_sphere", "epsilon": [0.01], "a": 0.5, "b": 1.0},
+         "'epsilon'"),
     ]:
         with pytest.raises(ConfigError, match=key):
             manifold_from_config(cfg)
