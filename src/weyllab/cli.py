@@ -30,7 +30,8 @@ from .scenarios import (battery_configs, config_hash, experiment_task,
 from .spectra import spectrum_for_manifold
 from .weyl import (build_smoothing_kernel, counting, counting_grid,
                    fit_remainder, kuznecov, localized_counting,
-                   projector_kernel, smoothed_series, smoothed_series_direct)
+                   projector_kernels, smoothed_series,
+                   smoothed_series_direct)
 
 DEFAULT_OUT_ENV = "WEYLLAB_OUT_DIR"
 
@@ -175,11 +176,9 @@ def cmd_kernel(args) -> int:
     spec = None
     if manifold.kind == "surface_of_revolution":
         spec = spectrum_for_manifold(manifold, args.lambda_max)
-    rows = []
-    for lam in np.linspace(args.window[0], args.window[1], args.n_lambda):
-        kv = projector_kernel(manifold, tuple(args.x), tuple(args.y),
-                              float(lam), spec=spec)
-        rows.append((float(lam), kv.Pi, kv.comparison, kv.E0))
+    lams = np.linspace(args.window[0], args.window[1], args.n_lambda)
+    rows = [(kv.lam, kv.Pi, kv.comparison, kv.E0) for kv in projector_kernels(
+        manifold, tuple(args.x), tuple(args.y), lams.tolist(), spec=spec)]
     _write_csv(_out_path(args, "kernel.csv"), cfg,
                ("lambda", "Pi", "comparison", "E0"), rows)
     return 0

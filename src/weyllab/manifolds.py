@@ -40,9 +40,6 @@ class ProfileCurve:
     s_max: float = 0.0
     alpha_max: float = 1.0
 
-    def __call__(self, s):
-        return self.alpha(s)
-
     def alpha(self, s):
         return self.jet(s, 0)[0]
 

@@ -23,16 +23,24 @@ mode m.  The solver works in three steps:
 * a winding certificate: F at the first and last nodes again, on a grid
   with half the steps, must give every mode the same integer windings, so
   the count below the cutoff is checked at run time;
-* Illinois iteration (regula falsi with halving of a retained end), run on
-  all brackets at once until each is narrower than the requested lambda^2
-  tolerance, then a secant step through the true end values.  Each new F
-  value must lie between its bracket's end values.
+* safeguarded Newton iteration on all brackets at once.  The pass that
+  propagates y also accumulates the energy integral J = int alpha u^2 ds
+  of each side, and the lambda^2-derivative of a Pruefer angle is an
+  energy integral of the solution (Pryce, *Numerical Solution of
+  Sturm-Liouville Problems*, 1993), so every pass returns F and F'.  The
+  steps are taken in lambda, a step that leaves its bracket falls back to
+  the Illinois point, and two guard points close each bracket below the
+  requested lambda^2 tolerance; the root is the secant point through the
+  true end values.  Each new F value must lie between its bracket's end
+  values.
 
 The cutoff keeps an eigenvalue whose refined lambda^2 lies within the
 relative slack ``_CUTOFF_RTOL`` of lambda_max^2, so a cutoff that is itself
 an eigenvalue keeps its whole multiplet.  Eigenfunctions come from the
 same propagator: one pass stores y at the grid nodes, and a partial Magnus
-step reaches each Chebyshev node from the node to its left.
+step reaches each Chebyshev node from the node to its left.  The number
+of Chebyshev nodes follows lambda_max: the smallest power of two above
+pi lambda_max + 128 (:func:`_cheb_size`).
 
 The eigenfunctions are one table, :class:`SurfaceEigenbasis`, with a row
 per mode (m, k) in the order of the spectrum's entries.  Every caller reads
@@ -49,8 +57,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, IncompleteInput, SolverFailure
-from .manifolds import (HALF_PI, ModelManifold, ProfileCurve,
-                        manifold_volume, sphere_volume)
+from .manifolds import HALF_PI, ModelManifold, ProfileCurve, sphere_volume
 
 _GROUP_TOL = 1e-8          # relative clustering of merged frequencies
 # Relative lambda^2 slack of the radial solver's cutoff: far above its
@@ -60,8 +67,8 @@ _CUTOFF_RTOL = 1e-6
 # Rounding noise allowed in a winding-table row before it counts as a
 # decrease of F (radians).
 _MONOTONE_SLACK = 1e-9
-# Illinois steps before the radial solver gives up; a converging run takes
-# about ten.
+# Root passes (Newton, Illinois fallback or guard) before the radial solver
+# gives up; a converging run takes five or six.
 _ILLINOIS_MAX_STEPS = 100
 # Radial steps follow the profile, not lambda: a step is
 # min(_STEP_BULK / lambda_max, _STEP_POLE * alpha) at its left end, so a
@@ -76,10 +83,22 @@ _GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 # array of a chunk then takes about 256 kB, which keeps the transient
 # small without adding measurable per-chunk overhead.
 _CHUNK_ELEMS = 1 << 14
-_CHEB_N = 2048
-_EIGEN_CHUNK = 48          # targets per eigenfunction build pass
-# Illinois iteration narrows every bracket below this width in lambda^2
+# Chebyshev nodes of the eigenbasis table beyond degree pi lambda_max: with
+# twice the nodes no band weight moves by 1e-9 (see _cheb_size)
+_CHEB_MARGIN = 128
+_STORE_ELEMS = 1 << 18    # elements of one stored array per build pass
+# Chebyshev nodes of the surface volume: the packaged profiles' volumes
+# agree with adaptive quadrature to rounding from 512 nodes on
+_VOLUME_NODES = 1024
+# Every root bracket ends narrower than this in lambda^2, with F at its two
+# ends on either side of the goal; the root is the secant point there.
 _LAM2_TOL = 1e-10
+# F' from the energy integral is good to about 1e-6 relative (checked
+# against central differences), so a Newton step shorter than _GUARD_STEP
+# _LAM2_TOL leaves an error of about 0.1 _LAM2_TOL; the guard points sit
+# _GUARD_OFFSET _LAM2_TOL on either side of the new point.
+_GUARD_STEP = 1e5
+_GUARD_OFFSET = 0.45
 _TORUS_BLOCK = 128         # first-index rows per block of torus_spectrum
 
 
@@ -175,7 +194,8 @@ def torus_spectrum(periods, lambda_max: float) -> Spectrum:
     each point standing for its 2^(nonzero indices) sign images, which
     share its lambda^2 bit for bit.  The orthant goes in blocks of the
     first index; each block bounds the second index by the ball at its
-    first row, so only a thin rim outside the ball is formed.
+    first row, so only a thin rim outside the ball is formed.  The blocks'
+    rounded values and image counts are merged once, at the end.
     """
     periods = tuple(float(p) for p in periods)
     if any(p <= 0 for p in periods):
@@ -184,8 +204,10 @@ def torus_spectrum(periods, lambda_max: float) -> Spectrum:
     axes = [np.arange(int(e) + 2)
             for e in (lambda_max * L / (2 * math.pi) for L in periods)]
     terms = [(2 * math.pi * g / L) ** 2 for g, L in zip(axes, periods)]
-    images = [np.where(g > 0, 2.0, 1.0) for g in axes]
-    vals, counts = np.empty(0), np.empty(0)
+    count_type = np.min_scalar_type(2 ** len(periods))   # holds any count
+    images = [np.where(g > 0, 2, 1).astype(count_type)
+              for g in axes]
+    vals, counts = [], []
     for start in range(0, len(axes[0]), _TORUS_BLOCK):
         rows = slice(start, start + _TORUS_BLOCK)
         lam2, mult = [terms[0][rows]], [images[0][rows]]
@@ -197,13 +219,18 @@ def torus_spectrum(periods, lambda_max: float) -> Spectrum:
         mult = np.meshgrid(*(mult + images[2:]), indexing="ij", sparse=True)
         lam2 = sum(lam2)                   # 0 + t_1 + t_2 + ..., in order
         keep = lam2 <= cut
-        # merge the block into the distinct values so far
-        vals, inverse = np.unique(
-            np.concatenate([vals, np.round(lam2[keep], 9)]),
-            return_inverse=True)
-        counts = np.bincount(inverse, np.concatenate(
-            [counts, np.prod(np.broadcast_arrays(*mult), axis=0)[keep]]))
-    return Spectrum(np.sqrt(vals), counts.astype(int), lambda_max,
+        vals.append(np.round(lam2[keep], 9))
+        counts.append(np.prod(np.broadcast_arrays(*mult), axis=0,
+                              dtype=count_type)[keep])
+    # one merge of every block into the distinct values: one sort, then a
+    # sum of the image counts (bytes until then) over each run of equal
+    # values
+    vals = np.concatenate(vals)
+    order = np.argsort(vals)
+    vals = vals[order]
+    first = np.flatnonzero(np.concatenate([[True], vals[1:] != vals[:-1]]))
+    counts = np.add.reduceat(np.concatenate(counts)[order], first, dtype=int)
+    return Spectrum(np.sqrt(vals[first]), counts, lambda_max,
                     len(periods), math.prod(periods), f"torus{periods}")
 
 
@@ -236,6 +263,19 @@ def _cheb_nodes(n: int) -> np.ndarray:
     return -HALF_PI * np.cos(np.pi * np.arange(n) / (n - 1))
 
 
+def _cheb_size(lambda_max: float) -> int:
+    """Chebyshev nodes of the eigenbasis table at cutoff ``lambda_max``.
+
+    The smallest power of two above pi lambda_max + ``_CHEB_MARGIN``.  The
+    mass density u^2 alpha of a row at lambda oscillates like cos(2 lambda
+    s), that is cos(pi lambda x) in x = s / (pi/2), whose Chebyshev
+    coefficients fall off super-exponentially past degree pi lambda; the
+    margin covers that fall and, at small lambda_max, the perturbed
+    sphere's bump.
+    """
+    return 1 << math.ceil(math.log2(math.pi * lambda_max + _CHEB_MARGIN))
+
+
 def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients from values at the extrema grid (ascending x).
 
@@ -264,6 +304,17 @@ def _cheb_integral(c: np.ndarray) -> np.ndarray:
     # T_k(0) is (-1)^(k/2) for even k and 0 for odd k
     b[..., 0] = b[..., 2::4].sum(axis=-1) - b[..., 4::4].sum(axis=-1)
     return b * HALF_PI
+
+
+def _volume(profile: ProfileCurve) -> float:
+    """2 pi int alpha ds by Clenshaw-Curtis on ``_VOLUME_NODES`` nodes.
+
+    One array call of the profile; the antiderivative's values at x = 1
+    and x = -1 differ by twice its odd coefficients.
+    """
+    c = _cheb_integral(_cheb_coeffs(
+        2.0 * math.pi * profile.alpha(_cheb_nodes(_VOLUME_NODES))))
+    return float(2.0 * np.sum(c[1::2]))
 
 
 def _band_masses(weight_coeffs: np.ndarray, s0: float, s1: float):
@@ -309,11 +360,11 @@ class SurfaceEigenbasis:
     ``entry[i]`` is row i's spectrum entry.
     """
 
-    def __init__(self, profile: ProfileCurve, m, k, lam, entry):
+    def __init__(self, profile: ProfileCurve, m, k, lam, entry, nodes: int):
         self.profile = profile
         self.m, self.k, self.lam, self.entry = m, k, lam, entry
-        self.coeffs = np.empty((len(m), _CHEB_N))
-        self.weight_coeffs = np.empty((len(m), _CHEB_N + 1))
+        self.coeffs = np.empty((len(m), nodes))
+        self.weight_coeffs = np.empty((len(m), nodes + 1))
         self._row = {key: i for i, key in enumerate(zip(m.tolist(),
                                                         k.tolist()))}
 
@@ -409,35 +460,69 @@ def _magnus_step(terms: np.ndarray, m2, lam2):
     e01, e10, e11) and omega, which is 0 where the step does not oscillate.
     """
     (b1, b2, b3), (p1, p2, p3) = terms
-    c1 = m2 * b1 - lam2 * p1
-    c2 = m2 * b2 - lam2 * p2
-    c3 = m2 * b3 - lam2 * p3
+    shape = np.broadcast_shapes(b1.shape, np.shape(m2), np.shape(lam2))
+    c1, c2, c3, k, xc, za, zb, zc, oa, ob, oc, t = (np.empty(shape)
+                                                     for _ in range(12))
+    for c, b, p in ((c1, b1, p1), (c2, b2, p2), (c3, b3, p3)):
+        np.multiply(m2, b, out=c)             # c = m2 b - lam2 p
+        c -= np.multiply(lam2, p, out=t)
     # Omega = q1 + q3/12 + [X, Z]/240 with X = -20 q1 - q3 + [q1, q2] and
     # Z = q2 - [q1, 2 q3 + [q1, q2]]/60.  [q1, q2] = diag(k, -k); X and Z
     # are written (a, b, c) for [[a, b], [c, -a]], and then [X, Z] is
     # (X_b Z_c - Z_b X_c, 2 (X_a Z_b - Z_a X_b), 2 (X_c Z_a - X_a Z_c)).
-    k = b1 * c2 - b2 * c1
-    xb = -20.0 * b1 - b3
-    xc = -20.0 * c1 - c3
-    za = (b3 * c1 - b1 * c3) / 30.0
-    zb = b2 + k * b1 / 30.0
-    zc = c2 - k * c1 / 30.0
-    oa = (xb * zc - zb * xc) / 240.0
-    ob = b1 + b3 / 12.0 + (k * zb - za * xb) / 120.0
-    oc = c1 + c3 / 12.0 + (xc * za - k * zc) / 120.0
-    d = oa * oa + ob * oc
-    omega = np.sqrt(np.maximum(-d, 0.0))
+    # Each line keeps the operations and their order of the plain formula
+    # in its comment, so the result is the same to the bit.
+    np.multiply(b1, c2, out=k)                # k = b1 c2 - b2 c1
+    k -= np.multiply(b2, c1, out=t)
+    xb = -20.0 * b1 - b3                      # one value per step
+    np.multiply(c1, -20.0, out=xc)            # xc = -20 c1 - c3
+    xc -= c3
+    np.multiply(b3, c1, out=za)               # za = (b3 c1 - b1 c3) / 30
+    za -= np.multiply(b1, c3, out=t)
+    za /= 30.0
+    np.multiply(k, b1, out=zb)                # zb = b2 + k b1 / 30
+    zb /= 30.0
+    zb += b2
+    np.multiply(k, c1, out=zc)                # zc = c2 - k c1 / 30
+    zc /= 30.0
+    np.subtract(c2, zc, out=zc)
+    np.multiply(xb, zc, out=oa)               # oa = (xb zc - zb xc) / 240
+    oa -= np.multiply(zb, xc, out=t)
+    oa /= 240.0
+    np.multiply(k, zb, out=ob)   # ob = b1 + b3/12 + (k zb - za xb) / 120
+    ob -= np.multiply(za, xb, out=t)
+    ob /= 120.0
+    ob += b1 + b3 / 12.0
+    np.divide(c3, 12.0, out=c3)  # oc = c1 + c3/12 + (xc za - k zc) / 120
+    c3 += c1
+    np.multiply(xc, za, out=oc)
+    oc -= np.multiply(k, zc, out=t)
+    oc /= 120.0
+    oc += c3
+    d = np.multiply(oa, oa, out=c1)           # d = oa^2 + ob oc
+    d += np.multiply(ob, oc, out=t)
+    omega = np.negative(d, out=c2)
+    np.maximum(omega, 0.0, out=omega)
+    np.sqrt(omega, out=omega)
     # each element takes only its own branch: cos and sin/omega where d < 0,
     # cosh and sinh/kappa where d > 0, and 1 and 1 where d = 0
     osc, hyp = d < 0, d > 0
-    cs = np.cos(omega, out=np.ones_like(d), where=osc)
-    sn = np.sin(omega, out=np.ones_like(d), where=osc)
+    cs, sn, kappa = k, xc, zb
+    cs.fill(1.0)
+    sn.fill(1.0)
+    np.cos(omega, out=cs, where=osc)
+    np.sin(omega, out=sn, where=osc)
     np.divide(sn, omega, out=sn, where=osc)
-    kappa = np.sqrt(np.maximum(d, 0.0))
+    np.maximum(d, 0.0, out=kappa)
+    np.sqrt(kappa, out=kappa)
     np.cosh(kappa, out=cs, where=hyp)
     np.sinh(kappa, out=sn, where=hyp)
     np.divide(sn, kappa, out=sn, where=hyp)
-    return cs + sn * oa, sn * ob, sn * oc, cs - sn * oa, omega
+    np.multiply(sn, oa, out=t)                # e00 = cs + sn oa
+    e00 = np.add(cs, t, out=za)
+    e11 = np.subtract(cs, t, out=cs)          # e11 = cs - sn oa
+    return e00, np.multiply(sn, ob, out=ob), np.multiply(sn, oc, out=oc), \
+        e11, omega
 
 
 def _half_turns(flip, omega):
@@ -485,21 +570,39 @@ class _MagnusGrid:
         for k, (side, s) in enumerate(zip(self.sides, self.nodes)):
             self.terms[:, :, :len(s) - 1, k, 0] = _magnus_terms(
                 side, s[:-1], np.diff(s))
+        # corrected-trapezoid weights of the energy integral at every node:
+        # the u^2 weight, then the u w weight (alpha u u' = u w)
+        self.energy = np.zeros((2, n + 1, 2, 1))
+        for k, (side, s) in enumerate(zip(self.sides, self.nodes)):
+            a, da = side.jet(s, 1)
+            h = np.diff(s)
+            before = np.concatenate([[0.0], h])
+            after = np.concatenate([h, [0.0]])
+            d2 = after * after - before * before
+            self.energy[0, :len(s), k, 0] = (0.5 * a * (before + after)
+                                             + da * d2 / 12.0)
+            self.energy[1, :len(s), k, 0] = d2 / 6.0
         self.alpha_start = np.array(
             [[profile.alpha(-HALF_PI + _POLE_DELTA)],
              [profile.alpha(HALF_PI - _POLE_DELTA)]], dtype=float)
         self.alpha_end = float(profile.alpha(profile.s_max))
 
 
-def _propagate(grid: _MagnusGrid, m, lam2, store: bool = False):
+def _propagate(grid: _MagnusGrid, m, lam2, store: bool = False,
+               energy: bool = False):
     """Carry the regular solution from both poles to the maximum of alpha.
 
     y = (u, w = alpha u') starts from the Bessel series at -pi/2 + delta
     with u = 1 and takes one Magnus step per grid step.  The step matrices
-    of a chunk are computed at once; the loop only applies them, rescales
-    y to unit length and counts the zeros of u.  Returns (u, w, turns),
-    each of shape (2, rows), and with ``store`` also (U, W, L) at every
-    node, shape (nodes, 2, rows): y there is (U, W) exp(L).
+    of a chunk are computed at once; the loop only applies them and
+    rescales y to unit length, and the zeros of u, the energy and the
+    stored nodes of the chunk are read from its rescaled y and scale
+    factors once the chunk is done.  Returns (u, w, turns, J), each of
+    shape (2, rows), and with ``store`` also (U, W, L) at every node,
+    shape (nodes, 2, rows): y there is (U, W) exp(L).  With ``energy``, J
+    is int alpha u^2 ds from the pole in the scale of the returned (u, w)
+    (else None): the series term alpha delta / (2 m + 2) up to the first
+    node, then the grid's corrected trapezoid rule.
     """
     m = np.asarray(m, dtype=float)
     m2 = m * m
@@ -513,41 +616,73 @@ def _propagate(grid: _MagnusGrid, m, lam2, store: bool = False):
     turns = np.zeros((2, rows), dtype=int)
     neg = np.zeros((2, rows), dtype=bool)
     n = grid.terms.shape[2]
+    J = None
+    if energy:
+        ew, euw = grid.energy
+        J = (grid.alpha_start * _POLE_DELTA / (2.0 * m + 2.0)
+             + ew[0] * u * u + euw[0] * u * w)
     if store:
         U, W, L = (np.empty((n + 1, 2, rows)) for _ in range(3))
         U[0], W[0], L[0] = u, w, 0.0
     chunk = max(16, _CHUNK_ELEMS // rows)
+    # a chunk's rescaled (u, w) after each step, and the scale factors
+    Uc, Wc, Rc = (np.empty((chunk, 2, rows)) for _ in range(3))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
+        c = stop - start
         e00, e01, e10, e11, omega = _magnus_step(
             grid.terms[:, :, start:stop], m2, lam2)
-        several = omega.max() >= math.pi
-        for i in range(stop - start):
-            u, w = e00[i] * u + e01[i] * w, e10[i] * u + e11[i] * w
-            r = np.hypot(u, w)
-            u /= r
-            w /= r
-            flip = (u < 0) != neg
-            neg ^= flip
-            turns += _half_turns(flip, omega[i]) if several else flip
-            if store:
-                j = start + i + 1
-                U[j], W[j], L[j] = u, w, L[j - 1] + np.log(r)
+        for i in range(c):
+            a = e00[i] * u
+            a += e01[i] * w
+            b = e10[i] * u
+            b += e11[i] * w
+            r = np.hypot(a, b, out=Rc[i])
+            u = np.divide(a, r, out=Uc[i])
+            w = np.divide(b, r, out=Wc[i])
+        below = Uc[:c] < 0
+        flip = below != np.concatenate([neg[None], below[:-1]])
+        neg = below[-1]
+        if omega.max() >= math.pi:
+            flip = _half_turns(flip, omega)
+        turns += flip.sum(axis=0)
+        if energy:
+            # log of the scale from node start + i to the chunk's end
+            log_r = np.log(Rc[:c])
+            to_end = np.cumsum(log_r[::-1], axis=0)[::-1]
+            J *= np.exp(-2.0 * to_end[0])
+            J += np.sum(np.exp(-2.0 * (to_end - log_r))
+                        * (ew[start + 1:stop + 1] * Uc[:c] * Uc[:c]
+                           + euw[start + 1:stop + 1] * Uc[:c] * Wc[:c]),
+                        axis=0)
+        if store:
+            U[start + 1:stop + 1], W[start + 1:stop + 1] = Uc[:c], Wc[:c]
+            L[start:stop + 1] = np.cumsum(np.concatenate(
+                [L[start:start + 1], np.log(Rc[:c])]), axis=0)
     if store:
-        return u, w, turns, U, W, L
-    return u, w, turns
+        return u, w, turns, J, U, W, L
+    return u, w, turns, J
 
 
-def _matching_angle(grid: _MagnusGrid, m, lam2) -> np.ndarray:
+def _matching_angle(grid: _MagnusGrid, m, lam2, derivative: bool = False):
     """F(lambda^2) = theta_left + theta_right at the maximum of alpha.
 
     F is increasing in lam2 and crosses n pi exactly at the n-th
-    eigenvalue of mode m above the floor winding.
+    eigenvalue of mode m above the floor winding.  With ``derivative``
+    returns (F, F'), F' = dF/d(lambda^2) from the energy integral J of
+    each side: with theta the angle of (kappa u, w), u w_E - w u_E = -J
+    gives dtheta/dE = (kappa J + (alpha_end^2 / 2 kappa) u w)
+    / (kappa^2 u^2 + w^2), summed over both sides.
     """
-    u, w, turns = _propagate(grid, m, lam2)
+    u, w, turns, J = _propagate(grid, m, lam2, energy=derivative)
     kap = np.sqrt(np.asarray(m, dtype=float) ** 2
                   + np.asarray(lam2, dtype=float) * grid.alpha_end ** 2)
-    return np.sum(_prufer_angle(u, w, kap, turns), axis=0)
+    F = np.sum(_prufer_angle(u, w, kap, turns), axis=0)
+    if not derivative:
+        return F
+    dF = np.sum((kap * J + 0.5 * grid.alpha_end ** 2 / kap * u * w)
+                / (kap * kap * u * u + w * w), axis=0)
+    return F, dF
 
 
 def _windings(f_first, f_last):
@@ -607,14 +742,24 @@ def _winding_brackets(table: np.ndarray, nodes: np.ndarray, modes: list):
             nodes[j], table[rows, j - 1] - goal, table[rows, j] - goal)
 
 
-def _illinois(F, m, goal, lo, hi, f_lo, f_hi, tol: float) -> np.ndarray:
-    """Roots of F(m, x) = goal in [lo, hi] by vectorized Illinois iteration.
+def _newton(F, m, goal, lo, hi, f_lo, f_hi, tol: float) -> np.ndarray:
+    """Roots of F(m, x) = goal in brackets [lo, hi] of x = lambda^2 > 0.
 
-    Regula falsi on every bracket at once; when one end is kept twice in a
-    row its working value is halved (the Illinois rule), so both ends close
-    in.  Each row iterates until its bracket is narrower than ``tol``, then
-    the root is the secant point through the true (never halved) values at
-    its two ends.
+    ``F`` returns the values and the derivatives in x.  Safeguarded Newton
+    steps run on every bracket at once, taken in sqrt(x), in which F is
+    nearly linear; each bracket starts at its secant point there.  A pass
+    evaluates F and F' at the point of every bracket wider than ``tol``,
+    keeps the part that still straddles the goal and steps by Newton from
+    the new point.  A step that leaves its bracket falls back to the
+    Illinois point: regula falsi on working end values, one of them halved
+    when its end is kept twice in a row.  Once a Newton step is shorter
+    than ``_GUARD_STEP`` tol, the next pass evaluates the two guard points
+    ``_GUARD_OFFSET`` tol on either side of the new point instead, which
+    close the bracket below ``tol`` when that point is as close to the
+    root as the step predicts.  Every new F value must lie between its
+    bracket's end values.  A root is the secant point through the true
+    values at the two ends of a bracket narrower than ``tol`` that
+    straddles the goal.
     """
     if np.any(f_lo >= 0) or np.any(f_hi < 0):
         bad = int(np.argmax((f_lo >= 0) | (f_hi < 0)))
@@ -624,36 +769,61 @@ def _illinois(F, m, goal, lo, hi, f_lo, f_hi, tol: float) -> np.ndarray:
                           for v in (lo, hi, f_lo, f_hi))
     g_lo, g_hi = f_lo.copy(), f_hi.copy()
     kept = np.zeros(len(lo), dtype=int)      # +1: lo kept last step, -1: hi
+    r_lo, r_hi = np.sqrt(lo), np.sqrt(hi)
+    x = (r_lo - f_lo * (r_hi - r_lo) / (f_hi - f_lo)) ** 2
+    guard = np.zeros(len(lo), dtype=bool)
     for _ in range(_ILLINOIS_MAX_STEPS):
         act = np.flatnonzero(hi - lo > tol)
         if act.size == 0:
             break
-        a, b, ga, gb = lo[act], hi[act], g_lo[act], g_hi[act]
-        x = a - ga * (b - a) / (gb - ga)
-        # a quarter tolerance off each end, so every step shrinks the bracket
-        x = np.clip(x, a + 0.25 * tol, b - 0.25 * tol)
-        fx = F(m[act], x) - goal[act]
+        a, b, gd = lo[act], hi[act], guard[act]
+        # a quarter tolerance off each end, so every point is inside
+        xa = np.clip(x[act], a + 0.25 * tol, b - 0.25 * tol)
+        # p1 <= p2: the point twice, or its two guards
+        p1 = np.where(gd, np.maximum(xa - _GUARD_OFFSET * tol, a), xa)
+        p2 = np.where(gd, np.minimum(xa + _GUARD_OFFSET * tol, b), xa)
+        row = np.concatenate([act, act[gd]])
+        fx, dfx = F(m[row], np.concatenate([p1, p2[gd]]))
+        fx = fx - goal[row]
         # F increases, so F(x) lies between the true values at the ends
-        out = ((fx < f_lo[act] - _MONOTONE_SLACK)
-               | (fx > f_hi[act] + _MONOTONE_SLACK))
+        out = ((fx < f_lo[row] - _MONOTONE_SLACK)
+               | (fx > f_hi[row] + _MONOTONE_SLACK))
         if out.any():
-            i = act[int(np.argmax(out))]
+            i = row[int(np.argmax(out))]
             raise SolverFailure(
                 f"F of mode {int(m[i])} left its bracket: not monotone",
                 mode=int(m[i]), bracket=(lo[i], hi[i]))
-        up = fx >= 0                          # x becomes the new hi
-        g_lo[act] = np.where(up & (kept[act] == 1), 0.5 * ga, ga)
-        g_hi[act] = np.where(~up & (kept[act] == -1), 0.5 * gb, gb)
-        hi[act] = np.where(up, x, b)
-        f_hi[act] = np.where(up, fx, f_hi[act])
-        g_hi[act] = np.where(up, fx, g_hi[act])
-        lo[act] = np.where(up, a, x)
-        f_lo[act] = np.where(up, f_lo[act], fx)
-        g_lo[act] = np.where(up, g_lo[act], fx)
-        kept[act] = np.where(up, 1, -1)
+        f1, d1 = fx[:act.size], dfx[:act.size]
+        f2, d2 = f1.copy(), d1.copy()
+        f2[gd], d2[gd] = fx[act.size:], dfx[act.size:]
+        up = f1 >= 0                          # p1 becomes the new hi
+        down = f2 < 0                         # p2 becomes the new lo
+        # (neither: the guards straddle the goal and become both ends)
+        halve = np.where(up, kept[act] == 1, kept[act] == -1)
+        g_lo[act] = np.where(up, np.where(halve, 0.5, 1.0) * g_lo[act],
+                             np.where(down, f2, f1))
+        g_hi[act] = np.where(down, np.where(halve, 0.5, 1.0) * g_hi[act],
+                             np.where(up, f1, f2))
+        kept[act] = np.where(up, 1, np.where(down, -1, 0))
+        f_lo[act] = np.where(up, f_lo[act], np.where(down, f2, f1))
+        f_hi[act] = np.where(up, f1, np.where(down, f_hi[act], f2))
+        lo[act] = np.where(up, a, np.where(down, p2, p1))
+        hi[act] = np.where(up, p1, np.where(down, b, p2))
+        # the Newton step in sqrt(x) from the new end nearest the root
+        xp, fp, dp = (np.where(down, v2, v1)
+                      for v1, v2 in ((p1, p2), (f1, f2), (d1, d2)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rp = np.sqrt(xp)
+            r_new = rp - fp / (2.0 * rp * dp)
+        newton = r_new * r_new
+        ok = (dp > 0) & (r_new > 0) & (newton > lo[act]) & (newton < hi[act])
+        illinois = lo[act] - g_lo[act] * (hi[act] - lo[act]) / (
+            g_hi[act] - g_lo[act])
+        x[act] = np.where(ok, newton, illinois)
+        guard[act] = ok & (np.abs(newton - xp) <= _GUARD_STEP * tol)
     else:
-        raise SolverFailure(f"Illinois iteration did not converge in "
-                            f"{_ILLINOIS_MAX_STEPS} steps")
+        raise SolverFailure(f"root iteration did not converge in "
+                            f"{_ILLINOIS_MAX_STEPS} passes")
     return lo - f_lo * (hi - lo) / (f_hi - f_lo)
 
 
@@ -668,19 +838,21 @@ def surface_spectrum(profile: ProfileCurve, lambda_max: float,
     winding of each row enumerates its eigenvalues (so none below the top
     node is missed) and gives each its own bracket, and a grid with half
     the steps must give every mode the same windings, else
-    ``SolverFailure``.  Vectorized Illinois iteration then narrows every
-    bracket below ``_LAM2_TOL`` in lambda^2.
+    ``SolverFailure``.  Safeguarded Newton iteration, with F' from the
+    energy integral of the same passes, then narrows every bracket below
+    ``_LAM2_TOL`` in lambda^2 (:func:`_newton`).
 
     An eigenvalue belongs to the spectrum when its refined lambda^2 is at
     most ``lambda_max**2 * (1 + _CUTOFF_RTOL)``: a cutoff that is itself an
     eigenvalue keeps its whole multiplet, whichever side of it the
-    discretisation error puts each mode.
+    discretisation error puts each mode.  The eigenbasis table has
+    ``_cheb_size(lambda_max)`` Chebyshev nodes per row.
     """
     a_max = profile.alpha_max
     grid = _MagnusGrid(profile, lambda_max)
 
     def F(m_arr, lam2_arr):
-        return _matching_angle(grid, m_arr, lam2_arr)
+        return _matching_angle(grid, m_arr, lam2_arr, derivative=True)
 
     lam2_cut = lambda_max ** 2 * (1.0 + _CUTOFF_RTOL)
     lam2_lo = min(1e-6, lambda_max ** 2 * 1e-9)
@@ -692,15 +864,16 @@ def surface_spectrum(profile: ProfileCurve, lambda_max: float,
     lam_top = math.sqrt(lam2_cut * (1.0 + _CUTOFF_RTOL))
     nodes = np.concatenate(
         [[lam2_lo], (lam_top * np.arange(1, n_nodes) / (n_nodes - 1)) ** 2])
-    table = F(np.repeat(np.array(modes, dtype=float), n_nodes),
-              np.tile(nodes, len(modes))).reshape(len(modes), n_nodes)
+    table = _matching_angle(
+        grid, np.repeat(np.array(modes, dtype=float), n_nodes),
+        np.tile(nodes, len(modes))).reshape(len(modes), n_nodes)
     targets_m, goal, lo, hi, f_lo, f_hi = _winding_brackets(table, nodes,
                                                             modes)
     _certify_windings(_MagnusGrid(profile, lambda_max, coarsen=2.0), table,
                       nodes, modes)
 
     # ----- Illinois iteration inside every bracket at once
-    lam2_star = _illinois(F, targets_m, goal, lo, hi, f_lo, f_hi, _LAM2_TOL)
+    lam2_star = _newton(F, targets_m, goal, lo, hi, f_lo, f_hi, _LAM2_TOL)
     keep = lam2_star <= lam2_cut
     targets_m, lam2_star = targets_m[keep], lam2_star[keep]
 
@@ -718,12 +891,12 @@ def surface_spectrum(profile: ProfileCurve, lambda_max: float,
         lam_row, np.where(m_row == 0, 1, 2),
         [[mk] for mk in zip(m_row.tolist(), k_row.tolist())])
 
-    vol = manifold_volume(
-        ModelManifold(kind="surface_of_revolution", dim=2, profile=profile))
+    vol = _volume(profile)
     basis = None
     if with_eigenfunctions:
         entry = np.repeat(np.arange(len(tag_arr)), [len(t) for t in tag_arr])
-        basis = SurfaceEigenbasis(profile, m_row, k_row, lam_row, entry)
+        basis = SurfaceEigenbasis(profile, m_row, k_row, lam_row, entry,
+                                  _cheb_size(lambda_max))
         row = np.argsort(order)        # the row of each unsorted entry
         _build_eigenfunctions(basis, grid, vol, targets_m, lam2_star, row[1:])
     return Spectrum(lam_arr, mult_arr, lambda_max, 2, vol,
@@ -735,16 +908,18 @@ def _build_eigenfunctions(basis: SurfaceEigenbasis, grid: _MagnusGrid,
     """Fill the table of ``basis``: radial factors, normalized.
 
     Row 0 is the constant mode 1 / sqrt(vol).  Target i goes to row
-    ``rows[i]``, in chunks of ``_EIGEN_CHUNK`` targets: one stored pass
-    gives (u, w) and the log scale at the grid nodes; each Chebyshev node
-    is reached by a partial Magnus step from the node to its left, and
-    nodes below the first grid node take the Bessel series.  The right
-    side is scaled to meet the left at the maximum of alpha.
+    ``rows[i]``, in chunks whose stored arrays hold about ``_STORE_ELEMS``
+    elements each: one stored pass of a chunk gives (u, w) and the log
+    scale at the grid nodes; each Chebyshev node is reached by a partial
+    Magnus step from the node to its left, and nodes below the first grid
+    node take the Bessel series.  The right side is scaled to meet the
+    left at the maximum of alpha.
     """
     profile = basis.profile
-    nodes = _cheb_nodes(_CHEB_N)
+    n_cheb = basis.coeffs.shape[1]
+    nodes = _cheb_nodes(n_cheb)
     alpha_nodes = profile.alpha(nodes)
-    u = np.full(_CHEB_N, 1.0 / math.sqrt(vol))
+    u = np.full(n_cheb, 1.0 / math.sqrt(vol))
     basis.coeffs[0] = _cheb_coeffs(u)
     basis.weight_coeffs[0] = _cheb_integral(
         _cheb_coeffs(2.0 * math.pi * u * u * alpha_nodes))
@@ -758,12 +933,14 @@ def _build_eigenfunctions(basis: SurfaceEigenbasis, grid: _MagnusGrid,
         base = s[np.maximum(j, 0)]
         steps.append((j, _magnus_terms(side, base,
                                        np.maximum(xs - base, 0.0))))
-    for start in range(0, len(targets_m), _EIGEN_CHUNK):
-        sl = slice(start, start + _EIGEN_CHUNK)
+    chunk = max(1, _STORE_ELEMS // (2 * (grid.terms.shape[2] + 1)))
+    for start in range(0, len(targets_m), chunk):
+        sl = slice(start, start + chunk)
         m_b, l2_b, rows_b = targets_m[sl], lam2_star[sl], rows[sl]
         lam_b = np.sqrt(l2_b)
-        u_end, w_end, _, U, W, L = _propagate(grid, m_b, l2_b, store=True)
-        u_nodes = np.empty((len(m_b), _CHEB_N))
+        u_end, w_end, _, _, U, W, L = _propagate(grid, m_b, l2_b,
+                                                 store=True)
+        u_nodes = np.empty((len(m_b), n_cheb))
         parts = []
         for side, (xs, (j, terms)) in enumerate(zip(x, steps)):
             e00, e01, _, _, _ = _magnus_step(terms[..., None], m_b ** 2, l2_b)

@@ -171,19 +171,36 @@ def projector_kernel(manifold: ModelManifold, x, y, lam: float,
         return KernelValue(tuple(x), tuple(y), lam, val, comp, val - comp)
 
     if manifold.kind == "surface_of_revolution":
-        if spec is None or spec.basis is None:
-            raise IncompleteSpectrum("revolution kernel needs a surface "
-                                     "spectrum with eigenfunctions")
+        return projector_kernels(manifold, x, y, [lam], spec)[0]
+
+    raise DomainError(f"no kernel for manifold kind {manifold.kind!r}")
+
+
+def projector_kernels(manifold: ModelManifold, x, y, lams,
+                      spec: Optional[Spectrum] = None) -> list:
+    """:func:`projector_kernel` at every lam of ``lams``, in order.
+
+    On a surface of revolution the pair's terms u_i(s1) u_i(s2) times the
+    angular factor come from one Clenshaw pass, read once; each lam only
+    selects the rows with lambda_i <= lam.  Other kinds go lam by lam.
+    """
+    if manifold.kind != "surface_of_revolution":
+        return [projector_kernel(manifold, x, y, lam) for lam in lams]
+    if spec is None or spec.basis is None:
+        raise IncompleteSpectrum("revolution kernel needs a surface "
+                                 "spectrum with eigenfunctions")
+    s1, t1 = x
+    s2, t2 = y
+    basis = spec.basis
+    u1, u2 = basis.values([s1, s2]).T
+    # the pair +-m carries 2 cos(m (t1 - t2)), and m = 0 carries 1
+    terms = u1 * u2 * np.where(basis.m > 0,
+                               2.0 * np.cos(basis.m * (t1 - t2)), 1.0)
+    out = []
+    for lam in lams:
         if lam > spec.lambda_max + 1e-12:
             raise IncompleteSpectrum("lam exceeds the spectrum cutoff")
-        s1, t1 = x
-        s2, t2 = y
-        basis = spec.basis
-        u1, u2 = basis.values([s1, s2]).T
-        # the pair +-m carries 2 cos(m (t1 - t2)), and m = 0 carries 1
-        angular = np.where(basis.m > 0, 2.0 * np.cos(basis.m * (t1 - t2)),
-                           1.0)
-        val = float(np.sum((u1 * u2 * angular)[basis.lam <= lam]))
+        val = float(np.sum(terms[basis.lam <= lam]))
         if abs(s1 - s2) < 1e-12 and abs(t1 - t2) < 1e-12:
             r = 0.0
         elif abs((t1 - t2) % (2 * math.pi)) < 1e-12:
@@ -192,9 +209,8 @@ def projector_kernel(manifold: ModelManifold, x, y, lam: float,
             raise DomainError("comparison on revolution surfaces supports "
                               "coincident points or same-meridian pairs")
         comp = euclidean_comparison(lam, r, 2)
-        return KernelValue(x, y, lam, val, comp, val - comp)
-
-    raise DomainError(f"no kernel for manifold kind {manifold.kind!r}")
+        out.append(KernelValue(x, y, lam, val, comp, val - comp))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,37 @@ def test_kernel_subcommand(configs):
     assert rc == 0
 
 
+def test_kernel_csv_is_the_per_lambda_kernel(configs):
+    # the subcommand reads the pair's terms once; its rows must be those of
+    # one projector_kernel call per lambda, byte for byte
+    from weyllab.cli import _format_cell
+    from weyllab.manifolds import manifold_from_config
+    from weyllab.spectra import spectrum_for_manifold
+    from weyllab.weyl import projector_kernel
+    x, y = (0.3, 1.0), (0.9, 1.0)
+    rc = main(["--out-dir", configs["dir"], "kernel",
+               "--manifold", configs["pert"], "--lambda-max", "20",
+               "--window", "4", "20", "--n-lambda", "17",
+               "--x", *map(str, x), "--y", *map(str, y)])
+    assert rc == 0
+    lines = open(os.path.join(configs["dir"], "kernel.csv")).read().split("\n")
+    man = manifold_from_config(PERT_CFG)
+    spec = spectrum_for_manifold(man, 20.0)
+    basis = spec.basis
+    u1, u2 = basis.values([x[0], y[0]]).T
+    angular = np.where(basis.m > 0, 2.0 * np.cos(basis.m * (x[1] - y[1])),
+                       1.0)
+    rows = []
+    for lam in np.linspace(4.0, 20.0, 17):
+        kv = projector_kernel(man, x, y, float(lam), spec=spec)
+        # the per-lambda sum written out
+        assert kv.Pi == float(np.sum((u1 * u2 * angular)[basis.lam <= lam]))
+        rows.append(",".join(_format_cell(v) for v in
+                             (float(lam), kv.Pi, kv.comparison, kv.E0)))
+    assert lines[2] == "lambda,Pi,comparison,E0"
+    assert lines[3:] == rows + [""]
+
+
 def test_cover_audit(configs):
     rc = main(["--out-dir", configs["dir"], "--seed", "1", "cover-audit",
                "--manifold", configs["torus"], "--r", "0.05"])

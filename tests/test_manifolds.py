@@ -27,7 +27,7 @@ GRID = np.linspace(-HALF_PI + 1e-4, HALF_PI - 1e-4, 10_000)
 
 def test_round_sphere_profile():
     p = make_round_sphere()
-    assert p(0.0) == 1.0
+    assert p.alpha(0.0) == 1.0
     assert p.d_alpha(-HALF_PI) == pytest.approx(1.0, abs=1e-15)
     assert p.dd_alpha(0.0) == -1.0
     validate_profile(p)
@@ -39,7 +39,7 @@ def test_round_sphere_derivative_consistency():
     p = make_round_sphere()
     h = 1e-6
     s = np.linspace(-1.4, 1.4, 17)
-    fd = (p(s + h) - p(s - h)) / (2 * h)
+    fd = (p.alpha(s + h) - p.alpha(s - h)) / (2 * h)
     assert np.max(np.abs(fd - p.d_alpha(s))) < 1e-9
 
 
@@ -57,7 +57,7 @@ def test_perturbed_sphere_difference_is_exactly_the_bump():
     p = make_perturbed_sphere(spec)
     base = make_round_sphere()
     s = np.linspace(-1.5, 1.5, 501)
-    lhs = p(s) - base(s)
+    lhs = p.alpha(s) - base.alpha(s)
     rhs = 0.01 * (bump_function(0.5, 1.0)(s) + bump_function(-1.0, -0.5)(s))
     # equal to the last representable bit of the profile values
     assert np.max(np.abs(lhs - rhs)) <= np.finfo(float).eps
@@ -66,7 +66,7 @@ def test_perturbed_sphere_difference_is_exactly_the_bump():
 def test_perturbed_sphere_zero_eps_matches_round():
     spec = PerturbationSpec(epsilon=0.0, a=0.5, b=1.0)
     p = make_perturbed_sphere(spec)
-    assert np.array_equal(p(GRID), np.cos(GRID))
+    assert np.array_equal(p.alpha(GRID), np.cos(GRID))
 
 
 def test_perturbed_sphere_invariants_and_rejection():
@@ -83,9 +83,9 @@ def test_perturbation_spec_bounds():
 
 def test_pendulum_profile_shape():
     p = make_pendulum_profile(4.0)
-    assert abs(p(HALF_PI)) < 1e-12 and abs(p(-HALF_PI)) < 1e-12
+    assert abs(p.alpha(HALF_PI)) < 1e-12 and abs(p.alpha(-HALF_PI)) < 1e-12
     interior = np.linspace(-HALF_PI + 1e-3, HALF_PI - 1e-3, 2001)
-    assert np.all(p(interior) > 0)
+    assert np.all(p.alpha(interior) > 0)
     assert p.d_alpha(-HALF_PI) == pytest.approx(1.0, abs=1e-9)
     assert p.d_alpha(HALF_PI) == pytest.approx(-1.0, abs=1e-9)
 
@@ -93,7 +93,7 @@ def test_pendulum_profile_shape():
 def test_pendulum_large_energy_limit():
     p = make_pendulum_profile(1e4)
     s = np.linspace(-1.5, 1.5, 101)
-    assert np.max(np.abs(p(s) / p.alpha_max - np.cos(s))) < 1e-3
+    assert np.max(np.abs(p.alpha(s) / p.alpha_max - np.cos(s))) < 1e-3
 
 
 def test_pendulum_rejects_low_energy():

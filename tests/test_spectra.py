@@ -4,23 +4,28 @@ import numpy as np
 import pytest
 from scipy.special import lpmv
 
+from weyllab import spectra
 from weyllab.errors import IncompleteInput, SolverFailure
 from weyllab.manifolds import (
     PerturbationSpec,
     ProfileCurve,
+    manifold_volume,
     make_pendulum_profile,
     make_perturbed_sphere,
     make_round_sphere,
+    surface_of_revolution,
 )
 from weyllab.spectra import (
     Spectrum,
     _MagnusGrid,
     _certify_windings,
+    _cheb_size,
     _half_turns,
-    _illinois,
     _magnus_step,
     _matching_angle,
+    _newton,
     _prufer_angle,
+    _volume,
     _winding_brackets,
     product_spectrum,
     sphere_spectrum,
@@ -305,32 +310,116 @@ def test_winding_certificate_names_the_mode_that_disagrees():
     assert err.value.mode == 1
 
 
-def test_illinois_finds_roots_of_a_monotone_function():
-    F = lambda m, x: x ** 3 + m * x
+def test_newton_finds_roots_of_a_monotone_function():
+    F = lambda m, x: (x ** 3 + m * x, 3 * x ** 2 + m)
     m = np.array([0.0, 1.0, 4.0])
     goal = np.array([8.0, 30.0, 80.0])
     lo, hi = np.zeros(3), np.full(3, 5.0)
-    root = _illinois(F, m, goal, lo, hi, F(m, lo) - goal, F(m, hi) - goal,
-                     tol=1e-12)
+    root = _newton(F, m, goal, lo, hi, F(m, lo)[0] - goal,
+                   F(m, hi)[0] - goal, tol=1e-12)
     assert np.allclose(root, [2.0, 3.0, 4.0], rtol=1e-12, atol=0)
 
 
-def test_illinois_rejects_a_bracket_that_misses_its_target():
-    F = lambda m, x: x
+def test_newton_rejects_a_bracket_that_misses_its_target():
+    F = lambda m, x: (x, np.ones_like(x))
     m, goal = np.array([0.0, 0.0]), np.array([1.5, 5.0])
     lo, hi = np.array([1.0, 6.0]), np.array([2.0, 7.0])
     with pytest.raises(SolverFailure):
-        _illinois(F, m, goal, lo, hi, lo - goal, hi - goal, tol=1e-10)
+        _newton(F, m, goal, lo, hi, lo - goal, hi - goal, tol=1e-10)
 
 
-def test_illinois_rejects_a_value_outside_its_bracket():
+def test_newton_rejects_a_value_outside_its_bracket():
     # a planted 2 pi jump between the table's values and the passes' ones
-    F = lambda m, x: x + 2 * np.pi * (x > 1.25)
+    F = lambda m, x: (x + 2 * np.pi * (x > 1.25), np.ones_like(x))
     m, goal = np.array([3.0]), np.array([1.5])
     lo, hi = np.array([1.0]), np.array([2.0])
     with pytest.raises(SolverFailure) as err:
-        _illinois(F, m, goal, lo, hi, lo - goal, hi - goal, tol=1e-10)
+        _newton(F, m, goal, lo, hi, lo - goal, hi - goal, tol=1e-10)
     assert err.value.mode == 3 and err.value.bracket == (1.0, 2.0)
+
+
+def test_energy_integral_gives_the_derivative_of_F():
+    # F' from the energy integral against a central difference of F
+    grid = _MagnusGrid(make_perturbed_sphere(PerturbationSpec(0.01, 0.5, 1.0)),
+                       12.0)
+    rng = np.random.default_rng(5)
+    lam = rng.uniform(0.5, 12.0, 60)
+    m = np.floor(rng.uniform(0.0, 1.0, 60) * lam)
+    lam2 = lam * lam
+    h = 1e-5 * lam2
+    F, dF = _matching_angle(grid, m, lam2, derivative=True)
+    assert np.array_equal(F, _matching_angle(grid, m, lam2))
+    fd = (_matching_angle(grid, m, lam2 + h)
+          - _matching_angle(grid, m, lam2 - h)) / (2 * h)
+    assert np.max(np.abs(dF / fd - 1.0)) < 1e-5
+
+
+def test_perturbed_solve_takes_at_most_seven_passes(monkeypatch):
+    # 1 table pass, 1 certificate pass and the Newton passes
+    calls = []
+    plain = spectra._matching_angle
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[2]))
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "_matching_angle", counted)
+    profile = make_perturbed_sphere(PerturbationSpec(0.01, 0.5, 1.0))
+    spec = surface_spectrum(profile, 12.0)
+    assert spec.total == 144
+    assert len(calls) <= 7
+
+
+def _plain_magnus_step(terms, m2, lam2):
+    """The step of _magnus_step written as plain expressions."""
+    (b1, b2, b3), (p1, p2, p3) = terms
+    c1 = m2 * b1 - lam2 * p1
+    c2 = m2 * b2 - lam2 * p2
+    c3 = m2 * b3 - lam2 * p3
+    k = b1 * c2 - b2 * c1
+    xb = -20.0 * b1 - b3
+    xc = -20.0 * c1 - c3
+    za = (b3 * c1 - b1 * c3) / 30.0
+    zb = b2 + k * b1 / 30.0
+    zc = c2 - k * c1 / 30.0
+    oa = (xb * zc - zb * xc) / 240.0
+    ob = b1 + b3 / 12.0 + (k * zb - za * xb) / 120.0
+    oc = c1 + c3 / 12.0 + (xc * za - k * zc) / 120.0
+    d = oa * oa + ob * oc
+    omega = np.sqrt(np.maximum(-d, 0.0))
+    osc, hyp = d < 0, d > 0
+    cs = np.cos(omega, out=np.ones_like(d), where=osc)
+    sn = np.sin(omega, out=np.ones_like(d), where=osc)
+    np.divide(sn, omega, out=sn, where=osc)
+    kappa = np.sqrt(np.maximum(d, 0.0))
+    np.cosh(kappa, out=cs, where=hyp)
+    np.sinh(kappa, out=sn, where=hyp)
+    np.divide(sn, kappa, out=sn, where=hyp)
+    return cs + sn * oa, sn * ob, sn * oc, cs - sn * oa, omega
+
+
+@pytest.mark.parametrize("lambda_max, eigenfunctions",
+                         [(12.0, True), (60.0, False)])
+def test_in_place_magnus_step_is_the_plain_formula(monkeypatch, lambda_max,
+                                                   eigenfunctions):
+    # chunks captured from a solve, every third one compared bit for bit
+    seen = []
+    step = spectra._magnus_step
+
+    def compared(terms, m2, lam2):
+        out = step(terms, m2, lam2)
+        if len(seen) % 3 == 0:
+            ref = _plain_magnus_step(terms, m2, lam2)
+            assert all(np.array_equal(a, b) for a, b in zip(out, ref))
+        seen.append(np.shape(out[0]))
+        return out
+
+    monkeypatch.setattr(spectra, "_magnus_step", compared)
+    surface_spectrum(make_round_sphere(), lambda_max,
+                     with_eigenfunctions=eigenfunctions)
+    assert len(seen) >= 10
+    # the table pass, the Newton passes and the eigenfunction build
+    assert len({shape[-1] for shape in seen}) >= 3
 
 
 def test_winding_table_rejects_a_decreasing_row():
@@ -460,3 +549,54 @@ def test_table_band_weights_are_the_row_band_weights(perturbed_radial):
     # one product over the stack (BLAS gemm) and one per row (gemv) sum in
     # different orders, so they agree to rounding, not bit for bit
     assert np.allclose(got, ref, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("lambda_max, bound", [(12.0, 1.1 * 1.95e-8),
+                                               (30.0, 1.1 * 3.74e-8)])
+def test_round_eigenbasis_is_normalized_legendre(lambda_max, bound):
+    # every row of the table against 2 pi-normalized associated Legendre
+    # functions of sin s, up to sign, on 61 points
+    basis = surface_spectrum(make_round_sphere(), lambda_max).basis
+    s = np.linspace(-1.5, 1.5, 61)
+    l = basis.m + basis.k
+    norm = np.sqrt((2 * l + 1) / (4 * math.pi) * np.exp(
+        [math.lgamma(a - b + 1) - math.lgamma(a + b + 1)
+         for a, b in zip(l, basis.m)]))
+    ref = norm[:, None] * lpmv(basis.m[:, None], l[:, None], np.sin(s))
+    got = basis.values(s)
+    err = np.minimum(np.abs(got - ref), np.abs(got + ref)).max()
+    assert err <= bound
+
+
+def test_table_size_follows_lambda_max():
+    assert [_cheb_size(lm) for lm in (12.0, 40.0, 60.0, 120.0, 200.0)] \
+        == [256, 256, 512, 512, 1024]
+
+
+def test_table_size_rule_is_converged(perturbed_radial, monkeypatch):
+    # the same solve with twice the nodes moves no band weight by 1e-9
+    # and no value by 1e-8
+    rule = spectra._cheb_size
+    monkeypatch.setattr(spectra, "_cheb_size", lambda lm: 2 * rule(lm))
+    basis = perturbed_radial.basis
+    doubled = surface_spectrum(basis.profile,
+                               perturbed_radial.lambda_max).basis
+    assert doubled.coeffs.shape[1] == 2 * basis.coeffs.shape[1]
+    for band in ((1.05, 1.45), (-0.4, 0.4), (-math.pi / 2, math.pi / 2)):
+        assert np.max(np.abs(doubled.band_weights(*band)
+                             - basis.band_weights(*band))) < 1e-9
+    s = np.linspace(-math.pi / 2, math.pi / 2, 201)
+    assert np.max(np.abs(doubled.values(s) - basis.values(s))) < 1e-8
+
+
+@pytest.mark.parametrize("profile", [
+    make_round_sphere(),
+    make_perturbed_sphere(PerturbationSpec(0.01, 0.5, 1.0)),
+    make_perturbed_sphere(PerturbationSpec(0.05, 0.3, 1.2)),
+    make_pendulum_profile(4.0),
+    make_pendulum_profile(2.5),
+], ids=["round", "perturbed", "perturbed-0.05", "pendulum-4", "pendulum-2.5"])
+def test_solver_volume_is_the_quadrature_volume(profile):
+    # Clenshaw-Curtis on one array call against adaptive quadrature
+    expected = manifold_volume(surface_of_revolution(profile))
+    assert _volume(profile) == pytest.approx(expected, rel=1e-14, abs=0)
