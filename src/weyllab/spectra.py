@@ -9,8 +9,9 @@ y' = A(s) y with the traceless A = [[0, 1/alpha], [m^2/alpha - lam^2 alpha,
 0]].  One propagator carries y from both poles to the maximum of alpha:
 sixth-order Magnus steps with three Gauss points, whose exponentials have
 a closed form for traceless 2x2 matrices.  Its steps follow the profile,
-min(0.2 / lambda_max, 0.1 alpha), not the oscillation, so the step count
-grows only like lambda_max.  The zeros of u are counted from its exact
+min(0.2 / lambda_max, the node spacing of the profile's own Chebyshev
+table, 0.1 alpha), not the oscillation, so the step count grows only like
+lambda_max.  The zeros of u are counted from its exact
 sign changes (and the step's phase advance where it passes pi), which
 gives the matching angle F(lambda^2) = theta_left + theta_right; F
 increases with lambda^2 and passes n pi exactly at the eigenvalues of
@@ -39,8 +40,9 @@ relative slack ``_CUTOFF_RTOL`` of lambda_max^2, so a cutoff that is itself
 an eigenvalue keeps its whole multiplet.  Eigenfunctions come from the
 same propagator: one pass stores y at the grid nodes, and a partial Magnus
 step reaches each Chebyshev node from the node to its left.  The number
-of Chebyshev nodes follows lambda_max: the smallest power of two above
-pi lambda_max + 128 (:func:`_cheb_size`).
+of Chebyshev nodes follows lambda_max and the profile (:func:`_cheb_size`):
+the smallest power of two above pi lambda_max + 128, or more where the
+profile's own Chebyshev table needs it.
 
 The eigenfunctions are one table, :class:`SurfaceEigenbasis`, with a row
 per mode (m, k) in the order of the spectrum's entries.  Every caller reads
@@ -52,12 +54,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, IncompleteInput, SolverFailure
-from .manifolds import HALF_PI, ModelManifold, ProfileCurve, sphere_volume
+from .manifolds import (HALF_PI, ModelManifold, ProfileCurve,
+                        manifold_volume, sphere_volume)
 
 _GROUP_TOL = 1e-8          # relative clustering of merged frequencies
 # Relative lambda^2 slack of the radial solver's cutoff: far above its
@@ -69,11 +73,14 @@ _CUTOFF_RTOL = 1e-6
 _MONOTONE_SLACK = 1e-9
 # Root passes (Newton, Illinois fallback or guard) before the radial solver
 # gives up; a converging run takes five or six.
-_ILLINOIS_MAX_STEPS = 100
-# Radial steps follow the profile, not lambda: a step is
-# min(_STEP_BULK / lambda_max, _STEP_POLE * alpha) at its left end, so a
-# step advances the phase by at most about 0.2 and the pole layer, where
-# the coefficients vary on the scale of alpha, is resolved.
+_ROOT_MAX_PASSES = 100
+# Radial steps follow the profile, not the oscillation: a step is
+# min(_STEP_BULK / lambda_max, h_profile, _STEP_POLE * alpha) at its left
+# end, so a step advances the phase by at most about 0.2, spans at most
+# the node spacing h_profile at the equator of the profile's own Chebyshev
+# table (0.019 for the packaged bumps, 0.005 for a bump 0.1 wide), and the
+# pole layer, where the coefficients vary on the scale of alpha, is
+# resolved.
 _STEP_BULK = 0.2
 _STEP_POLE = 0.1
 _POLE_DELTA = 1e-4         # the integration starts this far from each pole
@@ -86,10 +93,15 @@ _CHUNK_ELEMS = 1 << 14
 # Chebyshev nodes of the eigenbasis table beyond degree pi lambda_max: with
 # twice the nodes no band weight moves by 1e-9 (see _cheb_size)
 _CHEB_MARGIN = 128
+# The profile's own Chebyshev table (see _profile_size): the antiderivative
+# of 2 pi alpha (about 4 pi at the end), sampled at _PROFILE_NODES extrema
+# (spacing about 0.005 at the equator) and doubled, up to
+# _PROFILE_MAX_NODES, until the upper half of its coefficients is below
+# _PROFILE_TOL
+_PROFILE_NODES = 1025
+_PROFILE_MAX_NODES = (1 << 16) + 1
+_PROFILE_TOL = 1e-10
 _STORE_ELEMS = 1 << 18    # elements of one stored array per build pass
-# Chebyshev nodes of the surface volume: the packaged profiles' volumes
-# agree with adaptive quadrature to rounding from 512 nodes on
-_VOLUME_NODES = 1024
 # Every root bracket ends narrower than this in lambda^2, with F at its two
 # ends on either side of the goal; the root is the secant point there.
 _LAM2_TOL = 1e-10
@@ -263,19 +275,6 @@ def _cheb_nodes(n: int) -> np.ndarray:
     return -HALF_PI * np.cos(np.pi * np.arange(n) / (n - 1))
 
 
-def _cheb_size(lambda_max: float) -> int:
-    """Chebyshev nodes of the eigenbasis table at cutoff ``lambda_max``.
-
-    The smallest power of two above pi lambda_max + ``_CHEB_MARGIN``.  The
-    mass density u^2 alpha of a row at lambda oscillates like cos(2 lambda
-    s), that is cos(pi lambda x) in x = s / (pi/2), whose Chebyshev
-    coefficients fall off super-exponentially past degree pi lambda; the
-    margin covers that fall and, at small lambda_max, the perturbed
-    sphere's bump.
-    """
-    return 1 << math.ceil(math.log2(math.pi * lambda_max + _CHEB_MARGIN))
-
-
 def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients from values at the extrema grid (ascending x).
 
@@ -306,15 +305,44 @@ def _cheb_integral(c: np.ndarray) -> np.ndarray:
     return b * HALF_PI
 
 
-def _volume(profile: ProfileCurve) -> float:
-    """2 pi int alpha ds by Clenshaw-Curtis on ``_VOLUME_NODES`` nodes.
+@lru_cache(maxsize=16)        # a solve asks three times
+def _profile_size(profile: ProfileCurve) -> int:
+    """Chebyshev nodes that resolve the profile itself.
 
-    One array call of the profile; the antiderivative's values at x = 1
-    and x = -1 differ by twice its odd coefficients.
+    The antiderivative of 2 pi alpha is sampled at ``_PROFILE_NODES``
+    extrema, doubled until its coefficients' upper half is below
+    ``_PROFILE_TOL``; the size is the smallest power of two past which
+    every coefficient is below it.  A feature narrower than the first node
+    spacing can fall between the nodes and go unseen.
     """
-    c = _cheb_integral(_cheb_coeffs(
-        2.0 * math.pi * profile.alpha(_cheb_nodes(_VOLUME_NODES))))
-    return float(2.0 * np.sum(c[1::2]))
+    n = _PROFILE_NODES
+    while True:
+        b = _cheb_integral(_cheb_coeffs(
+            2.0 * math.pi * profile.alpha(_cheb_nodes(n))))
+        if np.max(np.abs(b[n // 2:])) <= _PROFILE_TOL:
+            break
+        if n >= _PROFILE_MAX_NODES:
+            raise SolverFailure(f"{profile.label}: the profile is not "
+                                f"resolved by {n} Chebyshev nodes")
+        n = 2 * n - 1
+    last = np.flatnonzero(np.abs(b) > _PROFILE_TOL)[-1]
+    return 1 << int(last).bit_length()
+
+
+def _cheb_size(profile: ProfileCurve, lambda_max: float) -> int:
+    """Chebyshev nodes of the eigenbasis table of ``profile``.
+
+    The larger of two powers of two.  The first is the smallest above
+    pi lambda_max + ``_CHEB_MARGIN``: the mass density u^2 alpha of a row at
+    lambda oscillates like cos(2 lambda s), that is cos(pi lambda x) in
+    x = s / (pi/2), whose Chebyshev coefficients fall off
+    super-exponentially past degree pi lambda.  The second is
+    :func:`_profile_size`: u and the antiderivative of u^2 alpha are as
+    smooth as the antiderivative of alpha, so a narrow bump widens the
+    table.
+    """
+    return max(1 << math.ceil(math.log2(math.pi * lambda_max + _CHEB_MARGIN)),
+               _profile_size(profile))
 
 
 def _band_masses(weight_coeffs: np.ndarray, s0: float, s1: float):
@@ -403,16 +431,14 @@ def _bessel_series(m: np.ndarray, x: np.ndarray):
     return S, -1.0 / (m + 1) + y / ((m + 1) * (m + 2))
 
 
-def _side_nodes(profile: ProfileCurve, lam_max: float, hi: float,
+def _side_nodes(profile: ProfileCurve, h_bulk: float, hi: float,
                 coarsen: float) -> np.ndarray:
     """Nodes from the pole at -pi/2 + _POLE_DELTA up to ``hi``.
 
-    A step is min(_STEP_BULK / lam_max, _STEP_POLE alpha) at its left end,
-    times ``coarsen``.  alpha grows up to ``hi``, the maximum of alpha, so
-    the pole layer is walked point by point and the rest is one run of
-    equal steps.
+    A step is min(h_bulk, coarsen _STEP_POLE alpha) at its left end.
+    alpha grows up to ``hi``, the maximum of alpha, so the pole layer is
+    walked point by point and the rest is one run of equal steps.
     """
-    h_bulk = coarsen * _STEP_BULK / lam_max
     s = -HALF_PI + _POLE_DELTA
     pts = [s]
     while s < hi:
@@ -562,7 +588,9 @@ class _MagnusGrid:
     def __init__(self, profile: ProfileCurve, lam_max: float,
                  coarsen: float = 1.0):
         self.sides = (profile, profile.reflected())
-        self.nodes = [_side_nodes(side, lam_max, hi, coarsen)
+        h_bulk = coarsen * min(_STEP_BULK / lam_max,
+                               HALF_PI * math.pi / _profile_size(profile))
+        self.nodes = [_side_nodes(side, h_bulk, hi, coarsen)
                       for side, hi in zip(self.sides,
                                           (profile.s_max, -profile.s_max))]
         n = max(len(s) for s in self.nodes) - 1
@@ -772,7 +800,7 @@ def _newton(F, m, goal, lo, hi, f_lo, f_hi, tol: float) -> np.ndarray:
     r_lo, r_hi = np.sqrt(lo), np.sqrt(hi)
     x = (r_lo - f_lo * (r_hi - r_lo) / (f_hi - f_lo)) ** 2
     guard = np.zeros(len(lo), dtype=bool)
-    for _ in range(_ILLINOIS_MAX_STEPS):
+    for _ in range(_ROOT_MAX_PASSES):
         act = np.flatnonzero(hi - lo > tol)
         if act.size == 0:
             break
@@ -823,7 +851,7 @@ def _newton(F, m, goal, lo, hi, f_lo, f_hi, tol: float) -> np.ndarray:
         guard[act] = ok & (np.abs(newton - xp) <= _GUARD_STEP * tol)
     else:
         raise SolverFailure(f"root iteration did not converge in "
-                            f"{_ILLINOIS_MAX_STEPS} passes")
+                            f"{_ROOT_MAX_PASSES} passes")
     return lo - f_lo * (hi - lo) / (f_hi - f_lo)
 
 
@@ -846,7 +874,7 @@ def surface_spectrum(profile: ProfileCurve, lambda_max: float,
     most ``lambda_max**2 * (1 + _CUTOFF_RTOL)``: a cutoff that is itself an
     eigenvalue keeps its whole multiplet, whichever side of it the
     discretisation error puts each mode.  The eigenbasis table has
-    ``_cheb_size(lambda_max)`` Chebyshev nodes per row.
+    ``_cheb_size(profile, lambda_max)`` Chebyshev nodes per row.
     """
     a_max = profile.alpha_max
     grid = _MagnusGrid(profile, lambda_max)
@@ -872,7 +900,7 @@ def surface_spectrum(profile: ProfileCurve, lambda_max: float,
     _certify_windings(_MagnusGrid(profile, lambda_max, coarsen=2.0), table,
                       nodes, modes)
 
-    # ----- Illinois iteration inside every bracket at once
+    # ----- safeguarded Newton iteration inside every bracket at once
     lam2_star = _newton(F, targets_m, goal, lo, hi, f_lo, f_hi, _LAM2_TOL)
     keep = lam2_star <= lam2_cut
     targets_m, lam2_star = targets_m[keep], lam2_star[keep]
@@ -891,12 +919,13 @@ def surface_spectrum(profile: ProfileCurve, lambda_max: float,
         lam_row, np.where(m_row == 0, 1, 2),
         [[mk] for mk in zip(m_row.tolist(), k_row.tolist())])
 
-    vol = _volume(profile)
+    vol = manifold_volume(
+        ModelManifold(kind="surface_of_revolution", dim=2, profile=profile))
     basis = None
     if with_eigenfunctions:
         entry = np.repeat(np.arange(len(tag_arr)), [len(t) for t in tag_arr])
         basis = SurfaceEigenbasis(profile, m_row, k_row, lam_row, entry,
-                                  _cheb_size(lambda_max))
+                                  _cheb_size(profile, lambda_max))
         row = np.argsort(order)        # the row of each unsorted entry
         _build_eigenfunctions(basis, grid, vol, targets_m, lam2_star, row[1:])
     return Spectrum(lam_arr, mult_arr, lambda_max, 2, vol,

@@ -121,6 +121,18 @@ def test_perturbed_volume_quadrature_oracle():
     assert manifold_volume(m) == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "scipy's quad at 1e-12 steps over the peak of a bump 0.1 wide, about "
+    "0.006 wide, and returns 4 pi: the volume misses the bump's 1.4e-5"))
+def test_volume_resolves_a_narrow_bump():
+    spec = PerturbationSpec(epsilon=0.001, a=0.5, b=0.6)
+    mass = tanh_sinh(bump_function(spec.a, spec.b), spec.a, spec.b,
+                     rel_tol=1e-13)[0]
+    m = surface_of_revolution(make_perturbed_sphere(spec))
+    assert manifold_volume(m) == pytest.approx(
+        4 * math.pi * (1.0 + spec.epsilon * mass), rel=1e-9)
+
+
 def _reference_bump(a, b, weight=None):
     """One-sided bump evaluator: bump(x) weight(x) on (a, b), 0 outside."""
     peak = math.exp(-4.0 / (b - a))

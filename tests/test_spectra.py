@@ -9,11 +9,9 @@ from weyllab.errors import IncompleteInput, SolverFailure
 from weyllab.manifolds import (
     PerturbationSpec,
     ProfileCurve,
-    manifold_volume,
     make_pendulum_profile,
     make_perturbed_sphere,
     make_round_sphere,
-    surface_of_revolution,
 )
 from weyllab.spectra import (
     Spectrum,
@@ -25,7 +23,6 @@ from weyllab.spectra import (
     _matching_angle,
     _newton,
     _prufer_angle,
-    _volume,
     _winding_brackets,
     product_spectrum,
     sphere_spectrum,
@@ -568,35 +565,43 @@ def test_round_eigenbasis_is_normalized_legendre(lambda_max, bound):
     assert err <= bound
 
 
-def test_table_size_follows_lambda_max():
-    assert [_cheb_size(lm) for lm in (12.0, 40.0, 60.0, 120.0, 200.0)] \
+# a bump 0.1 wide whose peak, about 0.006 wide, falls between the nodes
+# of the lambda-sized table
+NARROW_BUMP = PerturbationSpec(0.001, 0.5, 0.6)
+
+
+def test_table_size_follows_lambda_max_and_the_profile():
+    round_ = make_round_sphere()
+    assert [_cheb_size(round_, lm) for lm in (12.0, 40.0, 60.0, 120.0,
+                                              200.0)] \
         == [256, 256, 512, 512, 1024]
+    assert _cheb_size(make_perturbed_sphere(PerturbationSpec(0.01, 0.5, 1.0)),
+                      12.0) == 256
+    narrow = make_perturbed_sphere(NARROW_BUMP)
+    assert [_cheb_size(narrow, lm) for lm in (12.0, 200.0)] == [1024, 1024]
 
 
-def test_table_size_rule_is_converged(perturbed_radial, monkeypatch):
+def _assert_doubling_moves_nothing(spec, monkeypatch):
     # the same solve with twice the nodes moves no band weight by 1e-9
     # and no value by 1e-8
     rule = spectra._cheb_size
-    monkeypatch.setattr(spectra, "_cheb_size", lambda lm: 2 * rule(lm))
-    basis = perturbed_radial.basis
-    doubled = surface_spectrum(basis.profile,
-                               perturbed_radial.lambda_max).basis
+    monkeypatch.setattr(spectra, "_cheb_size", lambda p, lm: 2 * rule(p, lm))
+    basis = spec.basis
+    doubled = surface_spectrum(basis.profile, spec.lambda_max).basis
     assert doubled.coeffs.shape[1] == 2 * basis.coeffs.shape[1]
-    for band in ((1.05, 1.45), (-0.4, 0.4), (-math.pi / 2, math.pi / 2)):
+    for band in ((1.05, 1.45), (-0.4, 0.4), (0.5, 0.55),
+                 (-math.pi / 2, math.pi / 2)):
         assert np.max(np.abs(doubled.band_weights(*band)
                              - basis.band_weights(*band))) < 1e-9
     s = np.linspace(-math.pi / 2, math.pi / 2, 201)
     assert np.max(np.abs(doubled.values(s) - basis.values(s))) < 1e-8
 
 
-@pytest.mark.parametrize("profile", [
-    make_round_sphere(),
-    make_perturbed_sphere(PerturbationSpec(0.01, 0.5, 1.0)),
-    make_perturbed_sphere(PerturbationSpec(0.05, 0.3, 1.2)),
-    make_pendulum_profile(4.0),
-    make_pendulum_profile(2.5),
-], ids=["round", "perturbed", "perturbed-0.05", "pendulum-4", "pendulum-2.5"])
-def test_solver_volume_is_the_quadrature_volume(profile):
-    # Clenshaw-Curtis on one array call against adaptive quadrature
-    expected = manifold_volume(surface_of_revolution(profile))
-    assert _volume(profile) == pytest.approx(expected, rel=1e-14, abs=0)
+def test_table_size_rule_is_converged(perturbed_radial, monkeypatch):
+    _assert_doubling_moves_nothing(perturbed_radial, monkeypatch)
+
+
+def test_table_size_rule_is_converged_on_a_narrow_bump(monkeypatch):
+    spec = surface_spectrum(make_perturbed_sphere(NARROW_BUMP), 12.0)
+    _assert_doubling_moves_nothing(spec, monkeypatch)
+
