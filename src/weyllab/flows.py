@@ -25,10 +25,16 @@ form); a single orbit on another surface of revolution is
    without integrating, every regular sample that Clairaut's integral keeps
    away from its start: before its first radial return an orbit's phase
    distance from its start is at least its latitude change or its fiber
-   gap, and both follow from the radial motion alone;
+   gap, and both follow from the radial motion alone.  The time to leave
+   the slab of latitudes within thresh of the start is the smaller of the
+   slab bound (the least radial speed on the slab) and the sojourn around
+   the nearer turning point (two Clairaut time integrals); the window must
+   end that long before the radial period tau, which the length bound
+   tau >= 2 (s_+ - s_-) settles for most rows before any tau quadrature;
 2. near-meridian samples take the pole-safe closed form, on a grid;
-3. the rest go through a coarse two-sided scan with fixed RK4 steps, which
-   certifies the samples that stay clear;
+3. the rest (windows that reach a radial period, slabs that hold both
+   turning points) go through a coarse two-sided scan with fixed RK4
+   steps, which certifies the samples that stay clear;
 4. the scan's remaining candidates, forward and mirrored, are refined
    together in one pass of the row-batched DOP853 (:func:`_dop853_rows`),
    which :mod:`weyllab.geoflow` shares.
@@ -577,7 +583,10 @@ class RevolutionFlow:
 
     ``return_hits`` first lets the radial certificate clear the samples
     that cannot return before their first radial period, with no
-    integration; then near-meridian samples (|xi_theta| below
+    integration: each leaves its latitude slab by the slab bound or by its
+    sojourn around the nearer turning point, and its window ends that long
+    before tau, checked against the length bound 2 (s_+ - s_-) and only
+    then against tau itself.  Then near-meridian samples (|xi_theta| below
     MERIDIAN_C_FLOOR) go through the pole-safe closed form, and the others
     through the coarse scan with fixed RK4 steps, whose undecided
     candidates are refined in one DOP853 pass per estimate.  Scans run over
@@ -627,18 +636,22 @@ class RevolutionFlow:
 
         Returns (coarse_min, slack); the slack, one number for every row, is
         the half-step bound at unit speed, valid for base-distance criteria,
-        plus the integration budget.
+        plus the integration budget.  The samples are the grid times k h
+        in [t0, T] and t0 itself, reached by a partial step, so every time
+        of the window lies within h / 2 of a sample and every sample lies
+        in the window.
         """
         states = np.asarray(states, dtype=float).reshape(-1, 4)
         y = states.copy()
-        t = 0.0
         best = np.full(len(states), np.inf)
         n_steps = int(math.ceil(T / h_scan))
         h = T / n_steps
-        for i in range(n_steps):
+        for k in range(n_steps):
+            if k * h <= t0 < (k + 1) * h:
+                d = distance_fn(self._step(y, t0 - k * h))
+                best = np.where(d < best, d, best)
             y = self._step(y, h)
-            t += h
-            if t >= t0 - 1e-12:
+            if (k + 1) * h >= t0 - 1e-12:
                 d = distance_fn(y)
                 best = np.where(d < best, d, best)
         return best, 0.5 * h + ODE_BUDGET
@@ -692,23 +705,30 @@ class RevolutionFlow:
         on (s, sign xi_s), as sin psi = xi_theta / alpha(s).  L has the
         radial period tau(c), and L < thresh needs s in the slab
         S = [s0 - thresh, s0 + thresh].  With the turning points s_-, s_+
-        (alpha = c):
+        (alpha = c), an exit bound t_out is a time by which the orbit has
+        left S, in either time direction, and after which it stays
+        thresh away until tau - t_out.  Of these the smallest that holds:
 
-        * S strictly inside (s_-, s_+): the radial speed on S is at least
-          v_min = sqrt(1 - c^2 / min_S alpha^2), so the orbit leaves S
-          within t_exit = thresh / v_min, and on the opposite leg the fiber
-          gap is at least pi - beta_max - beta0, beta = arcsin(c / alpha);
-        * S holds one turning point: t_exit = t(s0 -> s_turn) + t(far edge
-          -> s_turn), two Clairaut time integrals;
-        * S holds both: undecided.
+        * the slab bound, for S strictly inside (s_-, s_+): the radial
+          speed on S is at least v_min = sqrt(1 - c^2 / min_S alpha^2), so
+          the orbit leaves S within thresh / v_min, and on the opposite leg
+          the fiber gap is at least pi - beta_max - beta0,
+          beta = arcsin(c / alpha), which must exceed thresh;
+        * the sojourn around the nearer turning point s_turn, for S that
+          holds it or ends short of it: t(s0 -> s_turn) + t(far edge ->
+          s_turn), two Clairaut time integrals.  Once a period the orbit
+          spends one interval of that length beyond the far edge, which
+          holds every passage through S, the opposite leg's too;
+        * S holds both turning points: undecided.
 
-        The orbit is back in S no earlier than tau - t_exit, in either time
-        direction.  A row is cleared when t_exit + err <= t0, the opposite
-        leg stays thresh away, and T + t_exit + err + 10 tau_err < tau,
-        with err ten times the quadrature error of t_exit.  tau and the
-        exit integrals come from batched tanh-sinh rules at rel_tol 1e-4,
-        tau only for the rows that leave S by t0; a row whose quadrature
-        does not converge stays undecided.
+        A row is cleared when t_out <= t0 and T + t_out < tau.  The length
+        bound tau >= 2 (s_+ - s_-) (the radial speed is at most 1) decides
+        first, and only the rows it leaves get tau by quadrature.  The
+        sojourn integrals run for the rows whose slab bound does not leave
+        S by t0, and then for those whose slab bound fails against tau.
+        Every integral is a batched tanh-sinh rule at rel_tol 1e-4 and
+        counts ten times its quadrature error against the row; a row whose
+        quadrature does not converge stays undecided.
         """
         states = np.asarray(states, dtype=float).reshape(-1, 4)
         clear = np.zeros(len(states), dtype=bool)
@@ -722,42 +742,50 @@ class RevolutionFlow:
         s_lo, s_hi = turning_points(self.profile, c)
         s0 = np.clip(states[rows, 0], s_lo, s_hi)
         lo_in, hi_in = s0 - d <= s_lo, s0 + d >= s_hi
-        inner, one = ~lo_in & ~hi_in, lo_in ^ hi_in
+        inner = ~lo_in & ~hi_in
         with np.errstate(invalid="ignore", divide="ignore"):
             ratio = np.where(inner, c / np.minimum(alpha(s0 - d),
                                                    alpha(s0 + d)), 1.0)
-            t_exit = d / np.sqrt(1.0 - ratio ** 2)
             opposite = math.pi - np.arcsin(ratio) \
                 - np.arcsin(np.minimum(c / alpha(s0), 1.0)) > d
-        cand = np.nonzero((inner & (t_exit <= t0) & opposite) | one)[0]
-        c, s_lo, s_hi, s0, t_exit = (x[cand] for x in (c, s_lo, s_hi, s0,
-                                                       t_exit))
-        # a slab holding one turning point: from s0 and from its far edge
-        two = one[cand]
-        up = hi_in[cand][two]
-        turn = np.where(up, s_hi[two], s_lo[two])
-        ends = np.concatenate([s0[two], np.where(up, s0[two] - d,
-                                                 s0[two] + d)])
-        legs, errs = clairaut_segments(
-            self.profile, np.tile(c[two], 2),
-            np.minimum(ends, np.tile(turn, 2)),
-            np.maximum(ends, np.tile(turn, 2)), np.tile(turn, 2),
-            np.zeros(2 * len(turn), dtype=bool), rel_tol=1e-4)
-        t_exit[two] = legs.reshape(2, -1).sum(axis=0)
-        exit_err = np.zeros(len(cand))
-        exit_err[two] = 10.0 * errs.reshape(2, -1).sum(axis=0)
-        left = t_exit + exit_err <= t0
-        cand, c, s_lo, s_hi, t_exit, exit_err = (
-            x[left] for x in (cand, c, s_lo, s_hi, t_exit, exit_err))
-        # tau in two halves, split at s_max
+            # the slab bound, where it holds; its error is 0
+            t_out = np.where(inner & opposite, d / np.sqrt(1.0 - ratio ** 2),
+                             np.inf)
+        # rows whose sojourn is taken, or that have none (S holds both
+        # turning points)
+        sojourned = lo_in & hi_in
+
+        def sojourn(sel):
+            """Lower t_out of the rows sel to the sojourn around the nearer
+            turning point: from s0 and from the far edge, with 10 errs."""
+            sel = sel[~sojourned[sel]]
+            sojourned[sel] = True
+            up = s_hi[sel] - s0[sel] < s0[sel] - s_lo[sel]
+            turn = np.tile(np.where(up, s_hi[sel], s_lo[sel]), 2)
+            ends = np.concatenate([s0[sel], np.where(up, s0[sel] - d,
+                                                     s0[sel] + d)])
+            legs, errs = clairaut_segments(
+                self.profile, np.tile(c[sel], 2), np.minimum(ends, turn),
+                np.maximum(ends, turn), turn,
+                np.zeros(len(turn), dtype=bool), rel_tol=1e-4)
+            t_out[sel] = np.minimum(t_out[sel], (legs + 10.0 * errs)
+                                    .reshape(2, -1).sum(axis=0))
+
+        sojourn(np.nonzero(t_out > t0)[0])
+        clear[rows] = t_out <= t0
+        # tau >= 2 (s_+ - s_-) at radial speed <= 1; the rest need tau, less
+        # ten errors, in two halves split at s_max
+        cand = np.nonzero(clear[rows] & (T + t_out >= 2.0 * (s_hi - s_lo)))[0]
         s_max = np.full(len(cand), self.profile.s_max)
         halves, errs = clairaut_segments(
-            self.profile, np.tile(c, 2), np.concatenate([s_lo, s_max]),
-            np.concatenate([s_max, s_hi]), np.concatenate([s_lo, s_hi]),
+            self.profile, np.tile(c[cand], 2),
+            np.concatenate([s_lo[cand], s_max]),
+            np.concatenate([s_max, s_hi[cand]]),
+            np.concatenate([s_lo[cand], s_hi[cand]]),
             np.zeros(2 * len(cand), dtype=bool), rel_tol=1e-4)
-        tau = 2.0 * halves.reshape(2, -1).sum(axis=0)
-        tau_err = 2.0 * errs.reshape(2, -1).sum(axis=0)
-        clear[rows[cand]] = T + t_exit + exit_err + 10.0 * tau_err < tau
+        tau = 2.0 * (halves - 10.0 * errs).reshape(2, -1).sum(axis=0)
+        sojourn(cand[T + t_out[cand] >= tau])
+        clear[rows[cand]] = T + t_out[cand] < tau
         return clear
 
     def target_hits(self, states, y_point, t0, T, thresh):

@@ -155,27 +155,46 @@ def test_perturbed_band_short_window_is_empty():
     assert est.value == 0.0
 
 
-def test_perturbed_band_is_decided_before_integration():
-    # every horizon R^(-1/3) of the band is shorter than one radial period:
-    # the radial certificate clears 991 of the 997 regular rows, the scan
-    # clears the other 6, so nothing reaches refine_min, and the inflation
-    # is the meridian closed form's half step plus its position error
+def test_perturbed_band_is_decided_before_integration(monkeypatch):
+    # every horizon R^(-1/3) of the band is shorter than one radial period,
+    # so the radial certificate clears all 997 regular rows, the 6 whose
+    # slab ends just inside a turning point by their sojourn around it;
+    # nothing reaches scan_min or refine_min at any of the four radii, and
+    # the inflation is the meridian closed form's half step plus its
+    # position error
+    scanned = []
+    scan_min = RevolutionFlow.scan_min
+
+    def spy(self, states, *args):
+        scanned.append(len(states))
+        return scan_min(self, states, *args)
+
+    monkeypatch.setattr(RevolutionFlow, "scan_min", spy)
     U = CosphereSet(PERTURBED, kind="band", s0=1.05, s1=1.45)
     states = U.sample(1000, 37)
     cleared = RevolutionFlow(PERTURBED.profile).radial_clears(
         states, 1.0, 0.05 ** (-1.0 / 3.0), 0.1)
     regular = np.abs(states[:, 3]) >= MERIDIAN_C_FLOOR
-    assert (cleared.sum(), regular.sum()) == (991, 997)
-    est = near_periodic_measure(U, 1.0, 0.05 ** (-1.0 / 3.0), 0.05,
-                                samples=1000, seed=37)
-    assert est.value == 0.0
-    assert est.inflation == 0.0145 == 0.5 * 0.1 / 4.0 + MERIDIAN_C_FLOOR
+    assert (cleared.sum(), regular.sum()) == (997, 997)
+    inflations = []
+    for R in (0.05, 0.02, 0.01, 0.005):
+        est = near_periodic_measure(U, 1.0, R ** (-1.0 / 3.0), R,
+                                    samples=1000, seed=37)
+        assert est.value == 0.0
+        assert est.inflation == 0.5 * 2.0 * R / 4.0 + MERIDIAN_C_FLOOR
+        inflations.append(est.inflation)
+    assert inflations[0] == 0.0145
+    assert scanned == []
 
 
 def test_perturbed_band_refines_candidates(monkeypatch):
     # from t0 = 0.1 no slab is left in time, so the certificate decides
     # nothing; candidates of the coarse scan go through refine_min, whose
-    # grid slack R / 2 plus the 1e-6 integration budget is the inflation
+    # grid slack R / 2 plus the 1e-6 integration budget is the inflation.
+    # t0 equals thresh, so every orbit is still within thresh of its start
+    # at t0 (less the chord), and the scan, which samples t0 itself,
+    # clears no row: all 997 regular rows, forward and mirrored, are
+    # refined, and most of them hit at t0
     refined = []
     refine_min = RevolutionFlow.refine_min
 
@@ -186,9 +205,35 @@ def test_perturbed_band_refines_candidates(monkeypatch):
     monkeypatch.setattr(RevolutionFlow, "refine_min", spy)
     U = CosphereSet(PERTURBED, kind="band", s0=1.05, s1=1.45)
     est = near_periodic_measure(U, 0.1, 2.71, 0.05, samples=1000, seed=37)
-    assert refined == [22]
-    assert est.value == 0.02967745009039986
-    assert est.inflation == 0.025001000000000002
+    assert refined == [1994]
+    assert est.value == 0.8655922943033291
+    assert est.inflation == 0.025001000000000006
+
+
+def test_scan_slack_bounds_the_window_from_its_start():
+    # the band rows whose slab [s0 - 0.1, s0 + 0.1] ends within 2e-3 inside
+    # a turning point (6 of the 7 are those the slab bound alone leaves
+    # undecided at R = 0.05): over [1, 2.71] their distance is least near
+    # t0 = 1, between two scan samples, and the scan's min less its slack
+    # stays below the DOP853 minimum (rtol 1e-12; on a grid of step h at
+    # base speed <= 1, the minimum is at least the grid's less h / 2)
+    t0, T, thresh = 1.0, 0.05 ** (-1.0 / 3.0), 0.1
+    flow = RevolutionFlow(PERTURBED.profile)
+    states = CosphereSet(PERTURBED, kind="band", s0=1.05,
+                         s1=1.45).sample(1000, 37)
+    states = states[np.abs(states[:, 3]) >= MERIDIAN_C_FLOOR]
+    s_lo, s_hi = turning_points(flow.profile, np.abs(states[:, 3]))
+    edge = np.minimum(s_hi - states[:, 0], states[:, 0] - s_lo) - thresh
+    rows = states[(edge > 0) & (edge < 2e-3)]
+    assert len(rows) == 7
+    mins, slack = flow._scan_both(rows, t0, T,
+                                  flow.metric.base_distance_from)
+    both = np.vstack([rows, _mirror(rows)])
+    dense = _dop853_rows(flow._rhs, both, T, rtol=1e-12, atol=1e-12)
+    grid, h = np.append(np.arange(t0, T, 1e-4), T), 1e-4
+    ref = np.array([np.min(flow.metric.base_distance_from(row)(
+        dense(i, grid))) for i, row in enumerate(both)]) - 0.5 * h
+    assert np.all(mins - slack <= np.minimum(ref[:7], ref[7:]))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -422,6 +467,14 @@ def _flat_equator_profile(a=-0.30343):
     return ProfileCurve(jet, "flat equator", s_max=0.0, alpha_max=1.0 + a)
 
 
+def _rows_at(flow, c, s0):
+    """Rows with Clairaut constant c at the radii s0, heading either way."""
+    xi_s = np.sqrt(np.maximum(1.0 - (c / flow.profile.alpha(s0)) ** 2, 0.0))
+    return np.vstack([np.column_stack([s0, np.zeros_like(s0), sign * xi_s,
+                                       np.full_like(s0, c)])
+                      for sign in (1.0, -1.0)])
+
+
 def _rows_of_constant(flow, c):
     """Rows with Clairaut constant c across [s_-, s_+], crowding both turning
     points, heading either way: (rows, tau(c))."""
@@ -429,11 +482,8 @@ def _rows_of_constant(flow, c):
     near = np.geomspace(1e-6, 0.3, 4) * (s_hi - s_lo)
     s0 = np.concatenate([np.linspace(s_lo, s_hi, 11), s_hi - near,
                          s_lo + near])
-    xi_s = np.sqrt(np.maximum(1.0 - (c / flow.profile.alpha(s0)) ** 2, 0.0))
-    rows = np.vstack([np.column_stack([s0, np.zeros_like(s0), sign * xi_s,
-                                       np.full_like(s0, c)])
-                      for sign in (1.0, -1.0)])
-    return rows, rotation_number(s_hi, flow.profile).return_time
+    return (_rows_at(flow, c, s0),
+            rotation_number(s_hi, flow.profile).return_time)
 
 
 def _speed_bound(flow, rows):
@@ -495,35 +545,55 @@ def _stays_away(flow, rows, cases, h=2e-4):
     return out
 
 
-@pytest.mark.parametrize("profile, constants, thresholds, windows", [
+@pytest.mark.parametrize("profile, constants, thresholds, windows, edges", [
     # the band's constants; windows end 3, 1.5 and 0.5 thresholds short of
-    # tau(c), starting 1.5 and 3 thresholds in
+    # tau(c), starting 1.5 and 3 thresholds in; from t0 = 1.1 a window 0.3
+    # short of tau, and one that ends 1.2 short of 2 (s_+ - s_-), which the
+    # length bound tau >= 2 (s_+ - s_-) alone decides
     (PERTURBED.profile, (2e-3, 5e-3, 1e-2, 3e-2, 0.1, 0.3),
      (2e-3, 0.02, 0.2),
-     lambda tau, th: [(1.5 * th, tau - 3.0 * th),
-                      (3.0 * th, tau - 1.5 * th),
-                      (3.0 * th, tau - 0.5 * th)]),
+     lambda tau, width, th: [(1.5 * th, tau - 3.0 * th),
+                             (3.0 * th, tau - 1.5 * th),
+                             (3.0 * th, tau - 0.5 * th),
+                             (1.1, tau - 0.3),
+                             (1.1, 2.0 * width - 1.2)], True),
     # near-equatorial orbits, where the opposite leg returns (s_+ = 0.025
     # and 0.06); windows past the opposite crossing, tau ~ 17
     (_flat_equator_profile(), (0.025, 0.06), (0.02, 0.05),
-     lambda tau, th: [(1.0, 0.75 * tau), (4.5, 0.75 * tau)]),
+     lambda tau, width, th: [(1.0, 0.75 * tau), (4.5, 0.75 * tau)], False),
 ], ids=["perturbed-sphere", "flat-equator"])
 def test_radial_certificate_is_sound(profile, constants, thresholds,
-                                     windows):
+                                     windows, edges):
     flow = RevolutionFlow(profile)
     if profile.label == "flat equator":
         # the constants are given by their right turning points
         constants = [float(profile.alpha(s)) for s in constants]
-    rows, cases, cleared = [], [], []
+    rows, cases, cleared, by_length, by_tau = [], [], [], [], []
     for c in constants:
         r, tau = _rows_of_constant(flow, c)
-        case = [(th, w) for th in thresholds for w in windows(tau, th)]
+        s_lo, s_hi = (float(x[0]) for x in turning_points(profile, [c]))
+        case = [(th, w) for th in thresholds
+                for w in windows(tau, s_hi - s_lo, th)]
+        for th in thresholds if edges else ():
+            # slabs ending 1e-3 thresholds inside a turning point: the slab
+            # bound is loose there, and the sojourn around the turning
+            # point decides them
+            e = _rows_at(flow, c, np.array([s_hi - 1.001 * th,
+                                            s_lo + 1.001 * th]))
+            *_, tau_window, length_window = windows(tau, s_hi - s_lo, th)
+            by_tau.append(flow.radial_clears(e, *tau_window, th))
+            by_length.append(flow.radial_clears(e, *length_window, th))
+            r = np.vstack([r, e])
         rows.append(r)
         cases += [case] * len(r)
         cleared.append(np.column_stack([
             flow.radial_clears(r, w[0], w[1], th) for th, w in case]))
     rows, cleared = np.vstack(rows), np.vstack(cleared)
     assert 0 < cleared.sum() < cleared.size
+    if edges:
+        # every edge row clears at its own threshold in the length window,
+        # and some clear against tau
+        assert np.all(by_length) and 0 < np.sum(by_tau) < np.size(by_tau)
     keep = np.nonzero(cleared.any(axis=1))[0]
     checked = [[case for case, ok in zip(cases[i], cleared[i]) if ok]
                for i in keep]
