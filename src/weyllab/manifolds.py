@@ -11,17 +11,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .errors import ConfigError, DomainError, InvariantViolation, bind, number
+from .errors import (ConfigError, DomainError, InvariantViolation,
+                     SolverFailure, bind, number)
 
 HALF_PI = math.pi / 2.0
 
 _VALIDATION_GRID = 10_000
+# The profile's own Chebyshev table (see profile_table): the antiderivative
+# of 2 pi alpha (about 4 pi at the end), sampled at _PROFILE_NODES extrema
+# (spacing about 0.005 at the equator) and doubled, up to
+# _PROFILE_MAX_NODES, until the upper half of its coefficients is below
+# _PROFILE_TOL
+_PROFILE_NODES = 1025
+_PROFILE_MAX_NODES = (1 << 16) + 1
+_PROFILE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -301,10 +310,81 @@ def sphere_volume(n: int) -> float:
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
 
 
+def _cheb_nodes(n: int) -> np.ndarray:
+    """Chebyshev extrema on [-pi/2, pi/2], ascending."""
+    return -HALF_PI * np.cos(np.pi * np.arange(n) / (n - 1))
+
+
+def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients from values at the extrema grid (ascending x).
+
+    Supports batched rows: vals shape (..., n).
+    """
+    n = vals.shape[-1]
+    v = vals[..., ::-1]                 # descending x for the DCT convention
+    ext = np.concatenate([v, v[..., -2:0:-1]], axis=-1)
+    c = np.fft.rfft(ext, axis=-1).real / (n - 1)
+    c[..., 0] *= 0.5
+    c[..., -1] *= 0.5
+    return c[..., :n]
+
+
+def _cheb_integral(c: np.ndarray) -> np.ndarray:
+    """Coefficients of the antiderivative in s = x pi/2, zero at s = 0.
+
+    Row-batched ``chebint``: b_k = (c_{k-1} - c_{k+1}) / (2k), with c_0
+    counted twice in b_1, and b_0 makes the value at x = 0 vanish.
+    """
+    n = c.shape[-1]
+    c = np.concatenate([c, np.zeros(c.shape[:-1] + (2,))], axis=-1)
+    b = np.empty(c.shape[:-1] + (n + 1,))
+    b[..., 1:] = (c[..., :n] - c[..., 2:]) / (2.0 * np.arange(1, n + 1))
+    b[..., 1] += 0.5 * c[..., 0]
+    # T_k(0) is (-1)^(k/2) for even k and 0 for odd k
+    b[..., 0] = b[..., 2::4].sum(axis=-1) - b[..., 4::4].sum(axis=-1)
+    return b * HALF_PI
+
+
+@lru_cache(maxsize=16)
+def profile_table(profile: ProfileCurve) -> np.ndarray:
+    """Chebyshev coefficients of int_0^s 2 pi alpha, in x = s / (pi/2).
+
+    The antiderivative is sampled at ``_PROFILE_NODES`` extrema, doubled
+    until its coefficients' upper half is below ``_PROFILE_TOL``.  A
+    feature narrower than the first node spacing can fall between the
+    nodes and go unseen.  Cached per profile, read-only: every band area,
+    the volume and the spectral solver's table sizes read it.
+    """
+    n = _PROFILE_NODES
+    while True:
+        b = _cheb_integral(_cheb_coeffs(
+            2.0 * math.pi * profile.alpha(_cheb_nodes(n))))
+        if np.max(np.abs(b[n // 2:])) <= _PROFILE_TOL:
+            b.flags.writeable = False      # one cached array for all callers
+            return b
+        if n >= _PROFILE_MAX_NODES:
+            raise SolverFailure(f"{profile.label}: the profile is not "
+                                f"resolved by {n} Chebyshev nodes")
+        n = 2 * n - 1
+
+
+def _profile_size(profile: ProfileCurve) -> int:
+    """Chebyshev nodes that resolve the profile itself: the smallest power
+    of two past which every coefficient of :func:`profile_table` is below
+    ``_PROFILE_TOL``."""
+    last = np.flatnonzero(np.abs(profile_table(profile)) > _PROFILE_TOL)[-1]
+    return 1 << int(last).bit_length()
+
+
 def band_area(profile: ProfileCurve, s0: float, s1: float) -> float:
-    """Riemannian area of the band [s0, s1] x S^1: 2 pi int alpha, by quad."""
-    return 2.0 * math.pi * quad(lambda s: float(profile.alpha(s)), s0, s1,
-                                epsabs=1e-12, epsrel=1e-12)[0]
+    """Riemannian area of the band [s0, s1] x S^1: 2 pi int alpha, read
+    from :func:`profile_table` at the two ends, T_k(x) = cos(k arccos x)."""
+    if not (abs(s0) <= HALF_PI and abs(s1) <= HALF_PI):
+        raise DomainError(f"band [{s0}, {s1}] leaves [-pi/2, pi/2]")
+    b = profile_table(profile)
+    ends = np.cos(np.outer(np.arccos(np.array([s0, s1]) / HALF_PI),
+                           np.arange(len(b)))) @ b
+    return float(ends[1] - ends[0])
 
 
 def manifold_volume(m: ModelManifold) -> float:

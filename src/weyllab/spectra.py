@@ -54,13 +54,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, IncompleteInput, SolverFailure
-from .manifolds import (HALF_PI, ModelManifold, ProfileCurve,
+from .manifolds import (HALF_PI, ModelManifold, ProfileCurve, _cheb_coeffs,
+                        _cheb_integral, _cheb_nodes, _profile_size,
                         manifold_volume, sphere_volume)
 
 _GROUP_TOL = 1e-8          # relative clustering of merged frequencies
@@ -93,14 +93,6 @@ _CHUNK_ELEMS = 1 << 14
 # Chebyshev nodes of the eigenbasis table beyond degree pi lambda_max: with
 # twice the nodes no band weight moves by 1e-9 (see _cheb_size)
 _CHEB_MARGIN = 128
-# The profile's own Chebyshev table (see _profile_size): the antiderivative
-# of 2 pi alpha (about 4 pi at the end), sampled at _PROFILE_NODES extrema
-# (spacing about 0.005 at the equator) and doubled, up to
-# _PROFILE_MAX_NODES, until the upper half of its coefficients is below
-# _PROFILE_TOL
-_PROFILE_NODES = 1025
-_PROFILE_MAX_NODES = (1 << 16) + 1
-_PROFILE_TOL = 1e-10
 _STORE_ELEMS = 1 << 18    # elements of one stored array per build pass
 # Every root bracket ends narrower than this in lambda^2, with F at its two
 # ends on either side of the goal; the root is the secant point there.
@@ -268,65 +260,6 @@ def product_spectrum(s1: Spectrum, s2: Spectrum,
 
 # ---------------------------------------------------------------------------
 # Chebyshev storage for radial eigenfunctions
-
-
-def _cheb_nodes(n: int) -> np.ndarray:
-    """Chebyshev extrema on [-pi/2, pi/2], ascending."""
-    return -HALF_PI * np.cos(np.pi * np.arange(n) / (n - 1))
-
-
-def _cheb_coeffs(vals: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients from values at the extrema grid (ascending x).
-
-    Supports batched rows: vals shape (..., n).
-    """
-    n = vals.shape[-1]
-    v = vals[..., ::-1]                 # descending x for the DCT convention
-    ext = np.concatenate([v, v[..., -2:0:-1]], axis=-1)
-    c = np.fft.rfft(ext, axis=-1).real / (n - 1)
-    c[..., 0] *= 0.5
-    c[..., -1] *= 0.5
-    return c[..., :n]
-
-
-def _cheb_integral(c: np.ndarray) -> np.ndarray:
-    """Coefficients of the antiderivative in s = x pi/2, zero at s = 0.
-
-    Row-batched ``chebint``: b_k = (c_{k-1} - c_{k+1}) / (2k), with c_0
-    counted twice in b_1, and b_0 makes the value at x = 0 vanish.
-    """
-    n = c.shape[-1]
-    c = np.concatenate([c, np.zeros(c.shape[:-1] + (2,))], axis=-1)
-    b = np.empty(c.shape[:-1] + (n + 1,))
-    b[..., 1:] = (c[..., :n] - c[..., 2:]) / (2.0 * np.arange(1, n + 1))
-    b[..., 1] += 0.5 * c[..., 0]
-    # T_k(0) is (-1)^(k/2) for even k and 0 for odd k
-    b[..., 0] = b[..., 2::4].sum(axis=-1) - b[..., 4::4].sum(axis=-1)
-    return b * HALF_PI
-
-
-@lru_cache(maxsize=16)        # a solve asks three times
-def _profile_size(profile: ProfileCurve) -> int:
-    """Chebyshev nodes that resolve the profile itself.
-
-    The antiderivative of 2 pi alpha is sampled at ``_PROFILE_NODES``
-    extrema, doubled until its coefficients' upper half is below
-    ``_PROFILE_TOL``; the size is the smallest power of two past which
-    every coefficient is below it.  A feature narrower than the first node
-    spacing can fall between the nodes and go unseen.
-    """
-    n = _PROFILE_NODES
-    while True:
-        b = _cheb_integral(_cheb_coeffs(
-            2.0 * math.pi * profile.alpha(_cheb_nodes(n))))
-        if np.max(np.abs(b[n // 2:])) <= _PROFILE_TOL:
-            break
-        if n >= _PROFILE_MAX_NODES:
-            raise SolverFailure(f"{profile.label}: the profile is not "
-                                f"resolved by {n} Chebyshev nodes")
-        n = 2 * n - 1
-    last = np.flatnonzero(np.abs(b) > _PROFILE_TOL)[-1]
-    return 1 << int(last).bit_length()
 
 
 def _cheb_size(profile: ProfileCurve, lambda_max: float) -> int:

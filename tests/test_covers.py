@@ -206,7 +206,7 @@ def test_perturbed_band_refines_candidates(monkeypatch):
     U = CosphereSet(PERTURBED, kind="band", s0=1.05, s1=1.45)
     est = near_periodic_measure(U, 0.1, 2.71, 0.05, samples=1000, seed=37)
     assert refined == [1994]
-    assert est.value == 0.8655922943033291
+    assert est.value == 0.865592294303322
     assert est.inflation == 0.025001000000000006
 
 
@@ -601,6 +601,28 @@ def test_radial_certificate_is_sound(profile, constants, thresholds,
     for i, row_cases, row_away in zip(keep, checked, away):
         bad = [case for case, ok in zip(row_cases, row_away) if not ok]
         assert not bad, (rows[i], bad)
+
+
+def test_radial_certificate_is_sound_on_an_opposite_leg_return():
+    # Near-equatorial orbits of the flat-equator profile (s_+ = 0.05) at
+    # thresh 0.03, from edge rows 0.4645 thresholds inside each turning
+    # point.  Heading away from it, such a row passes its start on the
+    # opposite leg at |t| = tau - 2 t(s0 -> s_+) = 13.13, its azimuth back
+    # to within 1e-3 and its fiber gap 0.84 thresholds.  Its sojourn,
+    # t(s0 -> s_+) + t(s0 - thresh -> s_+) = 2.11 + 4.00, leaves it
+    # undecided from t0 = 4.5; the far leg alone would clear it in
+    # (4.5, 13.25)
+    profile = _flat_equator_profile()
+    flow = RevolutionFlow(profile)
+    thresh, window = 0.03, (4.5, 13.25)
+    c = float(profile.alpha(0.05))
+    s_lo, s_hi = (float(x[0]) for x in turning_points(profile, [c]))
+    rows = _rows_at(flow, c, np.array([s_hi - 0.4645 * thresh,
+                                       s_lo + 0.4645 * thresh]))
+    away = np.array(_stays_away(flow, rows, [[(thresh, window)]] * len(rows)))
+    cleared = flow.radial_clears(rows, *window, thresh)
+    assert not away.all()
+    assert not np.any(cleared & ~away[:, 0])
 
 
 def test_radial_certificate_clears_nothing_past_one_period():

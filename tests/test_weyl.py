@@ -322,10 +322,75 @@ def test_smoothed_series_blocks_match_the_dense_matrix(n_grid, lo, hi, sigma,
     K = build_smoothing_kernel(sigma)
     lams = np.linspace(lo, hi, n_grid)
     w = s.mults.astype(float)
+    # the spread grid would have more nodes than the spectrum has levels,
+    # so the levels are the sources (16,012 nodes for the 9 levels at 200)
+    assert weyl._sources(s.lambdas, w, sigma)[0] is s.lambdas
     dense = K.P(K.sigma * (lams[:, None] - s.lambdas[None, :])) @ w
     sm = smoothed_series(s, lams, K)
     assert sm.shape == lams.shape
     assert np.max(np.abs(sm - dense)) <= 1e-13 * float(np.sum(w))
+
+
+def test_smoothed_series_grid_path_matches_the_dense_sum(kernel):
+    spec, lams = _benchmark_torus(kernel)
+    w = spec.mults.astype(float)
+    mu, W = weyl._sources(spec.lambdas, w, kernel.sigma)
+    assert len(mu) == 6228 < len(spec.lambdas)
+    assert np.array_equal(mu, np.arange(-5, 6223) * 0.1)
+    # the pairwise sum, written out by blocks of levels
+    dense = np.zeros_like(lams)
+    for c0 in range(0, len(w), 4096):
+        dense += kernel.P(kernel.sigma * (lams[:, None]
+                                          - spec.lambdas[None, c0:c0 + 4096])
+                          ) @ w[c0:c0 + 4096]
+    sm = smoothed_series(spec, lams, kernel)
+    # The table's P is the true P plus a constant (the mass it misses),
+    # plus a smooth error from its Simpson nodes, plus the error of its
+    # linear rho inside a cell, at most max|rho''| ds^3 / 12 =
+    # (1.75^3 / (3 pi)) 0.002^3 / 12 = 3.8e-10.  The 12 Lagrange weights
+    # sum to 1 and reproduce smooth functions, so only the in-cell error
+    # stays, once at the level and once through the weights, whose
+    # absolute sum is at most 1.63 (the Lebesgue constant of the central
+    # cell); the spreading's own remainder is 1.2e-15 per unit weight.
+    bound = float(np.sum(w)) * ((1.0 + 1.63) * 3.8e-10 + 1.2e-15)
+    assert np.max(np.abs(sm - dense)) <= bound
+    direct_bound = kernel.consistency_bound(
+        float(spec.count(min(spec.lambda_max,
+                             lams.max() + kernel.s_table[-1]))))
+    for i in (0, 41, 99):
+        direct = smoothed_series_direct(spec, float(lams[i]), kernel)
+        assert abs(sm[i] - direct) <= direct_bound
+
+
+def test_spread_weights_reproduce_moments(kernel, perturbed_radial):
+    # sum_k W_k mu_k^d = sum_j w_j lambda_j^d for d < 12, in the variable
+    # x = (lambda - c) / r that maps the spectrum onto [-1, 1]: on the
+    # benchmark torus, and on a Kuznecov helper, whose weights p conj(q)
+    # for two points take both signs
+    torus = _benchmark_torus(kernel)[0]
+    basis = perturbed_radial.basis
+    prods = np.sum(weyl._period_integrals(basis, ("point", 0.4, 1.1))
+                   * np.conj(weyl._period_integrals(basis,
+                                                    ("point", -0.2, 0.3))),
+                   axis=1).real
+    assert np.any(prods < 0) and np.any(prods > 0)
+    for lam, w in ((torus.lambdas, torus.mults.astype(float)),
+                   (basis.lam, prods)):
+        for sigma in (1.0, 3.7):
+            mu, W = weyl._spread(lam, w, weyl._SPREAD_STEP / sigma)
+            c, r = 0.5 * (lam.max() + lam.min()), 0.5 * (lam.max() - lam.min())
+            for d in range(weyl._SPREAD_POINTS):
+                spread = np.sum(W * ((mu - c) / r) ** d)
+                exact = np.sum(w * ((lam - c) / r) ** d)
+                assert abs(spread - exact) <= 1e-14 * np.sum(np.abs(w))
+
+
+def _benchmark_torus(kernel):
+    """The benchmark's torus (87,080 levels) and its 100 grid points."""
+    spec = torus_spectrum(
+        (TWO_PI, TWO_PI), 200.0 + kernel.tail_cut_for(kernel.tail_tol) + 2.0)
+    grid = np.sort(np.random.default_rng(11).uniform(20.0, 200.0, 100))
+    return spec, grid
 
 
 def _transient_mb(fn) -> float:
@@ -341,10 +406,7 @@ def _transient_mb(fn) -> float:
 
 
 def test_smoothed_series_memory_is_bounded(kernel):
-    # the benchmark's torus: 87,080 levels against 100 grid points
-    spec = torus_spectrum(
-        (TWO_PI, TWO_PI), 200.0 + kernel.tail_cut_for(kernel.tail_tol) + 2.0)
-    grid = np.sort(np.random.default_rng(11).uniform(20.0, 200.0, 100))
+    spec, grid = _benchmark_torus(kernel)
     assert _transient_mb(lambda: smoothed_series(spec, grid, kernel)) < 16.0
 
 
