@@ -64,14 +64,39 @@ class ResolutionFunction:
 
 
 def _halton(d: int, n: int, seed) -> np.ndarray:
-    """n scrambled Halton points in [0, 1)^d.
+    """n scrambled Halton points in [0, 1)^d, d <= 3.
 
-    scipy.stats is imported here, where points are drawn: its import is a
-    large share of a fresh process's start-up time and memory, and most
-    processes that import weyllab never sample.
+    Owen's randomized Halton (arXiv 1706.02808), as scipy's
+    ``qmc.Halton(d, scramble=True, seed=seed).random(n)`` draws it.
+    Coordinate j is the base-b van der Corput sequence, b = 2, 3, 5, with
+    its i-th base-b digit of the index sent through the i-th of
+    ceil(54 / log2 b) - 1 permutations of range(b); one
+    ``default_rng(seed)`` shuffles them all, base by base and digit by
+    digit.  The point is sum_i perm_i[digit_i] b^-(i+1), summed in digit
+    order, so every float operation is scipy's: the draws match scipy
+    1.17's bit for bit (checked by the tests).  Past the largest index's
+    top digit each digit is 0, and its term is one scalar.
+
+    The result is the transpose of a (d, n) array, as scipy's is: the
+    callers read whole columns, and each column is contiguous.
     """
-    from scipy.stats import qmc
-    return qmc.Halton(d=d, scramble=True, seed=seed).random(n)
+    rng = np.random.default_rng(seed)
+    out = np.zeros((d, n))
+    for row, base in zip(out, (2, 3, 5)[:d]):
+        perms = np.repeat(np.arange(base)[None],
+                          math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        q, top, b2r = np.arange(n), n - 1, 1.0 / base
+        for perm in perms:
+            if top > 0:
+                q, digit = np.divmod(q, base)
+                row += (perm * b2r)[digit]
+                top //= base
+            else:
+                row += perm[0] * b2r
+            b2r /= base
+    return out.T
 
 
 def flow_for(manifold: ModelManifold):
@@ -290,6 +315,10 @@ def recurrence_measure(manifold: ModelManifold, x, R0: float,
     T_r = float(T_func(np.array([r]))[0])
     rng = np.random.default_rng(seed)
     probe_angles = rng.uniform(0.0, 2.0 * math.pi, _RECURRENCE_PROBES)
+    # one draw of the fiber circle serves every test arc
+    psi = 2.0 * math.pi * _halton(1, samples, seed)[:, 0]
+    states = _fiber_states(manifold, x, psi)
+    base_hits = {}      # the torus's base returns, per window
     failures = []
     probes = []
     for psi0 in probe_angles:
@@ -303,9 +332,9 @@ def recurrence_measure(manifold: ModelManifold, x, R0: float,
                     mu_target = eps * min(2.0 * (a_k + R), total)
                     if T_r <= t_eps:
                         continue      # empty window: vacuous pass
-                    est = _recurrence_mass(flow, manifold, x, psi0, a_k,
+                    est = _recurrence_mass(flow, x, psi, states, psi0, a_k,
                                            thresh, t_eps, T_r, sign,
-                                           samples, seed)
+                                           base_hits)
                     if est >= mu_target:
                         sign_ok = False
                         failures.append({"psi0": float(psi0), "k": k,
@@ -321,21 +350,22 @@ def recurrence_measure(manifold: ModelManifold, x, R0: float,
                              details={"T_r": T_r, "threshold": thresh})
 
 
-def _recurrence_mass(flow, manifold, x, psi0, a_k, thresh, t_lo, t_hi,
-                     sign, samples, seed):
-    """Estimated mass of B(R^{rR}_{A, sign}, rR) on the fiber circle."""
+def _recurrence_mass(flow, x, psi, states, psi0, a_k, thresh, t_lo, t_hi,
+                     sign, base_hits):
+    """Estimated mass of B(R^{rR}_{A, sign}, rR) on the fiber circle.
+
+    ``states`` are the unit covectors at x with the fiber angles ``psi``;
+    ``base_hits`` caches the torus's base returns by window.
+    """
     if isinstance(flow, RevolutionFlow):
         raise DomainError("recurrence estimator supports flat tori and the "
                           "round sphere")
-    u = _halton(1, samples, seed)[:, 0]
-    psi = 2.0 * math.pi * u
     fiber_gap = np.maximum(wrap_angle(psi - psi0) - a_k, 0.0)
     near_A = fiber_gap < thresh
-    states = _fiber_states(manifold, x, psi)
     if isinstance(flow, RoundSphereFlow):
         to_x = flow.metric.base_distance_from(x)
         # candidate return times: closures at 2 pi k inside the window
-        hits = np.zeros(samples, dtype=bool)
+        hits = np.zeros(len(psi), dtype=bool)
         for k in range(0, int(t_hi / (2 * math.pi)) + 2):
             t_star = min(max(2 * math.pi * k, t_lo), t_hi)
             moved = flow.flow(states, -sign * t_star)
@@ -347,8 +377,11 @@ def _recurrence_mass(flow, manifold, x, psi0, a_k, thresh, t_lo, t_hi,
         # the torus flow keeps every fiber angle, so the condition splits
         # into near_A and a base return; the base return of -omega against
         # the period lattice is that of omega against the negated lattice,
-        # the same set, so the time direction drops out
-        hits = flow.return_hits(states, t_lo, t_hi, thresh)[0]
+        # the same set, so neither the time direction nor the arc enters
+        if (t_lo, t_hi) not in base_hits:
+            base_hits[t_lo, t_hi] = flow.return_hits(states, t_lo, t_hi,
+                                                     thresh)[0]
+        hits = base_hits[t_lo, t_hi]
     return float(np.mean(hits & near_A)) * 2.0 * math.pi
 
 

@@ -61,7 +61,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from .errors import DomainError, StepFailure
 from .manifolds import HALF_PI, ProfileCurve, lattice_box
@@ -260,6 +259,9 @@ def _dop853_rows(rhs, y0, T, rtol, atol):
     step; raises StepFailure when a row's step falls below 10 ulps of t or
     is not a number, so no row can hold the loop forever.
     """
+    # imported here: only the tableau is read, and scipy.integrate is a
+    # slow import that most processes never need
+    from scipy.integrate import DOP853
     A, B, A_EXTRA = DOP853.A, DOP853.B, DOP853.A_EXTRA
     E3, E5, D = DOP853.E3, DOP853.E5, DOP853.D
     n_stages = len(B)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (DegenerateInput, DomainError, QuadratureFailure,
                      StepFailure)
@@ -343,6 +342,7 @@ def rotation_number_ode(s_plus: float, profile: ProfileCurve):
     through zero, i.e. one full radial oscillation.  Independent route used
     to cross-validate the quadrature values.
     """
+    from scipy.integrate import solve_ivp
     c = float(profile.alpha(s_plus))
     y0 = [s_plus, 0.0, 0.0, c]
     flow = RevolutionFlow(profile)

@@ -19,6 +19,7 @@ from scipy.optimize import brentq
 
 from .errors import (ConfigError, DomainError, InvariantViolation,
                      SolverFailure, bind, number)
+from .quadrature import cumulative_simpson
 
 HALF_PI = math.pi / 2.0
 
@@ -212,14 +213,13 @@ def make_pendulum_profile(E: float) -> ProfileCurve:
     if E <= 2:
         raise DomainError(f"pendulum reparametrization needs E > 2, got E={E}")
 
-    from scipy.integrate import cumulative_simpson
     from scipy.interpolate import CubicSpline
 
     def speed(u):
         return np.sqrt(E - 2.0 * np.sin(np.asarray(u, dtype=float)))
 
     s_tab = np.linspace(-HALF_PI, HALF_PI, 8001)
-    sig_tab = cumulative_simpson(speed(s_tab), x=s_tab, initial=0.0)
+    sig_tab = cumulative_simpson(speed(s_tab), s_tab)
     sig_tab -= sig_tab[4000]          # anchor sigma(0) = 0
     sigma_minus, sigma_plus = float(sig_tab[0]), float(sig_tab[-1])
     scale = (sigma_plus - sigma_minus) / math.pi

@@ -7,6 +7,8 @@ propagated in exact arithmetic (1 - tanh underflows long before the rule's
 weights become negligible), so integrands can resolve singular factors far
 below machine epsilon from the endpoint.  The levels nest (Takahasi and
 Mori, 1974): each halving of the mesh reuses every node already evaluated.
+The cumulative Simpson rule integrates smooth tables (the smoothing kernel,
+the pendulum's arc length) node by node.
 """
 
 from __future__ import annotations
@@ -160,3 +162,31 @@ def tanh_sinh_rows(f, a, b, rel_tol: float = 1e-10, max_level: int = 11):
     errs[active] = np.inf
     return values, errs
 
+
+def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """int_{x_0}^{x_i} y at every node, by Simpson's rule on unequal steps.
+
+    The integral over each step is that of the parabola through its two
+    nodes and one neighbour (Cartwright's unequal-interval rule): the next
+    node for the even steps, the previous node for the odd ones and the
+    last.  These are scipy's ``cumulative_simpson(y, x=x, initial=0.0)``
+    half-rules, interleaved and summed with the same float operations, so
+    the result is the same to the bit.  Needs at least 3 nodes.
+    """
+
+    def forward(f, h):
+        # the step h[:-1] of each node triple, with the next step h[1:]
+        x21, x32 = h[:-1], h[1:]
+        x21_x31 = x21 / (x21 + x32)
+        x21x21_x31x32 = x21_x31 * (x21 / x32)
+        return x21 / 6 * ((3 - x21_x31) * f[:-2]
+                          + (3 + x21x21_x31x32 + x21_x31) * f[1:-1]
+                          - x21x21_x31x32 * f[2:])
+
+    dx = np.diff(x)
+    backward = forward(y[::-1], dx[::-1])[::-1]
+    steps = np.empty(len(dx))
+    steps[:-1:2] = forward(y, dx)[::2]
+    steps[1::2] = backward[::2]
+    steps[-1] = backward[-1]
+    return np.concatenate([[0.0], np.cumsum(steps)])

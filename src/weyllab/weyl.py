@@ -19,6 +19,7 @@ from scipy.special import eval_legendre, jv
 
 from .errors import DomainError, IncompleteSpectrum, WindowTooSmall
 from .manifolds import ModelManifold, band_area, lattice_box
+from .quadrature import cumulative_simpson
 from .spectra import Spectrum
 
 
@@ -351,22 +352,6 @@ class SmoothingKernel:
         np.subtract(1.0, tail, out=tail, where=flat < 0)
         return tail.reshape(x.shape)
 
-    def rho_hat(self, xi):
-        """Frequency-side profile (exact plateau convolution).
-
-        The bump integrated over [-0.25, 0.25] cap [|xi| - 1.5, |xi| + 1.5]
-        by the 120-node Gauss rule mapped onto each interval.
-        """
-        bump = _rho_gauss()[0]
-        v = np.abs(np.asarray(xi, dtype=float))
-        lo = np.maximum(-0.25, v - 1.5)
-        hi = np.minimum(0.25, v + 1.5)
-        gx, gw = _gauss_rule(120)
-        mid = (0.5 * (lo + hi))[..., None]
-        half = 0.5 * (hi - lo)
-        out = half * np.sum(gw * bump(mid + half[..., None] * gx), axis=-1)
-        return np.where(lo < hi, out, 0.0)
-
     def tail_cut_for(self, tol: float) -> float:
         """Smallest x beyond which |P - step| stays below ``tol``."""
         dev = np.abs(1.0 - self.P_table)
@@ -388,21 +373,24 @@ def build_smoothing_kernel(scale: float, s_max: float = 420.0,
                            ds: float = 0.002) -> SmoothingKernel:
     """Construct rho_sigma for sigma = scale (table shared across scales).
 
-    The rho table on s_k = k ds is the fast path, built by
-    :func:`_rho_table` from blocked exponentials; :func:`rho_exact` stays
-    the oracle it is checked against.  P is its cumulative Simpson
-    integral, and the per-cell bends 0.5 ds diff(rho) let
-    :meth:`SmoothingKernel.P` evaluate between nodes.
+    The tables live on the nodes s_k = k ds of [0, s_max], and every scale
+    shares them: only ``sigma`` differs.  The rho table is the fast path,
+    built by :func:`_rho_table` from blocked exponentials; :func:`rho_exact`
+    stays the oracle it is checked against.  P(s_k) = 1 - int_{s_k}^{s_max}
+    rho is the cumulative Simpson integral from the far end
+    (:func:`quadrature.cumulative_simpson`), and the per-cell bends
+    0.5 ds diff(rho) let :meth:`SmoothingKernel.P` evaluate between nodes.  ``tail_tol`` is
+    the step-function tolerance the table can reach: twice |1 - P| at
+    s_max, and at least 1e-9.
     """
     if scale <= 0:
         raise DomainError("smoothing scale must be positive")
     key = (s_max, ds)
     if key not in _KERNEL_CACHE:
-        from scipy.integrate import cumulative_simpson
         s = np.arange(0.0, s_max + ds, ds)
         rho = _rho_table(s, ds)
         # P(x) = 1 - int_x^inf rho, cumulative Simpson from the far end
-        tail_from = cumulative_simpson(rho[::-1], x=-s[::-1], initial=0.0)[::-1]
+        tail_from = cumulative_simpson(rho[::-1], -s[::-1])[::-1]
         P = 1.0 - tail_from
         bend = 0.5 * ds * np.diff(rho)
         # achievable step-function tolerance: the P deviation still present

@@ -323,8 +323,8 @@ def test_threads_flag_is_rejected(configs):
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # scipy.stats (for the Halton sampler) costs a fresh process about a
-    # third of a second; only the samplers import it
+    # scipy.stats costs a fresh process about a third of a second; nothing
+    # in the package imports it (the Halton sampler is numpy's)
     src = os.path.dirname(os.path.dirname(weyllab.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
@@ -332,3 +332,15 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
          "import sys, weyllab.cli; print('scipy.stats' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_benchmark_pipelines_leave_scipy_stats_and_integrate_unloaded():
+    # the near-periodic benchmark's dynamics (tori, a band estimate, a
+    # torus estimate) and the spectral benchmark's kernel, in a fresh
+    # process: the script exits 1 if either scipy subpackage was imported
+    src = os.path.dirname(os.path.dirname(weyllab.__file__))
+    script = os.path.join(os.path.dirname(__file__), "scipy_footprint.py")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, script], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr

@@ -9,6 +9,7 @@ from weyllab.covers import (
     CircleTarget,
     CosphereSet,
     ResolutionFunction,
+    _halton,
     build_good_cover,
     family_budget,
     looping_pair_measure,
@@ -69,6 +70,31 @@ def test_triangle_inequality_on_random_triples():
     dBC = metric.distance(B, C)
     dAC = metric.distance(A, C)
     assert np.all(dAC <= dAB + dBC + 1e-12)
+
+
+# --- Halton draws -----------------------------------------------------------
+
+# measure-oracle's repetitions draw at seeds 1000..1099; the near-periodic
+# benchmark's torus estimate draws at 1621709875, 234731698, 385346042 and
+# 1892783322 (its seeds 1 to 4)
+HALTON_SEEDS = [0, 1, 37, 1000, 1099, 2 ** 31 - 1,
+                1621709875, 234731698, 385346042, 1892783322]
+
+
+@pytest.mark.parametrize("seed", HALTON_SEEDS)
+def test_halton_matches_scipy_bit_for_bit(seed):
+    for d in (1, 3):
+        for n in (1, 2, 7, 1000, 1024, 4000, 20_000, 100_000):
+            ref = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
+            assert np.array_equal(_halton(d, n, seed), ref), (d, n)
+
+
+def test_halton_columns_are_contiguous():
+    u = _halton(3, 4000, 5)
+    assert u.shape == (4000, 3)
+    assert all(u[:, j].flags.c_contiguous for j in range(3))
+    ref = qmc.Halton(d=3, scramble=True, seed=5).random(4000)
+    assert u.strides == ref.strides
 
 
 # --- near-periodic measures --------------------------------------------------
@@ -731,6 +757,19 @@ def test_torus_recurrence_fails_at_small_eps():
     assert _failing_hits(v) == ([29, 29, 20, 20, 18, 18, 24, 24],
                                 [20, 20, 13, 13, 15, 15, 18, 18],
                                 [12, 12, 10, 10, 12, 12, 16, 16])
+
+
+def test_recurrence_windows_keep_their_own_returns():
+    # eps = 0.5 (window [2, 40]) never fails here, so adding it must leave
+    # the failures of eps = 0.05 (window [20, 40]) exactly as they were
+    kwargs = dict(t_func=T_OF_EPS, T_func=ResolutionFunction.constant(40.0),
+                  r=0.5, R=0.1, samples=3000, seed=4)
+    both = recurrence_measure(TORUS, (0.3, 0.4), 0.2, eps_list=(0.5, 0.05),
+                              **kwargs)
+    alone = recurrence_measure(TORUS, (0.3, 0.4), 0.2, eps_list=(0.05,),
+                               **kwargs)
+    assert both.failures == alone.failures
+    assert len(alone.failures) == 24
 
 
 def test_recurrence_vacuous_window_passes():

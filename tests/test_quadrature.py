@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from weyllab.errors import QuadratureFailure
-from weyllab.quadrature import tanh_sinh, tanh_sinh_rows
+from weyllab.quadrature import cumulative_simpson, tanh_sinh, tanh_sinh_rows
 
 
 def test_smooth_integrand():
@@ -101,3 +101,22 @@ def test_levels_nest_and_evaluate_only_their_new_nodes():
                      1.0, rel_tol=1e-12, endpoint_distances=True) \
         == (value, err)
     assert seen == [33, 32, 64]
+
+
+def _steps(n, equal):
+    if equal:
+        return np.linspace(-0.5 * math.pi, 0.5 * math.pi, n)
+    return np.cumsum(np.random.default_rng(n).uniform(0.1, 1.0, n))
+
+
+# unequal steps, and make_pendulum_profile's 8,001 equal ones: scipy takes
+# the unequal-step formula whenever x is given
+@pytest.mark.parametrize("n, equal", [(3, False), (4, False), (5, False),
+                                      (10, False), (11, False), (1000, False),
+                                      (1001, False), (8001, True)])
+def test_cumulative_simpson_matches_scipy_bit_for_bit(n, equal):
+    from scipy.integrate import cumulative_simpson as scipy_simpson
+    x = _steps(n, equal)
+    y = np.random.default_rng(n + 1).standard_normal(n)
+    assert np.array_equal(cumulative_simpson(y, x),
+                          scipy_simpson(y, x=x, initial=0.0))

@@ -172,14 +172,31 @@ def test_kernel_mass_is_one(kernel):
     assert mass == pytest.approx(1.0, abs=1e-8)
 
 
-def test_rho_hat_plateau_and_support(kernel):
-    assert kernel.rho_hat(0.0) == pytest.approx(1.0, abs=1e-12)
-    assert kernel.rho_hat(0.9) == pytest.approx(1.0, abs=1e-12)
-    assert float(kernel.rho_hat(2.1)) == 0.0
-    assert float(kernel.rho_hat(1.9)) == 0.0      # support is [-1.75, 1.75]
+def rho_hat(xi):
+    """The kernel's frequency-side profile (exact plateau convolution).
+
+    The bump integrated over [-0.25, 0.25] cap [|xi| - 1.5, |xi| + 1.5]
+    by the 120-node Gauss rule mapped onto each interval.
+    """
+    bump = weyl._rho_gauss()[0]
+    v = np.abs(np.asarray(xi, dtype=float))
+    lo = np.maximum(-0.25, v - 1.5)
+    hi = np.minimum(0.25, v + 1.5)
+    gx, gw = weyl._gauss_rule(120)
+    mid = (0.5 * (lo + hi))[..., None]
+    half = 0.5 * (hi - lo)
+    out = half * np.sum(gw * bump(mid + half[..., None] * gx), axis=-1)
+    return np.where(lo < hi, out, 0.0)
 
 
-def test_rho_hat_is_the_per_point_gauss_rule(kernel):
+def test_rho_hat_plateau_and_support():
+    assert rho_hat(0.0) == pytest.approx(1.0, abs=1e-12)
+    assert rho_hat(0.9) == pytest.approx(1.0, abs=1e-12)
+    assert float(rho_hat(2.1)) == 0.0
+    assert float(rho_hat(1.9)) == 0.0      # support is [-1.75, 1.75]
+
+
+def test_rho_hat_is_the_per_point_gauss_rule():
     # one 120-node Gauss rule per point, mapped onto [lo, hi]
     x, w = np.polynomial.legendre.leggauss(120)
 
@@ -194,8 +211,8 @@ def test_rho_hat_is_the_per_point_gauss_rule(kernel):
     for v in np.abs(xi):
         lo, hi = max(-0.25, v - 1.5), min(0.25, v + 1.5)
         ref.append(gauss_legendre(bump, lo, hi) if lo < hi else 0.0)
-    assert np.array_equal(kernel.rho_hat(xi), ref)
-    assert kernel.rho_hat(xi.reshape(4, -1)).shape == (4, 102)
+    assert np.array_equal(rho_hat(xi), ref)
+    assert rho_hat(xi.reshape(4, -1)).shape == (4, 102)
 
 
 @pytest.mark.parametrize("s_max, ds, nodes", [
@@ -209,6 +226,17 @@ def test_kernel_table_matches_rho_exact_at_every_node(monkeypatch, s_max, ds,
     K = build_smoothing_kernel(1.0, s_max=s_max, ds=ds)
     assert len(K.s_table) == nodes
     assert np.max(np.abs(K.rho_table - weyl.rho_exact(K.s_table))) <= 1e-15
+
+
+@pytest.mark.parametrize("s_max, ds", [(420.0, 0.002), (37.0, 0.01)])
+def test_kernel_P_table_is_scipys_cumulative_simpson(monkeypatch, s_max, ds):
+    # 210,001 and 3,701 nodes: the default table and an odd-sized one
+    from scipy.integrate import cumulative_simpson
+    monkeypatch.setattr(weyl, "_KERNEL_CACHE", {})
+    K = build_smoothing_kernel(1.0, s_max=s_max, ds=ds)
+    s, rho = K.s_table, K.rho_table
+    ref = 1.0 - cumulative_simpson(rho[::-1], x=-s[::-1], initial=0.0)[::-1]
+    assert np.array_equal(K.P_table, ref)
 
 
 @pytest.mark.parametrize("sigma", [1.0, 5.0])
