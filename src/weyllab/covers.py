@@ -100,7 +100,12 @@ def _halton(d: int, n: int, seed) -> np.ndarray:
 
 
 def flow_for(manifold: ModelManifold):
+    """The geodesic flow of a 2-torus, the round sphere or a surface of
+    revolution; DomainError for any other manifold."""
     if manifold.kind == "flat_torus":
+        if manifold.dim != 2:
+            raise DomainError(f"the dynamics estimators take 2-d tori, not "
+                              f"a {manifold.dim}-torus")
         return TorusFlow(manifold.periods)
     if manifold.kind == "round_sphere" and manifold.n == 2:
         return RoundSphereFlow(make_round_sphere())
@@ -227,12 +232,12 @@ def near_periodic_measure(U: CosphereSet, t0: float, T: float, R: float,
     """
     if samples < 1000:
         raise DomainError("use at least 1e3 samples")
+    flow = flow_for(U.manifold)
     torus = U.manifold.kind == "flat_torus"
     thresh = 2.0 * R
     if t0 > T:
         return MeasureEstimate(0.0, 0.0, samples, U.total_measure(), thresh,
                                brute_force=0.0 if torus else None)
-    flow = flow_for(U.manifold)
     hits, inflation = flow.return_hits(U.sample(samples, seed), t0, T,
                                        thresh)
     total = U.total_measure()
@@ -310,6 +315,9 @@ def recurrence_measure(manifold: ModelManifold, x, R0: float,
     if not (0 < R < R0):
         raise DomainError("need 0 < R < R0")
     flow = flow_for(manifold)
+    if isinstance(flow, RevolutionFlow):
+        raise DomainError("recurrence estimator supports flat tori and the "
+                          "round sphere")
     total = 2.0 * math.pi
     thresh = 2.0 * r * R
     T_r = float(T_func(np.array([r]))[0])
@@ -318,7 +326,7 @@ def recurrence_measure(manifold: ModelManifold, x, R0: float,
     # one draw of the fiber circle serves every test arc
     psi = 2.0 * math.pi * _halton(1, samples, seed)[:, 0]
     states = _fiber_states(manifold, x, psi)
-    base_hits = {}      # the torus's base returns, per window
+    moved = {}          # the base returns or moved states, per time
     failures = []
     probes = []
     for psi0 in probe_angles:
@@ -333,8 +341,7 @@ def recurrence_measure(manifold: ModelManifold, x, R0: float,
                     if T_r <= t_eps:
                         continue      # empty window: vacuous pass
                     est = _recurrence_mass(flow, x, psi, states, psi0, a_k,
-                                           thresh, t_eps, T_r, sign,
-                                           base_hits)
+                                           thresh, t_eps, T_r, sign, moved)
                     if est >= mu_target:
                         sign_ok = False
                         failures.append({"psi0": float(psi0), "k": k,
@@ -351,15 +358,14 @@ def recurrence_measure(manifold: ModelManifold, x, R0: float,
 
 
 def _recurrence_mass(flow, x, psi, states, psi0, a_k, thresh, t_lo, t_hi,
-                     sign, base_hits):
+                     sign, moved):
     """Estimated mass of B(R^{rR}_{A, sign}, rR) on the fiber circle.
 
-    ``states`` are the unit covectors at x with the fiber angles ``psi``;
-    ``base_hits`` caches the torus's base returns by window.
+    ``states`` are the unit covectors at x with the fiber angles ``psi``.
+    ``moved`` caches what the flow gives that no test arc enters: the
+    torus's base returns by window, and on the sphere the base distance to
+    x and the fiber angle of the states moved by each (sign, t*).
     """
-    if isinstance(flow, RevolutionFlow):
-        raise DomainError("recurrence estimator supports flat tori and the "
-                          "round sphere")
     fiber_gap = np.maximum(wrap_angle(psi - psi0) - a_k, 0.0)
     near_A = fiber_gap < thresh
     if isinstance(flow, RoundSphereFlow):
@@ -368,20 +374,21 @@ def _recurrence_mass(flow, x, psi, states, psi0, a_k, thresh, t_lo, t_hi,
         hits = np.zeros(len(psi), dtype=bool)
         for k in range(0, int(t_hi / (2 * math.pi)) + 2):
             t_star = min(max(2 * math.pi * k, t_lo), t_hi)
-            moved = flow.flow(states, -sign * t_star)
-            base = to_x(moved)
-            fib = np.maximum(wrap_angle(flow.metric.fiber_angle(moved)
-                                        - psi0) - a_k, 0.0)
+            if (sign, t_star) not in moved:
+                end = flow.flow(states, -sign * t_star)
+                moved[sign, t_star] = to_x(end), flow.metric.fiber_angle(end)
+            base, angle = moved[sign, t_star]
+            fib = np.maximum(wrap_angle(angle - psi0) - a_k, 0.0)
             hits |= (np.maximum(base, fib) < thresh)
     else:
         # the torus flow keeps every fiber angle, so the condition splits
         # into near_A and a base return; the base return of -omega against
         # the period lattice is that of omega against the negated lattice,
         # the same set, so neither the time direction nor the arc enters
-        if (t_lo, t_hi) not in base_hits:
-            base_hits[t_lo, t_hi] = flow.return_hits(states, t_lo, t_hi,
-                                                     thresh)[0]
-        hits = base_hits[t_lo, t_hi]
+        if (t_lo, t_hi) not in moved:
+            moved[t_lo, t_hi] = flow.return_hits(states, t_lo, t_hi,
+                                                 thresh)[0]
+        hits = moved[t_lo, t_hi]
     return float(np.mean(hits & near_A)) * 2.0 * math.pi
 
 

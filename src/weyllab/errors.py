@@ -20,10 +20,6 @@ class DomainError(WeylLabError):
 class QuadratureFailure(WeylLabError):
     """Adaptive quadrature stalled before reaching the requested accuracy."""
 
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
 
 class StepFailure(WeylLabError):
     """ODE integration could not meet its tolerance."""

@@ -2,13 +2,15 @@
 
 The Clairaut integrals carry inverse-square-root singularities at turning
 points; the double-exponential transform converges spectrally on those
-without per-profile substitutions.  Distances to the interval endpoints are
-propagated in exact arithmetic (1 - tanh underflows long before the rule's
-weights become negligible), so integrands can resolve singular factors far
-below machine epsilon from the endpoint.  The levels nest (Takahasi and
-Mori, 1974): each halving of the mesh reuses every node already evaluated.
-The cumulative Simpson rule integrates smooth tables (the smoothing kernel,
-the pendulum's arc length) node by node.
+without per-profile substitutions.  There is one rule, :func:`tanh_sinh_rows`,
+which integrates many rows at once; :func:`tanh_sinh` is its one-row form.
+Distances to the interval endpoints are propagated in exact arithmetic
+(1 - tanh underflows long before the rule's weights become negligible), so
+integrands can resolve singular factors far below machine epsilon from the
+endpoint.  The levels nest (Takahasi and Mori, 1974): each halving of the
+mesh reuses every node already evaluated.  The cumulative Simpson rule
+integrates smooth tables (the smoothing kernel, the pendulum's arc length)
+node by node.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ _HALF_PI = math.pi / 2.0
 # inverse-square-root endpoint singularity is ~exp(-(pi/2) sinh(T)) ~ 2e-19.
 _T_MAX = 4.0
 
-
+# the coarsest and finest meshes, 2^-_FIRST_LEVEL and 2^-_MAX_LEVEL
 _FIRST_LEVEL = 2
+_MAX_LEVEL = 11
 
 
 def _nodes(level: int):
@@ -47,73 +50,18 @@ def _nodes(level: int):
     return x, u, w
 
 
-def tanh_sinh(f, a: float, b: float, rel_tol: float = 1e-10,
-              abs_floor: float = 1e-300, max_level: int = 11,
-              endpoint_distances: bool = False):
-    """Integrate ``f`` over ``(a, b)`` with an adaptive-level tanh-sinh rule.
-
-    ``f`` must accept numpy arrays and may be integrably singular at either
-    endpoint; it is never evaluated at the endpoints themselves.  With
-    ``endpoint_distances=True`` the integrand is called as ``f(w, d_lo,
-    d_hi)`` where ``d_lo = w - a`` and ``d_hi = b - w`` are exact even when
-    ``w`` itself rounds to an endpoint.  The levels nest as in
-    :func:`tanh_sinh_rows`.
-
-    Returns ``(value, err_estimate)``; raises :class:`QuadratureFailure`
-    when level refinement stalls, reporting the achieved error.
-    """
-    if not (b > a):
-        if b == a:
-            return 0.0, 0.0
-        raise QuadratureFailure(f"empty interval ({a}, {b})")
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-
-    kept = None
-    last_err = math.inf
-    for level in range(_FIRST_LEVEL, max_level + 1):
-        x, u, w = _nodes(level)
-        pos = x >= 0
-        d_hi = np.where(pos, half * u, half * (2.0 - u))
-        d_lo = np.where(pos, half * (2.0 - u), half * u)
-        # Chart coordinate consistent with the exact distances.
-        xw = np.where(pos, b - d_hi, a + d_lo)
-        vals = np.zeros(len(x))
-        new = np.ones(len(x), dtype=bool)
-        if kept is not None:
-            vals[0::2], new[0::2] = kept, False
-        if endpoint_distances:
-            vals[new] = f(xw[new], d_lo[new], d_hi[new])
-            total = half * float(np.sum(vals * w))
-        else:
-            # Without distance tracking, nodes closer to an endpoint than
-            # one ulp collide with it; drop them (their weights are far
-            # below the accuracy of this calling convention).
-            interior = (xw > a) & (xw < b)
-            vals[new & interior] = f(xw[new & interior])
-            total = half * float(np.sum(vals[interior] * w[interior]))
-        if kept is not None:
-            last_err = abs(total - prev)
-            scale = max(abs(total), abs_floor)
-            if last_err <= rel_tol * scale:
-                return total, last_err
-        prev, kept = total, vals
-    raise QuadratureFailure(
-        f"tanh-sinh stalled at level {max_level}: achieved error "
-        f"{last_err:.3e} (target rel {rel_tol:.1e})", achieved=last_err)
-
-
 _ROWS_CHUNK = 2 ** 16      # (row, node) pairs per integrand evaluation
 
 
-def tanh_sinh_rows(f, a, b, rel_tol: float = 1e-10, max_level: int = 11):
+def tanh_sinh_rows(f, a, b, rel_tol: float = 1e-10):
     """Integrate k rows at once, row i over (a[i], b[i]), by one tanh-sinh rule.
 
     ``f(rows, w, d_lo, d_hi)`` evaluates the integrands of the rows with
     indices ``rows`` at the nodes ``w``, one row of nodes per index, with
-    the exact endpoint distances of ``tanh_sinh(..., endpoint_distances=
-    True)``.  Every row refines its level until two successive levels agree
-    to ``rel_tol`` relative to its value, and then retires.
+    the endpoint distances ``d_lo = w - a`` and ``d_hi = b - w``, exact even
+    where ``w`` itself rounds to an endpoint.  Every row refines its level
+    until two successive levels agree to ``rel_tol`` relative to its value,
+    and then retires.
 
     The nodes of each level are the even-numbered nodes of the next, so
     above the first level ``f`` is evaluated only at the odd-numbered ones
@@ -124,7 +72,7 @@ def tanh_sinh_rows(f, a, b, rel_tol: float = 1e-10, max_level: int = 11):
 
     Returns ``(values, errs)`` with the last level difference as the error
     estimate.  It never raises: a row that has not converged at
-    ``max_level``, or whose interval is reversed, gets ``err = inf`` for the
+    ``_MAX_LEVEL``, or whose interval is reversed, gets ``err = inf`` for the
     caller to leave undecided; an empty interval integrates to 0 exactly.
     """
     a = np.asarray(a, dtype=float)
@@ -134,7 +82,7 @@ def tanh_sinh_rows(f, a, b, rel_tol: float = 1e-10, max_level: int = 11):
     errs = np.where(b >= a, 0.0, np.inf)
     active = np.nonzero(b > a)[0]
     kept = None                     # f at the active rows' nodes so far
-    for level in range(_FIRST_LEVEL, max_level + 1):
+    for level in range(_FIRST_LEVEL, _MAX_LEVEL + 1):
         if not len(active):
             break
         x, u, w = _nodes(level)
@@ -161,6 +109,26 @@ def tanh_sinh_rows(f, a, b, rel_tol: float = 1e-10, max_level: int = 11):
         active, kept = active[~done], fv[~done]
     errs[active] = np.inf
     return values, errs
+
+
+def tanh_sinh(f, a: float, b: float, rel_tol: float = 1e-10):
+    """Integrate ``f`` over ``(a, b)``: one row of :func:`tanh_sinh_rows`.
+
+    ``f(w)`` evaluates the integrand at a 1-d array of nodes ``w``.  A node
+    within half an ulp of a nonzero endpoint rounds onto it, so an integrand
+    singular at such an endpoint needs the exact distances of
+    :func:`tanh_sinh_rows`; one singular at 0 is resolved.  Returns ``(value,
+    err_estimate)``, and ``(0.0, 0.0)`` on an empty interval; raises
+    :class:`QuadratureFailure` on a reversed interval or when the row does
+    not converge.
+    """
+    (value,), (err,) = tanh_sinh_rows(lambda rows, w, d_lo, d_hi: f(w[0]),
+                                      [a], [b], rel_tol)
+    if err == math.inf:
+        raise QuadratureFailure(f"tanh-sinh on ({a}, {b}): reversed, or "
+                                f"short of rel_tol {rel_tol:.1e} at level "
+                                f"{_MAX_LEVEL}")
+    return float(value), float(err)
 
 
 def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:

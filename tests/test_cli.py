@@ -22,7 +22,13 @@ def configs(tmp_path):
     torus.write_text(json.dumps(TORUS_CFG))
     pert = tmp_path / "pert.json"
     pert.write_text(json.dumps(PERT_CFG))
-    return {"torus": str(torus), "pert": str(pert), "dir": str(tmp_path)}
+    paths = {"torus": str(torus), "pert": str(pert), "dir": str(tmp_path)}
+    for d in (1, 3):
+        path = tmp_path / f"torus{d}.json"
+        path.write_text(json.dumps({"kind": "flat_torus",
+                                    "periods": [2 * math.pi] * d}))
+        paths[f"torus{d}"] = str(path)
+    return paths
 
 
 def test_spectrum_csv(configs):
@@ -179,15 +185,31 @@ def test_config_error_exit_code(configs, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["nonperiodic-measure", "--samples", "10"],
-    ["nonperiodic-measure", "--band", "0.1", "0.2"],
-    ["cover-audit", "--tau", "5", "--r", "0.01"],
-    ["recurrence-check", "--x", "0", "0", "--R", "0.5", "--R0", "0.2"],
+    ["torus", "nonperiodic-measure", "--samples", "10"],
+    ["torus", "nonperiodic-measure", "--band", "0.1", "0.2"],
+    ["torus", "cover-audit", "--tau", "5", "--r", "0.01"],
+    ["torus", "recurrence-check", "--x", "0", "0", "--R", "0.5",
+     "--R0", "0.2"],
+    ["torus1", "recurrence-check", "--x", "0.3", "0.2"],
+    ["torus3", "recurrence-check", "--x", "0.3", "0.2"],
+    ["torus1", "nonloop-measure", "--x", "0.3", "0.2", "--y", "1", "1"],
+    ["torus3", "nonloop-measure", "--x", "0.3", "0.2", "--y", "1", "1"],
+    ["torus1", "nonperiodic-measure", "--radii", "0.05"],
+    ["torus3", "nonperiodic-measure", "--radii", "0.05"],
+    # t0 > T: the window is empty, but the torus is still refused
+    ["torus3", "nonperiodic-measure", "--radii", "0.05", "--t0", "20",
+     "--resolution", "const:5"],
+    # T = 1 leaves every window empty, but the surface is still refused
+    ["pert", "recurrence-check", "--x", "0.3", "0.2", "--resolution",
+     "const:1"],
 ], ids=["too-few-samples", "band-on-a-torus", "tube-past-injectivity",
-        "R-above-R0"])
+        "R-above-R0", "recurrence-on-a-1-torus", "recurrence-on-a-3-torus",
+        "nonloop-on-a-1-torus", "nonloop-on-a-3-torus",
+        "nonperiodic-on-a-1-torus", "nonperiodic-on-a-3-torus",
+        "empty-window-on-a-3-torus", "recurrence-on-a-surface-empty-window"])
 def test_out_of_domain_arguments_exit_code(configs, capsys, argv):
-    rc = main(["--out-dir", configs["dir"], argv[0],
-               "--manifold", configs["torus"]] + argv[1:])
+    rc = main(["--out-dir", configs["dir"], argv[1],
+               "--manifold", configs[argv[0]]] + argv[2:])
     assert rc == 3
     assert capsys.readouterr().err.startswith("configuration error: ")
 

@@ -262,17 +262,21 @@ def test_scan_slack_bounds_the_window_from_its_start():
     assert np.all(mins - slack <= np.minimum(ref[:7], ref[7:]))
 
 
+# R = 0.05 at (1, 6.5), and ROADMAP item 3's window R = 0.005 at (1, 14.6),
+# where the scan clears 19 regular rows
+@pytest.mark.parametrize("t0, T, R", [(1.0, 6.5, 0.05), (1.0, 14.6, 0.005)],
+                         ids=["R0.05-T6.5", "R0.005-T14.6"])
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 1: the fixed-step RK4 scan (h = 0.02) does not resolve "
     "rows of small Clairaut constant, whose angle turns at up to 1/c near "
     "their turning points, so its slack does not bound its error"))
-def test_no_scan_cleared_row_returns():
+def test_no_scan_cleared_row_returns(t0, T, R):
     # past the radial period the scan decides the band rows; every row it
     # clears must stay 2R away in DOP853, in both time directions
     U = CosphereSet(PERTURBED, kind="band", s0=1.05, s1=1.45)
     states = U.sample(1000, 37)
     flow = RevolutionFlow(PERTURBED.profile)
-    t0, T, thresh = 1.0, 6.5, 0.1
+    thresh = 2.0 * R
     rest = np.nonzero(~flow.radial_clears(states, t0, T, thresh))[0]
     reg = rest[np.abs(states[rest, 3]) >= MERIDIAN_C_FLOOR]
     mins, slack = flow._scan_both(states[reg], t0, T,
@@ -744,6 +748,26 @@ def test_round_sphere_recurrence_fails():
     assert _failing_hits(v) == ([195, 195, 195, 195, 196, 196, 196, 196],
                                 [101] * 6 + [100] * 2,
                                 [53, 53, 51, 51, 53, 53, 53, 53])
+
+
+def test_round_sphere_recurrence_flows_each_time_once(monkeypatch):
+    # 4 probes, 2 signs and 3 levels each try k = 0, 1, 2, so the window
+    # [2, 8] asks for t* in {2, 2 pi, 8} 72 times; each signed t* is one
+    # flow (test_round_sphere_recurrence_fails pins the verdict)
+    times = []
+    flow = RoundSphereFlow.flow
+
+    def counted(self, states, t):
+        times.append(t)
+        return flow(self, states, t)
+
+    monkeypatch.setattr(RoundSphereFlow, "flow", counted)
+    v = recurrence_measure(SPHERE, (0.3, 0.2), R0=0.2, t_func=T_OF_EPS,
+                           T_func=ResolutionFunction.constant(8.0),
+                           r=0.05, R=0.05, eps_list=(0.5,),
+                           samples=3000, seed=4)
+    assert len(v.failures) == 24
+    assert sorted(times) == [-8.0, -TWO_PI, -2.0, 2.0, TWO_PI, 8.0]
 
 
 def test_torus_recurrence_fails_at_small_eps():
