@@ -20,8 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DomainError, WeylLabError, bind
-from .covers import (CircleTarget, CosphereSet, ResolutionFunction,
-                     build_good_cover, looping_pair_measure,
+from .covers import (CosphereSet, build_good_cover, looping_pair_measure,
                      near_periodic_measure, recurrence_measure)
 from .geoflow import classify_tori, d_rotation_number, rotation_number
 from .manifolds import manifold_from_config
@@ -105,21 +104,35 @@ def _out_path(args, default_name: str) -> str:
 
 
 def _require_seed(args):
-    if (args.ci or os.environ.get("WEYLLAB_CI")) and args.seed is None:
+    if args.ci and args.seed is None:
         raise ConfigError("--seed is mandatory in CI mode")
     return args.seed if args.seed is not None else 0
 
 
-def _resolution_from_flag(spec: str) -> ResolutionFunction:
+def _resolution_from_flag(spec: str):
+    """The horizon T(R) of ``log:C`` (C log(1/R)), ``power:P`` (R^-P) or
+    ``const:T``, a function from float to float."""
     kind, _, value = spec.partition(":")
     if kind == "log":
-        return ResolutionFunction.logarithmic(float(value or 0.1))
+        c = float(value or 0.1)
+        return lambda R: c * np.log(1.0 / R)
     if kind == "power":
-        return ResolutionFunction.power(float(value or 1.0 / 3.0))
+        p = float(value or 1.0 / 3.0)
+        return lambda R: np.power(R, -p)
     if kind == "const":
-        return ResolutionFunction.constant(float(value or 10.0))
+        T = float(value or 10.0)
+        return lambda R: T
     raise ConfigError(f"unknown resolution function {spec!r}; use "
                       "log:C | power:P | const:T")
+
+
+def _check_positive(args) -> None:
+    """DomainError for a cutoff, radius or count flag that is not positive."""
+    for name in ("lambda_max", "radii", "r", "R", "n_lambda"):
+        values = getattr(args, name, None)
+        if values is not None and not np.all(np.asarray(values) > 0):
+            raise DomainError(f"--{name.replace('_', '-')} must be positive, "
+                              f"got {values}")
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +292,7 @@ def cmd_nonperiodic_measure(args) -> int:
     T_func = _resolution_from_flag(args.resolution)
     rows = []
     for R in args.radii:
-        T = float(T_func(np.array([R]))[0])
+        T = float(T_func(R))
         est = near_periodic_measure(U, args.t0, T, R, samples=args.samples,
                                     seed=seed)
         rows.append((R, T, est.value, est.half_width,
@@ -312,14 +325,11 @@ def cmd_nonloop_measure(args) -> int:
 def cmd_recurrence_check(args) -> int:
     manifold, cfg = _load_manifold(args)
     seed = _require_seed(args)
-    t_func = ResolutionFunction(
-        lambda e: args.t_of_eps / np.maximum(np.asarray(e, dtype=float),
-                                             1e-9))
-    T_func = _resolution_from_flag(args.resolution)
-    verdict = recurrence_measure(manifold, tuple(args.x), R0=args.R0,
-                                 t_func=t_func, T_func=T_func, r=args.r,
-                                 R=args.R, eps_list=tuple(args.eps),
-                                 samples=args.samples, seed=seed)
+    verdict = recurrence_measure(
+        manifold, tuple(args.x), R0=args.R0,
+        t_func=lambda eps: args.t_of_eps / max(eps, 1e-9),
+        T_func=_resolution_from_flag(args.resolution), r=args.r, R=args.R,
+        eps_list=tuple(args.eps), samples=args.samples, seed=seed)
     payload = {"passes": verdict.passes, "scale_R0": verdict.scale_R0,
                "probes": verdict.probes, "failures": verdict.failures,
                "details": verdict.details}
@@ -331,8 +341,7 @@ def cmd_recurrence_check(args) -> int:
 
 def cmd_cover_audit(args) -> int:
     manifold, cfg = _load_manifold(args)
-    target = CircleTarget(manifold)
-    cover = build_good_cover(target, tau=args.tau, r=args.r)
+    cover = build_good_cover(manifold, tau=args.tau, r=args.r)
     coverage = cover.audit_coverage(args.probes, seed=_require_seed(args))
     margin = cover.audit_disjointness()
     payload = {"tubes": len(cover.params), "families": cover.D,
@@ -498,6 +507,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_positive(args)
         return args.handler(args)
     except (ConfigError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Phase-space tube covers and dynamical-size estimators.
 
-Resolution functions, good covers over fiber circles with exact
+Good covers over fiber circles, built from the manifold, with exact
 section-chart audits, and Monte-Carlo measures of near-periodic, looping,
-and recurrent sets with exact lattice oracles on flat tori.
+and recurrent sets with exact lattice oracles on flat tori; the time
+horizons t(eps) and T(r) are plain functions from float to float.
 
 All measure estimators work with the fixed background phase metric of
 :mod:`weyllab.flows` and classify a sample by its certified closest
@@ -28,35 +29,10 @@ import numpy as np
 
 from .errors import CoverFailure, DomainError
 from .flows import RevolutionFlow, RoundSphereFlow, TorusFlow, wrap_angle
-from .manifolds import HALF_PI, ModelManifold, band_area, make_round_sphere
+from .manifolds import (HALF_PI, ModelManifold, band_area, check_band,
+                        check_points, make_round_sphere)
 # unused here, but perfbench/tracing.py times scalar quadrature at this name
 from .quadrature import tanh_sinh  # noqa: F401
-
-
-# ---------------------------------------------------------------------------
-# Resolution functions
-
-
-@dataclass
-class ResolutionFunction:
-    """Scale-to-time horizon T(R), decreasing and continuous on (0, 1)."""
-
-    eval: Callable
-
-    def __call__(self, R):
-        return self.eval(np.asarray(R, dtype=float))
-
-    @classmethod
-    def logarithmic(cls, c: float = 1.0, offset: float = 0.0):
-        return cls(lambda R: offset + c * np.log(1.0 / R))
-
-    @classmethod
-    def constant(cls, value: float):
-        return cls(lambda R: np.full_like(np.asarray(R, dtype=float), value))
-
-    @classmethod
-    def power(cls, p: float, c: float = 1.0):
-        return cls(lambda R: c * np.asarray(R, dtype=float) ** (-p))
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +106,12 @@ class CosphereSet:
     s1: float = None
     x: tuple = None
 
+    def __post_init__(self):
+        if self.kind == "band" and self.manifold.kind == "flat_torus":
+            raise DomainError("the estimators take no band sets on a torus")
+        if self.kind == "band":
+            check_band(self.s0, self.s1)
+
     def total_measure(self) -> float:
         m = self.manifold
         if self.kind == "full":
@@ -142,9 +124,6 @@ class CosphereSet:
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         m = self.manifold
-        if m.kind == "flat_torus" and self.kind not in ("full", "fiber"):
-            raise DomainError("torus sets other than the full cosphere and "
-                              "a fiber are not needed by the estimators")
         if m.kind == "flat_torus" and self.kind == "full":
             u = _halton(3, n, seed)
             x = u[:, :2] * np.asarray(m.periods)
@@ -232,6 +211,8 @@ def near_periodic_measure(U: CosphereSet, t0: float, T: float, R: float,
     """
     if samples < 1000:
         raise DomainError("use at least 1e3 samples")
+    if not R > 0:
+        raise DomainError(f"the radius R = {R} is not positive")
     flow = flow_for(U.manifold)
     torus = U.manifold.kind == "flat_torus"
     thresh = 2.0 * R
@@ -259,6 +240,9 @@ def looping_pair_measure(manifold: ModelManifold, x, y, t0: float, T: float,
     ``target_hits``.  Returns (est_xy, est_yx, product_with_T2) where the
     product realizes the pair quantity mu_x mu_y T^2.
     """
+    if not R > 0:
+        raise DomainError(f"the radius R = {R} is not positive")
+    check_points(manifold, x, y)
     flow = flow_for(manifold)
     thresh = 2.0 * R
     ests = []
@@ -300,8 +284,8 @@ class RecurrenceVerdict:
 
 
 def recurrence_measure(manifold: ModelManifold, x, R0: float,
-                       t_func: ResolutionFunction,
-                       T_func: ResolutionFunction, r: float, R: float,
+                       t_func: Callable[[float], float],
+                       T_func: Callable[[float], float], r: float, R: float,
                        eps_list=(0.5,), samples: int = 4000,
                        seed: int = 0) -> RecurrenceVerdict:
     """Dyadic-ball recurrence test at the point x.
@@ -312,15 +296,17 @@ def recurrence_measure(manifold: ModelManifold, x, R0: float,
     eps mu(B(A, R)).  A finite test family under-approximates the full
     quantifier; the verdict reports exactly which (A, eps) pairs fail.
     """
-    if not (0 < R < R0):
-        raise DomainError("need 0 < R < R0")
+    if not (0 < R < R0 and r > 0):
+        raise DomainError(f"need 0 < R < R0 and r > 0, got R = {R}, "
+                          f"R0 = {R0}, r = {r}")
+    check_points(manifold, x)
     flow = flow_for(manifold)
     if isinstance(flow, RevolutionFlow):
         raise DomainError("recurrence estimator supports flat tori and the "
                           "round sphere")
     total = 2.0 * math.pi
     thresh = 2.0 * r * R
-    T_r = float(T_func(np.array([r]))[0])
+    T_r = float(T_func(r))
     rng = np.random.default_rng(seed)
     probe_angles = rng.uniform(0.0, 2.0 * math.pi, _RECURRENCE_PROBES)
     # one draw of the fiber circle serves every test arc
@@ -336,7 +322,7 @@ def recurrence_measure(manifold: ModelManifold, x, R0: float,
             for k in range(_DYADIC_LEVELS):
                 a_k = R0 * 0.5 ** k
                 for eps in eps_list:
-                    t_eps = float(t_func(np.array([eps]))[0])
+                    t_eps = float(t_func(eps))
                     mu_target = eps * min(2.0 * (a_k + R), total)
                     if T_r <= t_eps:
                         continue      # empty window: vacuous pass
@@ -397,37 +383,12 @@ def _recurrence_mass(flow, x, psi, states, psi0, a_k, thresh, t_lo, t_hi,
 
 
 @dataclass
-class CircleTarget:
-    """The fiber circle S*_x M, the cover transversal.
-
-    Parametrized by the fiber angle psi.  Section coordinates at parameter
-    u are (transverse base offset, u); the max metric makes section balls
-    boxes, so all cover audits are exact in this chart.  The cover depends
-    only on tau, r and the injectivity time, the same for every base
-    point x.
-    """
-
-    manifold: ModelManifold
-
-    def tau_inj(self) -> float:
-        """Conservative injectivity time of the section flow-out.
-
-        On a flat torus a tube self-overlap needs a lattice point within
-        the tube radius of a flow segment, impossible below half the
-        shortest period; on surfaces of revolution the background
-        injectivity scale is of order one.
-        """
-        if self.manifold.kind == "flat_torus":
-            return min(self.manifold.periods) / 2.0
-        return 1.0
-
-
-@dataclass
 class GoodCover:
-    """Tubes over the fiber circle: their center parameters, ascending, and
-    the family (color) of each; the families are the color classes."""
+    """Tubes over the fiber circle: their center fiber angles, ascending,
+    and the family (color) of each; the families are the color classes.
+    The section chart at angle u is (transverse base offset, u), where the
+    max metric makes balls boxes, so every audit is exact."""
 
-    target: CircleTarget
     params: np.ndarray
     colors: np.ndarray
     r: float
@@ -469,23 +430,28 @@ class GoodCover:
                 "worst": float(np.max(nearest))}
 
 
-def family_budget(dim: int) -> int:
-    """Dimensional bound for good-cover families (greedy coloring)."""
-    return 13 ** dim
+FAMILY_BUDGET = 13        # good-cover families over a circle (greedy coloring)
 
 
-def build_good_cover(target: CircleTarget, tau: float,
+def build_good_cover(manifold: ModelManifold, tau: float,
                      r: float) -> GoodCover:
-    """Greedy maximal r-separated centers, families by greedy coloring.
+    """Greedy maximal r-separated centers over a fiber circle of the
+    manifold, families by greedy coloring.
 
-    The 6r-proximity graph on centers captures inflated-tube intersection
-    exactly for circle targets, so the greedy coloring certifies the
-    family disjointness by construction; the family count is checked
-    against the dimensional budget.
+    The cover depends only on tau, r and the section's injectivity time:
+    half the shortest period on a flat torus (a tube self-overlap needs a
+    lattice point within the tube radius of a flow segment), else 1.  The
+    6r-proximity graph on centers captures inflated-tube intersection
+    exactly, so the greedy coloring certifies the family disjointness by
+    construction; the family count is checked against the budget.
     """
-    if tau + 3.0 * r >= target.tau_inj():
+    if not r > 0:
+        raise DomainError(f"the tube radius r = {r} is not positive")
+    tau_inj = min(manifold.periods) / 2.0 \
+        if manifold.kind == "flat_torus" else 1.0
+    if tau + 3.0 * r >= tau_inj:
         raise DomainError(f"tau + 3r = {tau + 3 * r} reaches the section "
-                          f"injectivity time {target.tau_inj()}")
+                          f"injectivity time {tau_inj}")
     n_cand = max(64, int(math.ceil(2.0 * math.pi / (r / 8.0))))
     cand = np.linspace(0.0, 2.0 * math.pi, n_cand, endpoint=False)
     chosen: list[float] = []
@@ -521,10 +487,10 @@ def build_good_cover(target: CircleTarget, tau: float,
         while c in neighbor_colors:
             c += 1
         colors[i] = c
-    cover = GoodCover(target, params, colors, r)
-    if cover.D > family_budget(1):
+    cover = GoodCover(params, colors, r)
+    if cover.D > FAMILY_BUDGET:
         raise CoverFailure(f"greedy coloring used {cover.D} families, "
-                           f"budget {family_budget(1)}")
+                           f"budget {FAMILY_BUDGET}")
     margin = cover.audit_disjointness()
     if margin < 0:
         raise CoverFailure(f"same-family tubes overlap by {-margin}")

@@ -53,10 +53,6 @@ class IncompleteInput(WeylLabError):
 class WindowTooSmall(WeylLabError):
     """Smoothing window exceeds the available spectral range."""
 
-    def __init__(self, message, required=None):
-        super().__init__(message)
-        self.required = required
-
 
 class ConfigError(WeylLabError):
     """An experiment configuration failed schema validation."""

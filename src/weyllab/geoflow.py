@@ -2,6 +2,8 @@
 
 Rotation numbers and their derivatives, Hamiltonian flow integration
 with conserved-quantity monitoring, and periodic-torus classification.
+Phase-space states are 4-vectors (s, theta, xi_s, xi_theta) in the
+(s, theta) chart.
 The Clairaut data (turning points, and the angle and time integrals) come
 from the batched :func:`weyllab.flows.turning_points` and
 :func:`weyllab.flows.clairaut_segments`, which the radial certificate of
@@ -36,28 +38,12 @@ _RETURN_MAP_TOL = 1e-11    # rtol = atol of rotation_number_ode
 _RETURN_MAP_T_MAX = 40.0   # time cap of its return map
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """Point of the cotangent bundle in the (s, theta) chart."""
-
-    s: float
-    theta: float
-    xi_s: float
-    xi_theta: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.s, self.theta, self.xi_s, self.xi_theta])
-
-    def unit_defect(self, profile: ProfileCurve) -> float:
-        a = float(profile.alpha(self.s))
-        return abs(self.xi_s ** 2 + self.xi_theta ** 2 / a ** 2 - 1.0)
-
-
 def unit_phase_point(profile: ProfileCurve, s: float, theta: float,
-                     psi: float) -> PhasePoint:
-    """Unit-cosphere point with fiber angle psi: (xi_s, xi_theta/alpha) = (cos, sin)."""
+                     psi: float) -> np.ndarray:
+    """Unit-cosphere state (s, theta, xi_s, xi_theta) with fiber angle psi:
+    (xi_s, xi_theta/alpha) = (cos, sin)."""
     a = float(profile.alpha(s))
-    return PhasePoint(s, theta, math.cos(psi), a * math.sin(psi))
+    return np.array([s, theta, math.cos(psi), a * math.sin(psi)])
 
 
 @dataclass(frozen=True)
@@ -316,19 +302,21 @@ class Trajectory:
         }
 
 
-def integrate_geodesic(p0: PhasePoint, T: float,
-                       profile: ProfileCurve) -> Trajectory:
-    """Adaptive high-order integration of the unit cosphere geodesic flow.
+def integrate_geodesic(p0, T: float, profile: ProfileCurve) -> Trajectory:
+    """Adaptive high-order integration of the unit cosphere geodesic flow
+    from the state p0 = (s, theta, xi_s, xi_theta).
 
     One row of :func:`weyllab.flows._dop853_rows` with its dense output.
     Meridian data (xi_theta = 0) is dispatched to the pole-safe closed form
     :func:`weyllab.flows.meridian_states`; the chart equations degenerate
     there.
     """
-    if p0.unit_defect(profile) > 1e-6:
+    s, _, xi_s, xi_theta = (float(v) for v in p0)
+    a = float(profile.alpha(s))
+    if abs(xi_s ** 2 + xi_theta ** 2 / a ** 2 - 1.0) > 1e-6:
         raise DomainError("initial data must lie on the unit cosphere bundle")
-    y0 = p0.as_array()[None, :]
-    if abs(p0.xi_theta) < 1e-12:
+    y0 = np.array(p0, dtype=float)[None, :]
+    if abs(xi_theta) < 1e-12:
         return Trajectory(lambda t: meridian_states(y0, t), (0.0, T), profile)
     dense = _dop853_rows(RevolutionFlow(profile)._rhs, y0, T,
                          _GEODESIC_TOL, _GEODESIC_TOL)

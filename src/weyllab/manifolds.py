@@ -376,15 +376,28 @@ def _profile_size(profile: ProfileCurve) -> int:
     return 1 << int(last).bit_length()
 
 
+def check_band(s0: float, s1: float) -> None:
+    """DomainError unless [s0, s1] is a band: -pi/2 <= s0 < s1 <= pi/2."""
+    if not -HALF_PI <= s0 < s1 <= HALF_PI:
+        raise DomainError(f"band [{s0}, {s1}] is empty or off [-pi/2, pi/2]")
+
+
 def band_area(profile: ProfileCurve, s0: float, s1: float) -> float:
     """Riemannian area of the band [s0, s1] x S^1: 2 pi int alpha, read
     from :func:`profile_table` at the two ends, T_k(x) = cos(k arccos x)."""
-    if not (abs(s0) <= HALF_PI and abs(s1) <= HALF_PI):
-        raise DomainError(f"band [{s0}, {s1}] leaves [-pi/2, pi/2]")
+    check_band(s0, s1)
     b = profile_table(profile)
     ends = np.cos(np.outer(np.arccos(np.array([s0, s1]) / HALF_PI),
                            np.arange(len(b)))) @ b
     return float(ends[1] - ends[0])
+
+
+def check_points(manifold: ModelManifold, *points) -> None:
+    """DomainError unless every (s, theta) point of a surface of revolution
+    lies in its chart, |s| <= pi/2; points of other kinds pass."""
+    for s, _ in points:
+        if manifold.kind == "surface_of_revolution" and not abs(s) <= HALF_PI:
+            raise DomainError(f"point s = {s} leaves [-pi/2, pi/2]")
 
 
 def manifold_volume(m: ModelManifold) -> float:

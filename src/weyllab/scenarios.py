@@ -33,7 +33,7 @@ from .spectra import (product_spectrum, sphere_spectrum, surface_spectrum,
                       torus_spectrum)
 from .weyl import (build_smoothing_kernel, circle_integral_quadrature,
                    counting, counting_grid, fit_remainder, kuznecov,
-                   localized_counting, projector_kernel, smoothed_series,
+                   localized_counting, projector_kernels, smoothed_series,
                    smoothed_series_direct)
 
 
@@ -342,10 +342,9 @@ def kuznecov_structure(*, lambda_max=500.0) -> list:
     x = ("point", 0.4, 1.1)
     lams = np.array([3.0, 4.0, 5.0])
     ks = kuznecov(spec, x, x, lams, t0=1.0, tail_tol=0.02)
-    worst_pt = max(abs(ks.values[i]
-                       - projector_kernel(man, (0.4, 1.1), (0.4, 1.1),
-                                          float(lam), spec=spec).Pi)
-                   for i, lam in enumerate(lams))
+    worst_pt = max(abs(value - kv.Pi) for value, kv in zip(
+        ks.values, projector_kernels(man, (0.4, 1.1), (0.4, 1.1),
+                                     lams.tolist(), spec=spec)))
     # smoothed comparison on the flat torus point
     kernel = build_smoothing_kernel(1.0)
     tor = torus_spectrum((2 * math.pi, 2 * math.pi),

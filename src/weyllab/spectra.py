@@ -809,6 +809,8 @@ def surface_spectrum(profile: ProfileCurve, lambda_max: float,
     discretisation error puts each mode.  The eigenbasis table has
     ``_cheb_size(profile, lambda_max)`` Chebyshev nodes per row.
     """
+    if not lambda_max > 0:
+        raise DomainError(f"lambda_max = {lambda_max} is not positive")
     a_max = profile.alpha_max
     grid = _MagnusGrid(profile, lambda_max)
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import eval_legendre, jv
 
 from .errors import DomainError, IncompleteSpectrum, WindowTooSmall
-from .manifolds import ModelManifold, band_area, lattice_box
+from .manifolds import ModelManifold, band_area, check_points, lattice_box
 from .quadrature import cumulative_simpson
 from .spectra import Spectrum
 
@@ -85,13 +85,13 @@ def localized_counting(spec: Spectrum, band: tuple[float, float],
         raise IncompleteSpectrum("grid exceeds the spectrum cutoff")
     s0, s1 = band
     basis = spec.basis
+    vol_w = band_area(basis.profile, s0, s1)
     copies = np.where(basis.m == 0, 1, 2)
     weights = np.bincount(basis.entry, copies * basis.band_weights(s0, s1),
                           minlength=len(spec.lambdas))
     csum = np.concatenate([[0.0], np.cumsum(weights)])
     idx = np.searchsorted(spec.lambdas, lambdas, side="right")
     NW = csum[idx]
-    vol_w = band_area(spec.basis.profile, s0, s1)
     main = weyl_main_term(lambdas, 2, vol_w)
     return CountingSeries(lambdas, NW, main, NW - main, 2, vol_w,
                           f"{spec.label} band [{s0}, {s1}]")
@@ -135,73 +135,50 @@ def euclidean_comparison(lam: float, r: float, n: int) -> float:
         * jv(n / 2.0, lam * r)
 
 
-def projector_kernel(manifold: ModelManifold, x, y, lam: float,
-                     spec: Optional[Spectrum] = None) -> KernelValue:
-    """Pi_lam(x, y) and its flat comparison integral.
+def projector_kernels(manifold: ModelManifold, x, y, lams,
+                      spec: Optional[Spectrum] = None) -> list:
+    """Pi_lam(x, y) and its flat comparison integral at each lam of
+    ``lams``, in order.
 
     Points are chart tuples: (s, theta) on spheres and surfaces of
     revolution, Cartesian coordinates on flat tori.  The comparison is only
-    defined below the injectivity scale of the chart.
+    defined below the injectivity scale of the chart, which is checked once
+    per pair.  On a surface of revolution the pair's terms u_i(s1) u_i(s2)
+    times the angular factor come from one Clenshaw pass of ``spec``'s
+    eigenbasis; each lam selects the rows with lambda_i <= lam.
     """
     if manifold.kind == "round_sphere" and manifold.n == 2:
         r = _sphere_distance(x, y)
         if r >= math.pi - 1e-12:
             raise DomainError("antipodal pair: comparison chart invalid")
-        L = int(math.floor(0.5 * (math.sqrt(1 + 4 * lam ** 2) - 1) + 1e-12))
-        ls = np.arange(L + 1)
-        val = float(np.sum((2 * ls + 1) * eval_legendre(ls, math.cos(r)))
-                    / (4 * math.pi))
-        comp = euclidean_comparison(lam, r, 2)
-        return KernelValue(x, y, lam, val, comp, val - comp)
 
-    if manifold.kind == "flat_torus":
+        def value(lam):
+            L = int(math.floor(0.5 * (math.sqrt(1 + 4 * lam ** 2) - 1)
+                               + 1e-12))
+            ls = np.arange(L + 1)
+            return float(np.sum((2 * ls + 1) * eval_legendre(ls, math.cos(r)))
+                         / (4 * math.pi))
+    elif manifold.kind == "flat_torus":
         periods = manifold.periods
-        d = len(periods)
         r = _torus_distance(periods, x, y)
         if r >= min(periods) / 2.0:
             raise DomainError("pair beyond the torus injectivity radius")
-        grids = lattice_box([lam * L / (2 * math.pi) for L in periods])
-        lam2 = phase = 0.0
-        for g, L, xi, yi in zip(grids, periods, x, y):
-            kstar = 2 * math.pi * g / L
-            lam2 = lam2 + kstar ** 2
-            phase = phase + kstar * (xi - yi)
-        inside = lam2 <= lam ** 2 * (1 + 1e-14)
-        val = float(np.sum(np.cos(phase[inside]))) / manifold.volume
-        comp = euclidean_comparison(lam, r, d)
-        return KernelValue(tuple(x), tuple(y), lam, val, comp, val - comp)
 
-    if manifold.kind == "surface_of_revolution":
-        return projector_kernels(manifold, x, y, [lam], spec)[0]
-
-    raise DomainError(f"no kernel for manifold kind {manifold.kind!r}")
-
-
-def projector_kernels(manifold: ModelManifold, x, y, lams,
-                      spec: Optional[Spectrum] = None) -> list:
-    """:func:`projector_kernel` at every lam of ``lams``, in order.
-
-    On a surface of revolution the pair's terms u_i(s1) u_i(s2) times the
-    angular factor come from one Clenshaw pass, read once; each lam only
-    selects the rows with lambda_i <= lam.  Other kinds go lam by lam.
-    """
-    if manifold.kind != "surface_of_revolution":
-        return [projector_kernel(manifold, x, y, lam) for lam in lams]
-    if spec is None or spec.basis is None:
-        raise IncompleteSpectrum("revolution kernel needs a surface "
-                                 "spectrum with eigenfunctions")
-    s1, t1 = x
-    s2, t2 = y
-    basis = spec.basis
-    u1, u2 = basis.values([s1, s2]).T
-    # the pair +-m carries 2 cos(m (t1 - t2)), and m = 0 carries 1
-    terms = u1 * u2 * np.where(basis.m > 0,
-                               2.0 * np.cos(basis.m * (t1 - t2)), 1.0)
-    out = []
-    for lam in lams:
-        if lam > spec.lambda_max + 1e-12:
-            raise IncompleteSpectrum("lam exceeds the spectrum cutoff")
-        val = float(np.sum(terms[basis.lam <= lam]))
+        def value(lam):
+            grids = lattice_box([lam * L / (2 * math.pi) for L in periods])
+            lam2 = phase = 0.0
+            for g, L, xi, yi in zip(grids, periods, x, y):
+                kstar = 2 * math.pi * g / L
+                lam2 = lam2 + kstar ** 2
+                phase = phase + kstar * (xi - yi)
+            inside = lam2 <= lam ** 2 * (1 + 1e-14)
+            return float(np.sum(np.cos(phase[inside]))) / manifold.volume
+    elif manifold.kind == "surface_of_revolution":
+        if spec is None or spec.basis is None:
+            raise IncompleteSpectrum("revolution kernel needs a surface "
+                                     "spectrum with eigenfunctions")
+        check_points(manifold, x, y)
+        (s1, t1), (s2, t2) = x, y
         if abs(s1 - s2) < 1e-12 and abs(t1 - t2) < 1e-12:
             r = 0.0
         elif abs((t1 - t2) % (2 * math.pi)) < 1e-12:
@@ -209,8 +186,24 @@ def projector_kernels(manifold: ModelManifold, x, y, lams,
         else:
             raise DomainError("comparison on revolution surfaces supports "
                               "coincident points or same-meridian pairs")
-        comp = euclidean_comparison(lam, r, 2)
-        out.append(KernelValue(x, y, lam, val, comp, val - comp))
+        basis = spec.basis
+        u1, u2 = basis.values([s1, s2]).T
+        # the pair +-m carries 2 cos(m (t1 - t2)), and m = 0 carries 1
+        terms = u1 * u2 * np.where(basis.m > 0,
+                                   2.0 * np.cos(basis.m * (t1 - t2)), 1.0)
+
+        def value(lam):
+            if lam > spec.lambda_max + 1e-12:
+                raise IncompleteSpectrum("lam exceeds the spectrum cutoff")
+            return float(np.sum(terms[basis.lam <= lam]))
+    else:
+        raise DomainError(f"no kernel for manifold kind {manifold.kind!r}")
+    out = []
+    for lam in lams:
+        val = value(lam)
+        comp = euclidean_comparison(lam, r, manifold.dim)
+        out.append(KernelValue(tuple(x), tuple(y), lam, val, comp,
+                               val - comp))
     return out
 
 
@@ -496,8 +489,7 @@ def smoothed_series(spec: Spectrum, lambdas, kernel: SmoothingKernel,
     if spec.lambda_max + 1e-9 < required:
         raise WindowTooSmall(
             f"spectrum complete to {spec.lambda_max}, need {required:.3f} "
-            f"(grid max + tail {margin:.3f} at step tolerance {tol:.1e})",
-            required=required)
+            f"(grid max + tail {margin:.3f} at step tolerance {tol:.1e})")
     if weights is None:
         weights = spec.mults.astype(float)
     mu, W = _sources(spec.lambdas, weights, kernel.sigma)

@@ -93,11 +93,11 @@ def test_kernel_subcommand(configs):
 
 def test_kernel_csv_is_the_per_lambda_kernel(configs):
     # the subcommand reads the pair's terms once; its rows must be those of
-    # one projector_kernel call per lambda, byte for byte
+    # one one-lambda projector_kernels call per lambda, byte for byte
     from weyllab.cli import _format_cell
     from weyllab.manifolds import manifold_from_config
     from weyllab.spectra import spectrum_for_manifold
-    from weyllab.weyl import projector_kernel
+    from weyllab.weyl import projector_kernels
     x, y = (0.3, 1.0), (0.9, 1.0)
     rc = main(["--out-dir", configs["dir"], "kernel",
                "--manifold", configs["pert"], "--lambda-max", "20",
@@ -113,7 +113,7 @@ def test_kernel_csv_is_the_per_lambda_kernel(configs):
                        1.0)
     rows = []
     for lam in np.linspace(4.0, 20.0, 17):
-        kv = projector_kernel(man, x, y, float(lam), spec=spec)
+        (kv,) = projector_kernels(man, x, y, [float(lam)], spec=spec)
         # the per-lambda sum written out
         assert kv.Pi == float(np.sum((u1 * u2 * angular)[basis.lam <= lam]))
         rows.append(",".join(_format_cell(v) for v in
@@ -202,11 +202,36 @@ def test_config_error_exit_code(configs, tmp_path, capsys):
     # T = 1 leaves every window empty, but the surface is still refused
     ["pert", "recurrence-check", "--x", "0.3", "0.2", "--resolution",
      "const:1"],
+    ["pert", "localized-count", "--lambda-max", "12", "--window", "10",
+     "11.5", "--band", "1.45", "1.05"],
+    ["pert", "nonperiodic-measure", "--band", "1.45", "1.05"],
+    ["pert", "kernel", "--lambda-max", "12", "--x", "2.0", "1.0", "--y",
+     "2.0", "1.0"],
+    ["torus", "recurrence-check", "--x", "0.3", "0.4", "--r", "-0.5",
+     "--resolution", "const:8"],
+    ["torus", "nonperiodic-measure", "--radii", "-0.05"],
+    ["torus", "nonloop-measure", "--x", "0.3", "0.4", "--y", "1.0", "1.273",
+     "--radii", "-0.01"],
+    ["torus", "spectrum", "--lambda-max", "-1"],
+    ["torus", "nonperiodic-measure", "--radii", "0"],
+    ["torus", "recurrence-check", "--x", "0.3", "0.4", "--r", "0"],
+    ["torus", "cover-audit", "--r", "0"],
+    ["torus", "cover-audit", "--r", "-0.01"],
+    ["pert", "spectrum", "--lambda-max", "0"],
+    ["pert", "spectrum", "--lambda-max", "-1"],
+    ["torus", "smooth-compare", "--lambda-max", "100", "--n-lambda", "0"],
 ], ids=["too-few-samples", "band-on-a-torus", "tube-past-injectivity",
         "R-above-R0", "recurrence-on-a-1-torus", "recurrence-on-a-3-torus",
         "nonloop-on-a-1-torus", "nonloop-on-a-3-torus",
         "nonperiodic-on-a-1-torus", "nonperiodic-on-a-3-torus",
-        "empty-window-on-a-3-torus", "recurrence-on-a-surface-empty-window"])
+        "empty-window-on-a-3-torus", "recurrence-on-a-surface-empty-window",
+        "localized-count-reversed-band", "nonperiodic-reversed-band",
+        "kernel-point-off-the-chart", "recurrence-negative-r",
+        "nonperiodic-negative-radius", "nonloop-negative-radius",
+        "torus-spectrum-negative-lambda-max", "nonperiodic-zero-radius",
+        "recurrence-zero-r", "cover-zero-r", "cover-negative-r",
+        "surface-spectrum-zero-lambda-max",
+        "surface-spectrum-negative-lambda-max", "smooth-compare-no-lambdas"])
 def test_out_of_domain_arguments_exit_code(configs, capsys, argv):
     rc = main(["--out-dir", configs["dir"], argv[1],
                "--manifold", configs[argv[0]]] + argv[2:])

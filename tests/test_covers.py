@@ -6,12 +6,10 @@ from scipy.integrate import solve_ivp
 from scipy.stats import qmc
 
 from weyllab.covers import (
-    CircleTarget,
+    FAMILY_BUDGET,
     CosphereSet,
-    ResolutionFunction,
     _halton,
     build_good_cover,
-    family_budget,
     looping_pair_measure,
     near_periodic_measure,
     recurrence_measure,
@@ -31,7 +29,7 @@ from weyllab.flows import (
     meridian_states,
     turning_points,
 )
-from weyllab.geoflow import (PhasePoint, integrate_geodesic, rotation_number,
+from weyllab.geoflow import (integrate_geodesic, rotation_number,
                              rotation_number_ode)
 from weyllab.manifolds import (
     HALF_PI,
@@ -378,7 +376,7 @@ def _moved(profile, states, t):
 def _geodesic_at(profile, row, t):
     """integrate_geodesic of one row at time t, mirrored as in _moved."""
     start = row if t > 0 else _mirror(row[None])[0]
-    end = integrate_geodesic(PhasePoint(*start), abs(t), profile)(abs(t))
+    end = integrate_geodesic(start, abs(t), profile)(abs(t))
     return end if t > 0 else _mirror(end[None])[0]
 
 
@@ -714,13 +712,13 @@ def test_meridian_min_equals_the_per_time_loop(samples, thresh):
 
 # --- recurrence --------------------------------------------------------------
 
-T_OF_EPS = ResolutionFunction(
-    lambda e: 1.0 / np.maximum(np.asarray(e, dtype=float), 1e-6))
+def t_of_eps(eps):
+    return 1.0 / max(eps, 1e-6)
 
 
 def test_torus_recurrence_passes():
-    v = recurrence_measure(TORUS, (0.3, 0.4), R0=0.2, t_func=T_OF_EPS,
-                           T_func=ResolutionFunction.logarithmic(5.0),
+    v = recurrence_measure(TORUS, (0.3, 0.4), R0=0.2, t_func=t_of_eps,
+                           T_func=lambda R: 5.0 * np.log(1.0 / R),
                            r=0.05, R=0.05, eps_list=(0.5,),
                            samples=4000, seed=11)
     assert v.passes
@@ -740,8 +738,8 @@ def _failing_hits(v):
 
 def test_round_sphere_recurrence_fails():
     # every orbit closes at t = 2 pi, inside the window [2, 8]
-    v = recurrence_measure(SPHERE, (0.3, 0.2), R0=0.2, t_func=T_OF_EPS,
-                           T_func=ResolutionFunction.constant(8.0),
+    v = recurrence_measure(SPHERE, (0.3, 0.2), R0=0.2, t_func=t_of_eps,
+                           T_func=lambda _: 8.0,
                            r=0.05, R=0.05, eps_list=(0.5,),
                            samples=3000, seed=4)
     assert not v.passes
@@ -762,8 +760,8 @@ def test_round_sphere_recurrence_flows_each_time_once(monkeypatch):
         return flow(self, states, t)
 
     monkeypatch.setattr(RoundSphereFlow, "flow", counted)
-    v = recurrence_measure(SPHERE, (0.3, 0.2), R0=0.2, t_func=T_OF_EPS,
-                           T_func=ResolutionFunction.constant(8.0),
+    v = recurrence_measure(SPHERE, (0.3, 0.2), R0=0.2, t_func=t_of_eps,
+                           T_func=lambda _: 8.0,
                            r=0.05, R=0.05, eps_list=(0.5,),
                            samples=3000, seed=4)
     assert len(v.failures) == 24
@@ -773,8 +771,8 @@ def test_round_sphere_recurrence_flows_each_time_once(monkeypatch):
 def test_torus_recurrence_fails_at_small_eps():
     # eps = 0.05 allows 5 % of the arc's mass, and about a tenth of the
     # directions pass within 2rR = 0.1 of a lattice vector over [20, 40]
-    v = recurrence_measure(TORUS, (0.3, 0.4), R0=0.2, t_func=T_OF_EPS,
-                           T_func=ResolutionFunction.constant(40.0),
+    v = recurrence_measure(TORUS, (0.3, 0.4), R0=0.2, t_func=t_of_eps,
+                           T_func=lambda _: 40.0,
                            r=0.5, R=0.1, eps_list=(0.05,),
                            samples=3000, seed=4)
     assert not v.passes
@@ -786,7 +784,7 @@ def test_torus_recurrence_fails_at_small_eps():
 def test_recurrence_windows_keep_their_own_returns():
     # eps = 0.5 (window [2, 40]) never fails here, so adding it must leave
     # the failures of eps = 0.05 (window [20, 40]) exactly as they were
-    kwargs = dict(t_func=T_OF_EPS, T_func=ResolutionFunction.constant(40.0),
+    kwargs = dict(t_func=t_of_eps, T_func=lambda _: 40.0,
                   r=0.5, R=0.1, samples=3000, seed=4)
     both = recurrence_measure(TORUS, (0.3, 0.4), 0.2, eps_list=(0.5, 0.05),
                               **kwargs)
@@ -798,8 +796,8 @@ def test_recurrence_windows_keep_their_own_returns():
 
 def test_recurrence_vacuous_window_passes():
     v = recurrence_measure(TORUS, (0.3, 0.4), R0=0.2,
-                           t_func=ResolutionFunction.constant(50.0),
-                           T_func=ResolutionFunction.constant(5.0),
+                           t_func=lambda _: 50.0,
+                           T_func=lambda _: 5.0,
                            r=0.05, R=0.05, eps_list=(0.5,), samples=2000,
                            seed=4)
     assert v.passes and not v.failures
@@ -808,28 +806,46 @@ def test_recurrence_vacuous_window_passes():
 # --- good covers -------------------------------------------------------------
 
 def test_fiber_circle_cover_counts_and_audits():
-    target = CircleTarget(TORUS)
     r = 0.01
-    cover = build_good_cover(target, tau=0.1, r=r)
+    cover = build_good_cover(TORUS, tau=0.1, r=r)
     n = len(cover.params)
     assert math.ceil(TWO_PI / (2 * r)) <= n <= math.ceil(TWO_PI / r)
-    assert cover.D <= family_budget(1)
+    assert cover.D <= FAMILY_BUDGET
     assert cover.audit_disjointness() >= 0.0
     audit = cover.audit_coverage(10_000, seed=3)
     assert audit["pass"]
 
 
 def test_cover_halving_radius_ratio():
-    target = CircleTarget(TORUS)
-    n1 = len(build_good_cover(target, tau=0.1, r=0.01).params)
-    n2 = len(build_good_cover(target, tau=0.1, r=0.02).params)
+    n1 = len(build_good_cover(TORUS, tau=0.1, r=0.01).params)
+    n2 = len(build_good_cover(TORUS, tau=0.1, r=0.02).params)
     assert 1.0 / 3.0 <= n2 / n1 <= 1.0
 
 
 def test_cover_rejects_long_tubes():
-    target = CircleTarget(TORUS)
     with pytest.raises(DomainError):
-        build_good_cover(target, tau=10.0, r=0.05)
+        build_good_cover(TORUS, tau=10.0, r=0.05)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_good_cover(TORUS, tau=0.1, r=0.0),
+    # checked before the maximality loop, which a negative r would run
+    # to 16,384 centers ahead of the quadratic coloring
+    lambda: build_good_cover(TORUS, tau=0.1, r=-0.01),
+    lambda: near_periodic_measure(CosphereSet(TORUS), 1.0, 10.0, 0.0,
+                                  samples=1000),
+    lambda: looping_pair_measure(TORUS, (0.3, 0.4), (1.0, 1.273), 1.0,
+                                 10.0, -0.01),
+    lambda: recurrence_measure(TORUS, (0.3, 0.4), 0.2, t_of_eps,
+                               lambda _: 8.0, r=-0.5, R=0.05),
+    lambda: looping_pair_measure(PERTURBED, (0.3, 0.2), (2.0, 1.0), 1.0,
+                                 10.0, 0.01),
+], ids=["cover-zero-r", "cover-negative-r", "near-periodic-zero-R",
+        "looping-negative-R", "recurrence-negative-r",
+        "looping-target-off-the-chart"])
+def test_estimators_refuse_out_of_domain_input(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 # --- fiber samples and the torus target scan --------------------------------

@@ -19,7 +19,7 @@ from weyllab.weyl import (
     fit_remainder,
     kuznecov,
     localized_counting,
-    projector_kernel,
+    projector_kernels,
     smoothed_series,
     smoothed_series_direct,
     weyl_main_term,
@@ -122,7 +122,7 @@ def test_localized_partition_sums_to_counting(radial):
 
 def test_kernel_diagonal_equals_count_over_area(s2):
     man = round_sphere(2)
-    kv = projector_kernel(man, (0.3, 0.2), (0.3, 0.2), 10.0)
+    (kv,) = projector_kernels(man, (0.3, 0.2), (0.3, 0.2), [10.0])
     assert kv.Pi == pytest.approx(100 / (4 * math.pi), rel=1e-12)
     assert kv.comparison == pytest.approx(100 / (4 * math.pi), rel=1e-12)
 
@@ -130,28 +130,29 @@ def test_kernel_diagonal_equals_count_over_area(s2):
 def test_kernel_hermitian_symmetry():
     man = flat_torus((TWO_PI, TWO_PI))
     x, y = (0.1, 0.2), (0.4, 1.0)
-    k1 = projector_kernel(man, x, y, 20.0)
-    k2 = projector_kernel(man, y, x, 20.0)
+    (k1,) = projector_kernels(man, x, y, [20.0])
+    (k2,) = projector_kernels(man, y, x, [20.0])
     assert k1.Pi == pytest.approx(k2.Pi, abs=1e-10)
 
 
 def test_kernel_positivity_on_diagonal():
     man = flat_torus((TWO_PI, TWO_PI))
-    for lam in (5.0, 12.0, 20.0):
-        kv = projector_kernel(man, (0.7, 0.1), (0.7, 0.1), lam)
+    for kv in projector_kernels(man, (0.7, 0.1), (0.7, 0.1),
+                                [5.0, 12.0, 20.0]):
         assert kv.Pi >= 0
 
 
 def test_torus_offdiagonal_envelope():
     man = flat_torus((TWO_PI, TWO_PI))
-    kv = projector_kernel(man, (0.0, 0.0), (0.1, 0.0), 50.0)
+    (kv,) = projector_kernels(man, (0.0, 0.0), (0.1, 0.0), [50.0])
     # remainder measured against the sqrt(lambda) envelope scale
     assert abs(kv.E0) <= 5.0 * math.sqrt(50.0)
 
 
 def test_revolution_kernel_consistency(radial):
     man = surface_of_revolution(make_round_sphere())
-    kv = projector_kernel(man, (0.4, 1.1), (0.4, 1.1), 8.0, spec=radial)
+    (kv,) = projector_kernels(man, (0.4, 1.1), (0.4, 1.1), [8.0],
+                              spec=radial)
     # homogeneous: N(lambda)/(4 pi)
     expected = radial.count(8.0) / (4 * math.pi)
     assert kv.Pi == pytest.approx(float(expected), rel=1e-7)
@@ -160,7 +161,7 @@ def test_revolution_kernel_consistency(radial):
 def test_kernel_domain_errors():
     man = flat_torus((TWO_PI, TWO_PI))
     with pytest.raises(DomainError):
-        projector_kernel(man, (0.0, 0.0), (math.pi, 0.0), 10.0)
+        projector_kernels(man, (0.0, 0.0), (math.pi, 0.0), [10.0])
 
 
 # --- smoothing kernel ----------------------------------------------------------
@@ -460,9 +461,9 @@ def test_point_kuznecov_equals_diagonal_kernel(radial):
     x = ("point", 0.4, 1.1)
     lams = np.array([3.0, 4.0, 5.0])
     ks = kuznecov(radial, x, x, lams, t0=1.0, tail_tol=0.02)
-    for i, lam in enumerate(lams):
-        kv = projector_kernel(man, (0.4, 1.1), (0.4, 1.1), lam, spec=radial)
-        assert ks.values[i] == pytest.approx(kv.Pi, abs=1e-8)
+    for value, kv in zip(ks.values, projector_kernels(
+            man, (0.4, 1.1), (0.4, 1.1), lams, spec=radial)):
+        assert value == pytest.approx(kv.Pi, abs=1e-8)
 
 
 def test_equator_kuznecov_odd_modes_vanish(radial):
@@ -558,7 +559,7 @@ def test_revolution_kernel_matches_the_mode_loop(perturbed_radial, x, y):
     man = surface_of_revolution(spec.basis.profile)
     lams = np.linspace(2.0, spec.lambda_max, 9)
     ref = _kernel_by_modes(spec.basis, x, y, lams)
-    got = [projector_kernel(man, x, y, lam, spec=spec).Pi for lam in lams]
+    got = [kv.Pi for kv in projector_kernels(man, x, y, lams, spec=spec)]
     assert np.allclose(got, ref, rtol=1e-13, atol=0)
 
 
@@ -594,8 +595,9 @@ def test_revolution_kernel_off_diagonal_matches_legendre():
     worst = 0.0
     for x, y in [((0.3, 1.0), (0.5, 1.0)), ((-1.2, 2.0), (0.9, 2.0)),
                  ((0.4, 1.1), (0.4, 1.1))]:
-        for lam in mids[mids < 20.0]:
-            got = projector_kernel(man, x, y, lam, spec=spec).Pi
-            exact = projector_kernel(round_sphere(2), x, y, lam).Pi
-            worst = max(worst, abs(got - exact) / lam)
+        lams = mids[mids < 20.0]
+        got = projector_kernels(man, x, y, lams, spec=spec)
+        exact = projector_kernels(round_sphere(2), x, y, lams)
+        for lam, g, e in zip(lams, got, exact):
+            worst = max(worst, abs(g.Pi - e.Pi) / lam)
     assert worst <= 1e-9
