@@ -3,14 +3,13 @@
 __version__ = "0.1.0"
 
 from .errors import (ConfigError, CoverFailure, DegenerateInput,
-                     DomainError, IncompleteInput, IncompleteSpectrum,
-                     InvariantViolation, QuadratureFailure, SolverFailure,
-                     StepFailure, WeylLabError, WindowTooSmall)
+                     DomainError, IncompleteSpectrum, InvariantViolation,
+                     QuadratureFailure, SolverFailure, StepFailure,
+                     WeylLabError)
 
 __all__ = [
     "__version__",
     "ConfigError", "CoverFailure", "DegenerateInput", "DomainError",
-    "IncompleteInput", "IncompleteSpectrum", "InvariantViolation",
-    "QuadratureFailure", "SolverFailure", "StepFailure", "WeylLabError",
-    "WindowTooSmall",
+    "IncompleteSpectrum", "InvariantViolation", "QuadratureFailure",
+    "SolverFailure", "StepFailure", "WeylLabError",
 ]

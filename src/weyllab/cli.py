@@ -186,9 +186,10 @@ def cmd_localized_count(args) -> int:
 
 def cmd_kernel(args) -> int:
     manifold, cfg = _load_manifold(args)
-    spec = None
-    if manifold.kind == "surface_of_revolution":
-        spec = spectrum_for_manifold(manifold, args.lambda_max)
+    if max(args.window) > args.lambda_max:
+        raise DomainError("--window reaches past --lambda-max")
+    spec = (spectrum_for_manifold(manifold, args.lambda_max)
+            if manifold.kind == "surface_of_revolution" else None)
     lams = np.linspace(args.window[0], args.window[1], args.n_lambda)
     rows = [(kv.lam, kv.Pi, kv.comparison, kv.E0) for kv in projector_kernels(
         manifold, tuple(args.x), tuple(args.y), lams.tolist(), spec=spec)]
@@ -247,8 +248,8 @@ def cmd_smooth_compare(args) -> int:
 
 
 def _profile_for(manifold):
-    if manifold.kind != "surface_of_revolution":
-        raise ConfigError("rotation numbers need a surface of revolution")
+    if manifold.profile is None:
+        raise ConfigError("rotation numbers need a surface profile")
     return manifold.profile
 
 

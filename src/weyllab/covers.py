@@ -3,7 +3,8 @@
 Good covers over fiber circles, built from the manifold, with exact
 section-chart audits, and Monte-Carlo measures of near-periodic, looping,
 and recurrent sets with exact lattice oracles on flat tori; the time
-horizons t(eps) and T(r) are plain functions from float to float.
+horizons t(eps) and T(r) are plain functions from float to float.  Sets,
+samplers and flows read the manifold's surface profile; a torus has none.
 
 All measure estimators work with the fixed background phase metric of
 :mod:`weyllab.flows` and classify a sample by its certified closest
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import CoverFailure, DomainError
 from .flows import RevolutionFlow, RoundSphereFlow, TorusFlow, wrap_angle
 from .manifolds import (HALF_PI, ModelManifold, band_area, check_band,
-                        check_points, make_round_sphere)
+                        check_points)
 # unused here, but perfbench/tracing.py times scalar quadrature at this name
 from .quadrature import tanh_sinh  # noqa: F401
 
@@ -76,99 +77,80 @@ def _halton(d: int, n: int, seed) -> np.ndarray:
 
 
 def flow_for(manifold: ModelManifold):
-    """The geodesic flow of a 2-torus, the round sphere or a surface of
-    revolution; DomainError for any other manifold."""
+    """The geodesic flow of a 2-torus or of a manifold's surface profile
+    (the round flow for the round one); DomainError for any other."""
     if manifold.kind == "flat_torus":
         if manifold.dim != 2:
             raise DomainError(f"the dynamics estimators take 2-d tori, not "
                               f"a {manifold.dim}-torus")
         return TorusFlow(manifold.periods)
-    if manifold.kind == "round_sphere" and manifold.n == 2:
-        return RoundSphereFlow(make_round_sphere())
-    if manifold.kind == "surface_of_revolution":
-        if manifold.profile.label == "round sphere":
-            return RoundSphereFlow(manifold.profile)
-        return RevolutionFlow(manifold.profile)
-    raise DomainError(f"no flow for manifold kind {manifold.kind!r}")
+    if manifold.profile is None:
+        raise DomainError(f"no flow for manifold kind {manifold.kind!r}")
+    if manifold.profile.label == "round sphere":
+        return RoundSphereFlow(manifold.profile)
+    return RevolutionFlow(manifold.profile)
 
 
 @dataclass
 class CosphereSet:
     """Descriptor of a subset of the unit cosphere bundle.
 
-    kinds: "full"; "band" (s in [s0, s1], revolution surfaces); "fiber"
-    (S*_x M over the point x).  Liouville measure = area x fiber angle.
+    kinds: "full"; "band" (s in [s0, s1]), over a surface profile or, when
+    full, a torus.  Liouville measure = area x fiber angle.
     """
 
     manifold: ModelManifold
     kind: str = "full"
     s0: float = None
     s1: float = None
-    x: tuple = None
 
     def __post_init__(self):
-        if self.kind == "band" and self.manifold.kind == "flat_torus":
-            raise DomainError("the estimators take no band sets on a torus")
+        if self.kind not in ("full", "band"):
+            raise DomainError(f"unknown set kind {self.kind!r}")
+        if self.manifold.profile is None and (
+                self.kind == "band" or self.manifold.kind != "flat_torus"):
+            raise DomainError(f"no {self.kind} set on a {self.manifold.kind}")
         if self.kind == "band":
             check_band(self.s0, self.s1)
 
     def total_measure(self) -> float:
         m = self.manifold
-        if self.kind == "full":
-            return m.volume * 2.0 * math.pi
         if self.kind == "band":
             return band_area(m.profile, self.s0, self.s1) * 2.0 * math.pi
-        if self.kind == "fiber":
-            return 2.0 * math.pi
-        raise DomainError(f"unknown set kind {self.kind!r}")
+        return m.volume * 2.0 * math.pi
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         m = self.manifold
-        if m.kind == "flat_torus" and self.kind == "full":
-            u = _halton(3, n, seed)
+        u = _halton(3, n, seed)
+        if m.kind == "flat_torus":
             x = u[:, :2] * np.asarray(m.periods)
             phi = 2.0 * math.pi * u[:, 2]
             return np.column_stack([x, np.cos(phi), np.sin(phi)])
-
-        if self.kind == "fiber":
-            u = _halton(1, n, seed)[:, 0]
-            return _fiber_states(m, self.x, 2.0 * math.pi * u)
-        prof = _profile_of(m)
-        if self.kind in ("full", "band"):
-            lo = self.s0 if self.kind == "band" else (-HALF_PI + 1e-6)
-            hi = self.s1 if self.kind == "band" else (HALF_PI - 1e-6)
-            u = _halton(3, n, seed)
-            grid = np.linspace(lo, hi, 4097)
-            dens = prof.alpha(grid)
-            cdf = np.concatenate([[0.0], np.cumsum(
-                0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
-            cdf /= cdf[-1]
-            s = np.interp(u[:, 0], cdf, grid)
-            theta = 2.0 * math.pi * u[:, 1]
-            psi = 2.0 * math.pi * u[:, 2]
-            a = prof.alpha(s)
-            return np.column_stack([s, theta, np.cos(psi),
-                                    a * np.sin(psi)])
-        raise DomainError(f"unknown set kind {self.kind!r}")
+        lo = self.s0 if self.kind == "band" else (-HALF_PI + 1e-6)
+        hi = self.s1 if self.kind == "band" else (HALF_PI - 1e-6)
+        grid = np.linspace(lo, hi, 4097)
+        dens = m.profile.alpha(grid)
+        cdf = np.concatenate([[0.0], np.cumsum(
+            0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
+        cdf /= cdf[-1]
+        s = np.interp(u[:, 0], cdf, grid)
+        theta = 2.0 * math.pi * u[:, 1]
+        psi = 2.0 * math.pi * u[:, 2]
+        a = m.profile.alpha(s)
+        return np.column_stack([s, theta, np.cos(psi), a * np.sin(psi)])
 
 
-def _profile_of(manifold: ModelManifold):
-    """Profile curve of a revolution surface; the round one otherwise."""
-    return manifold.profile if manifold.kind == "surface_of_revolution" \
-        else make_round_sphere()
-
-
-def _fiber_states(manifold: ModelManifold, x, psi) -> np.ndarray:
-    """Unit covectors at the point x with fiber angles psi.
-
-    On a torus the columns are (x, y, cos psi, sin psi), so the scale a of
-    the second covector component is 1; on a surface it is alpha(s).
-    """
+def _fiber_draw(manifold: ModelManifold, x, n: int, seed) -> tuple:
+    """(psi, states): n fiber angles from one Halton draw and the unit
+    covectors at x with those angles.  The second covector component has
+    scale 1 on a torus and alpha(s) on a surface."""
+    psi = 2.0 * math.pi * _halton(1, n, seed)[:, 0]
     s0, th0 = x
     a = 1.0 if manifold.kind == "flat_torus" \
-        else float(_profile_of(manifold).alpha(s0))
-    return np.column_stack([np.full_like(psi, s0), np.full_like(psi, th0),
-                            np.cos(psi), a * np.sin(psi)])
+        else float(manifold.profile.alpha(s0))
+    return psi, np.column_stack([np.full_like(psi, s0),
+                                 np.full_like(psi, th0), np.cos(psi),
+                                 a * np.sin(psi)])
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +181,14 @@ class MeasureEstimate:
                    total, criterion_radius, inflation, brute_force)
 
 
+def _empty_window(t0: float, T: float, samples: int, total: float,
+                  criterion_radius: float, torus: bool):
+    """The zero estimate of an empty window, t0 > T; None for any other."""
+    if t0 > T:
+        return MeasureEstimate(0.0, 0.0, samples, total, criterion_radius,
+                               brute_force=0.0 if torus else None)
+
+
 def near_periodic_measure(U: CosphereSet, t0: float, T: float, R: float,
                           samples: int = 100_000,
                           seed: int = 0) -> MeasureEstimate:
@@ -216,12 +206,12 @@ def near_periodic_measure(U: CosphereSet, t0: float, T: float, R: float,
     flow = flow_for(U.manifold)
     torus = U.manifold.kind == "flat_torus"
     thresh = 2.0 * R
-    if t0 > T:
-        return MeasureEstimate(0.0, 0.0, samples, U.total_measure(), thresh,
-                               brute_force=0.0 if torus else None)
+    total = U.total_measure()
+    empty = _empty_window(t0, T, samples, total, thresh, torus)
+    if empty is not None:
+        return empty
     hits, inflation = flow.return_hits(U.sample(samples, seed), t0, T,
                                        thresh)
-    total = U.total_measure()
     brute = None
     if torus:
         # a near return is t omega close to a lattice vector k; k = 0
@@ -244,16 +234,19 @@ def looping_pair_measure(manifold: ModelManifold, x, y, t0: float, T: float,
         raise DomainError(f"the radius R = {R} is not positive")
     check_points(manifold, x, y)
     flow = flow_for(manifold)
+    torus = manifold.kind == "flat_torus"
     thresh = 2.0 * R
+    total = 2.0 * math.pi           # the Liouville measure of a fiber
+    empty = _empty_window(t0, T, samples, total, thresh, torus)
+    if empty is not None:
+        return empty, empty, 0.0
     ests = []
     for src, dst, sd in ((x, y, seed), (y, x, seed + 1)):
-        U = CosphereSet(manifold, kind="fiber", x=src)
         dst = np.asarray(dst, dtype=float)
-        hits, inflation = flow.target_hits(U.sample(samples, sd), dst, t0, T,
-                                           thresh)
-        total = U.total_measure()
+        hits, inflation = flow.target_hits(
+            _fiber_draw(manifold, src, samples, sd)[1], dst, t0, T, thresh)
         brute = None
-        if manifold.kind == "flat_torus":
+        if torus:
             # the backward window toward v equals the forward window
             # toward -v, so the targets are +-(y - x) plus the lattice
             delta = dst - np.asarray(src, dtype=float)
@@ -310,8 +303,7 @@ def recurrence_measure(manifold: ModelManifold, x, R0: float,
     rng = np.random.default_rng(seed)
     probe_angles = rng.uniform(0.0, 2.0 * math.pi, _RECURRENCE_PROBES)
     # one draw of the fiber circle serves every test arc
-    psi = 2.0 * math.pi * _halton(1, samples, seed)[:, 0]
-    states = _fiber_states(manifold, x, psi)
+    psi, states = _fiber_draw(manifold, x, samples, seed)
     moved = {}          # the base returns or moved states, per time
     failures = []
     probes = []

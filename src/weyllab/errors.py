@@ -46,14 +46,6 @@ class IncompleteSpectrum(WeylLabError):
     """A spectrum does not extend far enough for the requested computation."""
 
 
-class IncompleteInput(WeylLabError):
-    """A factor spectrum is truncated below the requested cutoff."""
-
-
-class WindowTooSmall(WeylLabError):
-    """Smoothing window exceeds the available spectral range."""
-
-
 class ConfigError(WeylLabError):
     """An experiment configuration failed schema validation."""
 

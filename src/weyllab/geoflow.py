@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -371,38 +372,6 @@ def rotation_number_ode(s_plus: float, profile: ProfileCurve):
 # Rationality detection and torus classification
 
 
-def convergents(x: float, q_max: int) -> list[tuple[int, int]]:
-    """Continued-fraction convergents p/q of x with q <= q_max."""
-    out = []
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = int(math.floor(x)), 1
-    out.append((p_cur, q_cur))
-    frac = x - math.floor(x)
-    for _ in range(64):
-        if frac < 1e-18:
-            break
-        x = 1.0 / frac
-        a = int(math.floor(x))
-        frac = x - a
-        p_next = a * p_cur + p_prev
-        q_next = a * q_cur + q_prev
-        if q_next > q_max:
-            break
-        out.append((p_next, q_next))
-        p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_next, q_next
-    return out
-
-
-def best_rational(x: float, q_max: int) -> tuple[int, int, float]:
-    """Best convergent approximation (p, q, error) with q <= q_max."""
-    best = (0, 1, abs(x))
-    for p, q in convergents(x, q_max):
-        err = abs(x - p / q)
-        if err < best[2]:
-            best = (p, q, err)
-    return best
-
-
 def classify_tori(profile: ProfileCurve, grid: Iterable[float],
                   q_max: int = 50, rational_tol: float = 1e-9,
                   deriv_floor: float = 1e-6) -> list[TorusClassification]:
@@ -411,10 +380,11 @@ def classify_tori(profile: ProfileCurve, grid: Iterable[float],
     A torus is aperiodic when |d Theta0 / d s_plus| clears the floor and no
     derivative among the five nearest grid points that clears it has the
     other sign (below the floor a sign is quadrature noise); otherwise
-    periodic when Theta0/2pi admits a convergent p/q with q <= q_max within
-    rational_tol; otherwise uncertain.  The derivative comes from the exact
-    identity: a finite difference of Theta0 carries quadrature noise of a
-    few 1e-6, enough to clear the default floor on tori that are periodic.
+    periodic when the closest p/q to Theta0/2pi with q <= q_max
+    (``Fraction.limit_denominator``) lies within rational_tol; otherwise
+    uncertain.  The derivative comes from the exact identity: a finite
+    difference of Theta0 carries quadrature noise of a few 1e-6, enough to
+    clear the default floor on tori that are periodic.
     """
     grid = np.asarray(sorted(grid), dtype=float)
     orb = rotation_number(grid, profile)
@@ -429,8 +399,10 @@ def classify_tori(profile: ProfileCurve, grid: Iterable[float],
                 and np.all(np.sign(signed) == np.sign(derivs[i])):
             out.append(TorusClassification(s, "aperiodic", *data))
             continue
-        p, q, err = best_rational(orb.Theta0[i] / (2.0 * math.pi), q_max)
-        if err < rational_tol:
+        x = orb.Theta0[i] / (2.0 * math.pi)
+        best = Fraction(x).limit_denominator(q_max)
+        p, q = best.numerator, best.denominator
+        if abs(x - p / q) < rational_tol:
             out.append(TorusClassification(s, "periodic", *data, p=p, q=q))
         else:
             out.append(TorusClassification(s, "uncertain", *data))

@@ -258,7 +258,8 @@ def make_pendulum_profile(E: float) -> ProfileCurve:
 
 @dataclass(frozen=True)
 class ModelManifold:
-    """A closed model manifold with an explicitly computable volume."""
+    """A closed model manifold with an explicitly computable volume; the
+    surfaces of revolution and the round 2-sphere carry their profile."""
 
     kind: str                     # surface_of_revolution | round_sphere | flat_torus | product
     dim: int
@@ -279,7 +280,8 @@ def surface_of_revolution(profile: ProfileCurve) -> ModelManifold:
 def round_sphere(n: int) -> ModelManifold:
     if n < 1:
         raise DomainError("sphere dimension must be >= 1")
-    return ModelManifold(kind="round_sphere", dim=n, n=n)
+    return ModelManifold(kind="round_sphere", dim=n, n=n,
+                         profile=make_round_sphere() if n == 2 else None)
 
 
 def flat_torus(periods) -> ModelManifold:
@@ -393,10 +395,12 @@ def band_area(profile: ProfileCurve, s0: float, s1: float) -> float:
 
 
 def check_points(manifold: ModelManifold, *points) -> None:
-    """DomainError unless every (s, theta) point of a surface of revolution
-    lies in its chart, |s| <= pi/2; points of other kinds pass."""
+    """DomainError unless every (s, theta) point of a manifold with a
+    profile lies in its chart, |s| <= pi/2; other manifolds pass."""
+    if manifold.profile is None:
+        return
     for s, _ in points:
-        if manifold.kind == "surface_of_revolution" and not abs(s) <= HALF_PI:
+        if not abs(s) <= HALF_PI:
             raise DomainError(f"point s = {s} leaves [-pi/2, pi/2]")
 
 

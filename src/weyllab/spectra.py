@@ -58,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, IncompleteInput, SolverFailure
+from .errors import DomainError, IncompleteSpectrum, SolverFailure
 from .manifolds import (HALF_PI, ModelManifold, ProfileCurve, _cheb_coeffs,
                         _cheb_integral, _cheb_nodes, _profile_size,
                         manifold_volume, sphere_volume)
@@ -132,6 +132,14 @@ class Spectrum:
         if len(self.lambdas) and self.lambdas[0] < -1e-12:
             raise DomainError("negative frequency in spectrum")
 
+    def require(self, lams, why: str = "") -> None:
+        """IncompleteSpectrum, ending in ``why``, unless every lam of
+        ``lams`` is at most lambda_max + 1e-12; every reader calls it."""
+        top = float(np.max(lams, initial=-np.inf))
+        if top > self.lambda_max + 1e-12:
+            raise IncompleteSpectrum(f"{self.label} is complete to "
+                                     f"{self.lambda_max}, not to {top}{why}")
+
     def count(self, lam) -> np.ndarray:
         """N(lam) with the half-open convention lambda_j <= lam."""
         lam = np.asarray(lam, dtype=float)
@@ -142,6 +150,17 @@ class Spectrum:
     @property
     def total(self) -> int:
         return int(np.sum(self.mults))
+
+
+def check_cutoff(lambda_max: float) -> None:
+    """DomainError unless lambda_max > 0; every builder calls it first."""
+    if not lambda_max > 0:
+        raise DomainError(f"lambda_max = {lambda_max} is not positive")
+
+
+def level_cut(lam: float) -> float:
+    """A closed-form level lies at or below lam when lambda^2 <= this."""
+    return lam ** 2 * (1 + 1e-14)
 
 
 def _group(lams: np.ndarray, mults: np.ndarray, tags=None):
@@ -171,13 +190,14 @@ def _group(lams: np.ndarray, mults: np.ndarray, tags=None):
 
 def sphere_spectrum(n: int, lambda_max: float) -> Spectrum:
     """Round unit n-sphere: frequencies sqrt(k(k+n-1))."""
+    check_cutoff(lambda_max)
     if n < 1:
         raise DomainError("sphere dimension must be >= 1")
     lams, mults = [], []
-    k = 0
+    k, cut = 0, level_cut(lambda_max)
     while True:
         lam2 = k * (k + n - 1)
-        if lam2 > lambda_max ** 2 * (1 + 1e-14):
+        if lam2 > cut:
             break
         if n == 1:
             mult = 1 if k == 0 else 2
@@ -201,10 +221,11 @@ def torus_spectrum(periods, lambda_max: float) -> Spectrum:
     first row, so only a thin rim outside the ball is formed.  The blocks'
     rounded values and image counts are merged once, at the end.
     """
+    check_cutoff(lambda_max)
     periods = tuple(float(p) for p in periods)
     if any(p <= 0 for p in periods):
         raise DomainError("periods must be positive")
-    cut = lambda_max ** 2 * (1 + 1e-14)
+    cut = level_cut(lambda_max)
     axes = [np.arange(int(e) + 2)
             for e in (lambda_max * L / (2 * math.pi) for L in periods)]
     terms = [(2 * math.pi * g / L) ** 2 for g, L in zip(axes, periods)]
@@ -241,17 +262,13 @@ def torus_spectrum(periods, lambda_max: float) -> Spectrum:
 def product_spectrum(s1: Spectrum, s2: Spectrum,
                      lambda_max: float) -> Spectrum:
     """Frequencies sqrt(l1^2 + l2^2), multiplicities multiplied."""
+    check_cutoff(lambda_max)
     for s in (s1, s2):
-        if s.lambda_max < lambda_max - 1e-12:
-            raise IncompleteInput(
-                f"factor {s.label} truncated at {s.lambda_max} < {lambda_max}")
-    l2a = s1.lambdas[s1.lambdas <= lambda_max] ** 2
-    m_a = s1.mults[s1.lambdas <= lambda_max]
-    l2b = s2.lambdas[s2.lambdas <= lambda_max] ** 2
-    m_b = s2.mults[s2.lambdas <= lambda_max]
-    sums = l2a[:, None] + l2b[None, :]
-    mults = m_a[:, None] * m_b[None, :]
-    keep = sums <= lambda_max ** 2 * (1 + 1e-14)
+        s.require(lambda_max, " (a product factor)")
+    a, b = (s.lambdas ** 2 <= level_cut(lambda_max) for s in (s1, s2))
+    sums = s1.lambdas[a, None] ** 2 + s2.lambdas[None, b] ** 2
+    mults = s1.mults[a, None] * s2.mults[None, b]
+    keep = sums <= level_cut(lambda_max)
     lams = np.sqrt(sums[keep])
     lams, mults, _ = _group(lams, mults[keep])
     return Spectrum(lams, mults, lambda_max, s1.dim + s2.dim,
@@ -809,8 +826,7 @@ def surface_spectrum(profile: ProfileCurve, lambda_max: float,
     discretisation error puts each mode.  The eigenbasis table has
     ``_cheb_size(profile, lambda_max)`` Chebyshev nodes per row.
     """
-    if not lambda_max > 0:
-        raise DomainError(f"lambda_max = {lambda_max} is not positive")
+    check_cutoff(lambda_max)
     a_max = profile.alpha_max
     grid = _MagnusGrid(profile, lambda_max)
 

@@ -17,10 +17,10 @@ from typing import Optional
 import numpy as np
 from scipy.special import eval_legendre, jv
 
-from .errors import DomainError, IncompleteSpectrum, WindowTooSmall
+from .errors import DomainError, IncompleteSpectrum
 from .manifolds import ModelManifold, band_area, check_points, lattice_box
 from .quadrature import cumulative_simpson
-from .spectra import Spectrum
+from .spectra import Spectrum, level_cut
 
 
 def ball_volume(n: int) -> float:
@@ -49,7 +49,10 @@ class CountingSeries:
 
 def counting_grid(spec: Spectrum, lo: float, hi: float,
                   n_base: int = 400) -> np.ndarray:
-    """Evaluation grid resolving every jump: eigenvalues and pre-jump points."""
+    """Evaluation grid resolving every jump: eigenvalues and pre-jump points.
+    DomainError unless lo < hi and hi > 0."""
+    if not (lo < hi and hi > 0):
+        raise DomainError(f"window [{lo}, {hi}] is empty or not positive")
     base = np.geomspace(max(lo, 1e-6), hi, n_base)
     jumps = spec.lambdas[(spec.lambdas >= lo) & (spec.lambdas <= hi)]
     pre = np.nextafter(jumps, -np.inf)
@@ -59,10 +62,7 @@ def counting_grid(spec: Spectrum, lo: float, hi: float,
 
 def counting(spec: Spectrum, lambdas) -> CountingSeries:
     lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.size and lambdas.max() > spec.lambda_max + 1e-12:
-        raise IncompleteSpectrum(
-            f"grid reaches {lambdas.max()}, spectrum complete only to "
-            f"{spec.lambda_max}")
+    spec.require(lambdas)
     N = spec.count(lambdas).astype(float)
     N[lambdas < 0] = 0.0
     main = weyl_main_term(np.maximum(lambdas, 0.0), spec.dim, spec.volume)
@@ -81,8 +81,7 @@ def localized_counting(spec: Spectrum, band: tuple[float, float],
         raise IncompleteSpectrum("localized counting needs the eigenfunction "
                                  "store of a surface spectrum")
     lambdas = np.asarray(lambdas, dtype=float)
-    if lambdas.size and lambdas.max() > spec.lambda_max + 1e-12:
-        raise IncompleteSpectrum("grid exceeds the spectrum cutoff")
+    spec.require(lambdas)
     s0, s1 = band
     basis = spec.basis
     vol_w = band_area(basis.profile, s0, s1)
@@ -141,12 +140,13 @@ def projector_kernels(manifold: ModelManifold, x, y, lams,
     ``lams``, in order.
 
     Points are chart tuples: (s, theta) on spheres and surfaces of
-    revolution, Cartesian coordinates on flat tori.  The comparison is only
-    defined below the injectivity scale of the chart, which is checked once
-    per pair.  On a surface of revolution the pair's terms u_i(s1) u_i(s2)
-    times the angular factor come from one Clenshaw pass of ``spec``'s
-    eigenbasis; each lam selects the rows with lambda_i <= lam.
+    revolution, Cartesian coordinates on flat tori.  The chart, and the
+    injectivity scale below which the comparison is defined, are checked
+    once per pair.  On a surface of revolution the pair's terms u_i(s1)
+    u_i(s2) times the angular factor come from one Clenshaw pass of
+    ``spec``'s eigenbasis; each lam selects the rows with lambda_i <= lam.
     """
+    check_points(manifold, x, y)
     if manifold.kind == "round_sphere" and manifold.n == 2:
         r = _sphere_distance(x, y)
         if r >= math.pi - 1e-12:
@@ -171,13 +171,12 @@ def projector_kernels(manifold: ModelManifold, x, y, lams,
                 kstar = 2 * math.pi * g / L
                 lam2 = lam2 + kstar ** 2
                 phase = phase + kstar * (xi - yi)
-            inside = lam2 <= lam ** 2 * (1 + 1e-14)
+            inside = lam2 <= level_cut(lam)
             return float(np.sum(np.cos(phase[inside]))) / manifold.volume
     elif manifold.kind == "surface_of_revolution":
         if spec is None or spec.basis is None:
             raise IncompleteSpectrum("revolution kernel needs a surface "
                                      "spectrum with eigenfunctions")
-        check_points(manifold, x, y)
         (s1, t1), (s2, t2) = x, y
         if abs(s1 - s2) < 1e-12 and abs(t1 - t2) < 1e-12:
             r = 0.0
@@ -186,6 +185,7 @@ def projector_kernels(manifold: ModelManifold, x, y, lams,
         else:
             raise DomainError("comparison on revolution surfaces supports "
                               "coincident points or same-meridian pairs")
+        spec.require(lams)
         basis = spec.basis
         u1, u2 = basis.values([s1, s2]).T
         # the pair +-m carries 2 cos(m (t1 - t2)), and m = 0 carries 1
@@ -193,8 +193,6 @@ def projector_kernels(manifold: ModelManifold, x, y, lams,
                                    2.0 * np.cos(basis.m * (t1 - t2)), 1.0)
 
         def value(lam):
-            if lam > spec.lambda_max + 1e-12:
-                raise IncompleteSpectrum("lam exceeds the spectrum cutoff")
             return float(np.sum(terms[basis.lam <= lam]))
     else:
         raise DomainError(f"no kernel for manifold kind {manifold.kind!r}")
@@ -359,38 +357,36 @@ class SmoothingKernel:
         return (self.tail_tol + 2e-9) * max(total_weight, 1.0)
 
 
-_KERNEL_CACHE: dict = {}
+# the kernel tables' nodes: s_k = k _KERNEL_DS on [0, _KERNEL_S_MAX]
+_KERNEL_S_MAX = 420.0
+_KERNEL_DS = 0.002
 
 
-def build_smoothing_kernel(scale: float, s_max: float = 420.0,
-                           ds: float = 0.002) -> SmoothingKernel:
-    """Construct rho_sigma for sigma = scale (table shared across scales).
+@functools.cache
+def _kernel_tables():
+    """The tables every scale shares: (s, rho, P, bend, tail_tol).
 
-    The tables live on the nodes s_k = k ds of [0, s_max], and every scale
-    shares them: only ``sigma`` differs.  The rho table is the fast path,
-    built by :func:`_rho_table` from blocked exponentials; :func:`rho_exact`
-    stays the oracle it is checked against.  P(s_k) = 1 - int_{s_k}^{s_max}
-    rho is the cumulative Simpson integral from the far end
-    (:func:`quadrature.cumulative_simpson`), and the per-cell bends
-    0.5 ds diff(rho) let :meth:`SmoothingKernel.P` evaluate between nodes.  ``tail_tol`` is
-    the step-function tolerance the table can reach: twice |1 - P| at
-    s_max, and at least 1e-9.
+    rho from :func:`_rho_table` (:func:`rho_exact` is its oracle); P(s_k) =
+    1 - int_{s_k}^{s_max} rho by cumulative Simpson from the far end; the
+    bends 0.5 ds diff(rho) for :meth:`SmoothingKernel.P`; ``tail_tol``, the
+    reachable step tolerance, is twice |1 - P| at s_max, at least 1e-9.
     """
+    ds = _KERNEL_DS
+    s = np.arange(0.0, _KERNEL_S_MAX + ds, ds)
+    rho = _rho_table(s, ds)
+    P = 1.0 - cumulative_simpson(rho[::-1], -s[::-1])[::-1]
+    bend = 0.5 * ds * np.diff(rho)
+    # achievable step-function tolerance: the P deviation still present at
+    # the end of the table bounds everything beyond it
+    return s, rho, P, bend, max(1e-9, 2.0 * float(np.abs(1.0 - P)[-1]))
+
+
+def build_smoothing_kernel(scale: float) -> SmoothingKernel:
+    """rho_sigma for sigma = scale, on the tables of :func:`_kernel_tables`,
+    which every scale shares: only ``sigma`` differs."""
     if scale <= 0:
         raise DomainError("smoothing scale must be positive")
-    key = (s_max, ds)
-    if key not in _KERNEL_CACHE:
-        s = np.arange(0.0, s_max + ds, ds)
-        rho = _rho_table(s, ds)
-        # P(x) = 1 - int_x^inf rho, cumulative Simpson from the far end
-        tail_from = cumulative_simpson(rho[::-1], -s[::-1])[::-1]
-        P = 1.0 - tail_from
-        bend = 0.5 * ds * np.diff(rho)
-        # achievable step-function tolerance: the P deviation still present
-        # at the end of the table bounds everything beyond it
-        tol = max(1e-9, 2.0 * float(np.abs(1.0 - P)[-1]))
-        _KERNEL_CACHE[key] = (s, rho, P, bend, tol)
-    s, rho, P, bend, tol = _KERNEL_CACHE[key]
+    s, rho, P, bend, tol = _kernel_tables()
     return SmoothingKernel(scale, s, rho, P, bend, tail_tol=tol)
 
 
@@ -466,7 +462,7 @@ def smoothed_series(spec: Spectrum, lambdas, kernel: SmoothingKernel,
     """(rho_sigma * series)(lam) = sum_j w_j P(sigma (lam - lambda_j)).
 
     The spectrum must extend beyond the grid by the kernel tail length at
-    the requested step tolerance; otherwise :class:`WindowTooSmall`
+    the requested step tolerance; otherwise :class:`IncompleteSpectrum`
     reports the required enlargement.  Contributions of eigenvalues above
     the cutoff are bounded by :func:`truncation_bound`.
 
@@ -485,11 +481,8 @@ def smoothed_series(spec: Spectrum, lambdas, kernel: SmoothingKernel,
     lambdas = np.asarray(lambdas, dtype=float)
     tol = kernel.tail_tol if tail_tol is None else tail_tol
     margin = kernel.tail_cut_for(tol) / kernel.sigma
-    required = float(lambdas.max()) + margin
-    if spec.lambda_max + 1e-9 < required:
-        raise WindowTooSmall(
-            f"spectrum complete to {spec.lambda_max}, need {required:.3f} "
-            f"(grid max + tail {margin:.3f} at step tolerance {tol:.1e})")
+    spec.require(float(lambdas.max()) + margin, f" (grid max + tail "
+                 f"{margin:.3f} at step tolerance {tol:.1e})")
     if weights is None:
         weights = spec.mults.astype(float)
     mu, W = _sources(spec.lambdas, weights, kernel.sigma)

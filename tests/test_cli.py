@@ -22,7 +22,13 @@ def configs(tmp_path):
     torus.write_text(json.dumps(TORUS_CFG))
     pert = tmp_path / "pert.json"
     pert.write_text(json.dumps(PERT_CFG))
-    paths = {"torus": str(torus), "pert": str(pert), "dir": str(tmp_path)}
+    sphere = tmp_path / "sphere.json"
+    sphere.write_text(json.dumps({"kind": "round_sphere", "n": 2}))
+    # a scenario task, read through --config
+    cutoff = tmp_path / "negative-cutoff.json"
+    cutoff.write_text(json.dumps({"task": {"lambda_max": -0.5}}))
+    paths = {"torus": str(torus), "pert": str(pert), "sphere": str(sphere),
+             "negative-cutoff": str(cutoff), "dir": str(tmp_path)}
     for d in (1, 3):
         path = tmp_path / f"torus{d}.json"
         path.write_text(json.dumps({"kind": "flat_torus",
@@ -81,6 +87,35 @@ def test_nonperiodic_measure_and_determinism(configs):
     second = open(os.path.join(configs["dir"],
                                "nonperiodic-measure.csv")).read()
     assert first == second
+
+
+def _csv_rows(path) -> list:
+    """The data rows of a CSV output, after its header block."""
+    return [line.split(",") for line in open(path).read().split("\n")[3:-1]]
+
+
+def test_round_sphere_band_measure(configs):
+    # past 2 pi every orbit of the round sphere closes, so every sample of
+    # the band counts: the estimate is the band's total measure
+    rc = main(["--out-dir", configs["dir"], "--seed", "1",
+               "nonperiodic-measure", "--manifold", configs["sphere"],
+               "--band", "1.05", "1.45", "--radii", "0.05", "--resolution",
+               "const:7", "--samples", "2000"])
+    assert rc == 0
+    (row,) = _csv_rows(os.path.join(configs["dir"],
+                                    "nonperiodic-measure.csv"))
+    assert row[1:3] == ["7.0", "4.946241681733313"]
+    assert row[4] == ""
+
+
+def test_nonloop_empty_window_is_zero(configs):
+    rc = main(["--out-dir", configs["dir"], "--seed", "1", "nonloop-measure",
+               "--manifold", configs["torus"], "--x", "0.3", "0.4", "--y",
+               "1.0", "1.273", "--t0", "5", "--T", "1", "--radii", "0.2",
+               "--samples", "2000"])
+    assert rc == 0
+    (row,) = _csv_rows(os.path.join(configs["dir"], "nonloop-measure.csv"))
+    assert row == ["0.2", "1.0", "0.0", "0.0", "0.0", "0.0"]
 
 
 def test_kernel_subcommand(configs):
@@ -205,8 +240,9 @@ def test_config_error_exit_code(configs, tmp_path, capsys):
     ["pert", "localized-count", "--lambda-max", "12", "--window", "10",
      "11.5", "--band", "1.45", "1.05"],
     ["pert", "nonperiodic-measure", "--band", "1.45", "1.05"],
-    ["pert", "kernel", "--lambda-max", "12", "--x", "2.0", "1.0", "--y",
-     "2.0", "1.0"],
+    # a window inside the cutoff, so that the chart check decides
+    ["pert", "kernel", "--lambda-max", "12", "--window", "5", "10", "--x",
+     "2.0", "1.0", "--y", "2.0", "1.0"],
     ["torus", "recurrence-check", "--x", "0.3", "0.4", "--r", "-0.5",
      "--resolution", "const:8"],
     ["torus", "nonperiodic-measure", "--radii", "-0.05"],
@@ -220,6 +256,16 @@ def test_config_error_exit_code(configs, tmp_path, capsys):
     ["pert", "spectrum", "--lambda-max", "0"],
     ["pert", "spectrum", "--lambda-max", "-1"],
     ["torus", "smooth-compare", "--lambda-max", "100", "--n-lambda", "0"],
+    ["torus", "kernel", "--lambda-max", "1", "--window", "10", "50",
+     "--n-lambda", "2", "--x", "0", "0", "--y", "0.1", "0"],
+    ["sphere", "kernel", "--lambda-max", "50", "--x", "2.0", "1.0", "--y",
+     "0.5", "1.0"],
+    ["torus", "count", "--lambda-max", "100", "--window", "50", "20"],
+    ["pert", "localized-count", "--lambda-max", "12", "--window", "11.5",
+     "10", "--band", "1.05", "1.45"],
+    # the sphere spectrum to lambda_max + 1 = 0.5 exists; the count's
+    # window [20, -0.5] does not
+    ["negative-cutoff", "scenario", "sphere-sharpness"],
 ], ids=["too-few-samples", "band-on-a-torus", "tube-past-injectivity",
         "R-above-R0", "recurrence-on-a-1-torus", "recurrence-on-a-3-torus",
         "nonloop-on-a-1-torus", "nonloop-on-a-3-torus",
@@ -231,10 +277,14 @@ def test_config_error_exit_code(configs, tmp_path, capsys):
         "torus-spectrum-negative-lambda-max", "nonperiodic-zero-radius",
         "recurrence-zero-r", "cover-zero-r", "cover-negative-r",
         "surface-spectrum-zero-lambda-max",
-        "surface-spectrum-negative-lambda-max", "smooth-compare-no-lambdas"])
+        "surface-spectrum-negative-lambda-max", "smooth-compare-no-lambdas",
+        "kernel-window-past-the-cutoff", "sphere-kernel-point-off-the-chart",
+        "count-reversed-window", "localized-count-reversed-window",
+        "scenario-negative-lambda-max"])
 def test_out_of_domain_arguments_exit_code(configs, capsys, argv):
+    flag = "--config" if argv[1] == "scenario" else "--manifold"
     rc = main(["--out-dir", configs["dir"], argv[1],
-               "--manifold", configs[argv[0]]] + argv[2:])
+               flag, configs[argv[0]]] + argv[2:])
     assert rc == 3
     assert capsys.readouterr().err.startswith("configuration error: ")
 

@@ -8,6 +8,7 @@ from scipy.stats import qmc
 from weyllab.covers import (
     FAMILY_BUDGET,
     CosphereSet,
+    _fiber_draw,
     _halton,
     build_good_cover,
     looping_pair_measure,
@@ -38,6 +39,7 @@ from weyllab.manifolds import (
     flat_torus,
     make_perturbed_sphere,
     make_round_sphere,
+    product,
     round_sphere,
     surface_of_revolution,
 )
@@ -354,7 +356,7 @@ def test_perturbed_offpole_looping_refines_ambiguous_samples():
 
 def test_closed_form_hits_are_exact_minima():
     flow = RoundSphereFlow(make_round_sphere())
-    states = CosphereSet(SPHERE, kind="fiber", x=(0.3, 0.2)).sample(500, 1)
+    _, states = _fiber_draw(SPHERE, (0.3, 0.2), 500, 1)
     hits, inflation = flow.target_hits(states, (-0.5, 1.0), 1.0, 7.0, 0.1)
     mins = flow.target_min(states, (-0.5, 1.0), 1.0, 7.0)
     assert inflation == 0.0
@@ -840,9 +842,15 @@ def test_cover_rejects_long_tubes():
                                lambda _: 8.0, r=-0.5, R=0.05),
     lambda: looping_pair_measure(PERTURBED, (0.3, 0.2), (2.0, 1.0), 1.0,
                                  10.0, 0.01),
+    # a band needs a surface profile, which S^3 and products lack
+    lambda: CosphereSet(round_sphere(3), kind="band", s0=0.1, s1=0.2),
+    lambda: CosphereSet(product(SPHERE, flat_torus((TWO_PI,))), kind="band",
+                        s0=0.1, s1=0.2),
+    lambda: CosphereSet(SPHERE, kind="point"),
 ], ids=["cover-zero-r", "cover-negative-r", "near-periodic-zero-R",
         "looping-negative-R", "recurrence-negative-r",
-        "looping-target-off-the-chart"])
+        "looping-target-off-the-chart", "band-on-the-3-sphere",
+        "band-on-a-product", "unknown-set-kind"])
 def test_estimators_refuse_out_of_domain_input(call):
     with pytest.raises(DomainError):
         call()
@@ -852,7 +860,8 @@ def test_estimators_refuse_out_of_domain_input(call):
 
 def test_torus_fiber_target_states_are_unit_off_the_origin():
     # the covector scale on a torus is 1 wherever the fiber sits
-    st = CosphereSet(TORUS, kind="fiber", x=(1.2, 0.4)).sample(13, 0)
+    psi, st = _fiber_draw(TORUS, (1.2, 0.4), 13, 0)
+    assert np.array_equal(psi, 2.0 * math.pi * _halton(1, 13, 0)[:, 0])
     assert np.allclose(np.hypot(st[:, 2], st[:, 3]), 1.0, atol=1e-15)
     assert np.allclose(st[:, :2], [1.2, 0.4])
 

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -7,9 +8,7 @@ from weyllab import flows, geoflow, quadrature
 from weyllab.errors import DegenerateInput, DomainError, QuadratureFailure
 from weyllab.flows import turning_points
 from weyllab.geoflow import (
-    best_rational,
     classify_tori,
-    convergents,
     d_rotation_number,
     d_rotation_number_in_epsilon,
     integrate_geodesic,
@@ -230,15 +229,27 @@ def test_mirror_symmetry_conjugation():
 
 # --- rationality and classification ----------------------------------------
 
-def test_convergents_of_pi():
-    cs = convergents(math.pi, 1000)
-    assert (22, 7) in cs and (355, 113) in cs
+def _classify_at(monkeypatch, x, **kwargs):
+    """classify_tori on one torus with Theta0 / 2 pi = x and a zero
+    derivative, so that only the rational test decides."""
+    orb = types.SimpleNamespace(Theta0=np.array([2.0 * math.pi * x]),
+                                s_minus=np.zeros(1), return_time=np.ones(1))
+    monkeypatch.setattr(geoflow, "rotation_number", lambda grid, prof: orb)
+    monkeypatch.setattr(geoflow, "_d_theta0",
+                        lambda prof, grid, s_minus: np.zeros(1))
+    (torus,) = classify_tori(SPHERE, [0.5], **kwargs)
+    return torus
 
 
-def test_best_rational_golden_ratio():
-    golden = (1 + math.sqrt(5)) / 2
-    p, q, err = best_rational(golden, 50)
-    assert err > 1e-9  # badly approximable
+@pytest.mark.parametrize("x, q_max, tol, status, pq", [
+    (math.pi, 1000, 1e-6, "periodic", (355, 113)),
+    # 355/113 is 2.7e-7 from pi, above the default tolerance
+    (math.pi, 1000, 1e-9, "uncertain", (None, None)),
+    (22 / 7, 50, 1e-9, "periodic", (22, 7)),
+], ids=["pi", "pi-default-tol", "22-over-7"])
+def test_classify_best_rational(monkeypatch, x, q_max, tol, status, pq):
+    torus = _classify_at(monkeypatch, x, q_max=q_max, rational_tol=tol)
+    assert torus.status == status and (torus.p, torus.q) == pq
 
 
 def test_classify_round_sphere_all_periodic():
@@ -306,8 +317,7 @@ def test_classify_makes_two_quadrature_calls(monkeypatch):
 
 
 def test_classify_synthetic_golden_table(monkeypatch):
-    # a synthetic profile whose rotation number is the golden angle should
-    # never read as periodic at q_max = 50
+    # a synthetic table whose rotation number is the golden angle (badly
+    # approximable) should never read as periodic at q_max = 50
     golden = (1 + math.sqrt(5)) / 2
-    p, q, err = best_rational(golden, 50)
-    assert err > 1e-9
+    assert _classify_at(monkeypatch, golden, q_max=50).status == "uncertain"

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import lpmv
 
 from weyllab import spectra
-from weyllab.errors import IncompleteInput, SolverFailure
+from weyllab.errors import DomainError, IncompleteSpectrum, SolverFailure
 from weyllab.manifolds import (
     PerturbationSpec,
     ProfileCurve,
@@ -134,9 +134,31 @@ def test_product_commutes():
     assert np.array_equal(p1.mults, p2.mults)
 
 
+def test_product_of_circles_keeps_the_levels_of_the_torus():
+    # each circle keeps its level 3 at this cutoff, so the product must too
+    lambda_max = 3.0 - 4e-16
+    circle = sphere_spectrum(1, lambda_max)
+    product = product_spectrum(circle, circle, lambda_max)
+    torus = torus_spectrum((TWO_PI, TWO_PI), lambda_max)
+    assert np.allclose(product.lambdas, torus.lambdas, rtol=0, atol=1e-12)
+    assert np.array_equal(product.mults, torus.mults)
+
+
 def test_product_requires_complete_factors():
-    with pytest.raises(IncompleteInput):
+    with pytest.raises(IncompleteSpectrum):
         product_spectrum(sphere_spectrum(2, 2.0), sphere_spectrum(1, 5.0), 5.0)
+
+
+@pytest.mark.parametrize("lambda_max", [0.0, -1.0])
+@pytest.mark.parametrize("build", [
+    lambda lm: torus_spectrum((TWO_PI, TWO_PI), lm),
+    lambda lm: sphere_spectrum(2, lm),
+    lambda lm: product_spectrum(sphere_spectrum(2, 5.0),
+                                sphere_spectrum(1, 5.0), lm),
+], ids=["torus", "sphere", "product"])
+def test_closed_forms_refuse_a_non_positive_cutoff(build, lambda_max):
+    with pytest.raises(DomainError):
+        build(lambda_max)
 
 
 # --- radial solver -----------------------------------------------------------

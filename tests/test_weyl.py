@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from weyllab import weyl
-from weyllab.errors import (DomainError, IncompleteSpectrum, WindowTooSmall)
+from weyllab.errors import DomainError, IncompleteSpectrum
 from weyllab.manifolds import (flat_torus, make_round_sphere, round_sphere,
                                surface_of_revolution)
 from weyllab.spectra import (Spectrum, sphere_spectrum, surface_spectrum,
@@ -216,28 +216,35 @@ def test_rho_hat_is_the_per_point_gauss_rule():
     assert rho_hat(xi.reshape(4, -1)).shape == (4, 102)
 
 
+def _kernel_tables(s_max, ds):
+    """(s, rho, P) on the nodes k ds of [0, s_max]: the smoothing kernel's
+    own tables at its spacing, else built the way it builds them."""
+    if (s_max, ds) == (weyl._KERNEL_S_MAX, weyl._KERNEL_DS):
+        K = build_smoothing_kernel(1.0)
+        return K.s_table, K.rho_table, K.P_table
+    s = np.arange(0.0, s_max + ds, ds)
+    rho = weyl._rho_table(s, ds)
+    return s, rho, 1.0 - weyl.cumulative_simpson(rho[::-1], -s[::-1])[::-1]
+
+
 @pytest.mark.parametrize("s_max, ds, nodes", [
     (420.0, 0.002, 210_001),
     # the last block of 2,048 holds 1,653 nodes
     (37.0, 0.01, 3_701),
 ])
-def test_kernel_table_matches_rho_exact_at_every_node(monkeypatch, s_max, ds,
-                                                      nodes):
-    monkeypatch.setattr(weyl, "_KERNEL_CACHE", {})
-    K = build_smoothing_kernel(1.0, s_max=s_max, ds=ds)
-    assert len(K.s_table) == nodes
-    assert np.max(np.abs(K.rho_table - weyl.rho_exact(K.s_table))) <= 1e-15
+def test_kernel_table_matches_rho_exact_at_every_node(s_max, ds, nodes):
+    s, rho, _ = _kernel_tables(s_max, ds)
+    assert len(s) == nodes
+    assert np.max(np.abs(rho - weyl.rho_exact(s))) <= 1e-15
 
 
 @pytest.mark.parametrize("s_max, ds", [(420.0, 0.002), (37.0, 0.01)])
-def test_kernel_P_table_is_scipys_cumulative_simpson(monkeypatch, s_max, ds):
+def test_kernel_P_table_is_scipys_cumulative_simpson(s_max, ds):
     # 210,001 and 3,701 nodes: the default table and an odd-sized one
     from scipy.integrate import cumulative_simpson
-    monkeypatch.setattr(weyl, "_KERNEL_CACHE", {})
-    K = build_smoothing_kernel(1.0, s_max=s_max, ds=ds)
-    s, rho = K.s_table, K.rho_table
+    s, rho, P = _kernel_tables(s_max, ds)
     ref = 1.0 - cumulative_simpson(rho[::-1], x=-s[::-1], initial=0.0)[::-1]
-    assert np.array_equal(K.P_table, ref)
+    assert np.array_equal(P, ref)
 
 
 @pytest.mark.parametrize("sigma", [1.0, 5.0])
@@ -295,7 +302,7 @@ def test_smoothed_far_above_spectrum_is_total(kernel):
 
 def test_smoothed_series_window_guard(kernel):
     s = sphere_spectrum(2, 50.0)
-    with pytest.raises(WindowTooSmall):
+    with pytest.raises(IncompleteSpectrum, match="grid max \\+ tail"):
         smoothed_series(s, np.array([45.0]), kernel)
 
 
@@ -439,8 +446,8 @@ def test_smoothed_series_memory_is_bounded(kernel):
     assert _transient_mb(lambda: smoothed_series(spec, grid, kernel)) < 16.0
 
 
-def test_kernel_build_memory_is_bounded(monkeypatch):
-    monkeypatch.setattr(weyl, "_KERNEL_CACHE", {})
+def test_kernel_build_memory_is_bounded():
+    weyl._kernel_tables.cache_clear()
     assert _transient_mb(lambda: build_smoothing_kernel(1.0)) < 40.0
 
 

@@ -59,9 +59,9 @@ INVOCATIONS = [
      "--window", "10", "11.5", "--band", "1.05", "1.45"],
     ["kernel", "--manifold", "pert", "--lambda-max", "12", "--window",
      "5", "10", "--n-lambda", "3", "--x", "0.3", "1.0", "--y", "0.5", "1.0"],
-    ["kernel", "--manifold", "torus", "--lambda-max", "30", "--n-lambda",
+    ["kernel", "--manifold", "torus", "--lambda-max", "50", "--n-lambda",
      "3", "--x", "0", "0", "--y", "1.0", "1.273"],
-    ["kernel", "--manifold", "sphere", "--lambda-max", "30", "--n-lambda",
+    ["kernel", "--manifold", "sphere", "--lambda-max", "50", "--n-lambda",
      "3", "--x", "0.3", "1.0", "--y", "0.5", "1.0"],
     ["kuznecov", "--manifold", "pert", "--lambda-max", "12",
      "--tail-tol", "0.02"],
