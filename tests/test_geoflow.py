@@ -252,6 +252,15 @@ def test_classify_best_rational(monkeypatch, x, q_max, tol, status, pq):
     assert torus.status == status and (torus.p, torus.q) == pq
 
 
+def test_best_rational_golden_ratio(monkeypatch):
+    # with a tolerance wide enough to accept any p/q, classify_tori reports
+    # the best rational with q <= 50; for the golden ratio it stays far off
+    golden = (1 + math.sqrt(5)) / 2
+    torus = _classify_at(monkeypatch, golden, q_max=50, rational_tol=1.0)
+    assert (torus.p, torus.q) == (55, 34)
+    assert abs(golden - torus.p / torus.q) > 1e-9  # badly approximable
+
+
 def test_classify_round_sphere_all_periodic():
     out = classify_tori(SPHERE, np.linspace(0.1, 1.5, 12))
     assert all(c.status == "periodic" and (c.p, c.q) == (1, 1) for c in out)
