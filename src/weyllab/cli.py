@@ -127,8 +127,9 @@ def _resolution_from_flag(spec: str):
 
 
 def _check_positive(args) -> None:
-    """DomainError for a cutoff, radius or count flag that is not positive."""
-    for name in ("lambda_max", "radii", "r", "R", "n_lambda"):
+    """DomainError for a cutoff, radius, count or tube flag not positive."""
+    for name in ("lambda_max", "radii", "r", "R", "n_lambda", "samples",
+                 "probes", "qmax", "tau"):
         values = getattr(args, name, None)
         if values is not None and not np.all(np.asarray(values) > 0):
             raise DomainError(f"--{name.replace('_', '-')} must be positive, "

@@ -144,6 +144,8 @@ def _fiber_draw(manifold: ModelManifold, x, n: int, seed) -> tuple:
     """(psi, states): n fiber angles from one Halton draw and the unit
     covectors at x with those angles.  The second covector component has
     scale 1 on a torus and alpha(s) on a surface."""
+    if n < 1:
+        raise DomainError(f"need at least one sample, got {n}")
     psi = 2.0 * math.pi * _halton(1, n, seed)[:, 0]
     s0, th0 = x
     a = 1.0 if manifold.kind == "flat_torus" \
@@ -183,7 +185,10 @@ class MeasureEstimate:
 
 def _empty_window(t0: float, T: float, samples: int, total: float,
                   criterion_radius: float, torus: bool):
-    """The zero estimate of an empty window, t0 > T; None for any other."""
+    """The zero estimate of an empty window, t0 > T; None for any other.
+    A window that starts before t = 0 is refused."""
+    if t0 < 0:
+        raise DomainError(f"the window starts at t0 = {t0} < 0")
     if t0 > T:
         return MeasureEstimate(0.0, 0.0, samples, total, criterion_radius,
                                brute_force=0.0 if torus else None)
@@ -214,10 +219,8 @@ def near_periodic_measure(U: CosphereSet, t0: float, T: float, R: float,
                                        thresh)
     brute = None
     if torus:
-        # a near return is t omega close to a lattice vector k; k = 0
-        # counts only when t = 0 lies in the window
-        brute = total * flow.direction_fraction(
-            flow.lattice(T + 1.0), t0, T, thresh, math.pi / 2)
+        # a near return is t omega close to a lattice vector k
+        brute = total * flow.direction_fraction([(0.0, 0.0)], t0, T, thresh)
     return MeasureEstimate.from_hits(hits, total, thresh, inflation, brute)
 
 
@@ -250,10 +253,8 @@ def looping_pair_measure(manifold: ModelManifold, x, y, t0: float, T: float,
             # the backward window toward v equals the forward window
             # toward -v, so the targets are +-(y - x) plus the lattice
             delta = dst - np.asarray(src, dtype=float)
-            lat = flow.lattice(T + 1.0 + float(np.max(np.abs(delta))))
-            brute = total * flow.direction_fraction(
-                np.vstack([delta[None, :] + lat, -delta[None, :] + lat]),
-                t0, T, thresh, math.pi)
+            brute = total * flow.direction_fraction([delta, -delta], t0, T,
+                                                    thresh)
         ests.append(MeasureEstimate.from_hits(hits, total, thresh, inflation,
                                               brute))
     product = ests[0].value * ests[1].value * T * T
@@ -348,10 +349,8 @@ def _recurrence_mass(flow, x, psi, states, psi0, a_k, thresh, t_lo, t_hi,
     near_A = fiber_gap < thresh
     if isinstance(flow, RoundSphereFlow):
         to_x = flow.metric.base_distance_from(x)
-        # candidate return times: closures at 2 pi k inside the window
         hits = np.zeros(len(psi), dtype=bool)
-        for k in range(0, int(t_hi / (2 * math.pi)) + 2):
-            t_star = min(max(2 * math.pi * k, t_lo), t_hi)
+        for t_star in flow.window_times(t_lo, t_hi):
             if (sign, t_star) not in moved:
                 end = flow.flow(states, -sign * t_star)
                 moved[sign, t_star] = to_x(end), flow.metric.fiber_angle(end)

@@ -15,10 +15,14 @@ its orbit comes within ``thresh`` of its start (phase distance) or of y
 The closed-form flows (flat torus, round sphere) also offer the exact
 window minima behind their hits, ``self_return_min(states, t0, T)`` and
 ``target_min(states, y, t0, T)``, so their inflation is 0; the torus tries
-only the lattice vectors within reach of the window.  Only the round
-sphere moves rows by a time, ``flow(states, t)`` (great circles in closed
-form); a single orbit on another surface of revolution is
-:func:`weyllab.geoflow.integrate_geodesic`.
+only the lattice vectors within reach of the window, and the round sphere
+only the times of :meth:`RoundSphereFlow.window_times`.  The torus's
+``direction_fraction(offsets, t0, T, thresh)`` is the estimators' exact
+reference: it picks the reachable lattice vectors itself and takes each
+one's directions in closed form; the zero vector covers every direction
+exactly when t0 < thresh.  Only the round sphere moves rows by a time,
+``flow(states, t)`` (great circles in closed form); a single orbit on
+another surface of revolution is :func:`weyllab.geoflow.integrate_geodesic`.
 :class:`RevolutionFlow` decides ``return_hits`` in this order:
 
 1. the radial certificate (:meth:`RevolutionFlow.radial_clears`) clears,
@@ -174,25 +178,25 @@ def _mirror(states: np.ndarray) -> np.ndarray:
     return out
 
 
-def _merge_circle_intervals(intervals) -> float:
-    """Total measure of a union of angular intervals (fraction of 2 pi)."""
-    if not intervals:
-        return 0.0
-    pts = sorted((a % (2 * math.pi), b - a) for a, b in intervals)
-    merged = []
-    for start, length in pts:
-        end = start + length
-        if merged and start <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], end)
-        else:
-            merged.append([start, end])
-    total = sum(e - s for s, e in merged)
-    if merged and merged[-1][1] > 2 * math.pi and merged[0][0] >= 0:
-        overlap = min(merged[-1][1] - 2 * math.pi,
-                      merged[0][1]) - merged[0][0]
-        if overlap > 0:
-            total -= overlap
-    return min(total / (2 * math.pi), 1.0)
+def _merge_circle_intervals(centers, half_widths) -> float:
+    """Fraction of the circle covered by the union of the arcs
+    center +- half_width, each shorter than 2 pi.  An arc that passes 2 pi
+    is split there, and the sorted arcs are swept once; one clear of those
+    before it adds its exact length."""
+    two_pi = 2 * math.pi
+    start = np.mod(centers - half_widths, two_pi)
+    length = 2 * half_widths
+    past = start + length - two_pi          # the part of an arc past 2 pi
+    wraps = past > 0
+    arcs = zip(np.concatenate([start, np.zeros(np.count_nonzero(wraps))]),
+               np.concatenate([np.where(wraps, length - past, length),
+                               past[wraps]]))
+    total = covered = 0.0
+    for a, n in sorted((float(a), float(n)) for a, n in arcs):
+        if a + n > covered:
+            total += n if a >= covered else a + n - covered
+            covered = a + n
+    return min(total / two_pi, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +398,15 @@ class TorusFlow(ExactHits):
         return np.stack([g.ravel() * L for g, L in zip(grids, self.periods)],
                         axis=-1)
 
+    def reachable(self, offsets, reach):
+        """The vectors offset + k, k in the period lattice, shorter than
+        reach, for the offset rows of ``offsets``."""
+        offsets = np.asarray(offsets, dtype=float).reshape(-1, self.d)
+        lat = self.lattice(reach + float(np.max(np.linalg.norm(offsets,
+                                                               axis=1))))
+        v = (offsets[:, None, :] + lat[None, :, :]).reshape(-1, self.d)
+        return v[np.linalg.norm(v, axis=1) < reach]
+
     def _window_min(self, omega, targets, t0, T):
         """min over t in [t0, T] of |t omega - v| for each target row v.
 
@@ -414,15 +427,12 @@ class TorusFlow(ExactHits):
         """
         states = np.asarray(states, dtype=float)
         omega = states[..., self.d:].reshape(-1, self.d)
-        reach = T + max(1.0, t0)
-        lat = self.lattice(reach)
-        lat = lat[np.linalg.norm(lat, axis=1) < reach]
+        lat = self.reachable(np.zeros(self.d), T + max(1.0, t0))
         targets = np.broadcast_to(lat[None, :, :],
                                   (omega.shape[0],) + lat.shape)
-        d_fwd = self._window_min(omega, targets, t0, T).min(axis=1)
         # negative window: |t omega - k| with t in [-T, -t0] equals the
         # forward window against the negated lattice, which is the lattice
-        return d_fwd
+        return self._window_min(omega, targets, t0, T).min(axis=1)
 
     def target_min(self, states, y_point, t0, T):
         """Exact min over t0<=|t|<=T of base distance from the orbit to y.
@@ -442,47 +452,31 @@ class TorusFlow(ExactHits):
         bwd = self._window_min(-omega, v, t0, T).min(axis=1)
         return np.minimum(fwd, bwd)
 
-    def direction_fraction(self, targets, t0, T, thresh, beta_max):
-        """Exact fraction of directions passing within thresh of a target.
+    def direction_fraction(self, offsets, t0, T, thresh):
+        """Exact fraction of directions whose orbit passes within thresh of
+        some v = offset + k, k in the period lattice, for t in [t0, T] (2-d).
 
-        A direction counts when t omega comes within thresh of some target
-        displacement v for t in [t0, T] (2-d torus).  Per target the
-        admissible directions form an interval of half-width at most
-        beta_max around the direction of v, found by monotone bisection;
-        the union is merged exactly.  A zero target counts every direction
-        when t = 0 lies in the window.
+        Only v shorter than T + thresh can be reached.  With the nearest
+        approach at t_c = clip(sqrt(|v|^2 - thresh^2), t0, T), the hits are
+        the directions within beta of v's own, where 2 sin^2(beta / 2) =
+        1 - cos(beta) = (thresh^2 - (t_c - |v|)^2) / (2 t_c |v|): the half-
+        angle form stays accurate as beta -> 0, arccos does not.  A zero
+        divisor covers every direction; the zero vector does so exactly
+        when t0 < thresh.
         """
         if self.d != 2:
             raise DomainError("exact oracle implemented for 2-d tori")
-        intervals = []
-        for v in targets:
-            if math.hypot(*v) < 1e-14:
-                if t0 <= 0:
-                    return 1.0
-                continue
-            phi_v = math.atan2(v[1], v[0])
-
-            def m_of(beta):
-                om = np.array([[math.cos(phi_v + beta),
-                                math.sin(phi_v + beta)]])
-                return float(self._window_min(om, v[None, None, :],
-                                              t0, T)[0, 0])
-
-            if m_of(0.0) >= thresh:
-                continue
-            lo, hi = 0.0, beta_max
-            if m_of(hi) < thresh:
-                beta_star = hi
-            else:
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if m_of(mid) < thresh:
-                        lo = mid
-                    else:
-                        hi = mid
-                beta_star = 0.5 * (lo + hi)
-            intervals.append((phi_v - beta_star, phi_v + beta_star))
-        return _merge_circle_intervals(intervals)
+        v = self.reachable(offsets, T + thresh)
+        L = np.hypot(v[:, 0], v[:, 1])
+        t_c = np.clip(np.sqrt(np.maximum(L * L - thresh * thresh, 0.0)),
+                      t0, T)
+        gap = thresh * thresh - (t_c - L) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            half_sin2 = np.where(gap > 0, gap / (4.0 * t_c * L), 0.0)
+        if np.any(half_sin2 >= 1.0):
+            return 1.0
+        return _merge_circle_intervals(np.arctan2(v[:, 1], v[:, 0]),
+                                       2.0 * np.arcsin(np.sqrt(half_sin2)))
 
 
 # ---------------------------------------------------------------------------
@@ -523,25 +517,31 @@ class RoundSphereFlow(ExactHits):
         Vt = -P * math.sin(t) + V * math.cos(t)
         return self._chart_state(Pt, Vt)
 
+    @staticmethod
+    def window_times(t0, T):
+        """The candidate times of the window t0 <= |t| <= T: its two ends,
+        then the closures 2 pi k inside it (to 1e-12), where every orbit is
+        back at its start (Zoll)."""
+        lo, two_pi = max(t0, 0.0), 2.0 * math.pi
+        first = math.ceil((lo - 1e-12) / two_pi)
+        last = math.floor((T + 1e-12) / two_pi)
+        return [lo, T] + [k * two_pi for k in range(first, last + 1)]
+
     def self_return_min(self, states, t0, T):
         """min over t0 <= |t| <= T of the phase displacement.
 
-        Every orbit closes at multiples of 2 pi (Zoll), the base
-        displacement is exactly dist(t, 2 pi Z), and near a closure both
-        base and fiber displacement grow monotonically with the offset, so
-        the window minimum sits at the admissible time nearest a closure.
+        The base displacement is exactly dist(t, 2 pi Z), and near a
+        closure both base and fiber displacement grow monotonically with
+        the offset, so the minimum is 0 when the window holds a closure
+        and is taken at one of its ends otherwise.
         """
         states = np.asarray(states, dtype=float).reshape(-1, 4)
+        times = self.window_times(t0, T)
+        if len(times) > 2:
+            return np.zeros(len(states))
         best = np.full(len(states), np.inf)
-        if t0 > T:
-            return best
-        two_pi = 2.0 * math.pi
-        for k in range(0, int(T / two_pi) + 2):
-            tk = k * two_pi
-            t_star = min(max(tk, t0), T)
-            if abs(t_star - tk) < 1e-12:
-                return np.zeros(len(states))
-            for t_signed in (t_star, -t_star):
+        for t in times:
+            for t_signed in (t, -t):
                 moved = self.flow(states, t_signed)
                 best = np.minimum(best, self.metric.distance(moved, states))
         return best
@@ -714,7 +714,7 @@ class RevolutionFlow:
         * the slab bound, for S strictly inside (s_-, s_+): the radial
           speed on S is at least v_min = sqrt(1 - c^2 / min_S alpha^2), so
           the orbit leaves S within thresh / v_min, and on the opposite leg
-          the fiber gap is at least pi - beta_max - beta0,
+          the fiber gap is at least pi - max_S beta - beta0,
           beta = arcsin(c / alpha), which must exceed thresh;
         * the sojourn around the nearer turning point s_turn, for S that
           holds it or ends short of it: t(s0 -> s_turn) + t(far edge ->

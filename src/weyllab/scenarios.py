@@ -267,8 +267,7 @@ def measure_oracle(*, samples=100_000, repetitions=100, seed=1000) -> list:
     U = CosphereSet(torus, kind="full")
     flow = TorusFlow(torus.periods)
     thresh = 2 * 0.01
-    exact_frac = flow.direction_fraction(flow.lattice(11.0), 1.0, 10.0,
-                                         thresh, math.pi / 2)
+    exact_frac = flow.direction_fraction([(0.0, 0.0)], 1.0, 10.0, thresh)
     total = U.total_measure()
     exact = exact_frac * total
     good = 0

@@ -266,6 +266,17 @@ def test_config_error_exit_code(configs, tmp_path, capsys):
     # the sphere spectrum to lambda_max + 1 = 0.5 exists; the count's
     # window [20, -0.5] does not
     ["negative-cutoff", "scenario", "sphere-sharpness"],
+    ["torus", "nonloop-measure", "--x", "0", "0", "--y", "1", "1",
+     "--samples", "0"],
+    ["torus", "recurrence-check", "--x", "0.3", "0.2", "--samples", "0",
+     "--resolution", "const:8"],
+    ["torus", "cover-audit", "--probes", "0"],
+    ["torus", "cover-audit", "--tau", "-1"],
+    ["pert", "classify", "--grid", "0.05:1.52:3", "--qmax", "0"],
+    ["torus", "nonloop-measure", "--x", "0", "0", "--y", "1", "1", "--t0",
+     "-5", "--T", "3"],
+    ["torus", "nonperiodic-measure", "--radii", "0.05", "--t0", "-1",
+     "--resolution", "const:3", "--samples", "2000"],
 ], ids=["too-few-samples", "band-on-a-torus", "tube-past-injectivity",
         "R-above-R0", "recurrence-on-a-1-torus", "recurrence-on-a-3-torus",
         "nonloop-on-a-1-torus", "nonloop-on-a-3-torus",
@@ -280,9 +291,13 @@ def test_config_error_exit_code(configs, tmp_path, capsys):
         "surface-spectrum-negative-lambda-max", "smooth-compare-no-lambdas",
         "kernel-window-past-the-cutoff", "sphere-kernel-point-off-the-chart",
         "count-reversed-window", "localized-count-reversed-window",
-        "scenario-negative-lambda-max"])
+        "scenario-negative-lambda-max", "nonloop-zero-samples",
+        "recurrence-zero-samples", "cover-zero-probes", "cover-negative-tau",
+        "classify-zero-qmax", "nonloop-negative-t0",
+        "nonperiodic-negative-t0"])
 def test_out_of_domain_arguments_exit_code(configs, capsys, argv):
-    flag = "--config" if argv[1] == "scenario" else "--manifold"
+    flag = {"scenario": "--config", "classify": "--profile"}.get(
+        argv[1], "--manifold")
     rc = main(["--out-dir", configs["dir"], argv[1],
                flag, configs[argv[0]]] + argv[2:])
     assert rc == 3

@@ -25,6 +25,7 @@ from weyllab.flows import (
     RoundSphereFlow,
     TorusFlow,
     _dop853_rows,
+    _merge_circle_intervals,
     _mirror,
     clairaut_segments,
     meridian_states,
@@ -126,16 +127,70 @@ def test_torus_near_periodic_pinned_values():
     U = CosphereSet(TORUS, kind="full")
     est = near_periodic_measure(U, 1.0, 10.0, 0.01, samples=20_000, seed=42)
     assert est.value == 1.7115464727525498
-    assert est.brute_force == 1.716173217126787
+    assert est.brute_force == 1.716173217126785
     assert est.inflation == 0.0
 
 
 def test_near_periodic_oracle_counts_time_zero():
-    # with t = 0 in the window every orbit returns, and so says the oracle
+    # with t = 0 in the window, or a window that starts closer than 2R to
+    # it, every orbit returns, and so says the oracle; the same holds for
+    # the orbits from x back to x
     U = CosphereSet(TORUS, kind="full")
-    est = near_periodic_measure(U, 0.0, 5.0, 0.01, samples=2000, seed=1)
-    assert est.value == est.total
-    assert est.brute_force == est.total
+    for t0, T, R in ((0.0, 5.0, 0.01), (0.01, 10.0, 0.05)):
+        est = near_periodic_measure(U, t0, T, R, samples=2000, seed=1)
+        assert est.value == est.total
+        assert est.brute_force == est.total
+    for e in looping_pair_measure(TORUS, (0.0, 0.0), (0.0, 0.0), 0.01, 3.0,
+                                  0.05, samples=2000, seed=1)[:2]:
+        assert e.value == e.brute_force == e.total
+
+
+def _bisection_fraction(flow, offsets, t0, T, thresh):
+    """The fraction of direction_fraction by bisection, as a reference:
+    each target v = offset + k counts the directions within a half-width
+    of v found by 60 halvings of [0, pi] on the exact window minimum.
+    Every target is skipped at |v| = 0, so t0 >= thresh is required."""
+    reach = T + 1.0 + max(math.hypot(*o) for o in offsets)
+    lat = flow.lattice(reach)
+    centers, half_widths = [], []
+    for v in np.vstack([np.asarray(o, dtype=float) + lat for o in offsets]):
+        if math.hypot(*v) < 1e-14:
+            continue
+        phi_v = math.atan2(v[1], v[0])
+
+        def m_of(beta):
+            om = np.array([[math.cos(phi_v + beta), math.sin(phi_v + beta)]])
+            return float(flow._window_min(om, v[None, None, :], t0, T)[0, 0])
+
+        if m_of(0.0) >= thresh:
+            continue
+        a, b = 0.0, math.pi
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            a, b = (mid, b) if m_of(mid) < thresh else (a, mid)
+        centers.append(phi_v)
+        half_widths.append(0.5 * (a + b))
+    return _merge_circle_intervals(np.array(centers), np.array(half_widths))
+
+
+@pytest.mark.parametrize("offsets, t0, T, thresh", [
+    ([(0.0, 0.0)], 1.0, 10.0, 0.02),
+    ([(0.0, 0.0)], 1.0, 30.0, 0.02),
+    ([(0.0, 0.0)], 1.0, 100.0, 0.002),
+    ([(2.0, 0.0), (-2.0, 0.0)], 1.0, 10.0, 0.02),
+    ([(0.7, 1.6), (-0.7, -1.6)], 1.0, 10.0, 0.02),
+    ([(0.0, 0.0), (0.0, 0.0)], 1.0, 10.0, 0.1),
+    # the nearest approach clipped to the window's end and to its start
+    ([(0.0, 0.0)], 1.0, TWO_PI - 0.01, 0.02),
+    ([(0.99, 0.0), (-0.99, 0.0)], 1.0, 10.0, 0.02),
+], ids=["benchmark", "T-30", "T-100", "looping-2-0", "looping-0.7-1.6",
+        "x-equals-y", "approach-past-T", "approach-before-t0"])
+def test_closed_form_oracle_matches_bisection(offsets, t0, T, thresh):
+    flow = TorusFlow(TORUS.periods)
+    exact = flow.direction_fraction(offsets, t0, T, thresh)
+    assert 0.0 < exact < 1.0
+    assert exact == pytest.approx(
+        _bisection_fraction(flow, offsets, t0, T, thresh), rel=1e-12, abs=0)
 
 
 def test_torus_return_hits_skip_lattice_vectors_out_of_reach():
@@ -312,7 +367,7 @@ def test_torus_looping_pinned_values():
                                         1.0, 10.0, 0.01, samples=5000,
                                         seed=5)
     assert (e1.value, e2.value) == (0.12063715789784804, 0.12315043202071989)
-    assert e1.brute_force == e2.brute_force == 0.1265272955741511
+    assert e1.brute_force == e2.brute_force == 0.12652729557414974
     assert prod == 1.4856518112871786
 
 
@@ -353,6 +408,28 @@ def test_perturbed_offpole_looping_refines_ambiguous_samples():
 
 
 # --- the flow interface ------------------------------------------------------
+
+def test_round_sphere_window_times():
+    # the ends of the window, then the closures 2 pi k inside it
+    times = RoundSphereFlow.window_times
+    assert times(1.0, 6.0) == [1.0, 6.0]
+    assert times(1.0, 13.0) == [1.0, 13.0, TWO_PI, 2 * TWO_PI]
+    assert times(TWO_PI, 7.0) == [TWO_PI, 7.0, TWO_PI]
+    assert times(0.0, 1.0) == times(-2.0, 1.0) == [0.0, 1.0, 0.0]
+
+
+def test_round_sphere_self_return_min_sits_at_the_window_ends():
+    # without a closure in the window the minimum is at one of its ends,
+    # as a scan of 2,001 times shows; with one it is 0
+    flow = RoundSphereFlow(make_round_sphere())
+    states = CosphereSet(SPHERE, kind="full").sample(300, 3)
+    scan = np.min([flow.metric.distance(flow.flow(states, t), states)
+                   for t in np.linspace(1.0, 6.0, 2001)
+                   for t in (t, -t)], axis=0)
+    assert np.allclose(flow.self_return_min(states, 1.0, 6.0), scan,
+                       rtol=0, atol=1e-14)
+    assert not flow.self_return_min(states, 1.0, 7.0).any()
+
 
 def test_closed_form_hits_are_exact_minima():
     flow = RoundSphereFlow(make_round_sphere())
@@ -847,10 +924,18 @@ def test_cover_rejects_long_tubes():
     lambda: CosphereSet(product(SPHERE, flat_torus((TWO_PI,))), kind="band",
                         s0=0.1, s1=0.2),
     lambda: CosphereSet(SPHERE, kind="point"),
+    # a window that starts before t = 0
+    lambda: near_periodic_measure(CosphereSet(TORUS), -1.0, 5.0, 0.01,
+                                  samples=1000),
+    lambda: looping_pair_measure(TORUS, (0.0, 0.0), (1.0, 1.0), -5.0, 3.0,
+                                 0.01),
+    lambda: recurrence_measure(TORUS, (0.3, 0.4), 0.2, t_of_eps,
+                               lambda _: 8.0, r=0.05, R=0.05, samples=0),
 ], ids=["cover-zero-r", "cover-negative-r", "near-periodic-zero-R",
         "looping-negative-R", "recurrence-negative-r",
         "looping-target-off-the-chart", "band-on-the-3-sphere",
-        "band-on-a-product", "unknown-set-kind"])
+        "band-on-a-product", "unknown-set-kind", "near-periodic-negative-t0",
+        "looping-negative-t0", "recurrence-no-samples"])
 def test_estimators_refuse_out_of_domain_input(call):
     with pytest.raises(DomainError):
         call()
