@@ -127,9 +127,10 @@ def _resolution_from_flag(spec: str):
 
 
 def _check_positive(args) -> None:
-    """DomainError for a cutoff, radius, count or tube flag not positive."""
+    """DomainError for a cutoff, radius, count, tube, time scale or
+    tolerance flag not positive."""
     for name in ("lambda_max", "radii", "r", "R", "n_lambda", "samples",
-                 "probes", "qmax", "tau"):
+                 "probes", "qmax", "tau", "eps", "t_of_eps", "tail_tol"):
         values = getattr(args, name, None)
         if values is not None and not np.all(np.asarray(values) > 0):
             raise DomainError(f"--{name.replace('_', '-')} must be positive, "

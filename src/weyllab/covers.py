@@ -15,9 +15,9 @@ or ``target_hits``, so the estimators never ask which flow they have.  The
 closed-form flows compute exact minima and report no inflation.  On other
 surfaces of revolution ``return_hits`` decides each sample by the first of
 these that can: the radial certificate (Clairaut's integral, no
-integration), the meridian closed form, the coarse scan, and the batched
-refinement; the inflation is the largest slack of the steps that ran (see
-:mod:`weyllab.flows`).
+integration), the meridian closed form, then a coarse scan and a fine
+refinement that both sample one batched DOP853 pass; the inflation is the
+largest slack of the steps that ran (see :mod:`weyllab.flows`).
 """
 
 from __future__ import annotations

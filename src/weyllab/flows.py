@@ -37,11 +37,11 @@ another surface of revolution is :func:`weyllab.geoflow.integrate_geodesic`.
    tau >= 2 (s_+ - s_-) settles for most rows before any tau quadrature;
 2. near-meridian samples take the pole-safe closed form, on a grid;
 3. the rest (windows that reach a radial period, slabs that hold both
-   turning points) go through a coarse two-sided scan with fixed RK4
-   steps, which certifies the samples that stay clear;
-4. the scan's remaining candidates, forward and mirrored, are refined
-   together in one pass of the row-batched DOP853 (:func:`_dop853_rows`),
-   which :mod:`weyllab.geoflow` shares.
+   turning points), forward and mirrored, take one pass of the row-batched
+   DOP853 (:func:`_dop853_rows`, shared with :mod:`weyllab.geoflow`),
+   whose dense output a coarse scan samples to certify the clear ones;
+4. the scan's remaining candidates are refined on a fine grid of the same
+   dense output, with no second integration.
 
 The Clairaut data of surfaces of revolution live here once, batched over
 orbits: :func:`turning_points` (alpha = c on both sides of the maximum)
@@ -80,7 +80,8 @@ def wrap_angle(d):
 MERIDIAN_C_FLOOR = 2e-3
 ODE_BUDGET = 1e-6             # integration error in scan and refinement slacks
 _MERIDIAN_CHUNK = 2 ** 16     # (row, time) pairs per closed-form evaluation
-_REFINE_CHUNK = 2 ** 15       # dense-output times per row and evaluation
+_DENSE_CHUNK = 2 ** 15        # (row, time) pairs per dense-output evaluation
+_PASS_ROWS = 2 ** 10          # regular rows per DOP853 pass, with mirrors
 
 
 def meridian_states(states, t) -> np.ndarray:
@@ -230,23 +231,33 @@ def _initial_step(rhs, y0, f0, T, rtol, atol):
 
 
 class _RowDense:
-    """Dense output of :func:`_dop853_rows`: the accepted steps per row."""
+    """Dense output of :func:`_dop853_rows`: the accepted steps in the
+    order taken; ``order`` lists them row by row in time order."""
 
     def __init__(self, rows, t_old, h, y_old, F, k):
-        order = np.argsort(rows, kind="stable")     # each row in time order
-        self.start = np.searchsorted(rows[order], np.arange(k + 1))
-        self.t_old, self.h = t_old[order], h[order]
-        self.y_old, self.F = y_old[order], F[order]
+        self.order = np.argsort(rows, kind="stable")
+        self.start = np.searchsorted(rows[self.order], np.arange(k + 1))
+        self.t_sorted = t_old[self.order]
+        self.t_old, self.h, self.y_old, self.F = t_old, h, y_old, F
 
-    def __call__(self, row, t):
-        """The row's solution at the times t, shape (len(t), n)."""
-        lo, hi = self.start[row], self.start[row + 1]
-        seg = lo + np.clip(np.searchsorted(self.t_old[lo:hi], t) - 1,
-                           0, hi - lo - 1)
-        x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
-        y = np.zeros((len(t), self.F.shape[2]))
-        for i in range(self.F.shape[1] - 1, -1, -1):
-            y += self.F[seg, i]
+    def __call__(self, rows, t):
+        """The solutions at the times t of the rows, broadcast against each
+        other: shape broadcast(rows, t).shape + (n,).  The steps are
+        searched once per run of equal rows in C order."""
+        rows, t = np.broadcast_arrays(rows, t)
+        lo = np.empty(t.size, dtype=int)
+        runs = np.flatnonzero(np.diff(rows.ravel(), prepend=-1))
+        for a, b in zip(runs, np.append(runs[1:], t.size)):
+            first, end = self.start[rows.flat[a]], self.start[rows.flat[a] + 1]
+            # the row's last step that starts before t, or its first
+            lo[a:b] = first + np.searchsorted(self.t_sorted[first + 1:end],
+                                              t.flat[a:b])
+        seg = self.order[lo.reshape(t.shape)]
+        x = ((t - self.t_old[seg]) / self.h[seg])[..., None]
+        F = self.F[seg]
+        y = np.zeros(t.shape + F.shape[-1:])
+        for i in range(F.shape[-2] - 1, -1, -1):
+            y += F[..., i, :]
             y *= x if i % 2 == 0 else 1.0 - x
         return y + self.y_old[seg]
 
@@ -590,10 +601,11 @@ class RevolutionFlow:
     before tau, checked against the length bound 2 (s_+ - s_-) and only
     then against tau itself.  Then near-meridian samples (|xi_theta| below
     MERIDIAN_C_FLOOR) go through the pole-safe closed form, and the others
-    through the coarse scan with fixed RK4 steps, whose undecided
-    candidates are refined in one DOP853 pass per estimate.  Scans run over
-    both time directions at once: the mirror state (both covector
-    components negated) flows forward along the original orbit backwards.
+    through one DOP853 pass per estimate, whose dense output the coarse
+    scan and the refinement of its undecided candidates both sample.  The
+    pass covers both time directions at once: the mirror state (both
+    covector components negated) flows forward along the original orbit
+    backwards.
     """
 
     def __init__(self, profile: ProfileCurve):
@@ -608,13 +620,6 @@ class RevolutionFlow:
         out[:, 2] = y[:, 3] ** 2 * da / a ** 3
         out[:, 3] = 0.0
         return out
-
-    def _step(self, y, h):
-        k1 = self._rhs(y)
-        k2 = self._rhs(y + 0.5 * h * k1)
-        k3 = self._rhs(y + 0.5 * h * k2)
-        k4 = self._rhs(y + h * k3)
-        return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     def phase_speed_bound(self, states, cap: float = 64.0) -> np.ndarray:
         """Per-sample bound on the phase-space speed in the background metric.
@@ -634,47 +639,47 @@ class RevolutionFlow:
         return np.clip(np.maximum(1.0, fiber_rate), 1.0, cap)
 
     def scan_min(self, states, t0, T, distance_fn, h_scan=0.02):
-        """Coarse scan of min over [t0, T] of distance_fn(phi_t(states)).
+        """One DOP853 pass over the rows (rtol = atol = 1e-10) and the
+        coarse minimum over [t0, T] of ``distance_fn(y, start_rows)``.
 
-        Returns (coarse_min, slack); the slack, one number for every row, is
-        the half-step bound at unit speed, valid for base-distance criteria,
-        plus the integration budget.  The samples are the grid times k h
-        in [t0, T] and t0 itself, reached by a partial step, so every time
-        of the window lies within h / 2 of a sample and every sample lies
-        in the window.
-        """
-        states = np.asarray(states, dtype=float).reshape(-1, 4)
-        y = states.copy()
-        best = np.full(len(states), np.inf)
-        n_steps = int(math.ceil(T / h_scan))
-        h = T / n_steps
-        for k in range(n_steps):
-            if k * h <= t0 < (k + 1) * h:
-                d = distance_fn(self._step(y, t0 - k * h))
-                best = np.where(d < best, d, best)
-            y = self._step(y, h)
-            if (k + 1) * h >= t0 - 1e-12:
-                d = distance_fn(y)
-                best = np.where(d < best, d, best)
-        return best, 0.5 * h + ODE_BUDGET
-
-    def refine_min(self, states, t0, T, distance_fn, resolution):
-        """Dense refinement of k rows in one batched DOP853 pass.
-
-        Row i is integrated to T under per-row error control (rtol = atol
-        = 1e-10) and its minimum of ``distance_fn(y, start_rows)`` is taken
-        over the grid arange(max(t0, res_i), T, res_i), in chunks of at
-        most 2^15 times.  Raises StepFailure when a row's step collapses.
+        The dense output is sampled on the uniform grid from t0 to T of
+        spacing h <= h_scan, so every time of the window lies within h / 2
+        of a sample.  Returns (coarse_min, slack, dense): the slack, one
+        number for every row, is h / 2 at unit speed, valid for
+        base-distance criteria, plus the integration budget;
+        :meth:`refine_min` samples ``dense``.
         """
         states = np.asarray(states, dtype=float).reshape(-1, 4)
         dense = _dop853_rows(self._rhs, states, T, rtol=1e-10, atol=1e-10)
-        best = np.full(len(states), np.inf)
-        for i, res in enumerate(resolution):
-            t = np.arange(max(t0, res), T, res)
-            for start in range(0, len(t), _REFINE_CHUNK):
-                y = dense(i, t[start:start + _REFINE_CHUNK])
-                vals = distance_fn(y, np.broadcast_to(states[i], y.shape))
-                best[i] = min(best[i], np.min(vals))
+        n_steps = max(1, math.ceil((T - t0) / h_scan))
+        grid = np.linspace(t0, T, n_steps + 1)
+        best = np.empty(len(states))
+        block = max(1, _DENSE_CHUNK // len(grid))
+        for start in range(0, len(states), block):
+            rows = np.arange(start, min(start + block, len(states)))[:, None]
+            best[rows[:, 0]] = distance_fn(dense(rows, grid),
+                                           states[rows]).min(axis=1)
+        return best, 0.5 * (T - t0) / n_steps + ODE_BUDGET, dense
+
+    def refine_min(self, dense, rows, starts, t0, T, distance_fn,
+                   resolution):
+        """Fine minima of the rows of :meth:`scan_min`'s dense output.
+
+        Row rows[i], which started at starts[i], has its minimum of
+        ``distance_fn(y, start_rows)`` taken over the times
+        max(t0, res_i) + k res_i < T, res_i = resolution[i].  The (row,
+        time) pairs of all rows are sampled 2^15 at a time; nothing is
+        integrated again.
+        """
+        first = np.maximum(t0, resolution)
+        ends = np.append(0, np.cumsum(
+            np.ceil((T - first) / resolution).clip(0).astype(int)))
+        best = np.full(len(rows), np.inf)
+        for start in range(0, ends[-1], _DENSE_CHUNK):
+            pair = np.arange(start, min(start + _DENSE_CHUNK, ends[-1]))
+            i = np.searchsorted(ends, pair, side="right") - 1
+            t = first[i] + (pair - ends[i]) * resolution[i]
+            np.minimum.at(best, i, distance_fn(dense(rows[i], t), starts[i]))
         return best
 
     def return_hits(self, states, t0, T, thresh):
@@ -694,7 +699,8 @@ class RevolutionFlow:
             states[rest], t0, T, thresh,
             lambda y, ref: self.metric.distance(
                 y, np.broadcast_to(ref, y.shape)),
-            self.metric.base_distance_from, exact=False)
+            lambda y, ref: self.metric.base_distance_from(ref)(y),
+            exact=False)
         return hits, inflation
 
     def radial_clears(self, states, t0, T, thresh):
@@ -800,16 +806,16 @@ class RevolutionFlow:
 
         def dist(y, _):
             return to_point(y)
-        return self._hits(states, t0, T, thresh, dist, lambda _: to_point,
-                          exact=True)
+        return self._hits(states, t0, T, thresh, dist, dist, exact=True)
 
     def _hits(self, states, t0, T, thresh, dist, scan_dist, exact):
-        """Meridian closed form, two-sided scan, then batched refinement.
+        """Meridian closed form, then one DOP853 pass over the regular rows
+        and their mirrors, scanned coarsely and refined where undecided.
 
-        ``dist(y, start)`` is the criterion and ``scan_dist(start)`` gives
-        its unit-rate lower bound as a function of y alone, set up once per
-        scan; with ``exact`` they coincide, so the scan decides the clear
-        cases both ways and refinement runs at unit phase speed.
+        ``dist(y, start)`` is the criterion and ``scan_dist(y, start)`` its
+        unit-rate lower bound; with ``exact`` they coincide, so the scan
+        decides the clear cases both ways and refinement runs at unit phase
+        speed.
         """
         states = np.asarray(states, dtype=float).reshape(-1, 4)
         hits = np.zeros(len(states), dtype=bool)
@@ -821,36 +827,27 @@ class RevolutionFlow:
                                              dist) < thresh
             inflation = 0.5 * res + MERIDIAN_C_FLOOR
         reg = np.nonzero(~merid)[0]
-        if len(reg):
-            mins, slack = self._scan_both(states[reg], t0, T, scan_dist)
-            sure = mins + slack < thresh if exact \
-                else np.zeros(len(reg), dtype=bool)
-            hits[reg] = sure
-            cand = reg[(mins - slack <= thresh) & ~sure]
+        # the regular rows forward, then mirrored, in one DOP853 pass per
+        # _PASS_ROWS of them, which bounds the memory of its dense output
+        for start in range(0, len(reg), _PASS_ROWS):
+            part = reg[start:start + _PASS_ROWS]
+            both = np.vstack([states[part], _mirror(states[part])])
+            coarse, slack, dense = self.scan_min(both, t0, T, scan_dist)
+            mins = coarse.reshape(2, -1).min(axis=0)
+            sure = (mins + slack < thresh) & exact
+            hits[part] = sure
+            cand = np.nonzero((mins - slack <= thresh) & ~sure)[0]
             if len(cand):
                 spd = np.ones(len(cand)) if exact \
-                    else self.phase_speed_bound(states[cand])
+                    else self.phase_speed_bound(states[part[cand]])
                 res = thresh / (4.0 * spd)
-                # every candidate forward, then mirrored, in one pass
-                best = self.refine_min(
-                    np.vstack([states[cand], _mirror(states[cand])]), t0, T,
-                    dist, np.concatenate([res, res]))
-                n = len(cand)
-                hits[cand] = np.minimum(best[:n], best[n:]) < thresh
+                rows = np.concatenate([cand, cand + len(part)])
+                best = self.refine_min(dense, rows, both[rows], t0, T, dist,
+                                       np.concatenate([res, res]))
+                hits[part[cand]] = best.reshape(2, -1).min(axis=0) < thresh
                 inflation = max(inflation,
                                 float(np.max(spd * res)) + ODE_BUDGET)
         return hits, inflation
-
-    def _scan_both(self, states, t0, T, scan_dist):
-        """scan_min over both time directions: (minima per sample, slack).
-
-        ``scan_dist(start)`` is set up once, for the doubled start rows.
-        """
-        states = np.asarray(states, dtype=float).reshape(-1, 4)
-        doubled = np.vstack([states, _mirror(states)])
-        coarse, slack = self.scan_min(doubled, t0, T, scan_dist(doubled))
-        n = len(states)
-        return np.minimum(coarse[:n], coarse[n:]), slack
 
     @staticmethod
     def _meridian_min(states, t0, T, resolution, dist):

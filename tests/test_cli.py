@@ -277,6 +277,15 @@ def test_config_error_exit_code(configs, tmp_path, capsys):
      "-5", "--T", "3"],
     ["torus", "nonperiodic-measure", "--radii", "0.05", "--t0", "-1",
      "--resolution", "const:3", "--samples", "2000"],
+    ["torus", "recurrence-check", "--x", "0.3", "0.4", "--t-of-eps", "-1",
+     "--resolution", "const:8"],
+    # a non-positive eps would pass vacuously
+    ["torus", "recurrence-check", "--x", "0.3", "0.4", "--eps", "0",
+     "--resolution", "const:8"],
+    ["torus", "recurrence-check", "--x", "0.3", "0.4", "--eps", "-0.5",
+     "--resolution", "const:8"],
+    ["pert", "kuznecov", "--lambda-max", "8", "--tail-tol", "0"],
+    ["pert", "kuznecov", "--lambda-max", "8", "--tail-tol", "-1"],
 ], ids=["too-few-samples", "band-on-a-torus", "tube-past-injectivity",
         "R-above-R0", "recurrence-on-a-1-torus", "recurrence-on-a-3-torus",
         "nonloop-on-a-1-torus", "nonloop-on-a-3-torus",
@@ -294,7 +303,9 @@ def test_config_error_exit_code(configs, tmp_path, capsys):
         "scenario-negative-lambda-max", "nonloop-zero-samples",
         "recurrence-zero-samples", "cover-zero-probes", "cover-negative-tau",
         "classify-zero-qmax", "nonloop-negative-t0",
-        "nonperiodic-negative-t0"])
+        "nonperiodic-negative-t0", "recurrence-negative-t-of-eps",
+        "recurrence-zero-eps", "recurrence-negative-eps",
+        "kuznecov-zero-tail-tol", "kuznecov-negative-tail-tol"])
 def test_out_of_domain_arguments_exit_code(configs, capsys, argv):
     flag = {"scenario": "--config", "classify": "--profile"}.get(
         argv[1], "--manifold")

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.stats import qmc
 
+from weyllab import flows
 from weyllab.covers import (
     FAMILY_BUDGET,
     CosphereSet,
@@ -279,9 +280,9 @@ def test_perturbed_band_refines_candidates(monkeypatch):
     refined = []
     refine_min = RevolutionFlow.refine_min
 
-    def spy(self, states, *args):
-        refined.append(len(states))
-        return refine_min(self, states, *args)
+    def spy(self, dense, rows, *args):
+        refined.append(len(rows))
+        return refine_min(self, dense, rows, *args)
 
     monkeypatch.setattr(RevolutionFlow, "refine_min", spy)
     U = CosphereSet(PERTURBED, kind="band", s0=1.05, s1=1.45)
@@ -307,9 +308,10 @@ def test_scan_slack_bounds_the_window_from_its_start():
     edge = np.minimum(s_hi - states[:, 0], states[:, 0] - s_lo) - thresh
     rows = states[(edge > 0) & (edge < 2e-3)]
     assert len(rows) == 7
-    mins, slack = flow._scan_both(rows, t0, T,
-                                  flow.metric.base_distance_from)
     both = np.vstack([rows, _mirror(rows)])
+    coarse, slack, _ = flow.scan_min(both, t0, T,
+                                     _base_distance(flow.metric))
+    mins = np.minimum(coarse[:7], coarse[7:])
     dense = _dop853_rows(flow._rhs, both, T, rtol=1e-12, atol=1e-12)
     grid, h = np.append(np.arange(t0, T, 1e-4), T), 1e-4
     ref = np.array([np.min(flow.metric.base_distance_from(row)(
@@ -317,33 +319,34 @@ def test_scan_slack_bounds_the_window_from_its_start():
     assert np.all(mins - slack <= np.minimum(ref[:7], ref[7:]))
 
 
-# R = 0.05 at (1, 6.5), and ROADMAP item 3's window R = 0.005 at (1, 14.6),
-# where the scan clears 19 regular rows
+# R = 0.05 at (1, 6.5), and R = 0.005 at (1, 14.6), both past the radial
+# period, where the certificate leaves the band rows to the scan
 @pytest.mark.parametrize("t0, T, R", [(1.0, 6.5, 0.05), (1.0, 14.6, 0.005)],
                          ids=["R0.05-T6.5", "R0.005-T14.6"])
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 1: the fixed-step RK4 scan (h = 0.02) does not resolve "
-    "rows of small Clairaut constant, whose angle turns at up to 1/c near "
-    "their turning points, so its slack does not bound its error"))
 def test_no_scan_cleared_row_returns(t0, T, R):
-    # past the radial period the scan decides the band rows; every row it
-    # clears must stay 2R away in DOP853, in both time directions
+    # the scan may clear a row only when it stays 2R away, so for every
+    # regular row its coarse minimum less its slack must stay below the
+    # row's DOP853 minimum in both time directions (rtol 1e-12, on a grid
+    # of step 2e-3 at base speed <= 1, less half a step); every row it
+    # clears then stays 2R away
     U = CosphereSet(PERTURBED, kind="band", s0=1.05, s1=1.45)
     states = U.sample(1000, 37)
     flow = RevolutionFlow(PERTURBED.profile)
     thresh = 2.0 * R
     rest = np.nonzero(~flow.radial_clears(states, t0, T, thresh))[0]
     reg = rest[np.abs(states[rest, 3]) >= MERIDIAN_C_FLOOR]
-    mins, slack = flow._scan_both(states[reg], t0, T,
-                                  flow.metric.base_distance_from)
-    cleared = states[reg[mins - slack > thresh]]
-    res = thresh / (4.0 * flow.phase_speed_bound(cleared))
-    best = flow.refine_min(
-        np.vstack([cleared, _mirror(cleared)]), t0, T,
-        lambda y, ref: flow.metric.distance(y, ref),
-        np.concatenate([res, res]))
-    n = len(cleared)
-    assert np.all(np.minimum(best[:n], best[n:]) >= thresh)
+    both = np.vstack([states[reg], _mirror(states[reg])])
+    coarse, slack, _ = flow.scan_min(both, t0, T,
+                                     _base_distance(flow.metric))
+    dense = _dop853_rows(flow._rhs, both, T, rtol=1e-12, atol=1e-12)
+    grid, h = np.append(np.arange(t0, T, 2e-3), T), 2e-3
+    ref = np.array([np.min(flow.metric.base_distance_from(row)(
+        dense(i, grid))) for i, row in enumerate(both)]) - 0.5 * h
+    n = len(reg)
+    assert n == 997
+    assert np.all(coarse - slack <= ref)
+    cleared = np.minimum(coarse[:n], coarse[n:]) - slack > thresh
+    assert np.all(np.minimum(ref[:n], ref[n:])[cleared] > thresh)
 
 
 def test_perturbed_conormals_return_through_the_meridian_form():
@@ -405,6 +408,84 @@ def test_perturbed_offpole_looping_refines_ambiguous_samples():
     assert (e1.value, e2.value) == (0.4649557127312894, 0.4398229715025711)
     assert e1.inflation == e2.inflation == 0.025001000000000002
     assert prod == 1.8404838287151435
+
+
+def test_perturbed_offpole_looping_hits_reach_the_target(monkeypatch):
+    # every regular sample that target_hits counts as a hit passes within
+    # 2R of its target in a DOP853 reference (rtol 1e-12, on a grid of step
+    # 1e-3 at base speed <= 1, allowing half a step), in one time direction
+    # or the other; near-meridian hits are the closed form's, whose
+    # position error the inflation reports
+    calls = []
+    target_hits = RevolutionFlow.target_hits
+
+    def spy(self, states, y_point, t0, T, thresh):
+        hits, inflation = target_hits(self, states, y_point, t0, T, thresh)
+        calls.append((states, y_point, t0, T, thresh, hits))
+        return hits, inflation
+
+    monkeypatch.setattr(RevolutionFlow, "target_hits", spy)
+    e1, e2, _ = looping_pair_measure(PERTURBED, (0.3, 0.0), (-0.2, 1.0),
+                                     1.0, 10.0, 0.05, samples=1000, seed=4)
+    assert (e1.value, e2.value) == (0.6785840131753953, 0.7037167544041136)
+    flow = RevolutionFlow(PERTURBED.profile)
+    for states, y_point, t0, T, thresh, hits in calls:
+        rows = states[hits & (np.abs(states[:, 3]) >= MERIDIAN_C_FLOOR)]
+        both = np.vstack([rows, _mirror(rows)])
+        dense = _dop853_rows(flow._rhs, both, T, rtol=1e-12, atol=1e-12)
+        grid, h = np.append(np.arange(t0, T, 1e-3), T), 1e-3
+        to_point = flow.metric.base_distance_from(y_point)
+        ref = np.array([np.min(to_point(dense(i, grid)))
+                        for i in range(len(both))])
+        n = len(rows)
+        assert np.all(np.minimum(ref[:n], ref[n:]) - 0.5 * h < thresh)
+
+
+@pytest.mark.parametrize("case", ["band-past-a-period", "looping-fiber",
+                                  "band-certified", "meridians", "blocks"])
+def test_one_integration_per_hit_test(monkeypatch, case):
+    # the regular rows and their mirrors are integrated once, in one
+    # DOP853 pass that both the scan and the refinement sample; with no
+    # regular row left nothing is integrated, and past _PASS_ROWS regular
+    # rows each block of them gets its own pass, with the same hits
+    passes = []
+    dop853_rows = flows._dop853_rows
+
+    def counted(rhs, y0, *args, **kwargs):
+        passes.append(len(y0))
+        return dop853_rows(rhs, y0, *args, **kwargs)
+
+    monkeypatch.setattr(flows, "_dop853_rows", counted)
+    flow = RevolutionFlow(PERTURBED.profile)
+    band = CosphereSet(PERTURBED, kind="band", s0=1.05,
+                       s1=1.45).sample(200, 37)
+    regular = int(np.sum(np.abs(band[:, 3]) >= MERIDIAN_C_FLOOR))
+    if case == "band-past-a-period":
+        flow.return_hits(band, 1.0, 6.5, 0.1)
+        assert passes == [2 * regular]
+    elif case == "looping-fiber":
+        fiber = _fiber_draw(PERTURBED, (0.3, 0.0), 200, 4)[1]
+        regular = int(np.sum(np.abs(fiber[:, 3]) >= MERIDIAN_C_FLOOR))
+        flow.target_hits(fiber, np.array([-0.2, 1.0]), 1.0, 10.0, 0.1)
+        assert passes == [2 * regular]
+    elif case == "blocks":
+        whole = flow.return_hits(band, 1.0, 6.5, 0.1)
+        monkeypatch.setattr(flows, "_PASS_ROWS", 64)
+        passes.clear()
+        blocked = flow.return_hits(band, 1.0, 6.5, 0.1)
+        assert passes == [2 * min(64, regular - k)
+                          for k in range(0, regular, 64)]
+        assert np.array_equal(blocked[0], whole[0])
+        assert blocked[1] == whole[1]
+    elif case == "band-certified":
+        flow.return_hits(band, 1.0, 0.05 ** (-1.0 / 3.0), 0.1)
+        assert passes == []
+    else:
+        rows = np.column_stack([np.full(8, 0.4), np.linspace(0, 6, 8),
+                                np.ones(8), np.zeros(8)])
+        flow.return_hits(rows, 1.0, 7.0, 0.1)
+        flow.target_hits(rows, np.array([-0.2, 1.0]), 1.0, 7.0, 0.1)
+        assert passes == []
 
 
 # --- the flow interface ------------------------------------------------------
@@ -497,6 +578,10 @@ def _return_distance(metric):
     return lambda y, ref: metric.distance(y, np.broadcast_to(ref, y.shape))
 
 
+def _base_distance(metric):
+    return lambda y, ref: metric.base_distance_from(ref)(y)
+
+
 def test_batched_refinement_matches_a_tight_dop853_reference():
     # Clairaut constants from near-meridian to well inside the band; each
     # row, forward and mirrored, in one call, against scalar DOP853 at
@@ -511,7 +596,15 @@ def test_batched_refinement_matches_a_tight_dop853_reference():
                            np.sqrt(1.0 - (c / a0) ** 2), c])
     rows = np.vstack([fwd, _mirror(fwd)])
     t0, T, res = 1.0, 5.85, 2e-3
-    got = flow.refine_min(rows, t0, T, dist, np.full(len(rows), res))
+    _, _, dense = flow.scan_min(rows, t0, T, dist)
+    got = flow.refine_min(dense, np.arange(len(rows)), rows, t0, T, dist,
+                          np.full(len(rows), res))
+    # all rows at once, as the scan samples them, give each row's own states
+    # bit for bit
+    grid = np.linspace(t0, T, 50)
+    together = dense(np.arange(len(rows))[:, None], grid)
+    for i in range(len(rows)):
+        assert np.array_equal(together[i], dense(i, grid))
     t = np.arange(max(t0, res), T, res)
     for row, value in zip(rows, got):
         sol = solve_ivp(lambda _, y: flow._rhs(y[None, :])[0], (0.0, T), row,
